@@ -19,11 +19,18 @@ control sign are scale invariant.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.optimize import brentq
 
 from .dynamics import Params, in_zone_xy
 from .integrator import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7, _P,
     ANY,
     RISING,
     STOP_STEP_FAILURE,
@@ -32,6 +39,7 @@ from .integrator import (
     EventSpec,
     StepControl,
     TrajectorySegment,
+    _make_dense,
     integrate,
 )
 
@@ -128,12 +136,11 @@ class StopPolicy:
 _TAU_TABLE: tuple | None = None
 
 
-def _tau_bound(E: float) -> float:
-    """Piecewise-linear table of the damping-time limit tau(E), cached once.
+def _tau_table() -> tuple[list[float], list[float]]:
+    """Knots and values of the damping-time limit tau(E), built once.
 
     Log-dense knots near the separatrix resolve the -h log h behaviour of
-    tau_minus there; above the table range the bound is clamped (the speed
-    exit fires long before that matters).
+    tau_minus there.
     """
     global _TAU_TABLE
     if _TAU_TABLE is None:
@@ -155,7 +162,16 @@ def _tau_bound(E: float) -> float:
             else:
                 vals.append(tm2 + limits.tau_plus(e, 1e-9).value)
         _TAU_TABLE = (knots, vals)
-    knots, vals = _TAU_TABLE
+    return _TAU_TABLE
+
+
+def _tau_bound(E: float) -> float:
+    """Piecewise-linear interpolation of the tau(E) table.
+
+    Above the table range the bound is clamped (the speed exit fires long
+    before that matters).
+    """
+    knots, vals = _tau_table()
     if E <= 0.0:
         return 0.0
     if E >= knots[-1]:
@@ -219,7 +235,12 @@ def trace_extremal(
     stop: StopPolicy | None = None,
     keep_samples: bool = True,
 ) -> ExtremalRun:
-    """Trace one backward extremal, splitting arcs at psi zeros."""
+    """Trace one backward extremal, splitting arcs at psi zeros.
+
+    This is the scalar oracle of the batched kernel :func:`trace_lanes`,
+    which the sweeps run: both follow the same step, event and cut policy,
+    and tests/test_extremal_lanes.py checks that they agree run for run.
+    """
     if s not in (-1, 1):
         raise ValueError(f"s must be +-1, got {s}")
     if stop is None:
@@ -473,6 +494,365 @@ def run_diagnostics(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) ->
     )
 
 
+# ------------------------------------------------------------ batched lanes
+#
+# trace_lanes traces many backward extremals at once, one lane per terminal
+# covector, with numpy arithmetic on (4, lanes) blocks.  Every operation is
+# elementwise, in the order that trace_extremal and integrate use, so a
+# lane's result does not depend on the batch it rides in.
+
+
+def _rhs_lanes(Y, ueps, out):
+    """Canonical right-hand side on a (4, lanes) block; ueps = u * eps per lane."""
+    x = Y[0]
+    out[0] = Y[1]
+    np.subtract(ueps, np.sin(x), out=out[1])
+    np.multiply(np.cos(x), Y[3], out=out[2])
+    np.negative(Y[2], out=out[3])
+    return out
+
+
+# Powers go through np.float_power, which calls the C library's pow like
+# Python's ``**`` does; np.power and a * a differ from it in the last bit.
+
+
+def _rms4(a):
+    """RMS over the 4 state components: the integrator's norm, summed in its order."""
+    return np.sqrt(np.add.reduce(np.float_power(a, 2), axis=0) / 4)
+
+
+def _coefficients(*c):
+    return np.array(c)[:, None, None]
+
+
+# Tableau rows for stage sums over a (stages, 4, lanes) block.  numpy adds a
+# reduction over the leading axis row by row, in the integrator's order.
+_A_ROWS = (
+    _coefficients(_A21),
+    _coefficients(_A31, _A32),
+    _coefficients(_A41, _A42, _A43),
+    _coefficients(_A51, _A52, _A53, _A54),
+    _coefficients(_A61, _A62, _A63, _A64, _A65),
+)
+_B_ROW = _coefficients(_B1, _B3, _B4, _B5, _B6)  # on stages 1, 3, 4, 5, 6
+_E_ROW = _coefficients(_E1, _E3, _E4, _E5, _E6, _E7)  # on stages 1, 3, ..., 7
+_B_STAGES, _E_STAGES = np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5, 6])
+
+
+def _initial_step_lanes(Y, f0, ueps, ctl: StepControl):
+    """The integrator's starting-step heuristic per lane, backward in time."""
+    sc = ctl.atol + ctl.rtol * np.abs(Y)
+    d0 = _rms4(Y / sc)
+    d1 = _rms4(f0 / sc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        f1 = _rhs_lanes(Y + -h0 * f0, ueps, np.empty_like(Y))
+        d2 = _rms4((f1 - f0) / sc) / h0
+        dm = np.maximum(d1, d2)
+        h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / dm, 0.2))
+    return -np.minimum(np.minimum(100.0 * h0, h1), ctl.max_step)
+
+
+def _tau_bound_lanes():
+    """_tau_bound as an elementwise function, on the same table."""
+    knots, vals = (np.asarray(v) for v in _tau_table())
+    inner = knots[1:-1]
+    k_lo, k_width = knots[:-1], knots[1:] - knots[:-1]
+    v_lo, v_rise = vals[:-1], vals[1:] - vals[:-1]
+
+    def bound(E):
+        i = np.searchsorted(inner, E, side="right")  # knots[i] <= E < knots[i + 1]
+        w = (E - k_lo.take(i)) / k_width.take(i)
+        inside = v_lo.take(i) + w * v_rise.take(i)
+        return np.where(E <= 0.0, 0.0, np.where(E >= knots[-1], vals[-1], inside))
+
+    return bound
+
+
+def _dense_component(t_old: float, h: float, y_old: float, ks):
+    """One component of the integrator's quartic dense output over a step.
+
+    Same arithmetic as ``integrator._make_dense``, restricted to one
+    component and to the stages with a dense weight.
+    """
+    terms = [(p, k) for p, k in zip(_P, ks) if any(p)]
+
+    def value(t: float) -> float:
+        th = (t - t_old) / h
+        ht = h * th
+        out = y_old
+        for (p0, p1, p2, p3), k in terms:
+            w = ht * (p0 + th * (p1 + th * (p2 + th * p3)))
+            if w != 0.0:
+                out += w * k
+        return out
+
+    return value
+
+
+_NO_CUT, _CUT_STANDSTILL, _CUT_OPTIMALITY = 0, 1, 2
+_CUT_REASON = {_CUT_STANDSTILL: STOP_STANDSTILL, _CUT_OPTIMALITY: STOP_OPTIMALITY}
+_SWITCH, _EXIT, _Y0 = 0, 1, 2  # event rows, in trace_extremal's order
+
+
+def trace_lanes(
+    g,
+    signs,
+    p: Params,
+    stop: StopPolicy | None = None,
+    stop_at: int | None = None,
+) -> list[ExtremalRun | None]:
+    """Trace the backward extremals (phi_T, s) = (g / eps, signs) all at once.
+
+    The lane-batched form of :func:`trace_extremal`, its oracle.  Each lane
+    keeps its own step size, control sign, time and arc count, and follows
+    the oracle's policy: Dormand-Prince 5(4) steps under the same error
+    control; the starting-step heuristic and a fresh first stage at every
+    arc start; the ``min_step`` dead band after each switch; switch, exit
+    and y0 events located by brentq on the quartic dense output; and the
+    standstill and optimality cuts on every sample.  Runs come back without
+    trajectories.  Memory is O(lanes): no step history is kept, and
+    finished lanes are compacted away.
+
+    With ``stop_at`` the batch ends as soon as a finished run reaches that
+    allowed count; the lanes still running then come back as None.
+    """
+    if stop is None:
+        stop = StopPolicy()
+    eps = p.epsilon
+    ctl = stop.ctl
+    g = np.asarray(g, dtype=float)
+    sgn = np.asarray(signs, dtype=float)
+    if g.shape != sgn.shape or not np.all(np.abs(sgn) == 1.0):
+        raise ValueError("need one sign of +-1 per lane")
+    n = g.size
+    phi_T = g / eps
+    y_stop2 = stop.speed_threshold() ** 2
+    t_budget = stop.time_budget_factor / eps
+    t_limit = -t_budget
+    thr = stop.standstill_factor * eps
+    zone_on = thr < 1.0
+    use_opt = stop.optimality_budget
+    slack = stop.slack(eps)
+    max_arcs = int(t_budget / math.pi) + 8
+    tau_bound = _tau_bound_lanes() if use_opt else None
+
+    # State of the active lanes; `lane` maps them back to the input order.
+    # The event values at the last sample are those of Y: every sample
+    # becomes the lane's state, and a rejected step leaves both unchanged.
+    lane = np.arange(n)
+    Y = np.zeros((4, n))
+    Y[2] = eps * phi_T
+    Y[3] = sgn
+    ueps = sgn * eps
+    t = np.zeros(n)
+    h = np.zeros(n)
+    K1 = np.zeros((4, n))
+    t0 = np.zeros(n)  # arc start
+    nsteps = np.zeros(n, dtype=int)  # attempted steps in the arc
+    arcs = np.zeros(n, dtype=int)
+    armed = np.zeros(n, dtype=bool)
+    touched = np.zeros(n, dtype=bool)
+    maxres = np.zeros(n)
+
+    sw_t = [[] for _ in range(n)]
+    sw_s = [[] for _ in range(n)]
+    sw_z = [[] for _ in range(n)]
+    y0_t = [[] for _ in range(n)]
+    arc_z = [[] for _ in range(n)]
+    out: list[ExtremalRun | None] = [None] * n
+
+    def check(on):
+        """Cuts and Hamiltonian residual on the current samples of lanes in mask on."""
+        x, yv = Y[0], Y[1]
+        sx = np.sin(x)
+        if zone_on:
+            zone = (np.abs(yv) < thr) & (np.abs(sx) < thr) & on
+        else:
+            zone = np.zeros_like(on)
+        cut = np.where(zone & armed, _CUT_STANDSTILL, _NO_CUT)
+        touched[...] |= zone
+        armed[...] |= on & ~zone
+        if use_opt:
+            en = 0.5 * yv * yv + 1.0 - np.cos(x)
+            over = (-t > tau_bound(en) / eps + slack) & on
+            cut[over & (cut == _NO_CUT)] = _CUT_OPTIMALITY
+        r = np.abs(yv * Y[2] - sx * Y[3] + eps * np.abs(Y[3]) - eps)
+        np.fmax(maxres, r, out=maxres, where=on & (cut == _NO_CUT))
+        return cut
+
+    def start_arcs(j):
+        """Begin a new arc on lanes j at their current (t, Y)."""
+        y = Y[:, j]
+        f0 = _rhs_lanes(y, ueps[j], np.empty_like(y))
+        hj = _initial_step_lanes(y, f0, ueps[j], ctl)
+        span = t_limit - t[j]
+        h[j] = np.where(np.abs(hj) > np.abs(span), span, hj)
+        K1[:, j] = f0
+        t0[j] = t[j]
+        nsteps[j] = 0
+        arcs[j] += 1
+        touched[j] = False
+
+    def finish(k, reason, close_arc=True) -> bool:
+        """Store the run of active lane k, ended at t[k]; True for a stop_at witness."""
+        i = lane[k]
+        done[k] = True
+        if close_arc:
+            arc_z[i].append(bool(touched[k]))
+        run = out[i] = ExtremalRun(
+            phi_T=float(phi_T[i]),
+            sign=int(sgn[i]),
+            epsilon=eps,
+            switch_times=tuple(sw_t[i]),
+            switch_states=tuple(sw_s[i]),
+            switch_in_zone=tuple(sw_z[i]),
+            y_zero_times=tuple(y0_t[i]),
+            arc_zone_touched=tuple(arc_z[i]),
+            stop_reason=reason,
+            duration=abs(float(t[k])),
+            max_hamiltonian_residual=float(maxres[k]) / eps,
+        )
+        return stop_at is not None and run.allowed_count >= stop_at
+
+    def locate(k, ev, t_old, t_new, hk, y_old, stages):
+        """Time of event ev on the step of lane k, as integrate finds it."""
+        y, y_new = (Y[3, k], Yn[3, k]) if ev == _SWITCH else (Y[1, k], Yn[1, k])
+        if ev == _EXIT:
+            y_new = y_new * y_new - y_stop2
+        if y_new == 0.0:
+            return t_new
+        f = _dense_component(t_old, hk, y_old[3 if ev == _SWITCH else 1], stages[3 if ev == _SWITCH else 1])
+        if ev == _EXIT:
+            fy = f
+
+            def f(s):
+                v = fy(s)
+                return v * v - y_stop2
+
+        return brentq(f, t_new, t_old, xtol=1e-14, rtol=8.9e-16)
+
+    done = np.zeros(n, dtype=bool)
+    start_arcs(np.arange(n))
+    cuts = check(np.ones(n, dtype=bool))
+    witness = False
+    for k in cuts.nonzero()[0]:
+        witness |= finish(k, _CUT_REASON[cuts[k]])
+
+    attempts = 0
+    while not witness:
+        if np.count_nonzero(done):
+            keep = ~done
+            lane, ueps, t, h, t0, nsteps, arcs, armed, touched, maxres = (
+                a[keep] for a in (lane, ueps, t, h, t0, nsteps, arcs, armed, touched, maxres))
+            Y, K1 = Y[:, keep], K1[:, keep]
+        m = lane.size
+        if m == 0:
+            break
+        done = np.zeros(m, dtype=bool)
+        attempts += 1
+        if attempts > ctl.max_steps:  # no lane can have used up its steps before
+            for k in (nsteps >= ctl.max_steps).nonzero()[0]:
+                witness |= finish(k, STOP_STEP_FAILURE)
+            if np.count_nonzero(done):
+                continue
+        nsteps += 1
+
+        # One Dormand-Prince attempt on every lane.
+        clip = t + h - t_limit < 0.0
+        h = np.where(clip, t_limit - t, h)
+        KS = np.empty((7, 4, m))
+        KS[0] = K1
+        for i, a in enumerate(_A_ROWS, start=1):
+            _rhs_lanes(Y + h * np.add.reduce(a * KS[:i], axis=0), ueps, KS[i])
+        Yn = Y + h * np.add.reduce(_B_ROW * KS.take(_B_STAGES, axis=0), axis=0)
+        tn = t + h
+        _rhs_lanes(Yn, ueps, KS[6])
+        e = h * np.add.reduce(_E_ROW * KS.take(_E_STAGES, axis=0), axis=0)
+        err = _rms4(e / (ctl.atol + ctl.rtol * np.maximum(np.abs(Y), np.abs(Yn))))
+
+        # Step-size control: max(0.2, .) also sends a non-finite error to 0.2,
+        # and min(10, .) a zero error to 10, as in integrate.
+        acc = err <= 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grow = np.fmax(0.2, 0.9 * np.float_power(err, -0.2))
+        h_abs = np.abs(h)
+        h_rej = h_abs * grow
+        h_acc = np.maximum(np.minimum(ctl.max_step, h_abs * np.minimum(10.0, grow)), ctl.min_step)
+        for k in ((h_rej < ctl.min_step) & ~acc).nonzero()[0]:
+            witness |= finish(k, STOP_STEP_FAILURE)
+
+        # Event crossings over accepted steps: psi and y change sign (any
+        # direction), y^2 - y_stop^2 rises through 0.
+        old, new = Y[1::2], Yn[1::2]
+        sign_change = ((old < 0.0) & (new >= 0.0)) | ((old > 0.0) & (new <= 0.0))
+        exits = (Y[1] * Y[1] - y_stop2 < 0.0) & (Yn[1] * Yn[1] - y_stop2 >= 0.0)
+        hit = (sign_change[0] | sign_change[1] | exits) & acc
+        crossed = {}
+        for k in hit.nonzero()[0]:
+            t_old, t_new, hk = float(t[k]), float(tn[k]), float(h[k])
+            y_old, stages = Y[:, k].tolist(), KS[:, :, k].T.tolist()
+            hits = []
+            for ev, on in ((_SWITCH, sign_change[1, k]), (_EXIT, exits[k]), (_Y0, sign_change[0, k])):
+                if on:
+                    t_e = locate(k, ev, t_old, t_new, hk, y_old, stages)
+                    if abs(t_e - t0[k]) >= ctl.min_step:
+                        hits.append((t_e, ev))
+            hits.sort(key=lambda q: -q[0])
+            y0s, end = [], None
+            for t_e, ev in hits:
+                if ev == _Y0:
+                    y0s.append(t_e)
+                else:
+                    end = (ev, t_e, _make_dense(t_old, hk, y_old, KS[:, :, k].tolist())(t_e))
+                    break
+            crossed[k] = (y0s, end)
+
+        # Accepted steps become the lanes' states (event states where a
+        # terminal event ended the step), then the cuts run on them.
+        np.copyto(t, tn, where=acc)
+        np.copyto(Y, Yn, where=acc)
+        np.copyto(K1, KS[6], where=acc)
+        h = -np.where(acc, h_acc, h_rej)
+        ended = {}
+        for k, (y0s, end) in crossed.items():
+            if end is not None:
+                ended[k], t[k], Y[:, k] = end
+        cut = check(acc)
+        budget = acc & (clip | (tn - t_limit <= 0.0))
+
+        restart = []
+        for k in sorted(crossed.keys() | set((cut.nonzero()[0])) | set(budget.nonzero()[0])):
+            i = lane[k]
+            y0s = crossed.get(k, ((), None))[0]
+            y0_t[i].extend(y0s if not cut[k] else [v for v in y0s if v > t[k]])
+            if cut[k]:
+                witness |= finish(k, _CUT_REASON[cut[k]])
+            elif ended.get(k) == _EXIT:
+                witness |= finish(k, STOP_ENERGY_EXIT)
+            elif ended.get(k) == _SWITCH:
+                st = Y[:, k].tolist()
+                sw_t[i].append(float(t[k]))
+                sw_s[i].append((st[0], st[1], st[2] / eps, st[3] / eps))
+                sw_z[i].append(zone_on and in_zone_xy(st[0], st[1], thr))
+                arc_z[i].append(bool(touched[k]))
+                if arcs[k] == max_arcs:
+                    witness |= finish(k, STOP_TIME_BUDGET, close_arc=False)
+                else:
+                    restart.append(k)
+            elif budget[k]:
+                witness |= finish(k, STOP_TIME_BUDGET)
+        if restart:
+            ueps[restart] = -ueps[restart]
+            start_arcs(restart)
+            on = np.zeros(m, dtype=bool)
+            on[restart] = True
+            cuts = check(on)
+            for k in cuts.nonzero()[0]:
+                witness |= finish(k, _CUT_REASON[cuts[k]])
+    return out
+
+
 @dataclass(frozen=True)
 class SweepPolicy:
     """phi_T scan policy for the switching-count supremum.
@@ -509,15 +889,81 @@ class SweepResult:
         return self.epsilon * self.max_allowed
 
 
-def _diag_at(g_scaled: float, s: int, p: Params, stop: StopPolicy) -> RunDiagnostics:
-    run = trace_extremal(g_scaled / p.epsilon, s, p, stop, keep_samples=False)
-    return run_diagnostics(run)
+def _lanes_chunk(args) -> list[tuple[float, int, RunDiagnostics]]:
+    """(g, s, diagnostics) of every finished lane of one trace_lanes batch."""
+    eps, stop, jobs, stop_at = args
+    runs = trace_lanes([g for g, _ in jobs], [s for _, s in jobs], Params(eps), stop, stop_at)
+    return [(g, s, run_diagnostics(r)) for (g, s), r in zip(jobs, runs) if r is not None]
 
 
-def _sweep_chunk(args):
-    eps, stop, jobs = args
-    p = Params(eps)
-    return [(g, s, _diag_at(g, s, p, stop)) for g, s in jobs]
+# Most bisection levels of one frontier interval traced in one refinement
+# batch: 2**k - 1 lanes buy k levels, of which the refinement keeps about k.
+REFINE_LOOKAHEAD = 4
+
+
+def _subdivide(a: float, b: float, tol: float, depth: int | None = None) -> list[float]:
+    """Midpoints of (a, b) and of its halves, ``depth`` levels deep or down to width tol.
+
+    Without ``depth`` the levels that (a, b) still needs are split evenly
+    into batches of at most REFINE_LOOKAHEAD levels, and the first batch is
+    returned.
+    """
+    if b - a <= tol:
+        return []
+    if depth is None:
+        levels = math.ceil(math.log2((b - a) / tol))
+        depth = math.ceil(levels / math.ceil(levels / REFINE_LOOKAHEAD))
+    if depth == 0:
+        return []
+    m = 0.5 * (a + b)
+    return [m] + _subdivide(a, m, tol, depth - 1) + _subdivide(m, b, tol, depth - 1)
+
+
+def _bisect(grid, cache, policy: SweepPolicy, found):
+    """Bisection refinement around every change of (count, fate), replayed.
+
+    Runs the one-run-at-a-time refinement -- always split the lowest open
+    interval between neighbouring evaluated points whose (allowed_count,
+    stop_reason) differ, until it is narrower than refine_tol -- but looks
+    each midpoint up in ``cache``.  An interval whose midpoint is not cached
+    yet is set aside as pending.  Returns (path, pending, unresolved, hit):
+    with no pending interval, ``path`` holds exactly the midpoints the
+    sequential refinement evaluates, in its order.
+    """
+    def key(d):
+        return (d.allowed_count, d.stop_reason)
+
+    frontier: list[tuple[float, float, int]] = []
+    for s in policy.signs:
+        gs = sorted(g for (g, sg) in grid if sg == s)
+        for a, b in zip(gs, gs[1:]):
+            if key(cache[(a, s)]) != key(cache[(b, s)]):
+                frontier.append((a, b, s))
+    path: list[tuple[float, int]] = []
+    pending: list[tuple[float, float, int]] = []
+    unresolved = hit = False
+    while frontier:
+        frontier.sort()
+        a, b, s = frontier.pop(0)
+        if b - a <= policy.refine_tol:
+            continue
+        if len(path) >= policy.max_extra_runs:
+            unresolved = True
+            break
+        m = 0.5 * (a + b)
+        diag = cache.get((m, s))
+        if diag is None:
+            pending.append((a, b, s))
+            continue
+        path.append((m, s))
+        if found(diag):
+            hit = True
+            break
+        if key(diag) != key(cache[(a, s)]):
+            frontier.append((a, m, s))
+        if key(diag) != key(cache[(b, s)]):
+            frontier.append((m, b, s))
+    return path, pending, unresolved, hit
 
 
 def max_switchings(
@@ -527,6 +973,12 @@ def max_switchings(
     threads: int = 1,
 ) -> SweepResult:
     """Scan the backward family for the maximal switching count.
+
+    The phi_T grid is traced as one trace_lanes batch, and each round of the
+    bisection refinement as another; ``threads`` > 1 (0 = one per CPU)
+    splits every batch over that many worker processes.  Lane results do not
+    depend on the batch, so the runs and their count equal those of a scan
+    that traces one run at a time.
 
     ``stop_at`` turns the sweep into an early-exit witness search: the scan
     returns as soon as some run reaches that allowed count (the boolean
@@ -538,7 +990,7 @@ def max_switchings(
     stop = policy.stop
     n_grid = policy.grid_points
     gmax = policy.phi_max_scaled
-    table: dict[tuple[float, int], RunDiagnostics] = {}
+    workers = threads if threads > 0 else (os.cpu_count() or 1)
 
     base = [(-gmax + 2.0 * gmax * i / (n_grid - 1)) for i in range(n_grid)]
     jobs = [(g, s) for s in policy.signs for g in base]
@@ -546,58 +998,30 @@ def max_switchings(
     def found(diag) -> bool:
         return stop_at is not None and diag.allowed_count >= stop_at
 
-    hit_early = False
-    if threads != 1 and stop_at is None:
-        import concurrent.futures as cf
-        import os
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import concurrent.futures as cf
 
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        chunks = [jobs[i::workers] for i in range(workers)]
-        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(_sweep_chunk, [(eps, stop, ch) for ch in chunks]):
-                for g, s, diag in part:
-                    table[(g, s)] = diag
-    else:
-        for g, s in jobs:
-            diag = _diag_at(g, s, p, stop)
-            table[(g, s)] = diag
-            if found(diag):
-                hit_early = True
-                break
+            pool = stack.enter_context(cf.ProcessPoolExecutor(max_workers=workers))
 
-    # Bisection refinement around every change of (count, fate) between
-    # neighbouring evaluated points, per sign family.
-    unresolved = False
-    extra = 0
-    if not hit_early:
-        def key(d):
-            return (d.allowed_count, d.stop_reason)
+        def evaluate(batch) -> dict[tuple[float, int], RunDiagnostics]:
+            chunks = [batch[i::workers] for i in range(workers)] if workers > 1 else [batch]
+            args = [(eps, stop, ch, stop_at) for ch in chunks if ch]
+            parts = pool.map(_lanes_chunk, args) if len(args) > 1 else map(_lanes_chunk, args)
+            return {(g, s): diag for part in parts for g, s, diag in part}
 
-        frontier: list[tuple[float, float, int]] = []
-        for s in policy.signs:
-            gs = sorted(g for (g, sg) in table if sg == s)
-            for a, b in zip(gs, gs[1:]):
-                if key(table[(a, s)]) != key(table[(b, s)]):
-                    frontier.append((a, b, s))
-        while frontier:
-            frontier.sort()
-            a, b, s = frontier.pop(0)
-            if b - a <= policy.refine_tol:
-                continue
-            if extra >= policy.max_extra_runs:
-                unresolved = True
-                break
-            m = 0.5 * (a + b)
-            diag = _diag_at(m, s, p, stop)
-            table[(m, s)] = diag
-            extra += 1
-            if found(diag):
-                hit_early = True
-                break
-            if key(diag) != key(table[(a, s)]):
-                frontier.append((a, m, s))
-            if key(diag) != key(table[(b, s)]):
-                frontier.append((m, b, s))
+        table = evaluate(jobs)
+        hit = any(found(d) for d in table.values())
+        unresolved = False
+        if not hit:
+            cache = dict(table)
+            while True:
+                path, pending, unresolved, hit = _bisect(table, cache, policy, found)
+                if not pending:
+                    break
+                cache.update(evaluate([
+                    (m, s) for a, b, s in pending for m in _subdivide(a, b, policy.refine_tol)]))
+            table.update((k, cache[k]) for k in path)
 
     diags = [table[k] for k in sorted(table.keys(), key=lambda k: (k[1], k[0]))]
     max_allowed = max(d.allowed_count for d in diags)
@@ -736,7 +1160,7 @@ def bifurcation_table(
         while True:
             lo /= 1.25
             if lo < 1e-4:
-                raise BracketError(f"count never reaches {target} down to eps = {lo}")
+                raise BracketError(f"count never reaches {n + 1} down to eps = {lo}")
             if reaches(lo, n):
                 break
             hi = lo

@@ -1,7 +1,10 @@
 """Adaptive Dormand-Prince 5(4) integration with dense event localization.
 
-All trajectory and extremal tracing in the package goes through
-:func:`integrate`.  Design constraints:
+Single trajectories and extremals are traced by :func:`integrate`; the
+phi_T sweeps of the extremal family use the lane-batched numpy kernel
+``extremal.trace_lanes``, which imports this tableau and dense output and
+is tested against ``extremal.trace_extremal`` running on :func:`integrate`.
+Design constraints:
 
 * explicit embedded pair with dense output (quartic interpolant), so event
   zero crossings can be bracketed between accepted steps and refined on the
@@ -12,7 +15,9 @@ All trajectory and extremal tracing in the package goes through
   trajectories into smooth arcs at terminal events (switching surfaces).
 
 States are plain tuples of floats; the state dimension here is 2 or 4, and
-pure-Python arithmetic on small tuples beats array overhead by a wide margin.
+for one trajectory pure-Python arithmetic on small tuples beats array
+overhead.  Many independent trajectories amortise that overhead, which is
+why the sweeps batch their runs instead.
 """
 
 from __future__ import annotations

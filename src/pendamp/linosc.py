@@ -73,7 +73,9 @@ def lin_feedback(s: LinState) -> int:
     """Time-optimal bang-bang feedback: -1 above the switching curve, +1 below.
 
     Within ON_CURVE_TOL of the curve the control is the post-switch value:
-    +1 on the x > 0 branch, -1 on the x < 0 branch.  The origin is rejected.
+    +1 on the x > 0 branch, -1 on the x < 0 branch.  At x = 0, where the two
+    branches meet, the side of the curve decides (-1 for y > 0, +1 for
+    y < 0), so the feedback stays odd.  The origin is rejected.
     """
     if s.x == 0.0 and s.y == 0.0:
         raise ValueError("feedback undefined at the origin")
@@ -82,6 +84,8 @@ def lin_feedback(s: LinState) -> int:
         return -1
     if s.y < g - ON_CURVE_TOL:
         return 1
+    if s.x == 0.0:
+        return -1 if s.y > 0.0 else 1
     return 1 if s.x > 0.0 else -1
 
 

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pendamp import extremal
 from pendamp.dynamics import Params
 from pendamp.extremal import (
     STOP_ENERGY_EXIT,
@@ -11,6 +13,7 @@ from pendamp.extremal import (
     ExtremalState,
     StopPolicy,
     SweepPolicy,
+    bifurcation_table,
     canonical_field,
     find_bifurcation,
     hamiltonian_residual,
@@ -206,6 +209,47 @@ class TestBifurcation:
         with pytest.raises(BracketError):
             find_bifurcation(1, bracket=(0.3, 0.5), tol=1e-2,
                              policy=SweepPolicy(grid_points=48))
+
+    def test_threads_give_the_same_row(self):
+        kw = dict(bracket=(0.3, 0.42), tol=0.01, policy=SweepPolicy(grid_points=32))
+        assert find_bifurcation(3, threads=2, **kw) == find_bifurcation(3, threads=1, **kw)
+
+
+def stub_counts(monkeypatch, count):
+    """Replace the sweep behind the bifurcation search by max_allowed = count(eps)."""
+    def fake(p, policy=None, stop_at=None, threads=1):
+        return SimpleNamespace(max_allowed=count(p.epsilon))
+
+    monkeypatch.setattr(extremal, "max_switchings", fake)
+
+
+class TestBracketErrors:
+    @pytest.mark.parametrize("bracket,count,message", [
+        ((0.5, 0.3), lambda e: 2, "need eps_lo < eps_hi"),
+        ((0.3, 0.5), lambda e: 1, "count below 2 at eps_lo"),
+        ((0.3, 0.5), lambda e: 2, "count already >= 2 at eps_hi"),
+        (None, lambda e: 2, "count >= 2 persists up to eps"),
+        (None, lambda e: 1, "count never reaches 2 down to eps"),
+    ])
+    def test_find_bifurcation(self, monkeypatch, bracket, count, message):
+        stub_counts(monkeypatch, count)
+        with pytest.raises(BracketError, match=message):
+            find_bifurcation(1, bracket=bracket)
+
+    def test_find_bifurcation_auto_bracket_succeeds(self, monkeypatch):
+        stub_counts(monkeypatch, lambda e: 2 if e < 0.7 else 1)
+        row = find_bifurcation(1, tol=1e-4)
+        assert row.epsilon_n == pytest.approx(0.7, abs=1e-4)
+
+    def test_table_count_persists(self, monkeypatch):
+        stub_counts(monkeypatch, lambda e: 2)
+        with pytest.raises(BracketError, match="count >= 2 persists"):
+            bifurcation_table(2)
+
+    def test_table_count_never_reaches(self, monkeypatch):
+        stub_counts(monkeypatch, lambda e: 3 if e < 0.5 else 1)
+        with pytest.raises(BracketError, match="count never reaches 4 down to eps"):
+            bifurcation_table(3)
 
 
 class TestStopPolicy:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -57,6 +57,8 @@ class TestFeedback:
 
     @settings(max_examples=80, deadline=None)
     @given(x=st.floats(-12, 12), y=st.floats(-12, 12))
+    @example(x=0.0, y=1e-300)
+    @example(x=-0.0, y=1e-300)
     def test_antisymmetry(self, x, y):
         if x == 0.0 and y == 0.0:
             return
