@@ -614,8 +614,10 @@ def trace_lanes(
     trajectories.  Memory is O(lanes): no step history is kept, and
     finished lanes are compacted away.
 
-    With ``stop_at`` the batch ends as soon as a finished run reaches that
-    allowed count; the lanes still running then come back as None.
+    With ``stop_at`` the batch is a witness search.  It ends as soon as a
+    finished run reaches that allowed count, and once some lane has made
+    that many switchings (so that its run will reach it) only that lane
+    runs on.  The lanes dropped or still running come back as None.
     """
     if stop is None:
         stop = StopPolicy()
@@ -663,7 +665,10 @@ def trace_lanes(
     out: list[ExtremalRun | None] = [None] * n
 
     def check(on):
-        """Cuts and Hamiltonian residual on the current samples of lanes in mask on."""
+        """Cuts and Hamiltonian residual on the current samples of lanes in mask on.
+
+        Returns the cut per lane and the standstill-zone mask of the samples.
+        """
         x, yv = Y[0], Y[1]
         sx = np.sin(x)
         if zone_on:
@@ -679,7 +684,7 @@ def trace_lanes(
             cut[over & (cut == _NO_CUT)] = _CUT_OPTIMALITY
         r = np.abs(yv * Y[2] - sx * Y[3] + eps * np.abs(Y[3]) - eps)
         np.fmax(maxres, r, out=maxres, where=on & (cut == _NO_CUT))
-        return cut
+        return cut, zone
 
     def start_arcs(j):
         """Begin a new arc on lanes j at their current (t, Y)."""
@@ -717,12 +722,11 @@ def trace_lanes(
 
     def locate(k, ev, t_old, t_new, hk, y_old, stages):
         """Time of event ev on the step of lane k, as integrate finds it."""
-        y, y_new = (Y[3, k], Yn[3, k]) if ev == _SWITCH else (Y[1, k], Yn[1, k])
-        if ev == _EXIT:
-            y_new = y_new * y_new - y_stop2
-        if y_new == 0.0:
+        c = 3 if ev == _SWITCH else 1
+        g_new = Yn[c, k] * Yn[c, k] - y_stop2 if ev == _EXIT else Yn[c, k]
+        if g_new == 0.0:
             return t_new
-        f = _dense_component(t_old, hk, y_old[3 if ev == _SWITCH else 1], stages[3 if ev == _SWITCH else 1])
+        f = _dense_component(t_old, hk, y_old[c], stages[c])
         if ev == _EXIT:
             fy = f
 
@@ -734,7 +738,7 @@ def trace_lanes(
 
     done = np.zeros(n, dtype=bool)
     start_arcs(np.arange(n))
-    cuts = check(np.ones(n, dtype=bool))
+    cuts, _ = check(np.ones(n, dtype=bool))
     witness = False
     for k in cuts.nonzero()[0]:
         witness |= finish(k, _CUT_REASON[cuts[k]])
@@ -818,10 +822,10 @@ def trace_lanes(
         for k, (y0s, end) in crossed.items():
             if end is not None:
                 ended[k], t[k], Y[:, k] = end
-        cut = check(acc)
+        cut, zone = check(acc)
         budget = acc & (clip | (tn - t_limit <= 0.0))
 
-        restart = []
+        restart, sure = [], []
         for k in sorted(crossed.keys() | set((cut.nonzero()[0])) | set(budget.nonzero()[0])):
             i = lane[k]
             y0s = crossed.get(k, ((), None))[0]
@@ -836,6 +840,8 @@ def trace_lanes(
                 sw_s[i].append((st[0], st[1], st[2] / eps, st[3] / eps))
                 sw_z[i].append(zone_on and in_zone_xy(st[0], st[1], thr))
                 arc_z[i].append(bool(touched[k]))
+                if stop_at is not None and len(sw_t[i]) >= stop_at:
+                    sure.append(k)
                 if arcs[k] == max_arcs:
                     witness |= finish(k, STOP_TIME_BUDGET, close_arc=False)
                 else:
@@ -843,13 +849,14 @@ def trace_lanes(
             elif budget[k]:
                 witness |= finish(k, STOP_TIME_BUDGET)
         if restart:
+            # The new arc's first sample is the switch state, which has just
+            # passed the cuts; it only marks the arc as touching the zone.
             ueps[restart] = -ueps[restart]
             start_arcs(restart)
-            on = np.zeros(m, dtype=bool)
-            on[restart] = True
-            cuts = check(on)
-            for k in cuts.nonzero()[0]:
-                witness |= finish(k, _CUT_REASON[cuts[k]])
+            touched[restart] = zone[restart]
+        if sure:
+            done[:] = True
+            done[sure] = False
     return out
 
 
@@ -982,7 +989,9 @@ def max_switchings(
 
     ``stop_at`` turns the sweep into an early-exit witness search: the scan
     returns as soon as some run reaches that allowed count (the boolean
-    "max >= stop_at" is unchanged; only the amount of work differs).
+    "max >= stop_at" is unchanged; only the amount of work differs).  The
+    grid batch stops at its first witness.  Refinement rounds run to their
+    end, since their look-ahead lanes off the bisection path must not count.
     """
     if policy is None:
         policy = SweepPolicy()
@@ -1004,13 +1013,13 @@ def max_switchings(
 
             pool = stack.enter_context(cf.ProcessPoolExecutor(max_workers=workers))
 
-        def evaluate(batch) -> dict[tuple[float, int], RunDiagnostics]:
+        def evaluate(batch, stop_at=None) -> dict[tuple[float, int], RunDiagnostics]:
             chunks = [batch[i::workers] for i in range(workers)] if workers > 1 else [batch]
             args = [(eps, stop, ch, stop_at) for ch in chunks if ch]
             parts = pool.map(_lanes_chunk, args) if len(args) > 1 else map(_lanes_chunk, args)
             return {(g, s): diag for part in parts for g, s, diag in part}
 
-        table = evaluate(jobs)
+        table = evaluate(jobs, stop_at)
         hit = any(found(d) for d in table.values())
         unresolved = False
         if not hit:

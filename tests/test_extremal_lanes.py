@@ -17,6 +17,7 @@ from pendamp.extremal import (
     trace_extremal,
     trace_lanes,
 )
+from pendamp.integrator import StepControl
 
 GRID = 48
 
@@ -87,6 +88,29 @@ def test_every_grid_lane_matches_oracle(eps):
         assert run.duration == pytest.approx(ref.duration, abs=1e-6)
 
 
+def ctl(**kw):
+    return StepControl(interp_tol=None, **kw)
+
+
+@pytest.mark.parametrize("stop", [
+    StopPolicy(optimality_budget=False),                              # standstill and exits
+    StopPolicy(time_budget_factor=1.0),                               # time budget
+    StopPolicy(standstill_factor=10.0),                               # no standstill zone
+    StopPolicy(slack_base=-1.0),                                      # cut at the first sample
+    StopPolicy(ctl=ctl(max_steps=40)),                                # step budget
+    StopPolicy(ctl=ctl(min_step=0.05, rtol=1e-13, atol=1e-15)),       # step failure
+], ids=["no-optimality", "short-budget", "no-zone", "negative-slack", "max-steps", "min-step"])
+def test_every_stop_policy_matches_oracle(stop):
+    for eps in (0.5, 0.2):
+        p = Params(eps)
+        jobs = grid_jobs(16)
+        for (g, s), run in zip(jobs, lanes(jobs, eps, stop=stop)):
+            ref = trace_extremal(g / eps, s, p, stop, keep_samples=False)
+            assert (run.allowed_count, run.stop_reason) == (ref.allowed_count, ref.stop_reason), (g, s)
+            assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
+            assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+
+
 @pytest.mark.parametrize("eps,policy", [
     (0.3, SweepPolicy(grid_points=GRID)),
     (0.3, SweepPolicy(grid_points=GRID, max_extra_runs=5)),
@@ -104,13 +128,17 @@ def test_sweep_matches_oracle_sweep(eps, policy):
     assert res.unresolved_transitions == unresolved
 
 
-def test_early_exit_answer_matches_oracle():
+@pytest.mark.parametrize("grid,stop_at", [(32, 3), (32, 4), (32, 5), (3, 4)])
+def test_early_exit_answer_matches_oracle(grid, stop_at):
+    # At grid 3 the grid holds no run with count 4; the refinement finds one.
     p = Params(0.3)
-    policy = SweepPolicy(grid_points=32)
-    for stop_at in (3, 4, 5):
-        ref, _ = oracle_sweep(p, policy, stop_at)
-        reached = max(d.allowed_count for d in ref.values()) >= stop_at
-        assert (max_switchings(p, policy, stop_at=stop_at).max_allowed >= stop_at) == reached
+    policy = SweepPolicy(grid_points=grid)
+    ref, _ = oracle_sweep(p, policy, stop_at)
+    reached = max(d.allowed_count for d in ref.values()) >= stop_at
+    res = max_switchings(p, policy, stop_at=stop_at)
+    assert (res.max_allowed >= stop_at) == reached
+    if grid == 3:
+        assert reached and res.n_runs == len(ref)
 
 
 def test_lane_is_bit_identical_in_any_batch():
