@@ -592,7 +592,7 @@ def _dense_component(t_old: float, h: float, y_old: float, ks):
 
 _NO_CUT, _CUT_STANDSTILL, _CUT_OPTIMALITY = 0, 1, 2
 _CUT_REASON = {_CUT_STANDSTILL: STOP_STANDSTILL, _CUT_OPTIMALITY: STOP_OPTIMALITY}
-_SWITCH, _EXIT, _Y0 = 0, 1, 2  # event rows, in trace_extremal's order
+_SWITCH, _EXIT, _Y0 = 0, 1, 2  # the events, in the order of trace_extremal's
 
 
 def trace_lanes(
@@ -797,7 +797,8 @@ def trace_lanes(
             t_old, t_new, hk = float(t[k]), float(tn[k]), float(h[k])
             y_old, stages = Y[:, k].tolist(), KS[:, :, k].T.tolist()
             hits = []
-            for ev, on in ((_SWITCH, sign_change[1, k]), (_EXIT, exits[k]), (_Y0, sign_change[0, k])):
+            events = (_SWITCH, sign_change[1, k]), (_EXIT, exits[k]), (_Y0, sign_change[0, k])
+            for ev, on in events:
                 if on:
                     t_e = locate(k, ev, t_old, t_new, hk, y_old, stages)
                     if abs(t_e - t0[k]) >= ctl.min_step:
@@ -826,7 +827,7 @@ def trace_lanes(
         budget = acc & (clip | (tn - t_limit <= 0.0))
 
         restart, sure = [], []
-        for k in sorted(crossed.keys() | set((cut.nonzero()[0])) | set(budget.nonzero()[0])):
+        for k in sorted(crossed.keys() | set(cut.nonzero()[0]) | set(budget.nonzero()[0])):
             i = lane[k]
             y0s = crossed.get(k, ((), None))[0]
             y0_t[i].extend(y0s if not cut[k] else [v for v in y0s if v > t[k]])
@@ -937,6 +938,7 @@ def _bisect(grid, cache, policy: SweepPolicy, found):
     with no pending interval, ``path`` holds exactly the midpoints the
     sequential refinement evaluates, in its order.
     """
+
     def key(d):
         return (d.allowed_count, d.stop_reason)
 

@@ -52,7 +52,8 @@ def oracle_sweep(p, policy, stop_at=None):
     frontier = []
     for s in policy.signs:
         gs = sorted(g for (g, sg) in table if sg == s)
-        frontier += [(a, b, s) for a, b in zip(gs, gs[1:]) if key(table[(a, s)]) != key(table[(b, s)])]
+        frontier += [(a, b, s) for a, b in zip(gs, gs[1:])
+                     if key(table[(a, s)]) != key(table[(b, s)])]
     extra = 0
     while frontier:
         frontier.sort()
@@ -106,7 +107,8 @@ def test_every_stop_policy_matches_oracle(stop):
         jobs = grid_jobs(16)
         for (g, s), run in zip(jobs, lanes(jobs, eps, stop=stop)):
             ref = trace_extremal(g / eps, s, p, stop, keep_samples=False)
-            assert (run.allowed_count, run.stop_reason) == (ref.allowed_count, ref.stop_reason), (g, s)
+            assert run.allowed_count == ref.allowed_count, (g, s)
+            assert run.stop_reason == ref.stop_reason, (g, s)
             assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
             assert run.duration == pytest.approx(ref.duration, abs=1e-6)
 
@@ -123,8 +125,9 @@ def test_sweep_matches_oracle_sweep(eps, policy):
     assert res.max_allowed == max(d.allowed_count for d in ref.values())
     assert res.n_runs == len(ref)
     assert [(d.sign, d.phi_T) for d in res.runs] == sorted((s, g / eps) for g, s in ref)
+    order = sorted(ref, key=lambda k: (k[1], k[0]))
     assert [(d.allowed_count, d.stop_reason) for d in res.runs] == \
-           [(ref[k].allowed_count, ref[k].stop_reason) for k in sorted(ref, key=lambda k: (k[1], k[0]))]
+           [(ref[k].allowed_count, ref[k].stop_reason) for k in order]
     assert res.unresolved_transitions == unresolved
 
 
@@ -153,7 +156,8 @@ def test_lane_is_bit_identical_in_any_batch():
     for job in jobs[::7]:
         assert lanes([job], eps) == [by_job[job]]
     with cf.ProcessPoolExecutor(max_workers=2) as pool:
-        parts = list(pool.map(_lanes_chunk, [(eps, StopPolicy(), jobs[i::2], None) for i in range(2)]))
+        chunks = [(eps, StopPolicy(), jobs[i::2], None) for i in range(2)]
+        parts = list(pool.map(_lanes_chunk, chunks))
     remote = {(g, s): d for part in parts for g, s, d in part}
     for job, run in zip(jobs, batch):
         assert remote[job] == run_diagnostics(run)
