@@ -8,12 +8,12 @@ any emitted number can be regenerated from the file alone.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import math
 import sys
 
 from . import acceptance, limits, linosc
-from .dynamics import Params, PhaseState
+from .dynamics import Params, PhaseState, energy_xy
 from .extremal import (
     BracketError,
     StopPolicy,
@@ -21,7 +21,6 @@ from .extremal import (
     bifurcation_table,
     max_switchings,
 )
-from .integrator import write_trajectory_csv
 from .quasiopt import CapturePolicy, DampingNonConvergence, simulate_damping, sweep_scaling
 
 FAILURE = 1  # computation failure; argparse itself exits 2 on usage errors
@@ -37,13 +36,11 @@ def _emit(payload: dict, args) -> None:
 
 
 def _write_rows_csv(path, header, rows) -> None:
-    import csv
-
+    """Write a header line and the rows; floats as repr, None as an empty field."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _config_overrides(args, parser, subparser) -> None:
@@ -69,14 +66,19 @@ def _config_overrides(args, parser, subparser) -> None:
         cur = getattr(args, key)
         if cur != subparser.get_default(key):
             continue  # explicit command-line flags win
-        if isinstance(cur, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int) and not isinstance(cur, bool):
-            setattr(args, key, int(val))
-        elif isinstance(cur, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
+        try:
+            if isinstance(cur, bool):
+                setattr(args, key, val.lower() in ("1", "true", "yes"))
+            elif isinstance(cur, int):
+                setattr(args, key, int(val))
+            elif isinstance(cur, float):
+                setattr(args, key, float(val))
+            elif isinstance(cur, list):
+                setattr(args, key, _eps_list(val))
+            else:
+                setattr(args, key, val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"bad value for config key {key!r}: {exc}")
 
 
 def _eps_list(text: str) -> list[float]:
@@ -118,9 +120,9 @@ def cmd_simulate(args) -> int:
     res = simulate_damping(PhaseState(args.x0, args.y0), p, policy,
                            keep_samples=args.trajectory_out is not None)
     if args.trajectory_out:
-        write_trajectory_csv(args.trajectory_out, res.trajectory.times,
-                             res.trajectory.states,
-                             controls=lambda t, s: res.control_at(t))
+        _write_rows_csv(args.trajectory_out, ["t", "x", "y", "phi", "psi", "u", "E"],
+                        [[t, x, y, "", "", res.control_at(t), energy_xy(x, y)]
+                         for t, (x, y) in zip(res.trajectory.times, res.trajectory.states)])
     payload = {
         "epsilon": args.epsilon,
         "x0": args.x0,
@@ -141,13 +143,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    eps_list = args.eps_list if isinstance(args.eps_list, list) else _eps_list(args.eps_list)
-    tab = sweep_scaling(PhaseState(args.x0, args.y0), eps_list,
+    tab = sweep_scaling(PhaseState(args.x0, args.y0), args.eps_list,
                         CapturePolicy(k_cap=args.capture_k, budget_factor=args.budget))
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("csv output needs --out")
-        tab.write_csv(args.out)
+        _write_rows_csv(args.out, ["epsilon", "T", "N", "epsT", "epsN"],
+                        [[r.epsilon, r.damping_time, r.switch_count, r.eps_T, r.eps_N]
+                         for r in tab.rows])
         return 0
     payload = {
         "x0": args.x0,
@@ -159,7 +160,8 @@ def cmd_sweep(args) -> int:
         ],
         "extrapolated_epsT": tab.extrapolated_eps_T,
         "extrapolated_epsN": tab.extrapolated_eps_N,
-        "config": {"eps_list": eps_list, "capture_k": args.capture_k, "budget": args.budget},
+        "config": {"eps_list": args.eps_list, "capture_k": args.capture_k,
+                   "budget": args.budget},
     }
     _emit(payload, args)
     return 0
@@ -196,9 +198,8 @@ def cmd_bifurcations(args) -> int:
     policy = SweepPolicy(grid_points=args.grid, stop=StopPolicy())
     tab = bifurcation_table(args.n_max, tol=args.tol, policy=policy, threads=args.threads)
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("csv output needs --out")
-        tab.write_csv(args.out)
+        _write_rows_csv(args.out, ["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"],
+                        [[r.n, r.epsilon_n, r.product, r.bracket_width] for r in tab.rows])
         return 0
     payload = {
         "rows": [
@@ -215,14 +216,10 @@ def cmd_bifurcations(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    eps_list = args.eps_list if isinstance(args.eps_list, list) else _eps_list(args.eps_list)
-    rows = limits.euler_convergence(args.x0, eps_list)
+    rows = limits.euler_convergence(args.x0, args.eps_list)
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("csv output needs --out")
         _write_rows_csv(args.out, ["epsilon", "n_iterates", "sup_error", "ratio"],
-                        [[r.epsilon, r.n_iterates, repr(r.sup_error),
-                          "" if r.ratio_vs_previous is None else repr(r.ratio_vs_previous)]
+                        [[r.epsilon, r.n_iterates, r.sup_error, r.ratio_vs_previous]
                          for r in rows])
         return 0
     payload = {
@@ -232,7 +229,7 @@ def cmd_euler(args) -> int:
              "ratio_vs_previous": r.ratio_vs_previous}
             for r in rows
         ],
-        "config": {"eps_list": eps_list},
+        "config": {"eps_list": args.eps_list},
     }
     _emit(payload, args)
     return 0
@@ -316,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("sweep", help="scaling table eps -> (T, N, epsT, epsN)")
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
-    sp.add_argument("--eps-list", dest="eps_list", default="0.2,0.1,0.05,0.02",
+    sp.add_argument("--eps-list", dest="eps_list", type=_eps_list,
+                    default=[0.2, 0.1, 0.05, 0.02],
                     help="comma-separated, strictly decreasing")
     sp.add_argument("--capture-k", type=float, default=4.0, dest="capture_k")
     sp.add_argument("--budget", type=float, default=64.0)
@@ -343,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("euler", help="broken-line convergence table")
     sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--eps-list", dest="eps_list", default="0.02,0.01,0.005,0.0025")
+    sp.add_argument("--eps-list", dest="eps_list", type=_eps_list,
+                    default=[0.02, 0.01, 0.005, 0.0025])
     common(sp, fmt=True)
     sp.set_defaults(fn=cmd_euler)
 
@@ -367,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _config_overrides(args, parser, parser._command_parsers[args.command])
+    subparser = parser._command_parsers[args.command]
+    _config_overrides(args, parser, subparser)
+    if getattr(args, "format", None) == "csv" and not args.out:
+        subparser.error("csv output needs --out")
     try:
         return args.fn(args)
     except (ValueError, BracketError, DampingNonConvergence,

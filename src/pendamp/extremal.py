@@ -20,6 +20,7 @@ control sign are scale invariant.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from . import limits
 from .dynamics import Params, in_zone_xy
 from .integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
@@ -133,36 +135,20 @@ class StopPolicy:
         return self.slack_base + self.slack_log * math.log(1.0 / eps)
 
 
-_TAU_TABLE: tuple | None = None
-
-
-def _tau_table() -> tuple[list[float], list[float]]:
+@functools.cache
+def _tau_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Knots and values of the damping-time limit tau(E), built once.
 
     Log-dense knots near the separatrix resolve the -h log h behaviour of
     tau_minus there.
     """
-    global _TAU_TABLE
-    if _TAU_TABLE is None:
-        from . import limits
-
-        knots = [0.0]
-        k = 40
-        for i in range(1, k + 1):  # oscillation branch, dense toward E = 2
-            knots.append(2.0 * (i / k) ** 1.5)
-        for i in range(1, 25):  # rotation branch
-            knots.append(2.0 + (i / 24.0) ** 1.5 * 4.0)
-        vals = [0.0]
-        tm2 = limits.tau_minus(2.0, 1e-9).value
-        for e in knots[1:]:
-            if e < 2.0:
-                vals.append(limits.tau_minus(e, 1e-9).value)
-            elif e == 2.0:
-                vals.append(tm2)
-            else:
-                vals.append(tm2 + limits.tau_plus(e, 1e-9).value)
-        _TAU_TABLE = (knots, vals)
-    return _TAU_TABLE
+    knots = [0.0]
+    k = 40
+    for i in range(1, k + 1):  # oscillation branch, dense toward E = 2
+        knots.append(2.0 * (i / k) ** 1.5)
+    for i in range(1, 25):  # rotation branch
+        knots.append(2.0 + (i / 24.0) ** 1.5 * 4.0)
+    return tuple(knots), (0.0, *(limits.tau(e, 1e-9).value for e in knots[1:]))
 
 
 def _tau_bound(E: float) -> float:
@@ -1067,18 +1053,58 @@ class BifurcationRow:
 class BifurcationTable:
     rows: list[BifurcationRow]
 
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"])
-            for r in self.rows:
-                w.writerow([r.n, repr(r.epsilon_n), repr(r.product), repr(r.bracket_width)])
-
 
 class BracketError(Exception):
     """The integer count is not monotone across the supplied bracket."""
+
+
+def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
+                 policy: SweepPolicy, threads: int) -> BifurcationRow:
+    """Bracket and bisect the eps where max_switchings first reaches n + 1.
+
+    Without ``hi`` a geometric scan upward from eps = 1.2 finds an eps whose
+    count is below n + 1; without ``lo`` a geometric descent from ``hi``
+    finds one that reaches it.  Both ends are then checked and the bracket
+    bisected down to width ``tol``.  Every eps is scanned at most once, so
+    the checks cost nothing for the ends the two searches already answered.
+    """
+    target = n + 1
+    answers: dict[float, bool] = {}
+
+    def reaches(eps: float) -> bool:
+        if eps not in answers:
+            res = max_switchings(Params(eps), policy, stop_at=target, threads=threads)
+            answers[eps] = res.max_allowed >= target
+        return answers[eps]
+
+    if hi is None:
+        hi = 1.2
+        while reaches(hi):
+            hi *= 1.5
+            if hi > 64.0:
+                raise BracketError(f"count >= {target} persists up to eps = {hi}")
+    if lo is None:
+        lo = hi
+        while True:
+            lo /= 1.25
+            if lo < 1e-4:
+                raise BracketError(f"count never reaches {target} down to eps = {lo}")
+            if reaches(lo):
+                break
+            hi = lo
+    if not reaches(lo):
+        raise BracketError(f"count below {target} at eps_lo = {lo}")
+    if reaches(hi):
+        raise BracketError(f"count already >= {target} at eps_hi = {hi}")
+
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if reaches(mid):
+            lo = mid
+        else:
+            hi = mid
+    eps_n = 0.5 * (lo + hi)
+    return BifurcationRow(n=n, epsilon_n=eps_n, product=n * eps_n, bracket_width=hi - lo)
 
 
 def find_bifurcation(
@@ -1094,50 +1120,19 @@ def find_bifurcation(
     as eps decreases; at large amplitude the maximum is a single switching, so
     the n-th increment is where max_switchings first reaches the level n + 1.
     Bisection of the integer-valued map eps -> max_switchings(eps) on a
-    bracket (eps_lo, eps_hi) with count >= n+1 at eps_lo and < n+1 at eps_hi.
-    Without a bracket, a geometric scan downward from eps ~ 1.2 finds one.
+    bracket (eps_lo, eps_hi) whose ends are checked to have count >= n+1 at
+    eps_lo and < n+1 at eps_hi.  Without a bracket, a geometric scan upward
+    from eps = 1.2 (factor 1.5, up to 64) and then downward (factor 1.25,
+    down to 1e-4) finds one, as for the first row of bifurcation_table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if policy is None:
-        policy = SweepPolicy()
-    target = n + 1
-
-    def reaches(eps: float) -> bool:
-        res = max_switchings(Params(eps), policy, stop_at=target, threads=threads)
-        return res.max_allowed >= target
-
-    if bracket is None:
-        hi = 1.2
-        while reaches(hi):
-            hi *= 1.5
-            if hi > 64.0:
-                raise BracketError(f"count >= {target} persists up to eps = {hi}")
-        lo = hi
-        while True:
-            lo /= 1.3
-            if reaches(lo):
-                break
-            hi = lo
-            if lo < 1e-4:
-                raise BracketError(f"count never reaches {target} down to eps = {lo}")
-    else:
+    lo = hi = None
+    if bracket is not None:
         lo, hi = bracket
         if not lo < hi:
             raise BracketError(f"need eps_lo < eps_hi, got {bracket}")
-        if not reaches(lo):
-            raise BracketError(f"count below {target} at eps_lo = {lo}")
-        if reaches(hi):
-            raise BracketError(f"count already >= {target} at eps_hi = {hi}")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if reaches(mid):
-            lo = mid
-        else:
-            hi = mid
-    eps_n = 0.5 * (lo + hi)
-    return BifurcationRow(n=n, epsilon_n=eps_n, product=n * eps_n, bracket_width=hi - lo)
+    return _bifurcation(n, lo, hi, tol, policy or SweepPolicy(), threads)
 
 
 def bifurcation_table(
@@ -1148,32 +1143,15 @@ def bifurcation_table(
 ) -> BifurcationTable:
     """Bifurcation values eps_1 > ... > eps_nmax by a shared descending scan.
 
-    The thresholds are nested (reaching count n implies reaching n-1), so each
-    located eps_{n-1} caps the bracket search for eps_n.
+    The thresholds are nested (reaching count n implies reaching n-1), so the
+    search for eps_n descends from eps_{n-1} + tol instead of scanning up
+    from eps = 1.2 again.  Each row is searched as find_bifurcation(n) would,
+    and no eps is scanned twice for one row.
     """
-    if policy is None:
-        policy = SweepPolicy()
+    policy = policy or SweepPolicy()
     rows: list[BifurcationRow] = []
-
-    def reaches(eps: float, n: int) -> bool:
-        res = max_switchings(Params(eps), policy, stop_at=n + 1, threads=threads)
-        return res.max_allowed >= n + 1
-
-    hi = 1.2
-    while reaches(hi, 1):
-        hi *= 1.5
-        if hi > 64.0:
-            raise BracketError("count >= 2 persists at arbitrarily large eps")
+    hi = None
     for n in range(1, n_max + 1):
-        if rows:
-            hi = rows[-1].epsilon_n + tol
-        lo = hi
-        while True:
-            lo /= 1.25
-            if lo < 1e-4:
-                raise BracketError(f"count never reaches {n + 1} down to eps = {lo}")
-            if reaches(lo, n):
-                break
-            hi = lo
-        rows.append(find_bifurcation(n, (lo, hi), tol, policy, threads))
+        rows.append(_bifurcation(n, None, hi, tol, policy, threads))
+        hi = rows[-1].epsilon_n + tol
     return BifurcationTable(rows)

@@ -22,7 +22,6 @@ why the sweeps batch their runs instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -346,31 +345,3 @@ def integrate(
 
     return TrajectorySegment(times, states, recs, stop_reason, detail)
 
-
-def write_trajectory_csv(path, times, states, controls=None) -> None:
-    """Dump samples as ``t,x,y,phi,psi,u,E`` (phi/psi blank for 2-d states)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y", "phi", "psi", "u", "E"])
-        for idx, (t, s) in enumerate(zip(times, states)):
-            x, y = s[0], s[1]
-            phi = s[2] if len(s) > 2 else ""
-            psi = s[3] if len(s) > 3 else ""
-            if controls is None:
-                u = ""
-            elif callable(controls):
-                u = controls(t, s)
-            else:
-                u = controls[idx]
-            en = 0.5 * y * y + (1.0 - math.cos(x))
-            w.writerow([repr(t), repr(x), repr(y), phi if phi == "" else repr(phi),
-                        psi if psi == "" else repr(psi), u, repr(en)])
-
-
-def write_events_csv(path, events: Sequence[EventRecord]) -> None:
-    """Dump an event log as ``t,label,x,y``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "label", "x", "y"])
-        for ev in events:
-            w.writerow([repr(ev.t), ev.label, repr(ev.state[0]), repr(ev.state[1])])

@@ -29,7 +29,6 @@ from scipy.special import ellipk, sici
 from .dynamics import Params
 
 TWO_PI = 2.0 * math.pi
-D_REFERENCE = 0.925968526  # published value of the switching-count constant
 
 
 class QuadratureError(Exception):
@@ -295,6 +294,22 @@ def _high_step_time(y: float, eps: float, tol: float) -> float:
     return _quad(f, math.pi, 3.0 * math.pi, tol, limit=400).value
 
 
+def _orbit(step, start: float, p: Params, stop: type[Exception], max_steps: int):
+    """``start`` and its images under the section map ``step(., p)``, one at a time.
+
+    Ends when ``step`` raises ``stop`` (the orbit left the map's regime) or
+    after ``max_steps`` images; any other exception propagates.
+    """
+    v = start
+    yield v
+    for _ in range(max_steps):
+        try:
+            v = step(v, p)
+        except stop:
+            return
+        yield v
+
+
 def poincare_iterates(zone: str, start: float, p: Params,
                       max_steps: int = 100_000, tol: float = 1e-10) -> PoincareIterates:
     """Iterate a dry-friction Poincare map until it leaves its regime.
@@ -303,36 +318,27 @@ def poincare_iterates(zone: str, start: float, p: Params,
     High zone: positive section speeds down to the last full turn.
     """
     eps = p.epsilon
-    values = [float(start)]
-    times: list[float] = []
     if zone == "low":
-        x = float(start)
-        for _ in range(max_steps):
-            try:
-                x_next = poincare_low(x, p)
-            except StandstillCapture:
-                break
-            times.append(_low_step_time(x, x_next, eps, tol))
-            values.append(x_next)
-            x = x_next
-        energies = tuple(1.0 - math.cos(v) for v in values)
-        reduced = tuple(2.0 - e for e in energies)
+        step, stop = poincare_low, StandstillCapture
     elif zone == "high":
         if start <= 0.0:
             raise ValueError("high-zone iteration needs a positive section speed")
-        y = float(start)
-        for _ in range(max_steps):
-            try:
-                y_next = poincare_high(y, p)
-            except RegimeExit:
-                break
-            times.append(_high_step_time(y, eps, tol))
-            values.append(y_next)
-            y = y_next
-        energies = tuple(0.5 * v * v + 2.0 for v in values)
-        reduced = tuple(e - 2.0 for e in energies)
+        step, stop = poincare_high, RegimeExit
     else:
         raise ValueError(f"unknown zone {zone!r}")
+    values: list[float] = []
+    times: list[float] = []
+    for v in _orbit(step, float(start), p, stop, max_steps):
+        if values:
+            times.append(_low_step_time(values[-1], v, eps, tol) if zone == "low"
+                         else _high_step_time(values[-1], eps, tol))
+        values.append(v)
+    if zone == "low":
+        energies = tuple(1.0 - math.cos(v) for v in values)
+        reduced = tuple(2.0 - e for e in energies)
+    else:
+        energies = tuple(0.5 * v * v + 2.0 for v in values)
+        reduced = tuple(e - 2.0 for e in energies)
     return PoincareIterates(zone, tuple(values), energies, reduced, tuple(times))
 
 
@@ -495,19 +501,6 @@ class EulerErrorRow:
     ratio_vs_previous: float | None
 
 
-def iterate_low_map(x0: float, p: Params, max_iter: int = 1_000_000) -> list[float]:
-    """Amplitude orbit of the low-zone Poincare map down to standstill capture."""
-    xs = [x0]
-    x = x0
-    for _ in range(max_iter):
-        try:
-            x = poincare_low(x, p)
-        except StandstillCapture:
-            break
-        xs.append(x)
-    return xs
-
-
 def euler_convergence(x0: float, eps_list) -> list[EulerErrorRow]:
     """Sup-norm error of the broken-line iterates against the averaged flow.
 
@@ -522,7 +515,7 @@ def euler_convergence(x0: float, eps_list) -> list[EulerErrorRow]:
     g0 = swing_progress(x0)
     prev = None
     for eps in eps_list:
-        xs = iterate_low_map(x0, Params(eps))
+        xs = list(_orbit(poincare_low, x0, Params(eps), StandstillCapture, 1_000_000))
         sup = 0.0
         for n_it, xn in enumerate(xs):
             t = n_it * eps

@@ -28,30 +28,6 @@ class LinState:
             raise ValueError(f"non-finite state ({self.x}, {self.y})")
 
 
-def lin_energy(s: LinState) -> float:
-    return 0.5 * (s.x * s.x + s.y * s.y)
-
-
-def switching_curve_centers(n_pieces: int) -> list[float]:
-    """Centers of the x > 0 switching-curve pieces by backward construction.
-
-    Backward from the origin, the final arc's switch locus is the unit
-    semicircle about (1, 0); each earlier locus is the antipodal image of the
-    previous one about the alternating arc centers (-1, 0), (+1, 0), which
-    shifts the center by -2 - c or 2 - c.  Interleaving the two terminal
-    families (s = +-1) fills in all odd centers 1, 3, 5, ...
-    """
-    plus_family = [1.0]
-    while len(plus_family) < n_pieces:
-        c = plus_family[-1]
-        u_prev = -1.0 if len(plus_family) % 2 == 1 else 1.0
-        plus_family.append(2.0 * u_prev - c)
-    centers = set()
-    for c in plus_family:
-        centers.add(abs(c))  # the mirror family contributes -c
-    return sorted(centers)[:n_pieces]
-
-
 def curve_height(x: float) -> float:
     """Ordinate of the switching curve at abscissa x (odd in x).
 

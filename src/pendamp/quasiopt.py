@@ -304,16 +304,6 @@ class ScalingTable:
     extrapolated_eps_T: float
     extrapolated_eps_N: float
 
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "T", "N", "epsT", "epsN"])
-            for r in self.rows:
-                w.writerow([repr(r.epsilon), repr(r.damping_time), r.switch_count,
-                            repr(r.eps_T), repr(r.eps_N)])
-
 
 def _linear_intercept(xs, ys) -> float:
     """Least-squares intercept of y against x (Richardson-style limit at x=0)."""

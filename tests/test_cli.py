@@ -4,12 +4,27 @@ import math
 import pytest
 
 from pendamp.cli import main
+from pendamp.dynamics import Params, PhaseState
+from pendamp.quasiopt import simulate_damping
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def read_csv(path, header, n_rows, float_cols):
+    """Rows of a CSV file, after checking its header, its row count and that
+    every field of ``float_cols`` is a float written as its repr."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == n_rows + 1
+    rows = [ln.split(",") for ln in lines[1:]]
+    for row in rows:
+        for i in float_cols:
+            assert row[i] == repr(float(row[i]))
+    return rows
 
 
 def test_constants_reports_D(capsys):
@@ -67,9 +82,73 @@ def test_sweep_csv(capsys, tmp_path):
     code, _ = run_cli(capsys, "sweep", "--x0", "-2.0", "--y0", "0.0",
                       "--eps-list", "0.2,0.1", "--format", "csv", "--out", str(out_path))
     assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == "epsilon,T,N,epsT,epsN"
-    assert len(lines) == 3
+    rows = read_csv(out_path, "epsilon,T,N,epsT,epsN", 2, (0, 1, 3, 4))
+    assert [float(r[0]) for r in rows] == [0.2, 0.1]
+    assert all(int(r[2]) >= 1 for r in rows)
+
+
+def test_simulate_trajectory_csv(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    code, _ = run_cli(capsys, "simulate", "--x0", "-2.0", "--y0", "0.0",
+                      "--epsilon", "0.2", "--trajectory-out", str(traj))
+    assert code == 0
+    res = simulate_damping(PhaseState(-2.0, 0.0), Params(0.2))
+    rows = read_csv(traj, "t,x,y,phi,psi,u,E", len(res.trajectory.times), (0, 1, 2, 6))
+    assert all(r[3] == r[4] == "" for r in rows)  # 2-d states: no covector
+    assert {float(r[5]) for r in rows} <= {-1.0, 0.0, 1.0}
+
+
+def test_bifurcations_csv(capsys, tmp_path):
+    out_path = tmp_path / "bif.csv"
+    code, _ = run_cli(capsys, "bifurcations", "--n-max", "1", "--tol", "0.5",
+                      "--grid", "64", "--format", "csv", "--out", str(out_path))
+    assert code == 0
+    rows = read_csv(out_path, "n,epsilon_n,n_times_epsilon_n,bracket_width", 1, (1, 2, 3))
+    assert rows[0][0] == "1"
+    assert float(rows[0][1]) == pytest.approx(9.2, abs=0.6)
+
+
+def test_euler_csv(capsys, tmp_path):
+    out_path = tmp_path / "euler.csv"
+    code, _ = run_cli(capsys, "euler", "--x0", "2.0", "--eps-list", "0.02,0.01",
+                      "--format", "csv", "--out", str(out_path))
+    assert code == 0
+    rows = read_csv(out_path, "epsilon,n_iterates,sup_error,ratio", 2, (0, 2))
+    assert rows[0][3] == ""  # no ratio for the first eps
+    assert rows[1][3] == repr(float(rows[1][3]))
+
+
+def test_csv_needs_out_before_any_work(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bifurcations", "--n-max", "8", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "csv output needs --out" in capsys.readouterr().err
+
+
+def test_eps_list_must_not_be_empty(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["euler", "--x0", "2", "--eps-list", ","])
+    assert exc.value.code == 2
+    assert "empty epsilon list" in capsys.readouterr().err
+
+
+def test_config_sets_eps_list(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps_list=0.02,0.01\n")
+    code, out = run_cli(capsys, "euler", "--x0", "2.0", "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["eps_list"] == [0.02, 0.01]
+    assert len(payload["rows"]) == 2
+    # an explicit flag still wins over the config file
+    code, out = run_cli(capsys, "euler", "--x0", "2.0", "--eps-list", "0.01",
+                        "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["eps_list"] == [0.01]
+    cfg.write_text("eps_list=,\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["euler", "--x0", "2.0", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_sweep_json(capsys):

@@ -216,11 +216,52 @@ class TestBifurcation:
 
 
 def stub_counts(monkeypatch, count):
-    """Replace the sweep behind the bifurcation search by max_allowed = count(eps)."""
+    """Replace the sweep behind the bifurcation search by max_allowed = count(eps).
+
+    Returns the list that records each scan as (eps, stop_at), in call order.
+    """
+    calls = []
+
     def fake(p, policy=None, stop_at=None, threads=1):
+        calls.append((p.epsilon, stop_at))
         return SimpleNamespace(max_allowed=count(p.epsilon))
 
     monkeypatch.setattr(extremal, "max_switchings", fake)
+    return calls
+
+
+def staircase(eps):
+    """A maximal count that reaches n + 1 exactly for eps <= D/n."""
+    return 1 + int(D / eps)
+
+
+class TestSharedSearch:
+    def test_table_scans_no_pair_twice(self, monkeypatch):
+        calls = stub_counts(monkeypatch, staircase)
+        bifurcation_table(4)
+        assert len(calls) == len(set(calls))
+
+    def test_table_rows_pinned(self, monkeypatch):
+        stub_counts(monkeypatch, staircase)
+        rows = [(r.n, r.epsilon_n, r.product, r.bracket_width)
+                for r in bifurcation_table(4).rows]
+        assert rows == [
+            (1, 0.925875, 0.925875, 0.0007500000000000284),
+            (2, 0.46306674999999997, 0.9261334999999999, 0.000741500000000006),
+            (3, 0.30889443046875, 0.9266832914062499, 0.0005800834374999897),
+            (4, 0.2312587187373047, 0.9250348749492188, 0.0007747360761718725),
+        ]
+
+    def test_find_matches_first_table_row(self, monkeypatch):
+        stub_counts(monkeypatch, staircase)
+        assert find_bifurcation(1) == bifurcation_table(1).rows[0]
+
+    def test_explicit_bracket_ends_are_scanned(self, monkeypatch):
+        calls = stub_counts(monkeypatch, staircase)
+        row = find_bifurcation(2, bracket=(0.4, 0.5), tol=0.01)
+        assert calls[:2] == [(0.4, 3), (0.5, 3)]
+        assert len(calls) == len(set(calls))
+        assert row.epsilon_n == pytest.approx(D / 2, abs=0.005)
 
 
 class TestBracketErrors:

@@ -13,8 +13,6 @@ from pendamp.integrator import (
     StepControl,
     TrajectorySegment,
     integrate,
-    write_events_csv,
-    write_trajectory_csv,
 )
 from pendamp.limits import free_oscillation_period
 
@@ -139,21 +137,6 @@ def test_sample_density_meets_interp_tolerance():
     # the probe spans two sample intervals, which quadruples the guaranteed
     # per-interval midpoint error
     assert worst <= 5.0 * ctl.interp_tol
-
-
-def test_csv_exports(tmp_path):
-    seg = integrate(free_pendulum, (1.0, 0.0), 0.0, 5.0,
-                    [EventSpec(lambda t, s: s[1], ANY, False, "y0")])
-    tpath = tmp_path / "traj.csv"
-    write_trajectory_csv(tpath, seg.times, seg.states)
-    lines = tpath.read_text().splitlines()
-    assert lines[0] == "t,x,y,phi,psi,u,E"
-    assert len(lines) == len(seg.times) + 1
-    epath = tmp_path / "events.csv"
-    write_events_csv(epath, seg.events)
-    elines = epath.read_text().splitlines()
-    assert elines[0] == "t,label,x,y"
-    assert len(elines) == len(seg.events) + 1
 
 
 def test_step_control_validation():

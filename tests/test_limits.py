@@ -18,7 +18,6 @@ from pendamp.limits import (
     free_oscillation_period,
     full_turn_time,
     half_swing_time,
-    iterate_low_map,
     limit_ode_solve,
     period_integral,
     poincare_high,
@@ -192,8 +191,7 @@ class TestPoincareMaps:
 
     def test_iterate_count_vs_quadrature(self):
         eps, x0 = 1e-3, 3.0
-        xs = iterate_low_map(x0, Params(eps))
-        count = len(xs) - 1
+        count = euler_convergence(x0, [eps])[0].n_iterates - 1
         target = swing_progress(x0) / eps
         assert count == pytest.approx(target, rel=0.05)
 
@@ -308,6 +306,17 @@ class TestRiemannSumBound:
         assert total <= 1.0 + 2.0 * math.pi * eps * math.log(1.0 / min(hs))
 
 
+def low_orbit(x, p):
+    """Rest amplitudes of the low-zone map down to capture, by a plain loop."""
+    xs = [x]
+    while True:
+        try:
+            x = poincare_low(x, p)
+        except StandstillCapture:
+            return xs
+        xs.append(x)
+
+
 class TestPoincareIterates:
     def test_low_zone_orbit_with_times(self):
         from pendamp.limits import poincare_iterates
@@ -318,7 +327,16 @@ class TestPoincareIterates:
         # energies strictly decrease, reduced energies h = 2 - E increase
         assert all(a > b for a, b in zip(it.energies, it.energies[1:]))
         assert all(a < b for a, b in zip(it.reduced, it.reduced[1:]))
-        assert it.values == tuple(iterate_low_map(2.8, Params(eps)))
+        assert it.values == tuple(low_orbit(2.8, Params(eps)))
+
+    def test_orbit_truncated_at_max_steps(self):
+        from pendamp.limits import poincare_iterates
+        for zone, start in (("low", 2.8), ("high", 3.0)):
+            full = poincare_iterates(zone, start, Params(0.05))
+            cut = poincare_iterates(zone, start, Params(0.05), max_steps=2)
+            assert len(full.values) > 3
+            assert cut.values == full.values[:3]
+            assert cut.times == full.times[:2]
 
     def test_low_step_times_match_simulation(self):
         # Independent route: the closed-loop integrator's rest-to-rest times.

@@ -14,16 +14,12 @@ from pendamp.linosc import (
     lin_support,
     phi0_constant,
     support_deviation,
-    switching_curve_centers,
 )
 
 PHI0_PAPER = 0.2105
 
 
 class TestSwitchingCurve:
-    def test_centers_are_odd_integers(self):
-        assert switching_curve_centers(5) == [1.0, 3.0, 5.0, 7.0, 9.0]
-
     def test_curve_heights(self):
         assert curve_height(1.0) == -1.0
         assert curve_height(2.0) == 0.0

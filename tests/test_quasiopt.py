@@ -141,14 +141,6 @@ class TestSweepScaling:
         devs = [abs(r.eps_N - tab.extrapolated_eps_N) for r in tab.rows]
         assert devs[0] >= devs[-1]
 
-    def test_csv_export(self, tmp_path):
-        tab = sweep_scaling(PhaseState(-2.0, 0.0), [0.2, 0.1])
-        path = tmp_path / "scaling.csv"
-        tab.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epsilon,T,N,epsT,epsN"
-        assert len(lines) == 3
-
 
 def test_phase_log_controls():
     res = simulate_damping(PhaseState(math.pi, 2.4), Params(0.1), keep_samples=False)
