@@ -141,6 +141,21 @@ class TestSweepScaling:
         devs = [abs(r.eps_N - tab.extrapolated_eps_N) for r in tab.rows]
         assert devs[0] >= devs[-1]
 
+    def test_csv_export(self, tmp_path):
+        # The sweep's CSV export carries the table's rows exactly.
+        from pendamp.cli import main
+        tab = sweep_scaling(PhaseState(-2.0, 0.0), [0.2, 0.1])
+        path = tmp_path / "scaling.csv"
+        assert main(["sweep", "--x0", "-2.0", "--y0", "0.0", "--eps-list", "0.2,0.1",
+                     "--format", "csv", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "epsilon,T,N,epsT,epsN"
+        assert len(lines) == 3
+        for line, r in zip(lines[1:], tab.rows):
+            eps, t, n, eps_t, eps_n = line.split(",")
+            assert (float(eps), float(t), int(n), float(eps_t), float(eps_n)) == (
+                r.epsilon, r.damping_time, r.switch_count, r.eps_T, r.eps_N)
+
 
 def test_phase_log_controls():
     res = simulate_damping(PhaseState(math.pi, 2.4), Params(0.1), keep_samples=False)
