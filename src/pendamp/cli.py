@@ -43,11 +43,25 @@ def _write_rows_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _config_overrides(args, parser, subparser) -> None:
-    """Apply key=value lines from --config for options the user left default."""
+def _given_options(argv) -> set[str]:
+    """Destinations of the options set on the command line ``argv``.
+
+    ``argv`` is parsed again with every option default suppressed, so only
+    the options it names are left in the namespace, whatever their values.
+    """
+    parser = build_parser()
+    for sp in parser._command_parsers.values():
+        for action in sp._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _config_overrides(args, argv, parser) -> None:
+    """Apply key=value lines from --config for options not given on the command line."""
     path = getattr(args, "config", None)
     if not path:
         return
+    given = _given_options(argv)
     try:
         lines = open(path).read().splitlines()
     except OSError as exc:
@@ -63,9 +77,9 @@ def _config_overrides(args, parser, subparser) -> None:
         val = val.strip()
         if not hasattr(args, key) or key in ("fn", "command", "config"):
             parser.error(f"config key {key!r} does not match any option")
-        cur = getattr(args, key)
-        if cur != subparser.get_default(key):
+        if key in given:
             continue  # explicit command-line flags win
+        cur = getattr(args, key)
         try:
             if isinstance(cur, bool):
                 setattr(args, key, val.lower() in ("1", "true", "yes"))
@@ -367,7 +381,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     subparser = parser._command_parsers[args.command]
-    _config_overrides(args, parser, subparser)
+    _config_overrides(args, argv, parser)
     if getattr(args, "format", None) == "csv" and not args.out:
         subparser.error("csv output needs --out")
     try:

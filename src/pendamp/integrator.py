@@ -14,14 +14,20 @@ Design constraints:
 * discontinuous right-hand sides are out of contract: callers split
   trajectories into smooth arcs at terminal events (switching surfaces).
 
-States are plain tuples of floats; the state dimension here is 2 or 4, and
-for one trajectory pure-Python arithmetic on small tuples beats array
-overhead.  Many independent trajectories amortise that overhead, which is
-why the sweeps batch their runs instead.
+States are plain tuples of floats; the state dimension here is 2 or 4.  For
+one trajectory, scalar Python arithmetic beats array overhead, and so does
+the per-component overhead of loops over ``range(n)``: each step attempt is
+straight-line code generated once per state dimension from the tableau
+(:func:`_attempt_source`), one local per component and stage, with the
+operations of the textbook loop in the same order, so results are bit for
+bit those of the loop (``tests/test_integrator.py`` keeps it as the
+oracle).  Many independent trajectories amortise the interpreter overhead,
+which is why the sweeps batch their runs instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -186,6 +192,66 @@ def _refine_samples(dense, t_a, y_a, t_b, y_b, tol, out_t, out_y, depth=0):
         _refine_samples(dense, t_m, y_m, t_b, y_b, tol, out_t, out_y, depth + 1)
 
 
+# The tableau by rows, for the attempt code generator: stage times as
+# fractions of h (stage 6 sits at t + h), the stage-input rows, and the
+# solution and error weights on stages 1..6 and 1..7 (zero weights skipped).
+_C_ROW = (_C2, _C3, _C4, _C5, 1.0)
+_A_ROWS = (
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+)
+_B_ROW = (_B1, 0.0, _B3, _B4, _B5, _B6)
+_E_ROW = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
+
+
+def _attempt_source(n: int) -> str:
+    """Source of one DP5(4) attempt on an ``n``-dimensional state.
+
+    The generated ``attempt(rhs, t, h, y, k1, atol, rtol)`` makes the six rhs
+    calls of one step and returns ``(t_new, y_new, stages, err_norm)``.  Every
+    component is written out as straight-line scalar code with the tableau as
+    float literals, in the order of terms and operations of the textbook loop
+    (``y_i + h * (a1 * k1_i + a2 * k2_i + ...)``, scale
+    ``atol + rtol * max(|y_i|, |y_new_i|)``, ``(e_i / sc_i) ** 2`` summed over
+    i), so its results are bit for bit those of that loop.
+    """
+    comps = range(n)
+
+    def tup(item) -> str:
+        return "(" + "".join(item(i) + ", " for i in comps) + ")"
+
+    def combo(weights, i: int) -> str:
+        return " + ".join(f"{w!r} * k{s + 1}_{i}" for s, w in enumerate(weights) if w != 0.0)
+
+    def unpack(name: str) -> str:
+        return "    " + "".join(f"{name}_{i}, " for i in comps) + f"= {name}"
+
+    lines = ["def attempt(rhs, t, h, y, k1, atol, rtol):", unpack("y"), unpack("k1")]
+    for s, (c, row) in enumerate(zip(_C_ROW, _A_ROWS), start=2):
+        t_s = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        args = tup(lambda i: f"y_{i} + h * ({combo(row, i)})")
+        lines += [f"    k{s} = rhs({t_s}, {args})", unpack(f"k{s}")]
+    lines += [f"    yn_{i} = y_{i} + h * ({combo(_B_ROW, i)})" for i in comps]
+    lines += ["    t_new = t + h", f"    y_new = {tup(lambda i: f'yn_{i}')}",
+              "    k7 = rhs(t_new, y_new)", unpack("k7")]
+    lines += [f"    e_{i} = h * ({combo(_E_ROW, i)})" for i in comps]
+    norm = " + ".join(f"(e_{i} / (atol + rtol * max(abs(y_{i}), abs(yn_{i})))) ** 2" for i in comps)
+    lines += [f"    err = {norm}",
+              f"    return t_new, y_new, (k1, k2, k3, k4, k5, k6, k7), sqrt(err / {n})"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _attempt(n: int):
+    """The generated attempt function for state dimension ``n``."""
+    namespace = {"max": max, "abs": abs, "sqrt": math.sqrt}
+    exec(compile(_attempt_source(n), f"<dopri5 attempt, n={n}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
 def integrate(
     rhs: Callable[[float, Sequence[float]], Sequence[float]],
     s0: Sequence[float],
@@ -210,11 +276,13 @@ def integrate(
     y = tuple(float(v) for v in s0)
     if not all(math.isfinite(v) for v in y):
         raise ValueError(f"non-finite initial state {y}")
-    n = len(y)
+    attempt = _attempt(len(y))
     direction = 1.0 if t_limit > t0 else -1.0
     t = float(t0)
     atol, rtol = ctl.atol, ctl.rtol
-    dead_band = ctl.min_step
+    min_step, max_step, max_steps = ctl.min_step, ctl.max_step, ctl.max_steps
+    interp_tol = ctl.interp_tol
+    dead_band = min_step
 
     k1 = tuple(rhs(t, y))
     h = _initial_step(rhs, t, y, k1, direction, ctl)
@@ -224,15 +292,18 @@ def integrate(
     times: list[float] = [t]
     states: list[tuple[float, ...]] = [y]
     recs: list[EventRecord] = []
-    g_prev = [ev.fn(t, y) for ev in events]
+    ev_fns = [ev.fn for ev in events]
+    ev_rising = [ev.direction != FALLING for ev in events]
+    ev_falling = [ev.direction != RISING for ev in events]
+    g_prev = [fn(t, y) for fn in ev_fns]
 
     stop_reason = STOP_TIME_LIMIT
     detail = ""
     n_steps = 0
     while True:
-        if n_steps >= ctl.max_steps:
+        if n_steps >= max_steps:
             stop_reason = STOP_STEP_FAILURE
-            detail = f"step budget {ctl.max_steps} exhausted at t={t}"
+            detail = f"step budget {max_steps} exhausted at t={t}"
             break
         n_steps += 1
         clipped = False
@@ -240,41 +311,12 @@ def integrate(
             h = t_limit - t
             clipped = True
 
-        k2 = rhs(t + _C2 * h, [y[i] + h * (_A21 * k1[i]) for i in range(n)])
-        k3 = rhs(t + _C3 * h, [y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n)])
-        k4 = rhs(t + _C4 * h, [y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n)])
-        k5 = rhs(
-            t + _C5 * h,
-            [y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i]) for i in range(n)],
-        )
-        k6 = rhs(
-            t + h,
-            [
-                y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-                for i in range(n)
-            ],
-        )
-        y_new = tuple(
-            y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-            for i in range(n)
-        )
-        t_new = t + h
-        k7 = rhs(t_new, y_new)
+        t_new, y_new, stages, err_norm = attempt(rhs, t, h, y, k1, atol, rtol)
 
-        err_norm = 0.0
-        for i in range(n):
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            err_norm += (e / sc) ** 2
-        err_norm = math.sqrt(err_norm / n)
-
-        if err_norm > 1.0 or not math.isfinite(err_norm):
-            if not math.isfinite(err_norm):
-                fac = 0.2
-            else:
-                fac = max(0.2, 0.9 * err_norm ** -0.2)
+        if not err_norm <= 1.0:  # too large, or not finite
+            fac = max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2
             h_mag = abs(h) * fac
-            if h_mag < ctl.min_step:
+            if h_mag < min_step:
                 stop_reason = STOP_STEP_FAILURE
                 detail = f"required step {h_mag:.3e} below min_step at t={t}"
                 break
@@ -282,22 +324,15 @@ def integrate(
             continue
 
         # Accepted step.  Localize event crossings before committing samples.
-        stages = (k1, k2, k3, k4, k5, k6, k7)
         dense = None
         hits: list[tuple[float, int]] = []
-        for j, ev in enumerate(events):
-            g_new = ev.fn(t_new, y_new)
+        for j, fn in enumerate(ev_fns):
+            g_new = fn(t_new, y_new)
             gp = g_prev[j]
-            crossed = False
-            if gp != 0.0:
-                if ev.direction == RISING:
-                    crossed = gp < 0.0 <= g_new
-                elif ev.direction == FALLING:
-                    crossed = gp > 0.0 >= g_new
-                else:
-                    crossed = (gp < 0.0 <= g_new) or (gp > 0.0 >= g_new)
             g_prev[j] = g_new
-            if not crossed:
+            if gp == 0.0 or not (
+                (ev_rising[j] and gp < 0.0 <= g_new) or (ev_falling[j] and gp > 0.0 >= g_new)
+            ):
                 continue
             if dense is None:
                 dense = _make_dense(t, h, y, stages)
@@ -305,7 +340,7 @@ def integrate(
                 t_e = t_new
             else:
                 ta, tb = (t, t_new) if t < t_new else (t_new, t)
-                t_e = brentq(lambda s: ev.fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
+                t_e = brentq(lambda s: fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
             if abs(t_e - t0) < dead_band:
                 continue
             hits.append((t_e, j))
@@ -325,23 +360,30 @@ def integrate(
                     break
 
         end_t, end_y = (t_new, y_new) if terminal_hit is None else terminal_hit
-        if ctl.interp_tol is not None:
+        if interp_tol is not None:
             if dense is None:
                 dense = _make_dense(t, h, y, stages)
-            _refine_samples(dense, t, y, end_t, end_y, ctl.interp_tol, times, states)
+            _refine_samples(dense, t, y, end_t, end_y, interp_tol, times, states)
         times.append(end_t)
         states.append(end_y)
 
         if terminal_hit is not None:
             stop_reason = STOP_TERMINAL
             break
-        t, y, k1 = t_new, y_new, k7
+        t, y, k1 = t_new, y_new, stages[6]
         if clipped or direction * (t - t_limit) >= 0.0:
             stop_reason = STOP_TIME_LIMIT
             break
-        fac = min(10.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 10.0))
-        h_mag = min(ctl.max_step, abs(h) * fac)
-        h = direction * max(h_mag, ctl.min_step)
+        # err_norm <= 1 here, so the factor is at least 0.9: only its upper
+        # clamp can bind.  The clamps are written out: the same values as
+        # min(max_step, |h| * min(10, fac)) and max(h_mag, min_step), without
+        # three builtin calls per step.
+        fac = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 10.0
+        h_mag = abs(h) * (fac if fac < 10.0 else 10.0)
+        if h_mag > max_step:
+            h_mag = max_step
+        if h_mag < min_step:
+            h_mag = min_step
+        h = direction * h_mag
 
     return TrajectorySegment(times, states, recs, stop_reason, detail)
-

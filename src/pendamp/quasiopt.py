@@ -36,13 +36,19 @@ MODE_COAST = "coast"
 MODE_UPPER = "upper-zone maneuver"
 MODE_CAPTURE = "terminal capture"
 
+# Why the mode machine stopped without a capture.
+STOP_BUDGET = "time budget"
+STOP_ARC_LIMIT = "arc limit"
+STOP_STALL = "stalled at rest"
+
 
 class DampingNonConvergence(Exception):
-    """The mode machine did not capture within its time budget."""
+    """The mode machine stopped without a capture; ``reason`` says why."""
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, reason=STOP_BUDGET):
         super().__init__(message)
         self.result = result
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -130,12 +136,16 @@ def simulate_damping(
     budget = policy.budget_factor / eps
     ctl = policy.ctl
 
+    sin = math.sin
+
     def rhs_free(t, s):
-        return (s[1], -math.sin(s[0]))
+        return (s[1], -sin(s[0]))
 
     def rhs_u(u):
+        pull = eps * u
+
         def f(t, s):
-            return (s[1], -math.sin(s[0]) + eps * u)
+            return (s[1], -sin(s[0]) + pull)
         return f
 
     ev_rest = EventSpec(lambda t, s: s[1], ANY, True, "rest")
@@ -180,11 +190,13 @@ def simulate_damping(
         return None
 
     captured = False
+    stop = STOP_BUDGET
     guard = 0
     max_arcs = int(8.0 * budget / math.pi) + 64
     while t < budget:
         guard += 1
         if guard > max_arcs:
+            stop = STOP_ARC_LIMIT
             break
         x, yv = state
         en = energy_xy(x, yv)
@@ -247,8 +259,10 @@ def simulate_damping(
         # Low energy outside the zones.
         if abs(yv) < 1e-9:
             if abs(math.sin(x)) <= eps:
-                # Gravity cannot be overcome here; only reachable inside the
-                # zone, which the branches above intercept.
+                # Dry friction cannot overcome gravity here.  A zone_factor
+                # below 1 makes the zones narrower than |sin x| <= eps, so a
+                # rest point can land here outside them.
+                stop = STOP_STALL
                 break
             if prev_arc_dry:
                 switch_count += 1
@@ -267,7 +281,7 @@ def simulate_damping(
     terminal = PhaseState(state[0], state[1])
     trajectory = None
     if keep_samples:
-        trajectory = TrajectorySegment(all_t, all_s, [], MODE_CAPTURE if captured else "budget")
+        trajectory = TrajectorySegment(all_t, all_s, [], MODE_CAPTURE if captured else stop)
     if captured:
         log.append(PhaseLogEntry(MODE_CAPTURE, 0.0, t, t,
                                  (state[0], state[1]), (state[0], state[1])))
@@ -283,8 +297,13 @@ def simulate_damping(
         rest_amplitudes=rests,
     )
     if not captured:
-        raise DampingNonConvergence(
-            f"no capture within budget {budget:.1f} at eps={eps}", result)
+        message = {
+            STOP_BUDGET: f"no capture within budget {budget:.1f}",
+            STOP_ARC_LIMIT: f"no capture after {max_arcs} arcs, at t={t:.1f} of budget {budget:.1f}",
+            STOP_STALL: (f"stalled at rest at x={state[0]:.6g}, outside the zones but with"
+                         f" |sin x| <= eps, at t={t:.1f} of budget {budget:.1f}"),
+        }[stop]
+        raise DampingNonConvergence(f"{message} at eps={eps}", result, stop)
     return result
 
 

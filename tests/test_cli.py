@@ -199,6 +199,18 @@ def test_config_file_overrides_defaults(capsys, tmp_path):
     assert json.loads(out)["config"]["tol"] == 1e-6
 
 
+def test_explicit_flag_beats_config_even_at_its_default(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=1e-6\n")
+    code, out = run_cli(capsys, "constants", "--tol", "1e-10", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == 1e-10
+    # the same with the flag abbreviated and after --config
+    code, out = run_cli(capsys, "constants", "--config", str(cfg), "--to=1e-10")
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == 1e-10
+
+
 def test_config_rejects_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frobnicate=1\n")

@@ -7,6 +7,8 @@ from pendamp.limits import poincare_high, poincare_low, RegimeExit, StandstillCa
 from pendamp.quasiopt import (
     MODE_CAPTURE,
     MODE_DRY,
+    STOP_BUDGET,
+    STOP_STALL,
     CapturePolicy,
     DampingNonConvergence,
     dry_friction_control,
@@ -116,6 +118,28 @@ class TestSimulateDamping:
                              CapturePolicy(budget_factor=1.0), keep_samples=False)
         assert exc.value.result is not None
         assert exc.value.result.phase_log
+
+    def test_budget_stop_names_the_budget(self):
+        with pytest.raises(DampingNonConvergence) as exc:
+            simulate_damping(PhaseState(-2.8, 0.0), Params(0.2), CapturePolicy(budget_factor=1.0))
+        assert exc.value.reason == STOP_BUDGET
+        assert str(exc.value) == "no capture within budget 5.0 at eps=0.2"
+        res = exc.value.result
+        assert res.damping_time >= 5.0
+        assert res.trajectory.stop_reason == STOP_BUDGET
+
+    def test_stall_outside_a_narrow_zone_is_named(self):
+        # zone_factor 0.3 makes the zones narrower than |sin x| <= eps: the
+        # descent comes to rest between them, far inside the time budget.
+        with pytest.raises(DampingNonConvergence) as exc:
+            simulate_damping(PhaseState(-2.8, 0.0), Params(0.2), CapturePolicy(zone_factor=0.3))
+        assert exc.value.reason == STOP_STALL
+        assert str(exc.value).startswith("stalled at rest")
+        res = exc.value.result
+        assert res.damping_time == pytest.approx(16.0, abs=0.1)
+        assert res.terminal_state.y == pytest.approx(0.0, abs=1e-12)
+        assert 0.3 * 0.2 <= abs(math.sin(res.terminal_state.x)) <= 0.2
+        assert res.trajectory.stop_reason == STOP_STALL
 
     def test_trajectory_samples_kept(self):
         res = simulate_damping(PhaseState(-2.0, 0.0), Params(0.1), keep_samples=True)
