@@ -184,7 +184,7 @@ def cmd_sweep(args) -> int:
 def cmd_extremals(args) -> int:
     policy = SweepPolicy(grid_points=args.grid, phi_max_scaled=args.phi_max,
                          stop=StopPolicy())
-    res = max_switchings(Params(args.epsilon), policy, threads=args.threads)
+    res = max_switchings(Params(args.epsilon), policy)
     payload = {
         "epsilon": args.epsilon,
         "max_switchings": res.max_allowed,
@@ -202,7 +202,7 @@ def cmd_extremals(args) -> int:
             "lemma_bound_ok": all(d.lemma_bound_ok for d in res.runs),
         },
         "runs": [d.as_dict() for d in res.runs],
-        "config": {"grid": args.grid, "phi_max": args.phi_max, "threads": args.threads},
+        "config": {"grid": args.grid, "phi_max": args.phi_max},
     }
     _emit(payload, args)
     return 0
@@ -210,7 +210,7 @@ def cmd_extremals(args) -> int:
 
 def cmd_bifurcations(args) -> int:
     policy = SweepPolicy(grid_points=args.grid, stop=StopPolicy())
-    tab = bifurcation_table(args.n_max, tol=args.tol, policy=policy, threads=args.threads)
+    tab = bifurcation_table(args.n_max, tol=args.tol, policy=policy)
     if args.format == "csv":
         _write_rows_csv(args.out, ["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"],
                         [[r.n, r.epsilon_n, r.product, r.bracket_width] for r in tab.rows])
@@ -222,8 +222,7 @@ def cmd_bifurcations(args) -> int:
             for r in tab.rows
         ],
         "D": acceptance.D_TARGET,
-        "config": {"n_max": args.n_max, "tol": args.tol, "grid": args.grid,
-                   "threads": args.threads},
+        "config": {"n_max": args.n_max, "tol": args.tol, "grid": args.grid},
     }
     _emit(payload, args)
     return 0
@@ -340,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=512, help="phi_T grid points per sign")
     sp.add_argument("--phi-max", type=float, default=4.0, dest="phi_max",
                     help="scan range in the scaled variable eps*phi_T")
-    sp.add_argument("--threads", type=int, default=1, help="0 = auto")
     common(sp)
     sp.set_defaults(fn=cmd_extremals)
 
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-3, help="bisection bracket width")
     sp.add_argument("--grid", type=int, default=acceptance.BIFURCATION_GRID,
                     help="phi_T grid points per sign inside the bisection")
-    sp.add_argument("--threads", type=int, default=1, help="0 = auto")
     common(sp, fmt=True)
     sp.set_defaults(fn=cmd_bifurcations)
 

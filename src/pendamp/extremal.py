@@ -19,10 +19,8 @@ control sign are scale invariant.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,47 +49,6 @@ STOP_STANDSTILL = "standstill entry"
 STOP_OPTIMALITY = "optimality budget"
 
 SPACING_TOLERANCE = 1e-6  # slack on the pi lower bound for switch spacing
-
-
-@dataclass(frozen=True)
-class ExtremalState:
-    """Phase point plus adjoint covector of the canonical system."""
-
-    x: float
-    y: float
-    phi: float
-    psi: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.phi, self.psi)
-
-
-def canonical_field(e: ExtremalState, p: Params) -> tuple[float, float, float, float]:
-    """Canonical right-hand side with the maximizing control u = sign(psi).
-
-    Rejects psi = 0, where the control is ambiguous; arc-tracing code fixes
-    the control sign per arc instead of sampling this function at switchings.
-    """
-    if e.psi == 0.0:
-        raise ValueError("psi = 0: control sign ambiguous, split the arc here")
-    u = 1.0 if e.psi > 0.0 else -1.0
-    return (e.y, -math.sin(e.x) + p.epsilon * u, math.cos(e.x) * e.psi, -e.phi)
-
-
-def terminal_costate(phi_T: float, s: int, p: Params) -> ExtremalState:
-    """Terminal state of the backward family at the origin.
-
-    The zero-Hamiltonian identity at (0,0) forces eps*|psi| = 1, leaving the
-    free parameters (phi_T, s): psi_T = s/eps.
-    """
-    if s not in (-1, 1):
-        raise ValueError(f"s must be +-1, got {s}")
-    return ExtremalState(0.0, 0.0, phi_T, s / p.epsilon)
-
-
-def hamiltonian_residual(e: ExtremalState, p: Params) -> float:
-    """y phi + (-sin x) psi + eps |psi| - 1; identically 0 along extremals."""
-    return e.y * e.phi - math.sin(e.x) * e.psi + p.epsilon * abs(e.psi) - 1.0
 
 
 @dataclass(frozen=True)
@@ -865,6 +822,10 @@ class SweepPolicy:
     signs: tuple[int, ...] = (1, -1)
     stop: StopPolicy = field(default_factory=StopPolicy)
 
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+
 
 @dataclass
 class SweepResult:
@@ -881,13 +842,6 @@ class SweepResult:
     @property
     def eps_times_n(self) -> float:
         return self.epsilon * self.max_allowed
-
-
-def _lanes_chunk(args) -> list[tuple[float, int, RunDiagnostics]]:
-    """(g, s, diagnostics) of every finished lane of one trace_lanes batch."""
-    eps, stop, jobs, stop_at = args
-    runs = trace_lanes([g for g, _ in jobs], [s for _, s in jobs], Params(eps), stop, stop_at)
-    return [(g, s, run_diagnostics(r)) for (g, s), r in zip(jobs, runs) if r is not None]
 
 
 # Most bisection levels of one frontier interval traced in one refinement
@@ -961,6 +915,17 @@ def _bisect(grid, cache, policy: SweepPolicy, found):
     return path, pending, unresolved, hit
 
 
+def _one_process(threads: int) -> None:
+    """Check the ``threads`` keyword that the sweep entry points still take.
+
+    The sweeps run in one process.  The keyword stays, accepting only 1,
+    while perfbench/ passes ``threads=1``; it goes when perfbench stops.
+    """
+    if threads != 1:
+        raise ValueError(f"threads={threads!r}: the sweeps run in one process; "
+                         "pass threads=1 or leave it out")
+
+
 def max_switchings(
     p: Params,
     policy: SweepPolicy | None = None,
@@ -970,10 +935,9 @@ def max_switchings(
     """Scan the backward family for the maximal switching count.
 
     The phi_T grid is traced as one trace_lanes batch, and each round of the
-    bisection refinement as another; ``threads`` > 1 (0 = one per CPU)
-    splits every batch over that many worker processes.  Lane results do not
-    depend on the batch, so the runs and their count equal those of a scan
-    that traces one run at a time.
+    bisection refinement as another.  Lane results do not depend on the
+    batch, so the runs and their count equal those of a scan that traces one
+    run at a time.  ``threads`` accepts only 1 (see :func:`_one_process`).
 
     ``stop_at`` turns the sweep into an early-exit witness search: the scan
     returns as soon as some run reaches that allowed count (the boolean
@@ -981,13 +945,12 @@ def max_switchings(
     grid batch stops at its first witness.  Refinement rounds run to their
     end, since their look-ahead lanes off the bisection path must not count.
     """
+    _one_process(threads)
     if policy is None:
         policy = SweepPolicy()
     eps = p.epsilon
-    stop = policy.stop
     n_grid = policy.grid_points
     gmax = policy.phi_max_scaled
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
 
     base = [(-gmax + 2.0 * gmax * i / (n_grid - 1)) for i in range(n_grid)]
     jobs = [(g, s) for s in policy.signs for g in base]
@@ -995,30 +958,22 @@ def max_switchings(
     def found(diag) -> bool:
         return stop_at is not None and diag.allowed_count >= stop_at
 
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            import concurrent.futures as cf
+    def evaluate(batch, stop_at=None) -> dict[tuple[float, int], RunDiagnostics]:
+        runs = trace_lanes([g for g, _ in batch], [s for _, s in batch], p, policy.stop, stop_at)
+        return {job: run_diagnostics(r) for job, r in zip(batch, runs) if r is not None}
 
-            pool = stack.enter_context(cf.ProcessPoolExecutor(max_workers=workers))
-
-        def evaluate(batch, stop_at=None) -> dict[tuple[float, int], RunDiagnostics]:
-            chunks = [batch[i::workers] for i in range(workers)] if workers > 1 else [batch]
-            args = [(eps, stop, ch, stop_at) for ch in chunks if ch]
-            parts = pool.map(_lanes_chunk, args) if len(args) > 1 else map(_lanes_chunk, args)
-            return {(g, s): diag for part in parts for g, s, diag in part}
-
-        table = evaluate(jobs, stop_at)
-        hit = any(found(d) for d in table.values())
-        unresolved = False
-        if not hit:
-            cache = dict(table)
-            while True:
-                path, pending, unresolved, hit = _bisect(table, cache, policy, found)
-                if not pending:
-                    break
-                cache.update(evaluate([
-                    (m, s) for a, b, s in pending for m in _subdivide(a, b, policy.refine_tol)]))
-            table.update((k, cache[k]) for k in path)
+    table = evaluate(jobs, stop_at)
+    hit = any(found(d) for d in table.values())
+    unresolved = False
+    if not hit:
+        cache = dict(table)
+        while True:
+            path, pending, unresolved, hit = _bisect(table, cache, policy, found)
+            if not pending:
+                break
+            cache.update(evaluate([
+                (m, s) for a, b, s in pending for m in _subdivide(a, b, policy.refine_tol)]))
+        table.update((k, cache[k]) for k in path)
 
     diags = [table[k] for k in sorted(table.keys(), key=lambda k: (k[1], k[0]))]
     max_allowed = max(d.allowed_count for d in diags)
@@ -1059,7 +1014,7 @@ class BracketError(Exception):
 
 
 def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
-                 policy: SweepPolicy, threads: int) -> BifurcationRow:
+                 policy: SweepPolicy) -> BifurcationRow:
     """Bracket and bisect the eps where max_switchings first reaches n + 1.
 
     Without ``hi`` a geometric scan upward from eps = 1.2 finds an eps whose
@@ -1073,7 +1028,7 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
 
     def reaches(eps: float) -> bool:
         if eps not in answers:
-            res = max_switchings(Params(eps), policy, stop_at=target, threads=threads)
+            res = max_switchings(Params(eps), policy, stop_at=target)
             answers[eps] = res.max_allowed >= target
         return answers[eps]
 
@@ -1124,22 +1079,23 @@ def find_bifurcation(
     eps_lo and < n+1 at eps_hi.  Without a bracket, a geometric scan upward
     from eps = 1.2 (factor 1.5, up to 64) and then downward (factor 1.25,
     down to 1e-4) finds one, as for the first row of bifurcation_table.
+    ``threads`` accepts only 1 (see :func:`_one_process`).
     """
+    _one_process(threads)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     lo = hi = None
     if bracket is not None:
         lo, hi = bracket
         if not lo < hi:
             raise BracketError(f"need eps_lo < eps_hi, got {bracket}")
-    return _bifurcation(n, lo, hi, tol, policy or SweepPolicy(), threads)
+    return _bifurcation(n, lo, hi, tol, policy or SweepPolicy())
 
 
 def bifurcation_table(
     n_max: int,
     tol: float = 1e-3,
     policy: SweepPolicy | None = None,
-    threads: int = 1,
 ) -> BifurcationTable:
     """Bifurcation values eps_1 > ... > eps_nmax by a shared descending scan.
 
@@ -1148,10 +1104,12 @@ def bifurcation_table(
     from eps = 1.2 again.  Each row is searched as find_bifurcation(n) would,
     and no eps is scanned twice for one row.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     policy = policy or SweepPolicy()
     rows: list[BifurcationRow] = []
     hi = None
     for n in range(1, n_max + 1):
-        rows.append(_bifurcation(n, None, hi, tol, policy, threads))
+        rows.append(_bifurcation(n, None, hi, tol, policy))
         hi = rows[-1].epsilon_n + tol
     return BifurcationTable(rows)

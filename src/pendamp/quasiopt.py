@@ -104,15 +104,6 @@ class DampingResult:
         return math.sqrt(2.0 * e0) / self.epsilon
 
 
-def dry_friction_control(s: PhaseState, p: Params) -> int:
-    """Steepest-descent control -sign(y); undefined at rest and in the zone."""
-    if standstill_zone(s, p) is not ZoneTag.NONE:
-        raise ValueError(f"dry friction undefined inside the standstill zone at {s}")
-    if s.y == 0.0:
-        raise ValueError("dry friction is not sampled at y = 0; treat it as an event")
-    return -1 if s.y > 0.0 else 1
-
-
 def _rest_control(x: float, eps: float) -> int:
     """Control for the arc leaving a rest point (x, 0): oppose the upcoming
     velocity, whose sign is that of the free acceleration -sin(x)."""

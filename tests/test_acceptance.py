@@ -19,6 +19,11 @@ def _check(cid, cache):
         f"criterion {cid} took {res.runtime:.1f}s, budget {res.budget:.0f}s")
 
 
+def test_unknown_criterion_rejected():
+    with pytest.raises(KeyError, match="no criterion 99"):
+        run_criterion(99, {})
+
+
 @pytest.mark.parametrize("cid", [c[0] for c in CRITERIA])
 def test_criterion(cid, acc_cache):
     _check(cid, acc_cache)

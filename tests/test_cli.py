@@ -170,6 +170,27 @@ def test_extremals_report(capsys):
     assert "argmax_phiT" in payload
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("extremals", "--epsilon", "0.5", "--grid", "1"), "grid_points must be >= 2, got 1"),
+    (("extremals", "--epsilon", "0.5", "--grid", "0"), "grid_points must be >= 2, got 0"),
+    (("extremals", "--epsilon", "0.5", "--grid", "-3"), "grid_points must be >= 2, got -3"),
+    (("bifurcations", "--n-max", "0"), "n_max must be >= 1, got 0"),
+], ids=["grid1", "grid0", "grid-3", "n-max0"])
+def test_degenerate_sweep_sizes_fail_cleanly(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extremals", "--epsilon", "0.5", "--grid", "16", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_euler_table(capsys):
     code, out = run_cli(capsys, "euler", "--x0", "2.0", "--eps-list", "0.02,0.01")
     assert code == 0

@@ -2,6 +2,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,16 +11,13 @@ from pendamp.dynamics import Params
 from pendamp.extremal import (
     STOP_ENERGY_EXIT,
     BracketError,
-    ExtremalState,
     StopPolicy,
     SweepPolicy,
+    _rhs_lanes,
     bifurcation_table,
-    canonical_field,
     find_bifurcation,
-    hamiltonian_residual,
     max_switchings,
     run_diagnostics,
-    terminal_costate,
     trace_extremal,
     verify_sturm_properties,
 )
@@ -33,59 +31,54 @@ def small_sweep(eps, grid=96):
     return max_switchings(Params(eps), SweepPolicy(grid_points=grid))
 
 
+def canonical_rhs(x, y, phi, psi, u, eps):
+    """The canonical right-hand side that the sweeps run, on one lane."""
+    return tuple(_rhs_lanes(np.array([[x], [y], [phi], [psi]]), np.array([u * eps]),
+                            np.empty((4, 1)))[:, 0])
+
+
 class TestCanonicalField:
     def test_values_at_origin(self):
-        p = Params(0.3)
-        f = canonical_field(ExtremalState(0.0, 0.0, 0.7, 2.0), p)
+        f = canonical_rhs(0.0, 0.0, 0.7, 2.0, 1, 0.3)
         assert f == pytest.approx((0.0, 0.3, 2.0, -0.7), abs=1e-15)
 
     def test_value_with_negative_psi(self):
-        f = canonical_field(ExtremalState(math.pi, 1.0, 2.0, -3.0), Params(0.1))
+        f = canonical_rhs(math.pi, 1.0, 2.0, -3.0, -1, 0.1)
         assert f[0] == 1.0
         assert f[1] == pytest.approx(-0.1, abs=1e-15)
         assert f[2] == pytest.approx(3.0, abs=1e-15)
         assert f[3] == pytest.approx(-2.0, abs=1e-15)
 
-    def test_rejects_ambiguous_control(self):
-        with pytest.raises(ValueError):
-            canonical_field(ExtremalState(0.0, 0.0, 1.0, 0.0), Params(0.1))
-
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-10, 10), y=st.floats(-5, 5),
            phi=st.floats(-20, 20), psi=st.floats(-20, 20))
     def test_odd_symmetry(self, x, y, phi, psi):
-        if psi == 0.0:
-            return
-        p = Params(0.2)
-        f = canonical_field(ExtremalState(x, y, phi, psi), p)
-        g = canonical_field(ExtremalState(-x, -y, -phi, -psi), p)
+        f = canonical_rhs(x, y, phi, psi, 1, 0.2)
+        g = canonical_rhs(-x, -y, -phi, -psi, -1, 0.2)
         for a, b in zip(f, g):
             assert b == pytest.approx(-a, abs=1e-11)
 
 
 class TestTerminalCostate:
     def test_examples(self):
-        e = terminal_costate(0.0, 1, Params(0.5))
-        assert e.as_tuple() == (0.0, 0.0, 0.0, 2.0)
-        e = terminal_costate(3.0, -1, Params(0.1))
-        assert e.as_tuple() == (0.0, 0.0, 3.0, -10.0)
-
-    def test_residual_vanishes_by_construction(self):
-        for phi_T in (-7.0, 0.0, 2.5):
-            for s in (-1, 1):
-                p = Params(0.25)
-                assert hamiltonian_residual(terminal_costate(phi_T, s, p), p) == 0.0
+        # A trace starts at the origin with covector (phi_T, s/eps).
+        for phi_T, s, eps, start in ((0.0, 1, 0.5, (0.0, 0.0, 0.0, 2.0)),
+                                     (3.0, -1, 0.1, (0.0, 0.0, 3.0, -10.0))):
+            run = trace_extremal(phi_T, s, Params(eps))
+            assert run.trajectory.states[0] == pytest.approx(start, abs=1e-14)
 
     def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            terminal_costate(0.0, 2, Params(0.1))
+        with pytest.raises(ValueError, match="s must be"):
+            trace_extremal(0.0, 2, Params(0.3))
 
 
 class TestHamiltonianResidual:
     def test_switch_point_identity(self):
-        # At psi = 0 the identity forces y*phi = 1.
-        assert hamiltonian_residual(ExtremalState(0.0, 1.0, 1.0, 0.0), Params(0.3)) == 0.0
-        assert hamiltonian_residual(ExtremalState(0.0, 2.0, 1.0, 0.0), Params(0.3)) == 1.0
+        # At a switching psi = 0, so the zero-Hamiltonian identity forces y*phi = 1.
+        run = trace_extremal(0.5 / 0.2, 1, Params(0.2), keep_samples=False)
+        assert run.switch_count >= 3
+        for x, y, phi, psi in run.switch_states:
+            assert y * phi == pytest.approx(1.0, abs=1e-7)
 
 
 class TestTraceExtremal:
@@ -210,9 +203,20 @@ class TestBifurcation:
             find_bifurcation(1, bracket=(0.3, 0.5), tol=1e-2,
                              policy=SweepPolicy(grid_points=48))
 
-    def test_threads_give_the_same_row(self):
-        kw = dict(bracket=(0.3, 0.42), tol=0.01, policy=SweepPolicy(grid_points=32))
-        assert find_bifurcation(3, threads=2, **kw) == find_bifurcation(3, threads=1, **kw)
+    @pytest.mark.parametrize("call,message", [
+        (lambda: find_bifurcation(0), "n must be >= 1, got 0"),
+        (lambda: bifurcation_table(0), "n_max must be >= 1, got 0"),
+        (lambda: SweepPolicy(grid_points=1), "grid_points must be >= 2, got 1"),
+    ], ids=["find_bifurcation", "bifurcation_table", "SweepPolicy"])
+    def test_rejects_degenerate_sizes(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_threads_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="one process"):
+            max_switchings(Params(0.5), SweepPolicy(grid_points=16), threads=2)
+        with pytest.raises(ValueError, match="one process"):
+            find_bifurcation(1, threads=0)
 
 
 def stub_counts(monkeypatch, count):
@@ -222,7 +226,7 @@ def stub_counts(monkeypatch, count):
     """
     calls = []
 
-    def fake(p, policy=None, stop_at=None, threads=1):
+    def fake(p, policy=None, stop_at=None):
         calls.append((p.epsilon, stop_at))
         return SimpleNamespace(max_allowed=count(p.epsilon))
 
@@ -317,17 +321,6 @@ def test_run_diagnostics_fields():
     assert d.switch_count == run.switch_count
     assert d.allowed_count in (run.switch_count, run.switch_count + 1)
     assert d.as_dict()["stop_reason"] == run.stop_reason
-
-
-def test_parallel_sweep_matches_serial():
-    p = Params(0.4)
-    pol = SweepPolicy(grid_points=48)
-    serial = max_switchings(p, pol, threads=1)
-    parallel = max_switchings(p, pol, threads=2)
-    assert parallel.max_allowed == serial.max_allowed
-    assert parallel.max_raw == serial.max_raw
-    assert [(d.sign, d.phi_T, d.switch_count) for d in parallel.runs] == \
-           [(d.sign, d.phi_T, d.switch_count) for d in serial.runs]
 
 
 def test_sweep_wide_hamiltonian_residual():

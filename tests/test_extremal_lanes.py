@@ -1,6 +1,5 @@
 """Differential tests of the batched kernel trace_lanes against trace_extremal."""
 
-import concurrent.futures as cf
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from pendamp.extremal import (
     STOP_ENERGY_EXIT,
     StopPolicy,
     SweepPolicy,
-    _lanes_chunk,
     max_switchings,
     run_diagnostics,
     trace_extremal,
@@ -155,12 +153,6 @@ def test_lane_is_bit_identical_in_any_batch():
         assert by_job[job] == run
     for job in jobs[::7]:
         assert lanes([job], eps) == [by_job[job]]
-    with cf.ProcessPoolExecutor(max_workers=2) as pool:
-        chunks = [(eps, StopPolicy(), jobs[i::2], None) for i in range(2)]
-        parts = list(pool.map(_lanes_chunk, chunks))
-    remote = {(g, s): d for part in parts for g, s, d in part}
-    for job, run in zip(jobs, batch):
-        assert remote[job] == run_diagnostics(run)
 
 
 def test_large_amplitude_lanes_exit_at_once():

@@ -133,6 +133,11 @@ def test_rejects_degenerate_time_span():
         integrate(free_pendulum, (1.0, 0.0), 0.0, 0.0)
 
 
+def test_rejects_non_finite_initial_state():
+    with pytest.raises(ValueError, match="non-finite initial state"):
+        integrate(free_pendulum, (math.nan, 0.0), 0.0, 1.0)
+
+
 def test_sample_density_meets_interp_tolerance():
     ctl = StepControl(interp_tol=1e-4)
     seg = integrate(free_pendulum, (2.0, 0.0), 0.0, 15.0, ctl=ctl)

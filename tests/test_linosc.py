@@ -97,6 +97,10 @@ class TestSimulate:
         res = lin_simulate(LinState(0.0, 0.0))
         assert res.damping_time == 0.0
 
+    def test_arc_budget_exhausted(self):
+        with pytest.raises(RuntimeError, match="arc budget exhausted after 1 arcs"):
+            lin_simulate(LinState(0.0, 20.0), max_arcs=1)
+
     def test_sampling(self):
         res = lin_simulate(LinState(0.0, 4.0))
         ts, states = res.sample(0.05)
