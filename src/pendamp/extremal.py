@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -827,6 +827,18 @@ class SweepPolicy:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
 
 
+def phi_grid(points: int, gmax: float) -> list[float]:
+    """The sweep's uniform grid of g = eps * phi_T over [-gmax, gmax].
+
+    Exactly antisymmetric, ``g[points - 1 - i] == -g[i]``, so that its
+    points pair off under the mirror symmetry of :func:`max_switchings`.
+    The g <= 0 half is -gmax + 2 gmax i / (points - 1); the g > 0 half is
+    its negation, and the middle point of an odd grid is 0.0.
+    """
+    half = [-gmax + 2.0 * gmax * i / (points - 1) for i in range(points // 2)]
+    return half + [0.0] * (points % 2) + [-g for g in reversed(half)]
+
+
 @dataclass
 class SweepResult:
     epsilon: float
@@ -939,6 +951,15 @@ def max_switchings(
     batch, so the runs and their count equal those of a scan that traces one
     run at a time.  ``threads`` accepts only 1 (see :func:`_one_process`).
 
+    The canonical system is odd: (x, y, phi, psi, u) -> -(x, y, phi, psi, u)
+    maps extremals to extremals, and the run from (-phi_T, -s) is, bit for
+    bit, the negation of the run from (phi_T, s).  Switch times, counts,
+    stop reason, duration and residual are the same for both.  So each
+    batch traces one lane per mirror pair, and the twin's diagnostics are
+    the traced lane's with the twin's own phi_T and sign.  The grid
+    (:func:`phi_grid`) is exactly antisymmetric, and midpoints of mirrored
+    intervals are exact negations, so the pairs meet in every round.
+
     ``stop_at`` turns the sweep into an early-exit witness search: the scan
     returns as soon as some run reaches that allowed count (the boolean
     "max >= stop_at" is unchanged; only the amount of work differs).  The
@@ -949,30 +970,36 @@ def max_switchings(
     if policy is None:
         policy = SweepPolicy()
     eps = p.epsilon
-    n_grid = policy.grid_points
     gmax = policy.phi_max_scaled
-
-    base = [(-gmax + 2.0 * gmax * i / (n_grid - 1)) for i in range(n_grid)]
-    jobs = [(g, s) for s in policy.signs for g in base]
+    jobs = [(g, s) for s in policy.signs for g in phi_grid(policy.grid_points, gmax)]
+    cache: dict[tuple[float, int], RunDiagnostics] = {}
 
     def found(diag) -> bool:
         return stop_at is not None and diag.allowed_count >= stop_at
 
-    def evaluate(batch, stop_at=None) -> dict[tuple[float, int], RunDiagnostics]:
-        runs = trace_lanes([g for g, _ in batch], [s for _, s in batch], p, policy.stop, stop_at)
-        return {job: run_diagnostics(r) for job, r in zip(batch, runs) if r is not None}
+    def evaluate(batch, stop_at=None) -> None:
+        """Add the runs of the jobs in batch to cache, tracing one lane per mirror pair."""
+        traced, twins, seen = [], [], set()
+        for g, s in batch:
+            (twins if (-g, -s) in cache or (-g, -s) in seen else traced).append((g, s))
+            seen.add((g, s))
+        runs = trace_lanes([g for g, _ in traced], [s for _, s in traced], p, policy.stop, stop_at)
+        cache.update((job, run_diagnostics(r)) for job, r in zip(traced, runs) if r is not None)
+        for g, s in twins:
+            diag = cache.get((-g, -s))
+            if diag is not None:
+                cache[(g, s)] = replace(diag, phi_T=g / eps, sign=s)
 
-    table = evaluate(jobs, stop_at)
+    evaluate(jobs, stop_at)
+    table = {job: cache[job] for job in jobs if job in cache}
     hit = any(found(d) for d in table.values())
     unresolved = False
     if not hit:
-        cache = dict(table)
         while True:
             path, pending, unresolved, hit = _bisect(table, cache, policy, found)
             if not pending:
                 break
-            cache.update(evaluate([
-                (m, s) for a, b, s in pending for m in _subdivide(a, b, policy.refine_tol)]))
+            evaluate([(m, s) for a, b, s in pending for m in _subdivide(a, b, policy.refine_tol)])
         table.update((k, cache[k]) for k in path)
 
     diags = [table[k] for k in sorted(table.keys(), key=lambda k: (k[1], k[0]))]

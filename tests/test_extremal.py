@@ -212,6 +212,14 @@ class TestBifurcation:
         with pytest.raises(ValueError, match=message):
             call()
 
+    def test_table_rows_pinned_at_grid_64(self):
+        rows = bifurcation_table(4, tol=1e-2, policy=SweepPolicy(grid_points=64)).rows
+        assert [r.epsilon_n for r in rows] == [
+            9.222134765625, 0.649296864083968, 0.36129468151801447, 0.24876743661706974]
+        assert [r.bracket_width for r in rows] == [
+            0.008542968749999602, 0.009912929222656075, 0.005274374912671742,
+            0.0074258936303603085]
+
     def test_threads_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="one process"):
             max_switchings(Params(0.5), SweepPolicy(grid_points=16), threads=2)

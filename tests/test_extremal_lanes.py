@@ -1,9 +1,11 @@
 """Differential tests of the batched kernel trace_lanes against trace_extremal."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from pendamp import extremal
 from pendamp.acceptance import EXTREMAL_EPS_LIST
 from pendamp.dynamics import Params
 from pendamp.extremal import (
@@ -11,6 +13,7 @@ from pendamp.extremal import (
     StopPolicy,
     SweepPolicy,
     max_switchings,
+    phi_grid,
     run_diagnostics,
     trace_extremal,
     trace_lanes,
@@ -21,8 +24,30 @@ GRID = 48
 
 
 def grid_jobs(grid, signs=(1, -1), gmax=4.0):
-    base = [(-gmax + 2.0 * gmax * i / (grid - 1)) for i in range(grid)]
-    return [(g, s) for s in signs for g in base]
+    return [(g, s) for s in signs for g in phi_grid(grid, gmax)]
+
+
+def mirrored(run):
+    """The run from (-phi_T, -s): every state negated, times and counts kept."""
+    return replace(run, phi_T=-run.phi_T, sign=-run.sign,
+                   switch_states=tuple(tuple(-v for v in st) for st in run.switch_states))
+
+
+def assert_mirror_pairs(jobs, runs):
+    """The lane from (-g, -s) is, field by field, the mirror of the lane from (g, s)."""
+    by_job = dict(zip(jobs, runs))
+    for (g, s), run in by_job.items():
+        assert by_job[(-g, -s)] == mirrored(run), (g, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 47, 48, 128, 512])
+def test_phi_grid_is_antisymmetric(n):
+    g = phi_grid(n, 4.0)
+    assert len(g) == n and g[0] == -4.0 and g[-1] == 4.0
+    assert all(g[n - 1 - i] == -g[i] for i in range(n))
+    # The g <= 0 half is the uniform formula the sweeps have always used.
+    old = [(-4.0 + 2.0 * 4.0 * i / (n - 1)) for i in range(n)]
+    assert [v.hex() for v in g[:(n + 1) // 2]] == [v.hex() for v in old[:(n + 1) // 2]]
 
 
 def lanes(jobs, eps, **kw):
@@ -76,7 +101,8 @@ def oracle_sweep(p, policy, stop_at=None):
 def test_every_grid_lane_matches_oracle(eps):
     p = Params(eps)
     jobs = grid_jobs(GRID)
-    for (g, s), run in zip(jobs, lanes(jobs, eps)):
+    runs = lanes(jobs, eps)
+    for (g, s), run in zip(jobs, runs):
         ref = trace_extremal(g / eps, s, p, keep_samples=False)
         assert run.trajectory is None
         assert run.phi_T == ref.phi_T and run.sign == ref.sign
@@ -85,12 +111,14 @@ def test_every_grid_lane_matches_oracle(eps):
         assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
         assert run.arc_zone_touched == ref.arc_zone_touched
         assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+    assert_mirror_pairs(jobs, runs)
 
 
 def ctl(**kw):
     return StepControl(interp_tol=None, **kw)
 
 
+# Between them, at eps 0.5 and 0.2 on grid 16, these reach every stop reason.
 @pytest.mark.parametrize("stop", [
     StopPolicy(optimality_budget=False),                              # standstill and exits
     StopPolicy(time_budget_factor=1.0),                               # time budget
@@ -103,18 +131,23 @@ def test_every_stop_policy_matches_oracle(stop):
     for eps in (0.5, 0.2):
         p = Params(eps)
         jobs = grid_jobs(16)
-        for (g, s), run in zip(jobs, lanes(jobs, eps, stop=stop)):
+        runs = lanes(jobs, eps, stop=stop)
+        for (g, s), run in zip(jobs, runs):
             ref = trace_extremal(g / eps, s, p, stop, keep_samples=False)
             assert run.allowed_count == ref.allowed_count, (g, s)
             assert run.stop_reason == ref.stop_reason, (g, s)
             assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
             assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+        assert_mirror_pairs(jobs, runs)
 
 
 @pytest.mark.parametrize("eps,policy", [
     (0.3, SweepPolicy(grid_points=GRID)),
     (0.3, SweepPolicy(grid_points=GRID, max_extra_runs=5)),
     (0.5, SweepPolicy(grid_points=32, signs=(1,))),
+    (0.3, SweepPolicy(grid_points=47)),
+    (0.5, SweepPolicy(grid_points=32, signs=(-1,))),
+    (0.3, SweepPolicy(grid_points=GRID, signs=(-1, 1))),
 ])
 def test_sweep_matches_oracle_sweep(eps, policy):
     p = Params(eps)
@@ -127,6 +160,24 @@ def test_sweep_matches_oracle_sweep(eps, policy):
     assert [(d.allowed_count, d.stop_reason) for d in res.runs] == \
            [(ref[k].allowed_count, ref[k].stop_reason) for k in order]
     assert res.unresolved_transitions == unresolved
+
+
+def test_sweep_traces_one_lane_per_mirror_pair(monkeypatch):
+    batches = []
+
+    def spy(g, signs, *args, **kw):
+        batches.append(list(zip(g, signs)))
+        return trace_lanes(g, signs, *args, **kw)
+
+    monkeypatch.setattr(extremal, "trace_lanes", spy)
+    max_switchings(Params(0.3), SweepPolicy(grid_points=GRID))
+    assert len(batches[0]) == GRID
+    assert len(batches) > 1  # the refinement rounds ran
+    traced = set()
+    for batch in batches:
+        for g, s in batch:
+            assert (-g, -s) not in traced
+            traced.add((g, s))
 
 
 @pytest.mark.parametrize("grid,stop_at", [(32, 3), (32, 4), (32, 5), (3, 4)])
