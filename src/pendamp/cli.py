@@ -43,56 +43,35 @@ def _write_rows_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _given_options(argv) -> set[str]:
-    """Destinations of the options set on the command line ``argv``.
+def _config_defaults(subparser, path) -> None:
+    """Make the key=value lines of a --config file the subcommand's defaults.
 
-    ``argv`` is parsed again with every option default suppressed, so only
-    the options it names are left in the namespace, whatever their values.
+    argparse converts a string default with its option's ``type`` when the
+    option is not given, so a flag on the command line still wins and a bad
+    value is a usage error.
     """
-    parser = build_parser()
-    for sp in parser._command_parsers.values():
-        for action in sp._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _config_overrides(args, argv, parser) -> None:
-    """Apply key=value lines from --config for options not given on the command line."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    given = _given_options(argv)
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
+        subparser.error(f"cannot read config file: {exc}")
+    options = {a.dest: a for a in subparser._actions if a.option_strings}
+    defaults = {}
     for ln in lines:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         if "=" not in ln:
-            parser.error(f"malformed config line {ln!r} (expected key=value)")
+            subparser.error(f"malformed config line {ln!r} (expected key=value)")
         key, _, val = ln.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if not hasattr(args, key) or key in ("fn", "command", "config"):
-            parser.error(f"config key {key!r} does not match any option")
-        if key in given:
-            continue  # explicit command-line flags win
-        cur = getattr(args, key)
-        try:
-            if isinstance(cur, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int):
-                setattr(args, key, int(val))
-            elif isinstance(cur, float):
-                setattr(args, key, float(val))
-            elif isinstance(cur, list):
-                setattr(args, key, _eps_list(val))
-            else:
-                setattr(args, key, val)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"bad value for config key {key!r}: {exc}")
+        if key not in options or key in ("help", "config"):
+            subparser.error(f"config key {key!r} does not match any option")
+        if isinstance(options[key].default, bool):  # store_true flags
+            val = val.lower() in ("1", "true", "yes")
+        defaults[key] = val
+    subparser.set_defaults(**defaults)
 
 
 def _eps_list(text: str) -> list[float]:
@@ -378,7 +357,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     subparser = parser._command_parsers[args.command]
-    _config_overrides(args, argv, parser)
+    if args.config:
+        _config_defaults(subparser, args.config)
+        args = parser.parse_args(argv)
     if getattr(args, "format", None) == "csv" and not args.out:
         subparser.error("csv output needs --out")
     try:

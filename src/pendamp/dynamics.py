@@ -33,9 +33,6 @@ class PhaseState:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite phase state ({self.x}, {self.y})")
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Params:
@@ -73,20 +70,6 @@ def energy(s: PhaseState) -> float:
 def energy_xy(x: float, y: float) -> float:
     """Energy from raw coordinates (hot path helper)."""
     return 0.5 * y * y + (1.0 - math.cos(x))
-
-
-def controlled_hamiltonian(s: PhaseState, u: int, p: Params) -> float:
-    """First integral of a fixed-control arc: y^2/2 + (1 - cos x) - eps*u*x.
-
-    The constant torque tilts the potential by -eps*u*x, so this combination
-    is exactly conserved while u is held at +-1 (for the dry-friction control
-    u = -sign y it reads E + eps*|x|-type tilts, one per velocity sign).  Only
-    meaningful with x on the covering line; used as an integrator accuracy
-    probe, not as a physical energy.
-    """
-    if u not in (-1, 1):
-        raise ValueError(f"controlled Hamiltonian needs u = +-1, got {u}")
-    return 0.5 * s.y * s.y + (1.0 - math.cos(s.x)) - p.epsilon * u * s.x
 
 
 def standstill_zone(s: PhaseState, p: Params, factor: float = 2.0) -> ZoneTag:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,16 +31,10 @@ from .dynamics import Params, in_zone_xy
 from .integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7, _P,
-    ANY,
-    RISING,
     STOP_STEP_FAILURE,
-    STOP_TERMINAL,
-    STOP_TIME_LIMIT,
-    EventSpec,
     StepControl,
-    TrajectorySegment,
     _make_dense,
-    integrate,
+    integrate,  # noqa: F401  unused; perfbench/tracing.py wraps extremal.integrate
 )
 
 STOP_ENERGY_EXIT = "energy+velocity exit"
@@ -108,28 +102,6 @@ def _tau_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(knots), (0.0, *(limits.tau(e, 1e-9).value for e in knots[1:]))
 
 
-def _tau_bound(E: float) -> float:
-    """Piecewise-linear interpolation of the tau(E) table.
-
-    Above the table range the bound is clamped (the speed exit fires long
-    before that matters).
-    """
-    knots, vals = _tau_table()
-    if E <= 0.0:
-        return 0.0
-    if E >= knots[-1]:
-        return vals[-1]
-    lo, hi = 0, len(knots) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if knots[mid] <= E:
-            lo = mid
-        else:
-            hi = mid
-    w = (E - knots[lo]) / (knots[hi] - knots[lo])
-    return vals[lo] + w * (vals[hi] - vals[lo])
-
-
 @dataclass
 class ExtremalRun:
     """One backward-traced extremal with its switching structure."""
@@ -145,7 +117,6 @@ class ExtremalRun:
     stop_reason: str
     duration: float
     max_hamiltonian_residual: float
-    trajectory: TrajectorySegment | None = None
 
     @property
     def switch_count(self) -> int:
@@ -171,220 +142,6 @@ class ExtremalRun:
         return self.switch_count + 1
 
 
-def trace_extremal(
-    phi_T: float,
-    s: int,
-    p: Params,
-    stop: StopPolicy | None = None,
-    keep_samples: bool = True,
-) -> ExtremalRun:
-    """Trace one backward extremal, splitting arcs at psi zeros.
-
-    This is the scalar oracle of the batched kernel :func:`trace_lanes`,
-    which the sweeps run: both follow the same step, event and cut policy,
-    and tests/test_extremal_lanes.py checks that they agree run for run.
-    """
-    if s not in (-1, 1):
-        raise ValueError(f"s must be +-1, got {s}")
-    if stop is None:
-        stop = StopPolicy()
-    eps = p.epsilon
-    y_stop2 = stop.speed_threshold() ** 2
-    t_budget = stop.time_budget_factor / eps
-    # Above factor*eps = 1 the two zone components merge and the standstill
-    # stop is meaningless; traces there exit on speed long before it matters.
-    thr = stop.standstill_factor * eps
-    zone_on = thr < 1.0
-    ctl = stop.ctl
-
-    def rhs_plus(t, st):
-        x = st[0]
-        return (st[1], eps - math.sin(x), math.cos(x) * st[3], -st[2])
-
-    def rhs_minus(t, st):
-        x = st[0]
-        return (st[1], -eps - math.sin(x), math.cos(x) * st[3], -st[2])
-
-    events = (
-        EventSpec(lambda t, st: st[3], ANY, True, "switch"),
-        EventSpec(lambda t, st: st[1] * st[1] - y_stop2, RISING, True, "exit"),
-        EventSpec(lambda t, st: st[1], ANY, False, "y0"),
-    )
-
-    u = s
-    t = 0.0
-    state = (0.0, 0.0, eps * phi_T, float(s))
-    armed = False
-    switch_times: list[float] = []
-    switch_states: list[tuple[float, float, float, float]] = []
-    switch_in_zone: list[bool] = []
-    y_zero_times: list[float] = []
-    arc_zone: list[bool] = []
-    all_t: list[float] = []
-    all_s: list[tuple[float, float, float, float]] = []
-    max_res = 0.0
-    stop_reason = STOP_TIME_BUDGET
-    end_t = 0.0
-    max_arcs = int(t_budget / math.pi) + 8
-
-    use_opt = stop.optimality_budget
-    slack = stop.slack(eps)
-    for _ in range(max_arcs):
-        seg = integrate(rhs_plus if u > 0 else rhs_minus, state, t, -t_budget, events, ctl)
-
-        cut = None
-        cut_reason = None
-        touched = False
-        for i, st in enumerate(seg.states):
-            x, yv = st[0], st[1]
-            sx = math.sin(x)
-            if zone_on and abs(yv) < thr and abs(sx) < thr:
-                touched = True
-                if armed:
-                    cut = i
-                    cut_reason = STOP_STANDSTILL
-                    break
-            else:
-                armed = True
-            if use_opt:
-                en = 0.5 * yv * yv + 1.0 - math.cos(x)
-                if -seg.times[i] > _tau_bound(en) / eps + slack:
-                    cut = i
-                    cut_reason = STOP_OPTIMALITY
-                    break
-            r = yv * st[2] - sx * st[3] + eps * abs(st[3]) - eps
-            if abs(r) > max_res:
-                max_res = abs(r)
-
-        t_cut = seg.times[cut] if cut is not None else None
-        for ev in seg.events:
-            if ev.label == "y0" and (t_cut is None or ev.t > t_cut):
-                y_zero_times.append(ev.t)
-
-        if keep_samples:
-            hi = (cut + 1) if cut is not None else len(seg.times)
-            start = 1 if all_t else 0  # arc junction duplicates the last sample
-            all_t.extend(seg.times[start:hi])
-            all_s.extend(seg.states[start:hi])
-
-        arc_zone.append(touched)
-
-        if cut is not None:
-            stop_reason = cut_reason
-            end_t = seg.times[cut]
-            break
-        if seg.stop_reason == STOP_TERMINAL:
-            last = seg.events[-1]
-            if last.label == "switch":
-                st = last.state
-                switch_times.append(last.t)
-                switch_states.append((st[0], st[1], st[2] / eps, st[3] / eps))
-                switch_in_zone.append(zone_on and in_zone_xy(st[0], st[1], thr))
-                u = -u
-                state = st
-                t = last.t
-                end_t = last.t
-                continue
-            stop_reason = STOP_ENERGY_EXIT
-            end_t = seg.t_end
-            break
-        if seg.stop_reason == STOP_TIME_LIMIT:
-            stop_reason = STOP_TIME_BUDGET
-            end_t = seg.t_end
-            break
-        stop_reason = STOP_STEP_FAILURE
-        end_t = seg.t_end
-        break
-    else:
-        stop_reason = STOP_TIME_BUDGET
-
-    trajectory = None
-    if keep_samples:
-        unscaled = [(st[0], st[1], st[2] / eps, st[3] / eps) for st in all_s]
-        trajectory = TrajectorySegment(all_t, unscaled, [], stop_reason)
-
-    return ExtremalRun(
-        phi_T=phi_T,
-        sign=s,
-        epsilon=eps,
-        switch_times=tuple(switch_times),
-        switch_states=tuple(switch_states),
-        switch_in_zone=tuple(switch_in_zone),
-        y_zero_times=tuple(y_zero_times),
-        arc_zone_touched=tuple(arc_zone),
-        stop_reason=stop_reason,
-        duration=abs(end_t),
-        max_hamiltonian_residual=max_res / eps,
-        trajectory=trajectory,
-    )
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    """One adjacent-switching pair: spacing, sign opposition, interleaving."""
-
-    t_first: float   # switching closer to the terminal point (larger backward time)
-    t_second: float
-    gap: float
-    y_first: float
-    y_second: float
-    zone_free: bool
-    sign_opposite: bool
-    y_zeros_between: int
-
-    @property
-    def ok(self) -> bool:
-        if not self.zone_free:
-            return True  # interleaving statement excludes zone-touching arcs
-        return self.sign_opposite and self.y_zeros_between == 1
-
-
-@dataclass(frozen=True)
-class SturmReport:
-    gaps: tuple[float, ...]
-    min_gap: float | None
-    pairs: tuple[PairCheck, ...]
-    spacing_ok: bool
-    interleaving_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.spacing_ok and self.interleaving_ok
-
-
-def verify_sturm_properties(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) -> SturmReport:
-    """Check switch spacing >= pi and the y/psi zero interleaving along a run.
-
-    Pairs whose arc touches the standstill zone are excluded from the
-    interleaving and sign-opposition checks (reported but not failing).
-    """
-    ts = run.switch_times
-    gaps = tuple(ts[k] - ts[k + 1] for k in range(len(ts) - 1))
-    pairs = []
-    for k in range(len(ts) - 1):
-        t_hi, t_lo = ts[k], ts[k + 1]
-        y_hi = run.switch_states[k][1]
-        y_lo = run.switch_states[k + 1][1]
-        zone_free = not run.arc_zone_touched[k + 1] if k + 1 < len(run.arc_zone_touched) else False
-        n_between = sum(1 for tz in run.y_zero_times if t_lo < tz < t_hi)
-        pairs.append(
-            PairCheck(
-                t_first=t_hi,
-                t_second=t_lo,
-                gap=t_hi - t_lo,
-                y_first=y_hi,
-                y_second=y_lo,
-                zone_free=zone_free,
-                sign_opposite=y_hi * y_lo < 0.0,
-                y_zeros_between=n_between,
-            )
-        )
-    min_gap = min(gaps) if gaps else None
-    spacing_ok = min_gap is None or min_gap >= math.pi - spacing_tol
-    interleaving_ok = all(pc.ok for pc in pairs)
-    return SturmReport(gaps, min_gap, tuple(pairs), spacing_ok, interleaving_ok)
-
-
 @dataclass(frozen=True)
 class RunDiagnostics:
     """Per-run summary kept by sweeps (full trajectories are discarded)."""
@@ -403,24 +160,25 @@ class RunDiagnostics:
     max_h_residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "phi_T": self.phi_T,
-            "sign": self.sign,
-            "switch_count": self.switch_count,
-            "allowed_count": self.allowed_count,
-            "stop_reason": self.stop_reason,
-            "duration": self.duration,
-            "min_gap": self.min_gap,
-            "zone_switches": self.zone_switches,
-            "spacing_ok": self.spacing_ok,
-            "interleaving_ok": self.interleaving_ok,
-            "lemma_bound_ok": self.lemma_bound_ok,
-            "max_h_residual": self.max_h_residual,
-        }
+        return asdict(self)
 
 
 def run_diagnostics(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) -> RunDiagnostics:
-    rep = verify_sturm_properties(run, spacing_tol)
+    """Summarise a run and check the Sturm properties of its switchings.
+
+    Adjacent switchings lie at least pi apart (less ``spacing_tol``) and,
+    across an arc clear of the standstill zone, have velocities of opposite
+    sign with exactly one zero of y between them.
+    """
+    ts, zone = run.switch_times, run.arc_zone_touched
+    gaps = [a - b for a, b in zip(ts, ts[1:])]
+    min_gap = min(gaps, default=None)
+    interleaving_ok = all(
+        run.switch_states[k][1] * run.switch_states[k + 1][1] < 0.0
+        and sum(ts[k + 1] < tz < ts[k] for tz in run.y_zero_times) == 1
+        for k in range(len(gaps))
+        if k + 1 < len(zone) and not zone[k + 1]
+    )
     return RunDiagnostics(
         phi_T=run.phi_T,
         sign=run.sign,
@@ -428,10 +186,10 @@ def run_diagnostics(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) ->
         allowed_count=run.allowed_count,
         stop_reason=run.stop_reason,
         duration=run.duration,
-        min_gap=rep.min_gap,
+        min_gap=min_gap,
         zone_switches=sum(run.switch_in_zone),
-        spacing_ok=rep.spacing_ok,
-        interleaving_ok=rep.interleaving_ok,
+        spacing_ok=min_gap is None or min_gap >= math.pi - spacing_tol,
+        interleaving_ok=interleaving_ok,
         lemma_bound_ok=run.switch_count <= run.duration / math.pi + 1.0 + 1e-12,
         max_h_residual=run.max_hamiltonian_residual,
     )
@@ -441,7 +199,7 @@ def run_diagnostics(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) ->
 #
 # trace_lanes traces many backward extremals at once, one lane per terminal
 # covector, with numpy arithmetic on (4, lanes) blocks.  Every operation is
-# elementwise, in the order that trace_extremal and integrate use, so a
+# elementwise, in the order that integrate uses on one trajectory, so a
 # lane's result does not depend on the batch it rides in.
 
 
@@ -497,7 +255,7 @@ def _initial_step_lanes(Y, f0, ueps, ctl: StepControl):
 
 
 def _tau_bound_lanes():
-    """_tau_bound as an elementwise function, on the same table."""
+    """Elementwise linear interpolation of the tau(E) table, clamped at both ends."""
     knots, vals = (np.asarray(v) for v in _tau_table())
     inner = knots[1:-1]
     k_lo, k_width = knots[:-1], knots[1:] - knots[:-1]
@@ -535,7 +293,7 @@ def _dense_component(t_old: float, h: float, y_old: float, ks):
 
 _NO_CUT, _CUT_STANDSTILL, _CUT_OPTIMALITY = 0, 1, 2
 _CUT_REASON = {_CUT_STANDSTILL: STOP_STANDSTILL, _CUT_OPTIMALITY: STOP_OPTIMALITY}
-_SWITCH, _EXIT, _Y0 = 0, 1, 2  # the events, in the order of trace_extremal's
+_SWITCH, _EXIT, _Y0 = 0, 1, 2  # the events; at equal times the first listed wins
 
 
 def trace_lanes(
@@ -547,15 +305,15 @@ def trace_lanes(
 ) -> list[ExtremalRun | None]:
     """Trace the backward extremals (phi_T, s) = (g / eps, signs) all at once.
 
-    The lane-batched form of :func:`trace_extremal`, its oracle.  Each lane
-    keeps its own step size, control sign, time and arc count, and follows
-    the oracle's policy: Dormand-Prince 5(4) steps under the same error
-    control; the starting-step heuristic and a fresh first stage at every
-    arc start; the ``min_step`` dead band after each switch; switch, exit
-    and y0 events located by brentq on the quartic dense output; and the
-    standstill and optimality cuts on every sample.  Runs come back without
-    trajectories.  Memory is O(lanes): no step history is kept, and
-    finished lanes are compacted away.
+    The package's one extremal tracer.  Each lane keeps its own step size,
+    control sign, time and arc count, and takes the steps of one
+    :func:`integrate` call per arc (the scalar oracle in tests/oracles.py):
+    Dormand-Prince 5(4) steps under the same error control; the
+    starting-step heuristic and a fresh first stage at every arc start; the
+    ``min_step`` dead band after each switch; switch, exit and y0 events
+    located by brentq on the quartic dense output; and the standstill and
+    optimality cuts on every sample.  Runs keep no samples.  Memory is
+    O(lanes): no step history is kept, and finished lanes are compacted away.
 
     With ``stop_at`` the batch is a witness search.  It ends as soon as a
     finished run reaches that allowed count, and once some lane has made
@@ -804,6 +562,22 @@ def trace_lanes(
     return out
 
 
+def trace_extremal(phi_T: float, s: int, p: Params, stop: StopPolicy | None = None,
+                   keep_samples: bool = False) -> ExtremalRun:
+    """The backward extremal from (phi_T, s): a one-lane :func:`trace_lanes` batch.
+
+    ``keep_samples`` accepts only False, as runs keep no samples; the
+    keyword stays while perfbench/ passes it.
+    """
+    if s not in (-1, 1):
+        raise ValueError(f"s must be +-1, got {s}")
+    if keep_samples:
+        raise ValueError("keep_samples=True: extremal runs keep no samples; "
+                         "pass False or leave it out")
+    (run,) = trace_lanes([p.epsilon * phi_T], [s], p, stop)
+    return replace(run, phi_T=phi_T)
+
+
 @dataclass(frozen=True)
 class SweepPolicy:
     """phi_T scan policy for the switching-count supremum.
@@ -850,10 +624,6 @@ class SweepResult:
     boundary_hit: bool
     unresolved_transitions: bool
     n_runs: int
-
-    @property
-    def eps_times_n(self) -> float:
-        return self.epsilon * self.max_allowed
 
 
 # Most bisection levels of one frontier interval traced in one refinement

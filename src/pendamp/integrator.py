@@ -1,9 +1,10 @@
 """Adaptive Dormand-Prince 5(4) integration with dense event localization.
 
-Single trajectories and extremals are traced by :func:`integrate`; the
-phi_T sweeps of the extremal family use the lane-batched numpy kernel
+Closed-loop trajectories of the plant are traced by :func:`integrate`.
+Extremals are traced by the lane-batched numpy kernel
 ``extremal.trace_lanes``, which imports this tableau and dense output and
-is tested against ``extremal.trace_extremal`` running on :func:`integrate`.
+is tested against a scalar trace on :func:`integrate`, the oracle
+``oracle_trace_extremal`` in tests/oracles.py.
 Design constraints:
 
 * explicit embedded pair with dense output (quartic interpolant), so event

@@ -8,7 +8,6 @@ Contents:
 * exact one-step Poincare maps of the dry-friction flow (high and low zone),
 * the averaged control systems  (sin X / 2X) X' = U  and  Y Y' = 2 pi U,
   solved by closed-form separation on constant-control pieces,
-* per-oscillation cost functionals along averaged paths,
 * convergence tables for the broken-line iterates of the low-zone map.
 
 Inner pendulum-time integrals are evaluated after the classical substitution
@@ -102,33 +101,6 @@ def amplitude_from_energy(E: float) -> float:
     if not 0.0 <= E <= 2.0:
         raise ValueError(f"energy {E} outside the oscillation range [0, 2]")
     return math.acos(1.0 - E)
-
-
-def half_swing_time(x: float) -> float:
-    """integral_0^x dphi / sqrt(cos(phi) - cos(x)) = sqrt(2) K(sin^2(x/2)).
-
-    sqrt(2) times the free-pendulum quarter period at rest amplitude x.
-    """
-    if not 0.0 <= x < math.pi:
-        raise ValueError(f"amplitude {x} outside [0, pi)")
-    return math.sqrt(2.0) * float(ellipk(math.sin(0.5 * x) ** 2))
-
-
-def free_oscillation_period(E: float, tol: float = 1e-11) -> QuadratureResult:
-    """Free pendulum period at energy E < 2 by direct quadrature.
-
-    Uses the desingularized form 4 * integral_0^{pi/2}
-    (1 - sin^2(a/2) sin^2(theta))^(-1/2) dtheta, independent of both the ODE
-    integrator and the ellipk-based routes, so it can serve as an oracle.
-    """
-    if not 0.0 < E < 2.0:
-        raise ValueError(f"energy {E} outside (0, 2)")
-    m = math.sin(0.5 * amplitude_from_energy(E)) ** 2
-
-    def f(theta):
-        return 4.0 / math.sqrt(1.0 - m * math.sin(theta) ** 2)
-
-    return _quad(f, 0.0, 0.5 * math.pi, tol)
 
 
 def tau_minus(E: float, tol: float = 1e-9) -> QuadratureResult:
@@ -448,49 +420,6 @@ def limit_ode_solve(zone: str, init: float, profile, step: float = 1e-2) -> Limi
         if v <= 0.0:
             break
     return LimitPath(zone, tuple(times), tuple(values), tuple(controls), tuple(pieces), t)
-
-
-def per_oscillation_time(zone: str, v: float) -> float:
-    """Per-oscillation time integrand of the cost functionals.
-
-    Low zone:  integral_0^X (cos phi - cos X)^(-1/2) dphi.
-    High zone: integral_0^{2pi} (1 + Y^2/2 - cos phi)^(-1/2) dphi.
-    """
-    if zone == "low":
-        if v <= 0.0:
-            return 0.0
-        return half_swing_time(min(v, math.pi * (1.0 - 1e-15)))
-    return math.sqrt(2.0) * full_turn_time(2.0 + 0.5 * v * v)
-
-
-def cost_functional(path: LimitPath, tol: float = 1e-9) -> QuadratureResult:
-    """Composite quadrature of the per-oscillation time along an averaged path.
-
-    On constant nonzero control the time integral transforms exactly to the
-    state variable (dt = dG/U low, dt = Y dY / 2 pi U high); zero-control
-    pieces contribute duration times the frozen integrand.
-    """
-    total = 0.0
-    err = 0.0
-    neval = 0
-    for pc in path.pieces:
-        if pc.t_end == pc.t_start:
-            continue
-        if pc.u == 0.0:
-            total += (pc.t_end - pc.t_start) * per_oscillation_time(path.zone, pc.v_start)
-            continue
-        lo, hi = sorted((pc.v_start, pc.v_end))
-        if path.zone == "low":
-            def f(x):
-                return per_oscillation_time("low", x) * switching_integrand(x)
-        else:
-            def f(yv):
-                return per_oscillation_time("high", yv) * yv / (2.0 * math.pi)
-        q = _quad(f, lo, hi, tol, limit=400)
-        total += q.value / abs(pc.u)
-        err += q.error_estimate
-        neval += q.evaluations
-    return QuadratureResult(total, err, neval)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,9 @@ def simulate_damping(
     if eps > 0.5:
         raise ValueError(f"quasioptimal regime needs eps <= 0.5, got {eps}")
     thr = policy.zone_factor * eps
+    if thr >= 1.0:
+        raise ValueError(f"zone_factor * eps = {policy.zone_factor} * {eps} >= 1: "
+                         "the two standstill zones are not disjoint")
     cap_energy = policy.k_cap * eps * eps
     budget = policy.budget_factor / eps
     ctl = policy.ctl

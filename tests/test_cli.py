@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from pendamp import acceptance
 from pendamp.cli import main
 from pendamp.dynamics import Params, PhaseState
 from pendamp.quasiopt import simulate_damping
@@ -53,6 +54,19 @@ def test_tau_branches_agree_at_separatrix(capsys):
 def test_tau_rejects_nonpositive_energy(capsys):
     code, _ = run_cli(capsys, "tau", "--E", "-1.0")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("tau", "--E", "1.0", "--tol", "1e-16"), "above tolerance 1.000e-16"),
+    (("simulate", "--x0", "-2.5", "--y0", "0", "--epsilon", "0.5"),
+     "zone_factor * eps = 2.0 * 0.5 >= 1: the two standstill zones are not disjoint"),
+], ids=["quadrature", "merged-zones"])
+def test_computation_failure_exits_1(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+    assert captured.out == ""
 
 
 def test_usage_error_exits_2(capsys):
@@ -230,6 +244,26 @@ def test_explicit_flag_beats_config_even_at_its_default(capsys, tmp_path):
     code, out = run_cli(capsys, "constants", "--config", str(cfg), "--to=1e-10")
     assert code == 0
     assert json.loads(out)["config"]["tol"] == 1e-10
+
+
+def test_config_bad_value_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,fast", [("fast=true", True), ("fast=no", False)])
+def test_config_sets_a_flag(capsys, monkeypatch, tmp_path, text, fast):
+    seen = []
+    monkeypatch.setattr(acceptance, "run_all", lambda fast, report: seen.append(fast) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert main(["verify", "--fast", "--config", str(cfg)]) == 0
+    assert seen == [fast, True]
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):

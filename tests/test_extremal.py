@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from pendamp.dynamics import Params
 from pendamp.extremal import (
     STOP_ENERGY_EXIT,
     BracketError,
+    ExtremalRun,
     StopPolicy,
     SweepPolicy,
     _rhs_lanes,
@@ -19,9 +21,9 @@ from pendamp.extremal import (
     max_switchings,
     run_diagnostics,
     trace_extremal,
-    verify_sturm_properties,
 )
 from pendamp.limits import constant_D
+from oracles import oracle_trace_extremal
 
 D = 0.925968526
 FAST_STOP = StopPolicy()
@@ -64,7 +66,7 @@ class TestTerminalCostate:
         # A trace starts at the origin with covector (phi_T, s/eps).
         for phi_T, s, eps, start in ((0.0, 1, 0.5, (0.0, 0.0, 0.0, 2.0)),
                                      (3.0, -1, 0.1, (0.0, 0.0, 3.0, -10.0))):
-            run = trace_extremal(phi_T, s, Params(eps))
+            run = oracle_trace_extremal(phi_T, s, Params(eps))
             assert run.trajectory.states[0] == pytest.approx(start, abs=1e-14)
 
     def test_rejects_bad_sign(self):
@@ -75,7 +77,7 @@ class TestTerminalCostate:
 class TestHamiltonianResidual:
     def test_switch_point_identity(self):
         # At a switching psi = 0, so the zero-Hamiltonian identity forces y*phi = 1.
-        run = trace_extremal(0.5 / 0.2, 1, Params(0.2), keep_samples=False)
+        run = trace_extremal(0.5 / 0.2, 1, Params(0.2))
         assert run.switch_count >= 3
         for x, y, phi, psi in run.switch_states:
             assert y * phi == pytest.approx(1.0, abs=1e-7)
@@ -89,24 +91,26 @@ class TestTraceExtremal:
 
     def test_family_symmetry(self):
         p = Params(0.25)
-        a = trace_extremal(1.7 / p.epsilon, 1, p, keep_samples=False)
-        b = trace_extremal(-1.7 / p.epsilon, -1, p, keep_samples=False)
+        a = trace_extremal(1.7 / p.epsilon, 1, p)
+        b = trace_extremal(-1.7 / p.epsilon, -1, p)
         assert a.switch_count == b.switch_count
         assert a.stop_reason == b.stop_reason
         assert a.duration == pytest.approx(b.duration, rel=1e-9)
 
     def test_trajectory_kept_on_request(self):
+        # Only the scalar oracle keeps samples; the kernel's runs have none.
         p = Params(0.3)
-        run = trace_extremal(1.0 / p.epsilon, 1, p, keep_samples=True)
+        run = oracle_trace_extremal(1.0 / p.epsilon, 1, p, keep_samples=True)
         assert run.trajectory is not None
         assert run.trajectory.states[0] == (0.0, 0.0, 1.0 / p.epsilon, 1.0 / p.epsilon)
-        run2 = trace_extremal(1.0 / p.epsilon, 1, p, keep_samples=False)
-        assert run2.trajectory is None
-        assert run2.switch_count == run.switch_count
+        assert oracle_trace_extremal(1.0 / p.epsilon, 1, p, keep_samples=False).trajectory is None
+        assert trace_extremal(1.0 / p.epsilon, 1, p).switch_count == run.switch_count
+        with pytest.raises(ValueError, match="keep no samples"):
+            trace_extremal(1.0 / p.epsilon, 1, p, keep_samples=True)
 
     def test_adjoint_nondegeneracy(self):
         p = Params(0.2)
-        run = trace_extremal(0.8 / p.epsilon, 1, p, keep_samples=True)
+        run = oracle_trace_extremal(0.8 / p.epsilon, 1, p, keep_samples=True)
         norms = [s[2] ** 2 + s[3] ** 2 for s in run.trajectory.states]
         terminal = norms[0]
         assert min(norms) > 1e-6 * terminal
@@ -129,22 +133,43 @@ class TestSturmProperties:
 
     def test_degenerate_run_passes(self):
         p = Params(5.0)
-        run = trace_extremal(0.0, 1, p, keep_samples=False)
-        rep = verify_sturm_properties(run)
-        assert rep.pairs == ()
-        assert rep.min_gap is None
-        assert rep.passed
+        run = trace_extremal(0.0, 1, p)
+        assert run.switch_count <= 1
+        d = run_diagnostics(run)
+        assert d.min_gap is None
+        assert d.spacing_ok and d.interleaving_ok
 
     def test_report_structure(self):
         p = Params(0.15)
-        run = trace_extremal(0.5 / p.epsilon, 1, p, keep_samples=False)
-        rep = verify_sturm_properties(run)
-        assert len(rep.gaps) == max(0, run.switch_count - 1)
-        for pc in rep.pairs:
-            assert pc.gap > 0.0
-            if pc.zone_free:
-                assert pc.sign_opposite
-                assert pc.y_zeros_between == 1
+        run = trace_extremal(0.5 / p.epsilon, 1, p)
+        ts = run.switch_times
+        assert len(ts) >= 3
+        zone_free = 0
+        for k in range(len(ts) - 1):
+            assert ts[k] - ts[k + 1] > 0.0
+            if not run.arc_zone_touched[k + 1]:
+                zone_free += 1
+                assert run.switch_states[k][1] * run.switch_states[k + 1][1] < 0.0
+                assert sum(ts[k + 1] < tz < ts[k] for tz in run.y_zero_times) == 1
+        assert zone_free
+        d = run_diagnostics(run)
+        assert d.min_gap == min(a - b for a, b in zip(ts, ts[1:]))
+        assert d.spacing_ok and d.interleaving_ok
+
+    def test_violations_are_flagged(self):
+        # Switchings 1.5 apart, same velocity sign, no y zero between them.
+        state = (0.1, 0.5, 2.0, 0.0)
+        run = ExtremalRun(
+            phi_T=0.0, sign=1, epsilon=0.2, switch_times=(-1.0, -2.5),
+            switch_states=(state, state), switch_in_zone=(False, False), y_zero_times=(),
+            arc_zone_touched=(False, False, False), stop_reason=STOP_ENERGY_EXIT,
+            duration=3.0, max_hamiltonian_residual=0.0)
+        d = run_diagnostics(run)
+        assert d.min_gap == 1.5
+        assert not d.spacing_ok and not d.interleaving_ok
+        # An arc that touches the standstill zone exempts its pair from interleaving.
+        d = run_diagnostics(replace(run, arc_zone_touched=(False, True, False)))
+        assert d.interleaving_ok and not d.spacing_ok
 
 
 class TestMaxSwitchings:
@@ -317,14 +342,14 @@ class TestStopPolicy:
         exits = [d for d in res.runs if d.stop_reason == STOP_ENERGY_EXIT]
         assert exits  # the family always contains escaping runs
         for d in exits[:5]:
-            run = trace_extremal(d.phi_T, d.sign, p, keep_samples=True)
+            run = oracle_trace_extremal(d.phi_T, d.sign, p, keep_samples=True)
             y_end = abs(run.trajectory.states[-1][1])
             assert y_end == pytest.approx(math.sqrt(5.0), abs=1e-6)
 
 
 def test_run_diagnostics_fields():
     p = Params(0.25)
-    run = trace_extremal(1.2 / p.epsilon, 1, p, keep_samples=False)
+    run = trace_extremal(1.2 / p.epsilon, 1, p)
     d = run_diagnostics(run)
     assert d.switch_count == run.switch_count
     assert d.allowed_count in (run.switch_count, run.switch_count + 1)

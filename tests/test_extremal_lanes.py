@@ -1,4 +1,4 @@
-"""Differential tests of the batched kernel trace_lanes against trace_extremal."""
+"""Differential tests of the batched kernel trace_lanes against the scalar oracle."""
 
 import random
 from dataclasses import replace
@@ -15,10 +15,10 @@ from pendamp.extremal import (
     max_switchings,
     phi_grid,
     run_diagnostics,
-    trace_extremal,
     trace_lanes,
 )
 from pendamp.integrator import StepControl
+from oracles import oracle_trace_extremal
 
 GRID = 48
 
@@ -55,12 +55,12 @@ def lanes(jobs, eps, **kw):
 
 
 def oracle_sweep(p, policy, stop_at=None):
-    """max_switchings as a one-run-at-a-time scan over trace_extremal."""
+    """max_switchings as a one-run-at-a-time scan over the scalar oracle."""
     eps = p.epsilon
     table = {}
 
     def diag(g, s):
-        return run_diagnostics(trace_extremal(g / eps, s, p, policy.stop, keep_samples=False))
+        return run_diagnostics(oracle_trace_extremal(g / eps, s, p, policy.stop, keep_samples=False))
 
     def found(d):
         return stop_at is not None and d.allowed_count >= stop_at
@@ -103,8 +103,7 @@ def test_every_grid_lane_matches_oracle(eps):
     jobs = grid_jobs(GRID)
     runs = lanes(jobs, eps)
     for (g, s), run in zip(jobs, runs):
-        ref = trace_extremal(g / eps, s, p, keep_samples=False)
-        assert run.trajectory is None
+        ref = oracle_trace_extremal(g / eps, s, p, keep_samples=False)
         assert run.phi_T == ref.phi_T and run.sign == ref.sign
         assert (run.allowed_count, run.stop_reason) == (ref.allowed_count, ref.stop_reason), (g, s)
         assert len(run.switch_times) == len(ref.switch_times)
@@ -133,7 +132,7 @@ def test_every_stop_policy_matches_oracle(stop):
         jobs = grid_jobs(16)
         runs = lanes(jobs, eps, stop=stop)
         for (g, s), run in zip(jobs, runs):
-            ref = trace_extremal(g / eps, s, p, stop, keep_samples=False)
+            ref = oracle_trace_extremal(g / eps, s, p, stop, keep_samples=False)
             assert run.allowed_count == ref.allowed_count, (g, s)
             assert run.stop_reason == ref.stop_reason, (g, s)
             assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
@@ -214,7 +213,7 @@ def test_large_amplitude_lanes_exit_at_once():
         assert run.stop_reason == STOP_ENERGY_EXIT
         assert run.switch_count <= 1
         assert len(run.arc_zone_touched) == run.switch_count + 1
-        ref = trace_extremal(g / eps, s, Params(eps), keep_samples=False)
+        ref = oracle_trace_extremal(g / eps, s, Params(eps), keep_samples=False)
         assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
 
 

@@ -29,6 +29,12 @@ class TestSwitchingCurve:
         assert curve_height(0.0) == 0.0
 
 
+@pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_state_rejects_non_finite(x, y):
+    with pytest.raises(ValueError, match="non-finite state"):
+        LinState(x, y)
+
+
 class TestFeedback:
     def test_terminal_semicircle_says_plus(self):
         for beta in (0.3, 1.0, 2.5):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pendamp import quasiopt
 from pendamp.dynamics import Params, PhaseState, energy
 from pendamp.limits import poincare_high, poincare_low, RegimeExit, StandstillCapture
 from pendamp.quasiopt import (
@@ -38,8 +39,17 @@ class TestSimulateDamping:
         assert res.phase_log[-1].mode == MODE_CAPTURE
 
     def test_rejects_large_epsilon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="quasioptimal regime needs eps <= 0.5, got 0.8"):
             simulate_damping(PhaseState(1.0, 0.0), Params(0.8))
+
+    @pytest.mark.parametrize("eps,factor", [(0.5, 2.0), (0.25, 4.0), (0.3, 5.0)])
+    def test_rejects_merged_standstill_zones(self, monkeypatch, eps, factor):
+        def no_integration(*args, **kw):
+            raise AssertionError("integrated before rejecting the zone factor")
+
+        monkeypatch.setattr(quasiopt, "integrate", no_integration)
+        with pytest.raises(ValueError, match=rf"zone_factor \* eps = {factor} \* {eps} >= 1"):
+            simulate_damping(PhaseState(-2.5, 0.0), Params(eps), CapturePolicy(zone_factor=factor))
 
     def test_universal_lower_bound(self):
         for eps, p0 in ((0.2, PhaseState(-3.0, 0.0)), (0.1, PhaseState(-2.0, 0.0)),
