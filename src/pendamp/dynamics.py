@@ -83,11 +83,16 @@ def standstill_zone(s: PhaseState, p: Params, factor: float = 2.0) -> ZoneTag:
     thr = factor * p.epsilon
     if thr >= 1.0:
         raise ValueError(f"factor*epsilon = {thr} >= 1: zone components not disjoint")
-    if abs(math.sin(s.x)) < thr and abs(s.y) < thr:
-        return ZoneTag.LOWER if math.cos(s.x) > 0.0 else ZoneTag.UPPER
-    return ZoneTag.NONE
+    return zone_xy(s.x, s.y, thr)
 
 
 def in_zone_xy(x: float, y: float, thr: float) -> bool:
     """Raw standstill-zone membership test for hot loops (thr = factor*eps < 1)."""
     return abs(y) < thr and abs(math.sin(x)) < thr
+
+
+def zone_xy(x: float, y: float, thr: float) -> ZoneTag:
+    """Standstill-zone classification from raw coordinates (thr = factor*eps < 1)."""
+    if in_zone_xy(x, y, thr):
+        return ZoneTag.LOWER if math.cos(x) > 0.0 else ZoneTag.UPPER
+    return ZoneTag.NONE

@@ -14,6 +14,13 @@ Inner pendulum-time integrals are evaluated after the classical substitution
 sin(phi/2) = sin(x/2) sin(theta), which removes the inverse-square-root
 endpoint singularity exactly; the resulting complete elliptic integral is
 evaluated with scipy.special.ellipk.
+
+The half-swing times of the low-zone map integrate ds/|y| between two rest
+points, where y^2 = 2 (cos s - cos x - eps (s + x)) has a simple zero at each
+end.  Both zeros are factored out exactly: the tilted potential difference is
+-(s + x)(x_next - s) times the second divided difference cos[-x, s, x_next],
+and the substitution s = c + r sin(theta) cancels the product against ds, so
+the quadrature sees a smooth integrand on [-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -240,18 +247,39 @@ class PoincareIterates:
     times: tuple[float, ...]
 
 
+def _cos_divided_difference(a: float, b: float) -> float:
+    """First divided difference cos[a, b] = (cos b - cos a) / (b - a), written
+    as -sin((a + b)/2) sin(d)/d with d = (b - a)/2 so that it does not cancel
+    as b -> a; equals -sin(a) at a = b."""
+    d = 0.5 * (b - a)
+    if d == 0.0:
+        return -math.sin(a)
+    return -math.sin(0.5 * (a + b)) * math.sin(d) / d
+
+
 def _low_step_time(x: float, x_next: float, eps: float, tol: float) -> float:
     """Duration of one half-swing from rest at -x to rest at x_next under
-    u = -sign(y): integral of ds/|y| with
-    y^2 = 2 (cos s - cos x - eps (s + x))."""
+    u = -sign(y): the integral of ds/|y| over [-x, x_next] with
+    y^2 = 2 F(s), F(s) = cos s - cos x - eps (s + x).
 
-    def f(s):
-        v = 2.0 * (math.cos(s) - math.cos(x) - eps * (s + x))
-        if v <= 0.0:
-            return 0.0
-        return v ** -0.5
+    F vanishes at both rest points and its linear part has no second divided
+    difference, so F(s) = -(s + x)(x_next - s) cos[-x, s, x_next].  With
+    s = c + r sin(theta), c = (x_next - x)/2, r = (x + x_next)/2, the factor
+    (s + x)(x_next - s) is r^2 cos^2(theta) and cancels against
+    ds = r cos(theta) dtheta, leaving the smooth integral of
+    dtheta / sqrt(-2 cos[-x, s, x_next]) over [-pi/2, pi/2].  Where
+    -cos[...] is not positive the swing cannot start, and the integrand raises.
+    """
+    width = x + x_next
+    c = 0.5 * (x_next - x)
+    r = 0.5 * width
 
-    return _quad(f, -x, x_next, tol, limit=400).value
+    def f(theta):
+        s = c + r * math.sin(theta)
+        dd = (_cos_divided_difference(s, x_next) - _cos_divided_difference(-x, s)) / width
+        return 1.0 / math.sqrt(-2.0 * dd)
+
+    return _quad(f, -0.5 * math.pi, 0.5 * math.pi, tol, limit=400).value
 
 
 def _high_step_time(y: float, eps: float, tol: float) -> float:
@@ -291,6 +319,12 @@ def poincare_iterates(zone: str, start: float, p: Params,
     """
     eps = p.epsilon
     if zone == "low":
+        if 0.0 < start < math.pi and math.cos(start) < 0.0 and math.sin(start) <= eps:
+            # Dry friction holds the pendulum at rest near the saddle (the
+            # STOP_STALL rule of simulate_damping): no half-swing exists.
+            # Amplitudes decrease along the orbit, so only the start can be here.
+            raise ValueError(f"low-zone start {start} sticks at rest at eps={eps}: "
+                             f"sin x = {math.sin(start):.3g} <= eps next to the saddle")
         step, stop = poincare_low, StandstillCapture
     elif zone == "high":
         if start <= 0.0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import Params, PhaseState, ZoneTag, energy_xy, reduce_angle, standstill_zone
+from .dynamics import Params, PhaseState, ZoneTag, energy_xy, reduce_angle, zone_xy
 from .integrator import (
     ANY,
     STOP_TERMINAL,
@@ -158,9 +158,6 @@ def simulate_damping(
     switch_count = 0
     prev_arc_dry = False
 
-    def zone_of(st) -> ZoneTag:
-        return standstill_zone(PhaseState(st[0], st[1]), p, policy.zone_factor)
-
     def record(seg: TrajectorySegment, mode: str, control: float, cut: int | None = None):
         nonlocal t, state
         hi = len(seg.times) if cut is None else cut + 1
@@ -194,7 +191,7 @@ def simulate_damping(
             break
         x, yv = state
         en = energy_xy(x, yv)
-        tag = zone_of(state)
+        tag = zone_xy(x, yv, thr)
 
         if tag is ZoneTag.LOWER and en <= cap_energy:
             captured = True

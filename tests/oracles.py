@@ -268,6 +268,26 @@ def oracle_free_oscillation_period(E: float, tol: float = 1e-11) -> QuadratureRe
     return _quad(f, 0.0, 0.5 * math.pi, tol)
 
 
+def oracle_low_step_time(x: float, x_next: float, eps: float, tol: float) -> float:
+    """Duration of one half-swing from rest at -x to rest at x_next under
+    u = -sign(y), by quadrature of ds/|y| with
+    y^2 = 2 (cos s - cos x - eps (s + x)) straight across the
+    inverse-square-root zeros at both rest points.
+
+    Raises QuadratureError on many steps of small-eps or near-separatrix
+    orbits; where it certifies, it is an independent route to
+    ``limits._low_step_time``.
+    """
+
+    def f(s):
+        v = 2.0 * (math.cos(s) - math.cos(x) - eps * (s + x))
+        if v <= 0.0:
+            return 0.0
+        return v ** -0.5
+
+    return _quad(f, -x, x_next, tol, limit=400).value
+
+
 def oracle_per_oscillation_time(zone: str, v: float) -> float:
     """Per-oscillation time integrand of the cost functionals.
 

@@ -12,6 +12,7 @@ from pendamp.dynamics import (
     reduce_angle,
     standstill_zone,
     vector_field,
+    zone_xy,
 )
 from pendamp.integrator import StepControl, integrate
 from oracles import oracle_controlled_hamiltonian
@@ -92,6 +93,14 @@ def test_standstill_zone_custom_factor():
     s = PhaseState(0.25, 0.3)
     assert standstill_zone(s, p, factor=2.0) is ZoneTag.NONE
     assert standstill_zone(s, p, factor=4.0) is ZoneTag.LOWER
+
+
+def test_zone_xy_box_is_open():
+    thr = 0.2
+    assert zone_xy(0.0, 0.0, thr) is ZoneTag.LOWER
+    assert zone_xy(math.pi, -0.19, thr) is ZoneTag.UPPER
+    assert zone_xy(0.0, thr, thr) is ZoneTag.NONE
+    assert zone_xy(math.asin(thr), 0.0, thr) is ZoneTag.NONE
 
 
 def test_reduce_angle():

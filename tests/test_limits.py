@@ -29,6 +29,7 @@ from oracles import (
     oracle_cost_functional,
     oracle_free_oscillation_period,
     oracle_half_swing_time,
+    oracle_low_step_time,
 )
 
 D_PAPER = 0.925968526
@@ -362,6 +363,50 @@ class TestPoincareIterates:
         for quad_t, sim_t in zip(it.times, sim_times):
             assert quad_t == pytest.approx(sim_t, abs=1e-6)
 
+    @pytest.mark.parametrize("x0,eps", [
+        (2.5, 0.005),
+        (math.acos(-1.0 + 1e-3), 0.002),   # near-separatrix start, E0 = 2 - 1e-3
+    ], ids=["x2.5-eps0.005", "separatrix-eps0.002"])
+    def test_low_step_times_in_small_eps_regime(self, x0, eps):
+        # The regime of the damping benchmark: hundreds of half-swings, each
+        # timed against the closed-loop integrator's rest-to-rest times.
+        from pendamp.limits import poincare_iterates
+        from pendamp.quasiopt import simulate_damping
+        from pendamp.dynamics import PhaseState
+        it = poincare_iterates("low", x0, Params(eps))
+        assert it.values == tuple(low_orbit(x0, Params(eps)))
+        assert len(it.times) == len(it.values) - 1
+        res = simulate_damping(PhaseState(-x0, 0.0), Params(eps), keep_samples=False)
+        sim_times = [b - a for (a, _), (b, _) in zip(res.rest_amplitudes,
+                                                     res.rest_amplitudes[1:])]
+        assert len(sim_times) >= len(it.times) - 1
+        for quad_t, sim_t in zip(it.times, sim_times):
+            assert quad_t == pytest.approx(sim_t, rel=1e-4)
+        # discretisation check: a 100x tighter quadrature tolerance moves no step time
+        fine = poincare_iterates("low", x0, Params(eps), tol=1e-12)
+        assert fine.values == it.values
+        for t10, t12 in zip(it.times, fine.times):
+            assert t10 == pytest.approx(t12, rel=1e-9)
+
+    def test_low_step_time_matches_oracle(self):
+        # The oracle integrates straight across both rest-point singularities
+        # and fails to certify on part of each orbit; every step must still
+        # certify here, and agree with the oracle wherever it certifies.
+        cases = [(2.5, 0.2), (2.5, 0.05), (2.5, 0.005), (2.5, 0.002),
+                 (math.acos(-1.0 + 1e-3), 0.002), (0.3, 0.01)]
+        for x0, eps in cases:
+            xs = low_orbit(x0, Params(eps))
+            compared = 0
+            for x, x_next in zip(xs, xs[1:]):
+                new = limits._low_step_time(x, x_next, eps, 1e-10)
+                try:
+                    ref = oracle_low_step_time(x, x_next, eps, 1e-10)
+                except QuadratureError:
+                    continue
+                assert new == pytest.approx(ref, rel=1e-9), (x0, eps, x)
+                compared += 1
+            assert compared >= len(xs) // 2, (x0, eps, compared)
+
     def test_high_zone_orbit_with_times(self):
         from pendamp.limits import poincare_iterates
         from pendamp.quasiopt import simulate_damping
@@ -384,6 +429,10 @@ class TestPoincareIterates:
             poincare_iterates("sideways", 1.0, Params(0.1))
         with pytest.raises(ValueError):
             poincare_iterates("high", -1.0, Params(0.1))
+        # at rest next to the saddle with sin x <= eps, dry friction holds the
+        # pendulum: no half-swing exists
+        with pytest.raises(ValueError, match=r"low-zone start 3\.14017\d* sticks at rest at eps=0\.003"):
+            poincare_iterates("low", math.acos(-1.0 + 1e-6), Params(0.003))
 
 
 @pytest.mark.parametrize("call,message", [
