@@ -24,9 +24,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import limits
 from .dynamics import Params, in_zone_xy
 from .integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
@@ -34,6 +32,7 @@ from .integrator import (
     STOP_STEP_FAILURE,
     StepControl,
     _make_dense,
+    brentq,
     integrate,  # noqa: F401  unused; perfbench/tracing.py wraps extremal.integrate
 )
 
@@ -86,9 +85,39 @@ class StopPolicy:
         return self.slack_base + self.slack_log * math.log(1.0 / eps)
 
 
+# tau(E) at the knots of _tau_table: 0 at E = 0, then limits.tau(E, 1e-9).value
+# at each further knot, written with repr.  Written out, the table costs the
+# first trace no quadrature and no scipy import; tests/test_extremal.py checks
+# it against limits.tau.
+_TAU_VALUES = (
+    0.0, 0.19753890089858295, 0.33228657593368494,
+    0.45050067839181585, 0.5591595672422258, 0.6612629314513705,
+    0.7584626761661014, 0.8517961569272777, 0.9419713471582934,
+    1.0295003208705584, 1.114769803174097, 1.1980818413308851,
+    1.279678841780285, 1.359759800943616, 1.438491279853349,
+    1.5160150918402922, 1.5924538551276146, 1.6679151148615454,
+    1.74249448256433, 1.8162780880601357, 1.8893445448861519,
+    1.961766571082733, 2.033612369750167, 2.1049468503285196,
+    2.1758327579738213, 2.2463317725139764, 2.3165056396335117,
+    2.386417405947071, 2.456132849064982, 2.5257222290634718,
+    2.5952625495578086, 2.6648406257336017, 2.7345574560393207,
+    2.804534776813519, 2.874925462787794, 2.9459311821613055,
+    3.0178350552865294, 3.091069604961359, 3.1663854965823433,
+    3.245425135080395, 3.336698639549155, 3.3791229127813227,
+    3.4405522139947124, 3.509977547486121, 3.584198795118775,
+    3.6615650647729256, 3.7410690666761903, 3.822040758705686,
+    3.9040106693258574, 3.986638500438609, 4.069671766867163,
+    4.152920028735732, 4.236237958261493, 4.319513753669213,
+    4.402660959738492, 4.485612548498103, 4.568316549049839,
+    4.650732767706665, 4.732830292487632, 4.814585572274002,
+    4.895980923551947, 4.97700335954739, 5.057643665239851,
+    5.1378956617899085, 5.21775561818078,
+)
+
+
 @functools.cache
 def _tau_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Knots and values of the damping-time limit tau(E), built once.
+    """Knots and values of the damping-time limit tau(E).
 
     Log-dense knots near the separatrix resolve the -h log h behaviour of
     tau_minus there.
@@ -99,7 +128,7 @@ def _tau_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
         knots.append(2.0 * (i / k) ** 1.5)
     for i in range(1, 25):  # rotation branch
         knots.append(2.0 + (i / 24.0) ** 1.5 * 4.0)
-    return tuple(knots), (0.0, *(limits.tau(e, 1e-9).value for e in knots[1:]))
+    return tuple(knots), _TAU_VALUES
 
 
 @dataclass

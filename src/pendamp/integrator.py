@@ -24,16 +24,22 @@ operations of the textbook loop in the same order, so results are bit for
 bit those of the loop (``tests/test_integrator.py`` keeps it as the
 oracle).  Many independent trajectories amortise the interpreter overhead,
 which is why the sweeps batch their runs instead.
+
+Event times, here and in the package's other scalar root problems, come
+from :func:`brentq`, a line-by-line port of scipy's C ``brentq``
+(``scipy/optimize/Zeros/brentq.c``) with scipy's argument checks and
+errors.  It returns scipy's float bit for bit (``tests/test_integrator.py``
+pins it), so the package traces and simulates without importing scipy,
+whose import costs about half a second.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-from scipy.optimize import brentq
 
 RISING = "rising"
 FALLING = "falling"
@@ -42,6 +48,94 @@ ANY = "any"
 STOP_TERMINAL = "terminal event"
 STOP_TIME_LIMIT = "time limit"
 STOP_STEP_FAILURE = "step failure"
+
+
+_BRENTQ_RTOL_MIN = 4.0 * sys.float_info.epsilon  # scipy.optimize.brentq's rtol floor
+
+
+def _nan_value(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+           rtol: float = _BRENTQ_RTOL_MIN, maxiter: int = 100) -> float:
+    """A zero of ``f`` in the sign-changing bracket [a, b] (either order).
+
+    The iteration of scipy's C ``brentq``, step for step: converged when
+    half the block ``|xblk - xcur|/2`` drops below
+    ``delta = (xtol + rtol * |xcur|)/2``; otherwise inverse quadratic or
+    secant extrapolation, kept only when it is short enough, else bisection;
+    never a step shorter than ``delta``.  The sign tests are scipy's
+    ``signbit`` tests: they run only on nonzero, non-NaN values, where
+    ``v < 0`` is the sign bit.  Where C divides by zero, the trial step is
+    not finite and C bisects; Python raises ZeroDivisionError, which is
+    caught and bisects too.
+
+    Errors as scipy: ValueError for ``xtol <= 0``, ``rtol < 4 eps``,
+    ``maxiter < 0``, a NaN function value and a bracket without a sign
+    change; RuntimeError when ``maxiter`` iterations do not converge.
+    ``f`` returns a float.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL_MIN:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    xpre, xcur = float(a), float(b)
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise _nan_value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise _nan_value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ end.  Both zeros are factored out exactly: the tilted potential difference is
 -(s + x)(x_next - s) times the second divided difference cos[-x, s, x_next],
 and the substitution s = c + r sin(theta) cancels the product against ds, so
 the quadrature sees a smooth integrand on [-pi/2, pi/2].
+
+scipy is loaded on first use: importing scipy.integrate or scipy.special
+costs about half a second, and the package's traces, sweeps, damping runs and
+linear baseline need neither.  The module attribute ``quad`` forwards to
+scipy.integrate.quad, imported at its first call, and ``ellipk`` and ``sici``
+are imported inside the functions that use them, outside the integrands.
+Scalar roots come from the package's ``integrator.brentq``.
 """
 
 from __future__ import annotations
@@ -28,11 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import ellipk, sici
-
 from .dynamics import Params
+from .integrator import brentq
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +58,13 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _quad(f, a, b, tol, points=None, limit=200) -> QuadratureResult:
@@ -90,6 +101,8 @@ def swing_progress(x: float) -> float:
     """
     if x < 0.0:
         raise ValueError(f"amplitude {x} must be nonnegative")
+    from scipy.special import sici
+
     return 0.5 * float(sici(x)[0])
 
 
@@ -100,7 +113,10 @@ def _invert_progress(g: float) -> float:
     g_max = swing_progress(math.pi)
     if g >= g_max:
         return math.pi
-    return brentq(lambda x: swing_progress(x) - g, 0.0, math.pi, xtol=1e-14, rtol=8.9e-16)
+    from scipy.special import sici
+
+    # swing_progress(x) - g, with sici imported once per root, not per call
+    return brentq(lambda x: 0.5 * float(sici(x)[0]) - g, 0.0, math.pi, xtol=1e-14, rtol=8.9e-16)
 
 
 def amplitude_from_energy(E: float) -> float:
@@ -123,6 +139,7 @@ def tau_minus(E: float, tol: float = 1e-9) -> QuadratureResult:
     if not 0.0 < E <= 2.0:
         raise ValueError(f"energy {E} outside (0, 2]")
     phi = amplitude_from_energy(E)
+    from scipy.special import ellipk
 
     def f(x):
         if x <= 0.0:
@@ -140,6 +157,12 @@ def full_turn_time(E: float) -> float:
     = 2 sqrt(2) K(2/E) / sqrt(E)."""
     if E <= 2.0:
         raise ValueError(f"energy {E} not in the rotation regime (> 2)")
+    from scipy.special import ellipk
+
+    return _turn_time(E, ellipk)
+
+
+def _turn_time(E: float, ellipk) -> float:
     return 2.0 * math.sqrt(2.0) * float(ellipk(2.0 / E)) / math.sqrt(E)
 
 
@@ -155,9 +178,10 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
         raise ValueError(f"energy {E} below the separatrix")
     if E == 2.0:
         return QuadratureResult(0.0, 0.0, 0)
+    from scipy.special import ellipk
 
-    def f(e):
-        return full_turn_time(e) / (2.0 * math.pi)
+    def f(e):  # full_turn_time(e) / 2 pi on e in (2, E]
+        return _turn_time(e, ellipk) / (2.0 * math.pi)
 
     return _quad(f, 2.0, E, tol, limit=400)
 
@@ -215,11 +239,17 @@ def poincare_low(x: float, p: Params) -> float:
 
     Solves cos(x') - cos(x) = eps (x + x') for the next rest amplitude
     x' in (0, x).  Raises StandstillCapture when no root exists: the swing
-    cannot clear the bottom any more.
+    cannot clear the bottom any more.  Raises ValueError for a rest next to
+    the saddle (cos x < 0) with sin x <= eps, where dry friction holds the
+    pendulum (the STOP_STALL rule of simulate_damping) and no swing starts.
+    Amplitudes decrease along an orbit, so only its start can be such a rest.
     """
     if not 0.0 < x < math.pi:
         raise ValueError(f"amplitude {x} outside (0, pi)")
     eps = p.epsilon
+    if math.cos(x) < 0.0 and math.sin(x) <= eps:
+        raise ValueError(f"low-zone start {x} sticks at rest at eps={eps}: "
+                         f"sin x = {math.sin(x):.3g} <= eps next to the saddle")
 
     def g(xp):
         return math.cos(xp) - math.cos(x) - eps * (x + xp)
@@ -319,12 +349,6 @@ def poincare_iterates(zone: str, start: float, p: Params,
     """
     eps = p.epsilon
     if zone == "low":
-        if 0.0 < start < math.pi and math.cos(start) < 0.0 and math.sin(start) <= eps:
-            # Dry friction holds the pendulum at rest near the saddle (the
-            # STOP_STALL rule of simulate_damping): no half-swing exists.
-            # Amplitudes decrease along the orbit, so only the start can be here.
-            raise ValueError(f"low-zone start {start} sticks at rest at eps={eps}: "
-                             f"sin x = {math.sin(start):.3g} <= eps next to the saddle")
         step, stop = poincare_low, StandstillCapture
     elif zone == "high":
         if start <= 0.0:

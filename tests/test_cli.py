@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pendamp import acceptance
 from pendamp.cli import main
 from pendamp.dynamics import Params, PhaseState
+from pendamp.limits import tau
 from pendamp.quasiopt import simulate_damping
 
 
@@ -303,3 +308,30 @@ def test_extremals_deterministic(capsys):
     _, out1 = run_cli(capsys, "extremals", "--epsilon", "0.6", "--grid", "16")
     _, out2 = run_cli(capsys, "extremals", "--epsilon", "0.6", "--grid", "16")
     assert out1 == out2
+
+
+# The package's trace, sweep, damping and linear paths load no scipy: its
+# import takes about half a second, most of every CLI command's start-up.
+# The quadratures still load it on first use.
+NO_SCIPY_PROBE = """
+import sys
+import pendamp, pendamp.cli
+from pendamp import Params, PhaseState, max_switchings, simulate_damping, trace_extremal
+from pendamp.extremal import SweepPolicy
+from pendamp.linosc import LinState, lin_simulate
+trace_extremal(1.0, 1, Params(0.25))
+max_switchings(Params(0.5), SweepPolicy(grid_points=16))
+simulate_damping(PhaseState(-2.5, 0.0), Params(0.1))
+lin_simulate(LinState(2.0, 0.0))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(repr(pendamp.tau(1.0).value))
+"""
+
+
+def test_trace_sweep_damping_and_linear_paths_load_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert float(out[1]) == tau(1.0).value

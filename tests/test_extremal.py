@@ -22,6 +22,7 @@ from pendamp.extremal import (
     run_diagnostics,
     trace_extremal,
 )
+from pendamp import limits
 from pendamp.limits import constant_D
 from oracles import oracle_trace_extremal
 
@@ -211,6 +212,11 @@ class TestMaxSwitchings:
         assert keys == sorted(keys)
 
 
+@pytest.fixture(scope="module")
+def table_grid_64():
+    return bifurcation_table(4, tol=1e-2, policy=SweepPolicy(grid_points=64))
+
+
 class TestBifurcation:
     def test_first_value_regression(self):
         row = find_bifurcation(1, bracket=(8.0, 11.0), tol=0.02,
@@ -237,13 +243,18 @@ class TestBifurcation:
         with pytest.raises(ValueError, match=message):
             call()
 
-    def test_table_rows_pinned_at_grid_64(self):
-        rows = bifurcation_table(4, tol=1e-2, policy=SweepPolicy(grid_points=64)).rows
+    def test_table_rows_pinned_at_grid_64(self, table_grid_64):
+        rows = table_grid_64.rows
         assert [r.epsilon_n for r in rows] == [
             9.222134765625, 0.649296864083968, 0.36129468151801447, 0.24876743661706974]
         assert [r.bracket_width for r in rows] == [
             0.008542968749999602, 0.009912929222656075, 0.005274374912671742,
             0.0074258936303603085]
+
+    def test_table_rows_grid_converged(self, table_grid_64):
+        # A 4x finer phi_T grid finds the same eps_n rows (grid 128 does too).
+        fine = bifurcation_table(4, tol=1e-2, policy=SweepPolicy(grid_points=256))
+        assert [r.epsilon_n for r in fine.rows] == [r.epsilon_n for r in table_grid_64.rows]
 
     def test_threads_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="one process"):
@@ -360,3 +371,13 @@ def test_sweep_wide_hamiltonian_residual():
     res = max_switchings(Params(0.25), SweepPolicy(grid_points=96))
     worst = max(d.max_h_residual for d in res.runs)
     assert worst <= 1e-7
+
+
+def test_tau_table_values_are_tau_at_the_knots():
+    # The table is written out as literals; QUADPACK's last bits may differ
+    # between scipy versions, so the check is relative, not bitwise.
+    knots, values = extremal._tau_table()
+    assert len(knots) == len(values) == 65
+    assert knots[0] == values[0] == 0.0
+    for e, v in zip(knots[1:], values[1:]):
+        assert v == pytest.approx(limits.tau(e, 1e-9).value, rel=1e-12, abs=0.0)

@@ -1,8 +1,10 @@
 import itertools
 import math
+import random
+import re
 
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq as scipy_brentq
 
 from pendamp.integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
@@ -20,6 +22,7 @@ from pendamp.integrator import (
     _initial_step,
     _make_dense,
     _refine_samples,
+    brentq,
     integrate,
 )
 from oracles import oracle_free_oscillation_period
@@ -270,7 +273,7 @@ def oracle_integrate(rhs, s0, t0, t_limit, events=(), ctl=None):
                 t_e = t_new
             else:
                 ta, tb = (t, t_new) if t < t_new else (t_new, t)
-                t_e = brentq(lambda s: ev.fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
+                t_e = scipy_brentq(lambda s: ev.fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
             if abs(t_e - t0) < dead_band:
                 continue
             hits.append((t_e, j))
@@ -418,3 +421,89 @@ def test_step_bit_identical_to_oracle(case):
         assert ctl.interp_tol is None
         assert (rhs_calls - 2) // 6 > len(got.times) - 1
     assert len(got.events) > 0 or not events
+
+
+# brentq is a port of scipy's C brentq: on every input it must return scipy's
+# float, or raise scipy's exception with scipy's message.
+BRENTQ_TOLS = [(1e-14, 8.9e-16), (1e-12, 8.9e-16)]  # the (xtol, rtol) pairs the package uses
+
+
+def _root_or_error(solver, f, a, b, **kw):
+    try:
+        x = solver(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return x, math.copysign(1.0, x)  # the sign bit tells -0.0 from 0.0
+
+
+def _random_smooth(rng):
+    c0, c1, c2, c3 = (rng.uniform(-2.0, 2.0) for _ in range(4))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return lambda x: c0 + c1 * x + c2 * x * x + c3 * x ** 3
+    if kind == 1:
+        return lambda x: math.sin(c0 * x + c1) + 0.3 * c2
+    if kind == 2:
+        return lambda x: math.exp(c0 * x) - 1.5 + c1
+    scale = 10.0 ** rng.uniform(-200.0, 200.0)
+    return lambda x: scale * (math.tanh(c0 * (x - c1)) + 0.1 * c2)
+
+
+def test_brentq_equals_scipy_on_random_brackets():
+    rng = random.Random(20240613)
+    roots = 0
+    for _ in range(1500):
+        f = _random_smooth(rng)
+        a, b = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        for xtol, rtol in BRENTQ_TOLS:
+            for lo, hi in ((a, b), (b, a)):
+                want = _root_or_error(scipy_brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+                assert _root_or_error(brentq, f, lo, hi, xtol=xtol, rtol=rtol) == want
+                roots += isinstance(want[0], float)
+    assert roots > 2000  # most brackets hold a root; the rest check the sign error
+
+
+def _flat_cubic(x):
+    return (x - 1.0 / 3.0) ** 3
+
+
+@pytest.mark.parametrize("f,a,b,maxiter", [
+    (lambda x: x, 0.0, 2.0, 100),  # root at a
+    (lambda x: x - 2.0, 0.0, 2.0, 100),  # root at b
+    (lambda x: x, -0.0, 1.0, 100),  # signed zero: returns -0.0
+    (lambda x: -x, 1.0, -0.0, 100),
+    (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 100),  # f(a) * f(b) underflows to -0
+    # here the extrapolation's denominator underflows to 0: C bisects on the
+    # non-finite trial step, the port on ZeroDivisionError
+    (lambda x: 1e-200 * (x ** 3 - 0.2), 0.0, 1.0, 100),
+    # the flat cubic takes 119-139 iterations (100 do not converge, below)
+    (_flat_cubic, 0.0, 1.0, 200),
+    (_flat_cubic, 1.0, -2.0, 200),
+], ids=["root-at-a", "root-at-b", "signed-zero", "signed-zero-at-b", "underflow-product",
+        "underflow-denominator", "flat-cubic", "flat-cubic-reversed"])
+@pytest.mark.parametrize("xtol,rtol", BRENTQ_TOLS)
+def test_brentq_equals_scipy_on_edge_cases(f, a, b, maxiter, xtol, rtol):
+    want = _root_or_error(scipy_brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    assert isinstance(want[0], float)
+    assert _root_or_error(brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter) == want
+
+
+@pytest.mark.parametrize("f,a,b,kw,message", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, {}, "must have different signs"),
+    (lambda x: math.nan, 0.0, 1.0, {}, r"value at x=0\.0 is NaN"),
+    (lambda x: x - 0.5 if x != 1.0 else math.nan, 0.0, 1.0, {}, r"value at x=1\.0 is NaN"),
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, {}, "is NaN"),  # mid-iteration
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"maxiter": 3}, "Failed to converge after 3 iterations"),
+    (_flat_cubic, 0.0, 1.0, {"xtol": 1e-14, "rtol": 8.9e-16}, "Failed to converge after 100 "),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"xtol": 0.0}, r"xtol too small \(0 <= 0\)"),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"xtol": -1e-3}, "xtol too small"),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"rtol": 1e-16}, r"rtol too small \(1e-16 < 8\.88178e-16\)"),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"maxiter": -1}, "maxiter must be >= 0"),
+], ids=["no-sign-change", "nan-at-a", "nan-at-b", "nan-inside", "maxiter", "flat-cubic", "xtol-zero",
+        "xtol-negative", "rtol-too-small", "maxiter-negative"])
+def test_brentq_errors_equal_scipy(f, a, b, kw, message):
+    want = _root_or_error(scipy_brentq, f, a, b, **kw)
+    got = _root_or_error(brentq, f, a, b, **kw)
+    assert got == want
+    assert got[0] in (ValueError, RuntimeError)
+    assert re.search(message, got[1])

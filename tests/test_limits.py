@@ -205,6 +205,10 @@ class TestPoincareMaps:
     def test_domain(self):
         with pytest.raises(ValueError):
             poincare_low(math.pi, Params(0.1))
+        # at rest next to the saddle with sin x <= eps, dry friction holds the
+        # pendulum: no half-swing exists
+        with pytest.raises(ValueError, match=r"low-zone start 3\.14 sticks at rest at eps=0\.01"):
+            poincare_low(3.14, Params(0.01))
 
 
 class TestLimitOde:
@@ -293,6 +297,8 @@ class TestEulerConvergence:
     def test_domain(self):
         with pytest.raises(ValueError):
             euler_convergence(3.5, [0.01])
+        with pytest.raises(ValueError, match=r"low-zone start 3\.14 sticks at rest at eps=0\.01"):
+            euler_convergence(3.14, [0.01, 0.005])
 
 
 class TestRiemannSumBound:
