@@ -55,16 +55,31 @@ def reduce_angle(x: float) -> float:
     return r
 
 
+def pendulum_rhs(pull: float):
+    """The plant's field f(t, s) = (y, -sin x + pull) under a constant torque
+    pull = eps*u, as a right-hand side for ``integrate``.
+
+    The one definition of the pendulum field: :func:`vector_field` and every
+    arc of the damping simulation evaluate it.
+    """
+    sin = math.sin
+
+    def f(t, s):
+        return (s[1], -sin(s[0]) + pull)
+
+    return f
+
+
 def vector_field(s: PhaseState, u: float, p: Params) -> tuple[float, float]:
     """Right-hand side (x', y') = (y, -sin x + eps*u) for a control value |u| <= 1."""
     if abs(u) > 1.0:
         raise ValueError(f"control out of range: |{u}| > 1")
-    return (s.y, -math.sin(s.x) + p.epsilon * u)
+    return pendulum_rhs(p.epsilon * u)(0.0, (s.x, s.y))
 
 
 def energy(s: PhaseState) -> float:
     """Pendulum energy y^2/2 + (1 - cos x); zero at the lower equilibrium."""
-    return 0.5 * s.y * s.y + (1.0 - math.cos(s.x))
+    return energy_xy(s.x, s.y)
 
 
 def energy_xy(x: float, y: float) -> float:

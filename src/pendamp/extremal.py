@@ -27,8 +27,7 @@ import numpy as np
 
 from .dynamics import Params, in_zone_xy
 from .integrator import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
-    _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7, _P,
+    _A_ROWS, _B_ROW, _E_ROW, _P,
     STOP_STEP_FAILURE,
     StepControl,
     _make_dense,
@@ -255,18 +254,15 @@ def _coefficients(*c):
     return np.array(c)[:, None, None]
 
 
-# Tableau rows for stage sums over a (stages, 4, lanes) block.  numpy adds a
-# reduction over the leading axis row by row, in the integrator's order.
-_A_ROWS = (
-    _coefficients(_A21),
-    _coefficients(_A31, _A32),
-    _coefficients(_A41, _A42, _A43),
-    _coefficients(_A51, _A52, _A53, _A54),
-    _coefficients(_A61, _A62, _A63, _A64, _A65),
-)
-_B_ROW = _coefficients(_B1, _B3, _B4, _B5, _B6)  # on stages 1, 3, 4, 5, 6
-_E_ROW = _coefficients(_E1, _E3, _E4, _E5, _E6, _E7)  # on stages 1, 3, ..., 7
-_B_STAGES, _E_STAGES = np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5, 6])
+# The integrator's tableau rows, for stage sums over a (stages, 4, lanes)
+# block.  numpy adds a reduction over the leading axis row by row, in the
+# integrator's order; the solution and error sums skip the zero weights, as
+# the integrator's generated attempt code does.
+_A_LANES = tuple(_coefficients(*row) for row in _A_ROWS)
+_B_STAGES = np.array([s for s, w in enumerate(_B_ROW) if w != 0.0])
+_E_STAGES = np.array([s for s, w in enumerate(_E_ROW) if w != 0.0])
+_B_LANES = _coefficients(*(_B_ROW[s] for s in _B_STAGES))
+_E_LANES = _coefficients(*(_E_ROW[s] for s in _E_STAGES))
 
 
 def _initial_step_lanes(Y, f0, ueps, ctl: StepControl):
@@ -355,6 +351,8 @@ def trace_lanes(
     ctl = stop.ctl
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"non-finite g = eps * phi_T: {g[~np.isfinite(g)][0]}")
     if g.shape != sgn.shape or not np.all(np.abs(sgn) == 1.0):
         raise ValueError("need one sign of +-1 per lane")
     n = g.size
@@ -497,12 +495,12 @@ def trace_lanes(
         h = np.where(clip, t_limit - t, h)
         KS = np.empty((7, 4, m))
         KS[0] = K1
-        for i, a in enumerate(_A_ROWS, start=1):
+        for i, a in enumerate(_A_LANES, start=1):
             _rhs_lanes(Y + h * np.add.reduce(a * KS[:i], axis=0), ueps, KS[i])
-        Yn = Y + h * np.add.reduce(_B_ROW * KS.take(_B_STAGES, axis=0), axis=0)
+        Yn = Y + h * np.add.reduce(_B_LANES * KS.take(_B_STAGES, axis=0), axis=0)
         tn = t + h
         _rhs_lanes(Yn, ueps, KS[6])
-        e = h * np.add.reduce(_E_ROW * KS.take(_E_STAGES, axis=0), axis=0)
+        e = h * np.add.reduce(_E_LANES * KS.take(_E_STAGES, axis=0), axis=0)
         err = _rms4(e / (ctl.atol + ctl.rtol * np.maximum(np.abs(Y), np.abs(Yn))))
 
         # Step-size control: max(0.2, .) also sends a non-finite error to 0.2,
@@ -628,6 +626,10 @@ class SweepPolicy:
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        for name in ("phi_max_scaled", "refine_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def phi_grid(points: int, gmax: float) -> list[float]:
@@ -849,6 +851,10 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
     bisected down to width ``tol``.  Every eps is scanned at most once, so
     the checks cost nothing for the ends the two searches already answered.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        # The bisection below stops on width tol; once its midpoint rounds to
+        # an end, a smaller tol would loop forever on cached answers.
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     target = n + 1
     answers: dict[float, bool] = {}
 

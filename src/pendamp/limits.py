@@ -174,6 +174,8 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
     The inner integral equals 4 K(2/e)/sqrt(e), log-divergent as e -> 2+ and
     integrable in the outer variable.
     """
+    if not math.isfinite(E):
+        raise ValueError(f"energy must be finite, got {E}")
     if E < 2.0:
         raise ValueError(f"energy {E} below the separatrix")
     if E == 2.0:
@@ -189,8 +191,8 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
 def tau(E: float, tol: float = 1e-9) -> QuadratureResult:
     """Piecewise damping-time limit: tau_minus below the separatrix,
     tau_plus(E) + tau_minus(2) above it; continuous at E = 2."""
-    if E <= 0.0:
-        raise ValueError(f"energy must be positive, got {E}")
+    if not (math.isfinite(E) and E > 0.0):
+        raise ValueError(f"energy must be positive and finite, got {E}")
     if E <= 2.0:
         return tau_minus(E, tol)
     lo = tau_minus(2.0, tol)
@@ -381,51 +383,44 @@ class PathPiece:
     v_end: float
 
 
+def _advance(zone: str, v: float, u: float, dt: float) -> float:
+    """Closed-form state of the averaged system after time ``dt`` under the
+    constant control ``u``, from amplitude X = v (low zone) or section speed
+    Y = v (high zone): G(X) = G(v) + u dt, or Y^2 = v^2 + 4 pi u dt."""
+    if u == 0.0:
+        return v
+    if zone == "low":
+        return _invert_progress(swing_progress(v) + u * dt)
+    return math.sqrt(max(v * v + 4.0 * math.pi * u * dt, 0.0))
+
+
 @dataclass(frozen=True)
 class LimitPath:
     """Averaged-system solution on a piecewise-constant control profile.
 
-    ``values`` holds X(t) (low zone, amplitude) or Y(t) (high zone, section
-    speed) on the sample grid; ``pieces`` carry the exact closed-form solution
-    so :meth:`value_at` is not an interpolation.
+    Each piece holds its control and the state X (low zone, amplitude) or Y
+    (high zone, section speed) at both of its ends; :meth:`value_at`
+    evaluates the piece's closed form, so it is not an interpolation.
     """
 
     zone: str
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    controls: tuple[float, ...]
     pieces: tuple[PathPiece, ...]
     total_time: float
 
     def value_at(self, t: float) -> float:
-        if t <= 0.0:
-            return self.values[0]
-        if t >= self.total_time:
-            return self.values[-1]
+        """X(t) or Y(t), held at its end values outside [0, total_time]."""
         for pc in self.pieces:
-            if pc.t_start <= t <= pc.t_end:
-                if pc.u == 0.0:
-                    return pc.v_start
-                dt = t - pc.t_start
-                if self.zone == "low":
-                    g = swing_progress(pc.v_start) + pc.u * dt
-                    return _invert_progress(g)
-                sq = pc.v_start ** 2 + 4.0 * math.pi * pc.u * dt
-                return math.sqrt(max(sq, 0.0))
-        return self.values[-1]
-
-    def control_at(self, t: float) -> float:
-        for pc in self.pieces:
-            if pc.t_start <= t <= pc.t_end:
-                return pc.u
-        return self.pieces[-1].u
+            if t < pc.t_end:
+                return _advance(self.zone, pc.v_start, pc.u, max(t - pc.t_start, 0.0))
+        return self.pieces[-1].v_end
 
 
-def limit_ode_solve(zone: str, init: float, profile, step: float = 1e-2) -> LimitPath:
+def limit_ode_solve(zone: str, init: float, profile) -> LimitPath:
     """Solve the averaged system exactly on constant-control pieces.
 
-    ``profile`` is an iterable of (control, duration) pairs; a duration of
-    None means "run until the state reaches 0" and needs a negative control.
+    ``profile`` is a nonempty iterable of (control, duration) pairs; a
+    duration of None means "run until the state reaches 0" and needs a
+    negative control.  The path ends early once the state reaches 0.
     Low zone: (sin X / 2X) dX/dt = U with X in (0, pi].
     High zone: Y dY/dt = 2 pi U with Y > 0.
     """
@@ -436,9 +431,6 @@ def limit_ode_solve(zone: str, init: float, profile, step: float = 1e-2) -> Limi
     if zone == "high" and init <= 0.0:
         raise ValueError(f"high-zone speed {init} must be positive")
 
-    times = [0.0]
-    values = [float(init)]
-    controls: list[float] = []
     pieces: list[PathPiece] = []
     t = 0.0
     v = float(init)
@@ -453,31 +445,21 @@ def limit_ode_solve(zone: str, init: float, profile, step: float = 1e-2) -> Limi
         if dur < 0.0:
             raise ValueError("piece duration must be nonnegative")
         if zone == "low":
-            g0 = swing_progress(v)
-            g_end = g0 + u * dur
+            g_end = swing_progress(v) + u * dur
             if g_end < -1e-12 or g_end > swing_progress(math.pi) + 1e-12:
                 raise ValueError("control drives the amplitude out of (0, pi]")
         else:
             if v * v + 4.0 * math.pi * u * dur < -1e-12:
                 raise ValueError("control drives the speed below 0")
-        n_sub = max(1, int(math.ceil(dur / step)))
-        for i in range(1, n_sub + 1):
-            dt = dur * i / n_sub
-            if u == 0.0:
-                val = v
-            elif zone == "low":
-                val = _invert_progress(g0 + u * dt)
-            else:
-                val = math.sqrt(max(v * v + 4.0 * math.pi * u * dt, 0.0))
-            times.append(t + dt)
-            values.append(val)
-            controls.append(u)
-        pieces.append(PathPiece(t, t + dur, u, v, values[-1]))
+        v_end = _advance(zone, v, u, dur)
+        pieces.append(PathPiece(t, t + dur, u, v, v_end))
         t += dur
-        v = values[-1]
+        v = v_end
         if v <= 0.0:
             break
-    return LimitPath(zone, tuple(times), tuple(values), tuple(controls), tuple(pieces), t)
+    if not pieces:
+        raise ValueError("empty control profile")
+    return LimitPath(zone, tuple(pieces), t)
 
 
 @dataclass(frozen=True)

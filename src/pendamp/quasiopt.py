@@ -19,9 +19,9 @@ machine built from smooth constant-control arcs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dynamics import Params, PhaseState, ZoneTag, energy_xy, reduce_angle, zone_xy
+from .dynamics import Params, PhaseState, ZoneTag, energy_xy, pendulum_rhs, reduce_angle, zone_xy
 from .integrator import (
     ANY,
     STOP_TERMINAL,
@@ -51,19 +51,25 @@ class DampingNonConvergence(Exception):
         self.reason = reason
 
 
+# The standstill zones |sin x| < ZONE_FACTOR eps, |y| < ZONE_FACTOR eps, and
+# the per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).  Every arc runs
+# under the integrator's error control without interpolated samples.
+ZONE_FACTOR = 2.0
+COAST_BASE = 16.0
+COAST_LOG = 4.0
+CTL = StepControl(interp_tol=None)
+
+
 @dataclass(frozen=True)
 class CapturePolicy:
-    """Capture threshold and budgets of the damping simulation."""
+    """Capture threshold and time budget of the damping simulation.
 
-    k_cap: float = 4.0           # capture at energy <= k_cap * eps^2 inside the lower zone
-    budget_factor: float = 64.0  # total simulated time budget = factor / eps
-    coast_base: float = 16.0     # per-arc coast budget = coast_base + coast_log*log(1/eps)
-    coast_log: float = 4.0
-    zone_factor: float = 2.0
-    ctl: StepControl = field(default_factory=lambda: StepControl(interp_tol=None))
+    The run is captured at energy <= k_cap * eps^2 inside the lower
+    standstill zone, and gives up after budget_factor / eps time units.
+    """
 
-    def coast_budget(self, eps: float) -> float:
-        return self.coast_base + self.coast_log * math.log(1.0 / eps)
+    k_cap: float = 4.0
+    budget_factor: float = 64.0
 
 
 @dataclass(frozen=True)
@@ -116,37 +122,32 @@ def simulate_damping(
     policy: CapturePolicy | None = None,
     keep_samples: bool = True,
 ) -> DampingResult:
-    """Run the dry-friction mode machine from ``p0`` until capture."""
+    """Run the dry-friction mode machine from ``p0`` until capture.
+
+    Each pass of the loop picks the next arc from the current state.  Coasts
+    and the push away from the saddle are written out in their modes; every
+    dry-friction arc, whatever mode leads to it, runs under u = +-1 to the
+    next rest point in the one block at the end of the loop.
+    """
     if policy is None:
         policy = CapturePolicy()
     eps = p.epsilon
-    if eps > 0.5:
-        raise ValueError(f"quasioptimal regime needs eps <= 0.5, got {eps}")
-    thr = policy.zone_factor * eps
-    if thr >= 1.0:
-        raise ValueError(f"zone_factor * eps = {policy.zone_factor} * {eps} >= 1: "
-                         "the two standstill zones are not disjoint")
+    if eps >= 0.5:
+        raise ValueError(f"quasioptimal regime needs eps < 0.5, got {eps}: the standstill "
+                         f"zones |sin x|, |y| < {ZONE_FACTOR} eps are not disjoint")
+    thr = ZONE_FACTOR * eps
     cap_energy = policy.k_cap * eps * eps
     budget = policy.budget_factor / eps
-    ctl = policy.ctl
+    coast_budget = COAST_BASE + COAST_LOG * math.log(1.0 / eps)
 
-    sin = math.sin
-
-    def rhs_free(t, s):
-        return (s[1], -sin(s[0]))
-
-    def rhs_u(u):
-        pull = eps * u
-
-        def f(t, s):
-            return (s[1], -sin(s[0]) + pull)
-        return f
-
+    rhs_free = pendulum_rhs(0.0)
     ev_rest = EventSpec(lambda t, s: s[1], ANY, True, "rest")
     ev_section = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, False, "section")
     ev_section_stop = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, True, "section")
     ev_bottom_stop = EventSpec(lambda t, s: math.sin(0.5 * s[0]), ANY, True, "bottom")
     ev_leave_saddle = EventSpec(lambda t, s: math.sin(s[0]) ** 2 - thr * thr, ANY, True, "off-saddle")
+    to_rest = [ev_rest]
+    to_rest_via_sections = [ev_rest, ev_section]
 
     t = 0.0
     state = (float(p0.x), float(p0.y))
@@ -197,62 +198,42 @@ def simulate_damping(
             captured = True
             break
 
+        events = to_rest
         if tag is ZoneTag.UPPER and abs(yv) < 1e-9:
-            # Rest near the saddle: wait for the fall through the bottom.
-            seg = integrate(rhs_free, state, t, t + policy.coast_budget(eps),
-                            [ev_bottom_stop], ctl)
-            if seg.stop_reason == STOP_TERMINAL:
-                record(seg, MODE_UPPER, 0.0)
-                prev_arc_dry = False
-                # dry friction from the bottom crossing down to the next rest
-                u = -1 if state[1] > 0.0 else 1
-                seg2 = integrate(rhs_u(u), state, t, t + budget, [ev_rest], ctl)
-                cut = capture_cut(seg2)
-                record(seg2, MODE_DRY, u, cut)
-                if cut is not None:
-                    captured = True
-                    break
-                prev_arc_dry = True
-                continue
-            # Stalled coast: one budgeted push arc accelerating away from the
-            # saddle (increasing |sin x|, i.e. downhill).
+            # Rest near the saddle: wait for the fall through the bottom,
+            # then dry friction from the bottom crossing down to the next rest.
+            seg = integrate(rhs_free, state, t, t + coast_budget, [ev_bottom_stop], CTL)
             record(seg, MODE_UPPER, 0.0)
-            push = -1 if math.sin(x) > 0.0 else 1
-            seg2 = integrate(rhs_u(push), state, t, t + policy.coast_budget(eps),
-                             [ev_leave_saddle], ctl)
-            record(seg2, MODE_UPPER, float(push))
-            prev_arc_dry = False
-            continue
-
-        if en > 2.0 and abs(yv) > thr:
-            # High energy: coast to the section unless already on it.
+            if seg.stop_reason != STOP_TERMINAL:
+                # Stalled coast: one budgeted push arc accelerating away from
+                # the saddle (increasing |sin x|, i.e. downhill).
+                push = -1 if math.sin(x) > 0.0 else 1
+                seg = integrate(pendulum_rhs(eps * push), state, t, t + coast_budget,
+                                [ev_leave_saddle], CTL)
+                record(seg, MODE_UPPER, float(push))
+                prev_arc_dry = False
+                continue
+            u = -1 if state[1] > 0.0 else 1
+        elif en > 2.0 and abs(yv) > thr:
+            # High energy: coast to the section unless already on it, then
+            # dry friction through the rotation regime.
             if abs(math.sin(0.5 * (x - math.pi))) > 1e-9:
-                seg = integrate(rhs_free, state, t, t + policy.coast_budget(eps),
-                                [ev_section_stop], ctl)
+                seg = integrate(rhs_free, state, t, t + coast_budget, [ev_section_stop], CTL)
                 mode = MODE_COAST if seg.stop_reason == STOP_TERMINAL else MODE_UPPER
                 record(seg, mode, 0.0)
                 prev_arc_dry = False
                 if seg.stop_reason != STOP_TERMINAL:
                     continue  # stalled rotation: re-enter mode selection
             u = -1 if state[1] > 0.0 else 1
-            seg = integrate(rhs_u(u), state, t, t + budget, [ev_rest, ev_section], ctl)
-            for ev in seg.events:
-                if ev.label == "section":
-                    sections.append((ev.t, ev.state[1]))
-            cut = capture_cut(seg)
-            record(seg, MODE_DRY, u, cut)
-            if cut is not None:
-                captured = True
-                break
-            prev_arc_dry = True
-            continue
-
-        # Low energy outside the zones.
-        if abs(yv) < 1e-9:
+            events = to_rest_via_sections
+        elif abs(yv) < 1e-9:
+            # Low energy, at rest outside the zones.
             if abs(math.sin(x)) <= eps:
-                # Dry friction cannot overcome gravity here.  A zone_factor
-                # below 1 makes the zones narrower than |sin x| <= eps, so a
-                # rest point can land here outside them.
+                # Dry friction cannot overcome gravity here.  Outside the
+                # zones this needs eps < 5e-10, where the rest test
+                # |y| < 1e-9 is wider than the zone; inside the lower zone,
+                # a k_cap below 1/(1 + sqrt(1 - eps^2)) (0.50-0.54) can leave
+                # such a rest uncaptured.
                 stop = STOP_STALL
                 break
             if prev_arc_dry:
@@ -261,7 +242,12 @@ def simulate_damping(
             u = _rest_control(x, eps)
         else:
             u = -1 if yv > 0.0 else 1
-        seg = integrate(rhs_u(u), state, t, t + budget, [ev_rest], ctl)
+
+        # The dry-friction arc under u to the next rest point.
+        seg = integrate(pendulum_rhs(eps * u), state, t, t + budget, events, CTL)
+        for ev in seg.events:
+            if ev.label == "section":
+                sections.append((ev.t, ev.state[1]))
         cut = capture_cut(seg)
         record(seg, MODE_DRY, u, cut)
         if cut is not None:

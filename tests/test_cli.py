@@ -64,8 +64,11 @@ def test_tau_rejects_nonpositive_energy(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("tau", "--E", "1.0", "--tol", "1e-16"), "above tolerance 1.000e-16"),
     (("simulate", "--x0", "-2.5", "--y0", "0", "--epsilon", "0.5"),
-     "zone_factor * eps = 2.0 * 0.5 >= 1: the two standstill zones are not disjoint"),
-], ids=["quadrature", "merged-zones"])
+     "quasioptimal regime needs eps < 0.5, got 0.5: "
+     "the standstill zones |sin x|, |y| < 2.0 eps are not disjoint"),
+    (("tau", "--E", "nan"), "energy must be positive and finite, got nan"),
+    (("tau", "--E", "inf"), "energy must be positive and finite, got inf"),
+], ids=["quadrature", "merged-zones", "E-nan", "E-inf"])
 def test_computation_failure_exits_1(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -194,7 +197,18 @@ def test_extremals_report(capsys):
     (("extremals", "--epsilon", "0.5", "--grid", "0"), "grid_points must be >= 2, got 0"),
     (("extremals", "--epsilon", "0.5", "--grid", "-3"), "grid_points must be >= 2, got -3"),
     (("bifurcations", "--n-max", "0"), "n_max must be >= 1, got 0"),
-], ids=["grid1", "grid0", "grid-3", "n-max0"])
+    (("bifurcations", "--n-max", "1", "--tol", "0", "--grid", "16"),
+     "tol must be positive and finite, got 0.0"),
+    (("bifurcations", "--n-max", "1", "--tol", "-1", "--grid", "16"),
+     "tol must be positive and finite, got -1.0"),
+    (("bifurcations", "--n-max", "1", "--tol", "nan", "--grid", "16"),
+     "tol must be positive and finite, got nan"),
+    (("extremals", "--epsilon", "0.5", "--grid", "16", "--phi-max", "nan"),
+     "phi_max_scaled must be positive and finite, got nan"),
+    (("extremals", "--epsilon", "0.5", "--grid", "16", "--phi-max", "0"),
+     "phi_max_scaled must be positive and finite, got 0.0"),
+], ids=["grid1", "grid0", "grid-3", "n-max0", "tol0", "tol-1", "tol-nan", "phi-max-nan",
+        "phi-max0"])
 def test_degenerate_sweep_sizes_fail_cleanly(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()

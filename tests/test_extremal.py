@@ -238,8 +238,27 @@ class TestBifurcation:
         (lambda: find_bifurcation(0), "n must be >= 1, got 0"),
         (lambda: bifurcation_table(0), "n_max must be >= 1, got 0"),
         (lambda: SweepPolicy(grid_points=1), "grid_points must be >= 2, got 1"),
-    ], ids=["find_bifurcation", "bifurcation_table", "SweepPolicy"])
-    def test_rejects_degenerate_sizes(self, call, message):
+        (lambda: find_bifurcation(1, tol=0.0), "tol must be positive and finite, got 0.0"),
+        (lambda: find_bifurcation(1, (1.0, 2.0), tol=-1.0),
+         "tol must be positive and finite, got -1.0"),
+        (lambda: bifurcation_table(1, tol=math.nan), "tol must be positive and finite, got nan"),
+        (lambda: SweepPolicy(phi_max_scaled=math.nan),
+         "phi_max_scaled must be positive and finite, got nan"),
+        (lambda: SweepPolicy(phi_max_scaled=0.0),
+         "phi_max_scaled must be positive and finite, got 0.0"),
+        (lambda: SweepPolicy(refine_tol=math.inf), "refine_tol must be positive and finite, got inf"),
+        (lambda: SweepPolicy(refine_tol=-1e-3), "refine_tol must be positive and finite, got -0.001"),
+        (lambda: trace_extremal(math.nan, 1, Params(0.5)), "non-finite g = eps \\* phi_T: nan"),
+        (lambda: extremal.trace_lanes([0.0, math.inf], [1, -1], Params(0.5)),
+         "non-finite g = eps \\* phi_T: inf"),
+    ], ids=["find_bifurcation", "bifurcation_table", "SweepPolicy", "find-tol0", "find-tol-1",
+            "table-tol-nan", "phi_max-nan", "phi_max0", "refine_tol-inf", "refine_tol-neg",
+            "trace_extremal-nan", "trace_lanes-inf"])
+    def test_rejects_degenerate_sizes(self, monkeypatch, call, message):
+        def no_scan(*args, **kw):
+            raise AssertionError("scanned before rejecting the arguments")
+
+        monkeypatch.setattr(extremal, "max_switchings", no_scan)
         with pytest.raises(ValueError, match=message):
             call()
 

@@ -215,15 +215,33 @@ class TestLimitOde:
     def test_low_zone_full_descent_time_is_D(self):
         path = limit_ode_solve("low", math.pi, [(-1.0, None)])
         assert abs(path.total_time - constant_D(1e-11).value) <= 1e-10
-        assert path.values[-1] == 0.0
+        assert path.pieces[-1].v_end == 0.0
+        assert path.value_at(path.total_time) == 0.0
+        assert path.value_at(0.0) == math.pi
 
     def test_high_zone_closed_form(self):
         path = limit_ode_solve("high", 2.0, [(-1.0, None)])
         assert path.total_time == pytest.approx(1.0 / math.pi, abs=1e-12)
+        # Y^2 = 4 - 4 pi t under U = -1
+        assert path.value_at(0.1) == pytest.approx(math.sqrt(4.0 - 0.4 * math.pi), rel=1e-14)
 
     def test_zero_control_is_constant(self):
         path = limit_ode_solve("low", 1.0, [(0.0, 2.0)])
-        assert all(v == 1.0 for v in path.values)
+        assert [(pc.v_start, pc.v_end) for pc in path.pieces] == [(1.0, 1.0)]
+        assert all(path.value_at(t) == 1.0 for t in (-1.0, 0.0, 0.7, 2.0, 3.0))
+
+    def test_piece_ends_are_the_closed_form(self):
+        # Each piece starts where the previous one ends, and value_at meets
+        # both ends of every piece.
+        path = limit_ode_solve("low", 2.8, [(-1.0, 0.3), (0.0, 0.2), (-0.5, 0.4)])
+        assert [pc.u for pc in path.pieces] == [-1.0, 0.0, -0.5]
+        assert path.pieces[0].v_start == 2.8
+        for a, b in zip(path.pieces, path.pieces[1:]):
+            assert b.v_start == a.v_end and b.t_start == a.t_end
+        for pc in path.pieces:
+            assert path.value_at(pc.t_start) == pytest.approx(pc.v_start, rel=1e-15)
+            assert path.value_at(pc.t_end) == pytest.approx(pc.v_end, rel=1e-15)
+        assert path.total_time == pytest.approx(0.9, abs=1e-15)
 
     def test_control_bound(self):
         with pytest.raises(ValueError):
@@ -240,6 +258,7 @@ class TestLimitOde:
             ("low", 1.0, [(1.0, 5.0)], "drives the amplitude out of"),
             ("low", 1.0, [(-1.0, 5.0)], "drives the amplitude out of"),
             ("high", 1.0, [(-1.0, 1.0)], "drives the speed below 0"),
+            ("low", 1.0, [], "empty control profile"),
         ]:
             with pytest.raises(ValueError, match=message):
                 limit_ode_solve(zone, init, profile)
@@ -247,9 +266,13 @@ class TestLimitOde:
     def test_integral_identity_along_path(self):
         # cos X(s) - cos X(t) = 2 * integral_s^t X U dsigma on a mixed profile.
         path = limit_ode_solve("low", 2.8, [(-1.0, 0.3), (0.0, 0.2), (-0.5, 0.4)])
+
+        def control_at(sg):
+            return next(pc.u for pc in path.pieces if sg <= pc.t_end)
+
         for s, t in ((0.0, 0.25), (0.1, 0.62), (0.35, 0.9)):
             lhs = math.cos(path.value_at(s)) - math.cos(path.value_at(t))
-            rhs = 2.0 * quad(lambda sg: path.value_at(sg) * path.control_at(sg),
+            rhs = 2.0 * quad(lambda sg: path.value_at(sg) * control_at(sg),
                              s, t, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -447,7 +470,12 @@ class TestPoincareIterates:
     (lambda: amplitude_from_energy(2.5), "energy 2.5 outside the oscillation range"),
     (lambda: full_turn_time(2.0), "energy 2.0 not in the rotation regime"),
     (lambda: full_turn_time(1.0), "energy 1.0 not in the rotation regime"),
-], ids=["swing_progress", "amplitude-below", "amplitude-above", "turn-at-2", "turn-below"])
+    (lambda: tau(math.nan), "energy must be positive and finite, got nan"),
+    (lambda: tau(math.inf), "energy must be positive and finite, got inf"),
+    (lambda: tau_plus(math.nan), "energy must be finite, got nan"),
+    (lambda: tau_plus(math.inf), "energy must be finite, got inf"),
+], ids=["swing_progress", "amplitude-below", "amplitude-above", "turn-at-2", "turn-below",
+        "tau-nan", "tau-inf", "tau_plus-nan", "tau_plus-inf"])
 def test_rejects_arguments_outside_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
