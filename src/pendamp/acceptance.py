@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import limits, linosc
 from .dynamics import Params, PhaseState, energy_xy
-from .extremal import SweepPolicy, bifurcation_table, max_switchings
+from .extremal import SPACING_TOLERANCE, SweepPolicy, bifurcation_table, max_switchings
 from .quasiopt import simulate_damping, sweep_scaling
 
 D_TARGET = 0.925968526
@@ -127,9 +127,9 @@ def criterion_07(cache) -> tuple[bool, str]:
         for diag in res.runs:
             if diag.min_gap is not None:
                 min_gap = min(min_gap, diag.min_gap)
-    ok = min_gap >= math.pi - 1e-6
+    ok = min_gap >= math.pi - SPACING_TOLERANCE
     return ok, (
-        f"min switch gap = {min_gap:.9f} vs pi - 1e-6 = {math.pi - 1e-6:.9f} "
+        f"min switch gap = {min_gap:.9f} vs pi - 1e-6 = {math.pi - SPACING_TOLERANCE:.9f} "
         f"over {n_runs} runs at eps in {EXTREMAL_EPS_LIST}")
 
 

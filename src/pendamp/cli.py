@@ -16,7 +16,6 @@ from . import acceptance, limits, linosc
 from .dynamics import Params, PhaseState, energy_xy
 from .extremal import (
     BracketError,
-    StopPolicy,
     SweepPolicy,
     bifurcation_table,
     max_switchings,
@@ -161,8 +160,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_extremals(args) -> int:
-    policy = SweepPolicy(grid_points=args.grid, phi_max_scaled=args.phi_max,
-                         stop=StopPolicy())
+    policy = SweepPolicy(grid_points=args.grid, phi_max_scaled=args.phi_max)
     res = max_switchings(Params(args.epsilon), policy)
     payload = {
         "epsilon": args.epsilon,
@@ -188,7 +186,7 @@ def cmd_extremals(args) -> int:
 
 
 def cmd_bifurcations(args) -> int:
-    policy = SweepPolicy(grid_points=args.grid, stop=StopPolicy())
+    policy = SweepPolicy(grid_points=args.grid)
     tab = bifurcation_table(args.n_max, tol=args.tol, policy=policy)
     if args.format == "csv":
         _write_rows_csv(args.out, ["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"],

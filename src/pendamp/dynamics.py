@@ -14,6 +14,12 @@ import math
 from dataclasses import dataclass
 
 
+# The standstill zone |sin x| < ZONE_FACTOR eps, |y| < ZONE_FACTOR eps: the
+# backward extremals stop on re-entering it, and the damping simulation
+# captures and resolves stalls inside it.
+ZONE_FACTOR = 2.0
+
+
 class ZoneTag(enum.Enum):
     """Which connected component of the standstill zone contains a state."""
 
@@ -87,7 +93,7 @@ def energy_xy(x: float, y: float) -> float:
     return 0.5 * y * y + (1.0 - math.cos(x))
 
 
-def standstill_zone(s: PhaseState, p: Params, factor: float = 2.0) -> ZoneTag:
+def standstill_zone(s: PhaseState, p: Params, factor: float = ZONE_FACTOR) -> ZoneTag:
     """Classify a state against the standstill zone |sin x| < f*eps, |y| < f*eps.
 
     The zone has two components for f*eps < 1; the sign of cos x picks the one

@@ -19,13 +19,12 @@ control sign are scale invariant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import Params, in_zone_xy
+from .dynamics import ZONE_FACTOR, Params, in_zone_xy
 from .integrator import (
     _A_ROWS, _B_ROW, _E_ROW, _P,
     STOP_STEP_FAILURE,
@@ -42,53 +41,53 @@ STOP_OPTIMALITY = "optimality budget"
 
 SPACING_TOLERANCE = 1e-6  # slack on the pi lower bound for switch spacing
 
+# A trace stops when |y| rises through SPEED_EXIT, which forces energy
+# > 2.5; past the last y-zero at most one further switching can occur, and
+# ExtremalRun.allowed_count grants it.
+SPEED_EXIT = math.sqrt(5.0)
+
+# The optimality screen separates candidates for optimal trajectories from
+# the rest of the extremal family: no admissible control pumps energy faster
+# than |dE/dt| = eps |y|, so a backward run that has been alive longer than
+# the attainable damping time from its current state, tau(E)/eps plus
+# OPTIMALITY_SLACK, is already past any optimal portion and is cut.  Without
+# the screen the family maximum is set by non-optimal wandering extremals
+# that pump energy up and down indefinitely, and the switching-count
+# asymptotics degenerate to the raw time budget.  The established
+# maximizer's measured excess over tau(E)/eps stays below 0.2 time units
+# across the asymptotic range; 0.7 admits it with a 3x margin while
+# rejecting newborn switching branches that slower, still-dominated
+# extremals would add.
+OPTIMALITY_SLACK = 0.7
+
 
 @dataclass(frozen=True)
 class StopPolicy:
-    """Truncation policy for backward traces.
+    """Time budget and step control of backward traces.
 
-    A trace stops at the first of: speed exit |y| > speed_exit (which forces
-    energy > energy_exit, and after which at most one further switching can
-    ever occur, accounted by a +1 allowance), the time budget, entry into the
-    standstill zone after first leaving it, the optimality budget, or a step
-    failure.
-
-    The optimality budget is the screen that separates candidates for optimal
-    trajectories from the rest of the extremal family: no admissible control
-    pumps energy faster than |dE/dt| = eps |y|, so a backward run that has
-    been alive longer than the attainable damping time from its current state
-    (tau(E)/eps plus an additive slack) is already past any optimal portion
-    and is cut.  Without this screen the family maximum is set by non-optimal
-    wandering extremals that pump energy up and down indefinitely, and the
-    switching-count asymptotics degenerate to the raw time budget.
-
-    The slack is calibrated against the established maximizer's measured
-    excess over tau(E)/eps, which stays below 0.2 time units across the
-    asymptotic range; 0.7 admits it with a 3x margin while rejecting newborn
-    switching branches that slower, still-dominated extremals would add.
+    A trace stops at the first of: the speed exit (SPEED_EXIT), the time
+    budget time_budget_factor / eps, entry into the standstill zone
+    (dynamics.ZONE_FACTOR) after first leaving it, the optimality screen
+    (OPTIMALITY_SLACK), or a step failure under ``ctl``.  The time budget is
+    a safety net: the screen cuts every run by tau(E)/eps + 0.7 <= 5.22/eps
+    + 0.7, which is under the default 8/eps for eps < 3.9.
     """
 
-    energy_exit: float = 2.5
-    speed_exit: float | None = None  # None -> sqrt(2 * energy_exit)
-    time_budget_factor: float = 8.0  # budget = factor / eps
-    standstill_factor: float = 2.0
-    optimality_budget: bool = True
-    slack_base: float = 0.7
-    slack_log: float = 0.0  # slack = slack_base + slack_log * log(1/eps)
+    time_budget_factor: float = 8.0
     ctl: StepControl = field(default_factory=lambda: StepControl(interp_tol=None))
 
-    def speed_threshold(self) -> float:
-        return self.speed_exit if self.speed_exit is not None else math.sqrt(2.0 * self.energy_exit)
 
-    def slack(self, eps: float) -> float:
-        return self.slack_base + self.slack_log * math.log(1.0 / eps)
-
-
-# tau(E) at the knots of _tau_table: 0 at E = 0, then limits.tau(E, 1e-9).value
-# at each further knot, written with repr.  Written out, the table costs the
-# first trace no quadrature and no scipy import; tests/test_extremal.py checks
-# it against limits.tau.
-_TAU_VALUES = (
+# tau(E) on knots log-dense toward the separatrix E = 2, which resolve the
+# -h log h behaviour of tau_minus there.  The values are 0 at E = 0, then
+# limits.tau(E, 1e-9).value at each further knot, written with repr.
+# Written out, the table costs the first trace no quadrature and no scipy
+# import; tests/test_extremal.py checks it against limits.tau.
+_TAU_KNOTS = np.array(
+    [0.0]
+    + [2.0 * (i / 40) ** 1.5 for i in range(1, 41)]  # oscillation branch
+    + [2.0 + (i / 24.0) ** 1.5 * 4.0 for i in range(1, 25)]  # rotation branch
+)
+_TAU_VALUES = np.array((
     0.0, 0.19753890089858295, 0.33228657593368494,
     0.45050067839181585, 0.5591595672422258, 0.6612629314513705,
     0.7584626761661014, 0.8517961569272777, 0.9419713471582934,
@@ -111,23 +110,16 @@ _TAU_VALUES = (
     4.650732767706665, 4.732830292487632, 4.814585572274002,
     4.895980923551947, 4.97700335954739, 5.057643665239851,
     5.1378956617899085, 5.21775561818078,
-)
+))
+_TAU_WIDTH, _TAU_RISE = np.diff(_TAU_KNOTS), np.diff(_TAU_VALUES)
 
 
-@functools.cache
-def _tau_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Knots and values of the damping-time limit tau(E).
-
-    Log-dense knots near the separatrix resolve the -h log h behaviour of
-    tau_minus there.
-    """
-    knots = [0.0]
-    k = 40
-    for i in range(1, k + 1):  # oscillation branch, dense toward E = 2
-        knots.append(2.0 * (i / k) ** 1.5)
-    for i in range(1, 25):  # rotation branch
-        knots.append(2.0 + (i / 24.0) ** 1.5 * 4.0)
-    return tuple(knots), _TAU_VALUES
+def _tau_bound(E):
+    """tau(E) interpolated linearly between the knots, clamped at both ends, elementwise."""
+    i = np.searchsorted(_TAU_KNOTS[1:-1], E, side="right")  # knots[i] <= E < knots[i + 1]
+    w = (E - _TAU_KNOTS.take(i)) / _TAU_WIDTH.take(i)
+    inside = _TAU_VALUES.take(i) + w * _TAU_RISE.take(i)
+    return np.where(E <= 0.0, 0.0, np.where(E >= _TAU_KNOTS[-1], _TAU_VALUES[-1], inside))
 
 
 @dataclass
@@ -191,10 +183,10 @@ class RunDiagnostics:
         return asdict(self)
 
 
-def run_diagnostics(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) -> RunDiagnostics:
+def run_diagnostics(run: ExtremalRun) -> RunDiagnostics:
     """Summarise a run and check the Sturm properties of its switchings.
 
-    Adjacent switchings lie at least pi apart (less ``spacing_tol``) and,
+    Adjacent switchings lie at least pi apart (less SPACING_TOLERANCE) and,
     across an arc clear of the standstill zone, have velocities of opposite
     sign with exactly one zero of y between them.
     """
@@ -216,7 +208,7 @@ def run_diagnostics(run: ExtremalRun, spacing_tol: float = SPACING_TOLERANCE) ->
         duration=run.duration,
         min_gap=min_gap,
         zone_switches=sum(run.switch_in_zone),
-        spacing_ok=min_gap is None or min_gap >= math.pi - spacing_tol,
+        spacing_ok=min_gap is None or min_gap >= math.pi - SPACING_TOLERANCE,
         interleaving_ok=interleaving_ok,
         lemma_bound_ok=run.switch_count <= run.duration / math.pi + 1.0 + 1e-12,
         max_h_residual=run.max_hamiltonian_residual,
@@ -277,22 +269,6 @@ def _initial_step_lanes(Y, f0, ueps, ctl: StepControl):
         dm = np.maximum(d1, d2)
         h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / dm, 0.2))
     return -np.minimum(np.minimum(100.0 * h0, h1), ctl.max_step)
-
-
-def _tau_bound_lanes():
-    """Elementwise linear interpolation of the tau(E) table, clamped at both ends."""
-    knots, vals = (np.asarray(v) for v in _tau_table())
-    inner = knots[1:-1]
-    k_lo, k_width = knots[:-1], knots[1:] - knots[:-1]
-    v_lo, v_rise = vals[:-1], vals[1:] - vals[:-1]
-
-    def bound(E):
-        i = np.searchsorted(inner, E, side="right")  # knots[i] <= E < knots[i + 1]
-        w = (E - k_lo.take(i)) / k_width.take(i)
-        inside = v_lo.take(i) + w * v_rise.take(i)
-        return np.where(E <= 0.0, 0.0, np.where(E >= knots[-1], vals[-1], inside))
-
-    return bound
 
 
 def _dense_component(t_old: float, h: float, y_old: float, ks):
@@ -357,15 +333,12 @@ def trace_lanes(
         raise ValueError("need one sign of +-1 per lane")
     n = g.size
     phi_T = g / eps
-    y_stop2 = stop.speed_threshold() ** 2
+    y_stop2 = SPEED_EXIT ** 2
     t_budget = stop.time_budget_factor / eps
     t_limit = -t_budget
-    thr = stop.standstill_factor * eps
+    thr = ZONE_FACTOR * eps
     zone_on = thr < 1.0
-    use_opt = stop.optimality_budget
-    slack = stop.slack(eps)
     max_arcs = int(t_budget / math.pi) + 8
-    tau_bound = _tau_bound_lanes() if use_opt else None
 
     # State of the active lanes; `lane` maps them back to the input order.
     # The event values at the last sample are those of Y: every sample
@@ -406,10 +379,9 @@ def trace_lanes(
         cut = np.where(zone & armed, _CUT_STANDSTILL, _NO_CUT)
         touched[...] |= zone
         armed[...] |= on & ~zone
-        if use_opt:
-            en = 0.5 * yv * yv + 1.0 - np.cos(x)
-            over = (-t > tau_bound(en) / eps + slack) & on
-            cut[over & (cut == _NO_CUT)] = _CUT_OPTIMALITY
+        en = 0.5 * yv * yv + 1.0 - np.cos(x)
+        over = (-t > _tau_bound(en) / eps + OPTIMALITY_SLACK) & on
+        cut[over & (cut == _NO_CUT)] = _CUT_OPTIMALITY
         r = np.abs(yv * Y[2] - sx * Y[3] + eps * np.abs(Y[3]) - eps)
         np.fmax(maxres, r, out=maxres, where=on & (cut == _NO_CUT))
         return cut, zone
@@ -466,11 +438,11 @@ def trace_lanes(
 
     done = np.zeros(n, dtype=bool)
     start_arcs(np.arange(n))
-    cuts, _ = check(np.ones(n, dtype=bool))
+    # No cut can fire at t = 0, where the zone is not armed yet and the run
+    # is 0.7 below the screen's line; the check still marks the arc as
+    # touching the zone, arms lanes outside it and takes the residual.
+    check(np.ones(n, dtype=bool))
     witness = False
-    for k in cuts.nonzero()[0]:
-        witness |= finish(k, _CUT_REASON[cuts[k]])
-
     attempts = 0
     while not witness:
         if np.count_nonzero(done):

@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import Params, PhaseState, ZoneTag, energy_xy, pendulum_rhs, reduce_angle, zone_xy
+from .dynamics import (
+    ZONE_FACTOR, Params, PhaseState, ZoneTag, energy_xy, pendulum_rhs, reduce_angle, zone_xy,
+)
 from .integrator import (
     ANY,
     STOP_TERMINAL,
@@ -51,10 +53,8 @@ class DampingNonConvergence(Exception):
         self.reason = reason
 
 
-# The standstill zones |sin x| < ZONE_FACTOR eps, |y| < ZONE_FACTOR eps, and
-# the per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).  Every arc runs
-# under the integrator's error control without interpolated samples.
-ZONE_FACTOR = 2.0
+# The per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).  Every arc
+# runs under the integrator's error control without interpolated samples.
 COAST_BASE = 16.0
 COAST_LOG = 4.0
 CTL = StepControl(interp_tol=None)
@@ -66,6 +66,10 @@ class CapturePolicy:
 
     The run is captured at energy <= k_cap * eps^2 inside the lower
     standstill zone, and gives up after budget_factor / eps time units.
+    :func:`simulate_damping` rejects a budget_factor that is not positive
+    and finite, and a k_cap that is not finite or is below
+    1/(1 + sqrt(1 - eps^2)): a rest at sin x = eps has energy
+    eps^2/(1 + sqrt(1 - eps^2)), and a smaller k_cap cannot capture it.
     """
 
     k_cap: float = 4.0
@@ -135,6 +139,12 @@ def simulate_damping(
     if eps >= 0.5:
         raise ValueError(f"quasioptimal regime needs eps < 0.5, got {eps}: the standstill "
                          f"zones |sin x|, |y| < {ZONE_FACTOR} eps are not disjoint")
+    if not (math.isfinite(policy.budget_factor) and policy.budget_factor > 0.0):
+        raise ValueError(f"budget_factor must be positive and finite, got {policy.budget_factor}")
+    k_min = 1.0 / (1.0 + math.sqrt(1.0 - eps * eps))
+    if not (math.isfinite(policy.k_cap) and policy.k_cap >= k_min):
+        raise ValueError(f"k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = {k_min:.6g}"
+                         f" at eps={eps}, got {policy.k_cap}")
     thr = ZONE_FACTOR * eps
     cap_energy = policy.k_cap * eps * eps
     budget = policy.budget_factor / eps
@@ -231,9 +241,7 @@ def simulate_damping(
             if abs(math.sin(x)) <= eps:
                 # Dry friction cannot overcome gravity here.  Outside the
                 # zones this needs eps < 5e-10, where the rest test
-                # |y| < 1e-9 is wider than the zone; inside the lower zone,
-                # a k_cap below 1/(1 + sqrt(1 - eps^2)) (0.50-0.54) can leave
-                # such a rest uncaptured.
+                # |y| < 1e-9 is wider than the zone.
                 stop = STOP_STALL
                 break
             if prev_arc_dry:

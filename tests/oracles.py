@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 from scipy.special import ellipk
 
-from pendamp.dynamics import Params, PhaseState, in_zone_xy
+from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, in_zone_xy
 from pendamp.extremal import (
+    _TAU_KNOTS,
+    _TAU_VALUES,
+    OPTIMALITY_SLACK,
+    SPEED_EXIT,
     STOP_ENERGY_EXIT,
     STOP_OPTIMALITY,
     STOP_STANDSTILL,
     STOP_TIME_BUDGET,
     ExtremalRun,
     StopPolicy,
-    _tau_table,
 )
 from pendamp.integrator import (
     ANY,
@@ -43,27 +46,28 @@ from pendamp.limits import (
 
 # ------------------------------------------------------------ extremals
 
+_KNOTS, _VALUES = _TAU_KNOTS.tolist(), _TAU_VALUES.tolist()
+
 
 def _tau_bound(E: float) -> float:
-    """Piecewise-linear interpolation of the tau(E) table.
+    """Piecewise-linear interpolation of the tau(E) table, by bisection.
 
     Above the table range the bound is clamped (the speed exit fires long
     before that matters).
     """
-    knots, vals = _tau_table()
     if E <= 0.0:
         return 0.0
-    if E >= knots[-1]:
-        return vals[-1]
-    lo, hi = 0, len(knots) - 1
+    if E >= _KNOTS[-1]:
+        return _VALUES[-1]
+    lo, hi = 0, len(_KNOTS) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if knots[mid] <= E:
+        if _KNOTS[mid] <= E:
             lo = mid
         else:
             hi = mid
-    w = (E - knots[lo]) / (knots[hi] - knots[lo])
-    return vals[lo] + w * (vals[hi] - vals[lo])
+    w = (E - _KNOTS[lo]) / (_KNOTS[hi] - _KNOTS[lo])
+    return _VALUES[lo] + w * (_VALUES[hi] - _VALUES[lo])
 
 
 @dataclass
@@ -92,11 +96,11 @@ def oracle_trace_extremal(
     if stop is None:
         stop = StopPolicy()
     eps = p.epsilon
-    y_stop2 = stop.speed_threshold() ** 2
+    y_stop2 = SPEED_EXIT ** 2
     t_budget = stop.time_budget_factor / eps
     # Above factor*eps = 1 the two zone components merge and the standstill
     # stop is meaningless; traces there exit on speed long before it matters.
-    thr = stop.standstill_factor * eps
+    thr = ZONE_FACTOR * eps
     zone_on = thr < 1.0
     ctl = stop.ctl
 
@@ -130,8 +134,6 @@ def oracle_trace_extremal(
     end_t = 0.0
     max_arcs = int(t_budget / math.pi) + 8
 
-    use_opt = stop.optimality_budget
-    slack = stop.slack(eps)
     for _ in range(max_arcs):
         seg = integrate(rhs_plus if u > 0 else rhs_minus, state, t, -t_budget, events, ctl)
 
@@ -149,12 +151,11 @@ def oracle_trace_extremal(
                     break
             else:
                 armed = True
-            if use_opt:
-                en = 0.5 * yv * yv + 1.0 - math.cos(x)
-                if -seg.times[i] > _tau_bound(en) / eps + slack:
-                    cut = i
-                    cut_reason = STOP_OPTIMALITY
-                    break
+            en = 0.5 * yv * yv + 1.0 - math.cos(x)
+            if -seg.times[i] > _tau_bound(en) / eps + OPTIMALITY_SLACK:
+                cut = i
+                cut_reason = STOP_OPTIMALITY
+                break
             r = yv * st[2] - sx * st[3] + eps * abs(st[3]) - eps
             if abs(r) > max_res:
                 max_res = abs(r)

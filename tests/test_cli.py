@@ -61,6 +61,10 @@ def test_tau_rejects_nonpositive_energy(capsys):
     assert code == 1
 
 
+SIMULATE = ("simulate", "--x0", "-2.5", "--y0", "0", "--epsilon", "0.1")
+K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at eps=0.1"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("tau", "--E", "1.0", "--tol", "1e-16"), "above tolerance 1.000e-16"),
     (("simulate", "--x0", "-2.5", "--y0", "0", "--epsilon", "0.5"),
@@ -68,7 +72,15 @@ def test_tau_rejects_nonpositive_energy(capsys):
      "the standstill zones |sin x|, |y| < 2.0 eps are not disjoint"),
     (("tau", "--E", "nan"), "energy must be positive and finite, got nan"),
     (("tau", "--E", "inf"), "energy must be positive and finite, got inf"),
-], ids=["quadrature", "merged-zones", "E-nan", "E-inf"])
+    (SIMULATE + ("--budget", "nan"), "budget_factor must be positive and finite, got nan"),
+    (SIMULATE + ("--budget", "inf"), "budget_factor must be positive and finite, got inf"),
+    (SIMULATE + ("--budget", "-1"), "budget_factor must be positive and finite, got -1.0"),
+    (SIMULATE + ("--capture-k", "-1"), f"{K_CAP_BOUND}, got -1.0"),
+    (SIMULATE + ("--capture-k", "nan"), f"{K_CAP_BOUND}, got nan"),
+    (("sweep", "--x0", "-2.5", "--y0", "0", "--eps-list", "0.1,0.05", "--budget", "nan"),
+     "budget_factor must be positive and finite, got nan"),
+], ids=["quadrature", "merged-zones", "E-nan", "E-inf", "budget-nan", "budget-inf", "budget-1",
+        "capture-k-1", "capture-k-nan", "sweep-budget-nan"])
 def test_computation_failure_exits_1(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -13,7 +13,6 @@ from pendamp.extremal import (
     STOP_ENERGY_EXIT,
     BracketError,
     ExtremalRun,
-    StopPolicy,
     SweepPolicy,
     _rhs_lanes,
     bifurcation_table,
@@ -27,7 +26,6 @@ from pendamp.limits import constant_D
 from oracles import oracle_trace_extremal
 
 D = 0.925968526
-FAST_STOP = StopPolicy()
 
 
 def small_sweep(eps, grid=96):
@@ -361,11 +359,6 @@ class TestBracketErrors:
 
 
 class TestStopPolicy:
-    def test_speed_threshold_default(self):
-        sp = StopPolicy()
-        assert sp.speed_threshold() == pytest.approx(math.sqrt(5.0), abs=1e-15)
-        assert StopPolicy(speed_exit=3.0).speed_threshold() == 3.0
-
     def test_exit_runs_reach_threshold(self):
         p = Params(0.2)
         res = small_sweep(0.2, grid=64)
@@ -392,10 +385,10 @@ def test_sweep_wide_hamiltonian_residual():
     assert worst <= 1e-7
 
 
-def test_tau_table_values_are_tau_at_the_knots():
+def test_tau_values_are_tau_at_the_knots():
     # The table is written out as literals; QUADPACK's last bits may differ
     # between scipy versions, so the check is relative, not bitwise.
-    knots, values = extremal._tau_table()
+    knots, values = extremal._TAU_KNOTS, extremal._TAU_VALUES
     assert len(knots) == len(values) == 65
     assert knots[0] == values[0] == 0.0
     for e, v in zip(knots[1:], values[1:]):

@@ -10,14 +10,18 @@ from pendamp.acceptance import EXTREMAL_EPS_LIST
 from pendamp.dynamics import Params
 from pendamp.extremal import (
     STOP_ENERGY_EXIT,
+    STOP_OPTIMALITY,
+    STOP_STANDSTILL,
+    STOP_TIME_BUDGET,
     StopPolicy,
     SweepPolicy,
+    _dense_component,
     max_switchings,
     phi_grid,
     run_diagnostics,
     trace_lanes,
 )
-from pendamp.integrator import StepControl
+from pendamp.integrator import STOP_STEP_FAILURE, StepControl, _make_dense
 from oracles import oracle_trace_extremal
 
 GRID = 48
@@ -113,20 +117,45 @@ def test_every_grid_lane_matches_oracle(eps):
     assert_mirror_pairs(jobs, runs)
 
 
+def test_dense_component_is_the_integrators_dense_output():
+    # The kernel locates its events on _dense_component; it must give, bit
+    # for bit, the component of the integrator's dense output.
+    rng = random.Random(5)
+    for _ in range(2000):
+        t_old, h = rng.uniform(-60.0, 0.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.5)
+        y_old = [rng.uniform(-4.0, 4.0) for _ in range(4)]
+        stages = [[rng.uniform(-4.0, 4.0) for _ in range(4)] for _ in range(7)]
+        dense = _make_dense(t_old, h, y_old, stages)
+        times = [t_old, t_old + h] + [t_old + rng.random() * h for _ in range(4)]
+        for c in range(4):
+            value = _dense_component(t_old, h, y_old[c], [k[c] for k in stages])
+            for t in times:
+                assert value(t) == dense(t)[c], (t_old, h, c, t)
+
+
 def ctl(**kw):
     return StepControl(interp_tol=None, **kw)
 
 
-# Between them, at eps 0.5 and 0.2 on grid 16, these reach every stop reason.
-@pytest.mark.parametrize("stop", [
-    StopPolicy(optimality_budget=False),                              # standstill and exits
-    StopPolicy(time_budget_factor=1.0),                               # time budget
-    StopPolicy(standstill_factor=10.0),                               # no standstill zone
-    StopPolicy(slack_base=-1.0),                                      # cut at the first sample
-    StopPolicy(ctl=ctl(max_steps=40)),                                # step budget
-    StopPolicy(ctl=ctl(min_step=0.05, rtol=1e-13, atol=1e-15)),       # step failure
-], ids=["no-optimality", "short-budget", "no-zone", "negative-slack", "max-steps", "min-step"])
-def test_every_stop_policy_matches_oracle(stop):
+# Each policy with the stop reasons its runs reach at eps 0.5 and 0.2 on grid 16.
+STOP_POLICIES = {
+    "default": (StopPolicy(), {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL}),
+    "short-budget": (StopPolicy(time_budget_factor=1.0), {STOP_TIME_BUDGET}),
+    "max-steps": (StopPolicy(ctl=ctl(max_steps=40)), {STOP_STEP_FAILURE}),
+    "min-step": (StopPolicy(ctl=ctl(min_step=0.05, rtol=1e-13, atol=1e-15)), {STOP_STEP_FAILURE}),
+}
+
+
+def test_stop_policies_reach_every_stop_reason():
+    reached = set().union(*(reasons for _, reasons in STOP_POLICIES.values()))
+    assert reached == {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL, STOP_TIME_BUDGET,
+                       STOP_STEP_FAILURE}
+
+
+@pytest.mark.parametrize("name", STOP_POLICIES)
+def test_every_stop_policy_matches_oracle(name):
+    stop, reasons = STOP_POLICIES[name]
+    reached = set()
     for eps in (0.5, 0.2):
         p = Params(eps)
         jobs = grid_jobs(16)
@@ -137,7 +166,9 @@ def test_every_stop_policy_matches_oracle(stop):
             assert run.stop_reason == ref.stop_reason, (g, s)
             assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
             assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+            reached.add(run.stop_reason)
         assert_mirror_pairs(jobs, runs)
+    assert reasons <= reached
 
 
 @pytest.mark.parametrize("eps,policy", [

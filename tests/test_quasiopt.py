@@ -17,6 +17,13 @@ from pendamp.quasiopt import (
 )
 
 
+K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at eps=0.1"
+
+
+def no_integration(*args, **kw):
+    raise AssertionError("integrate was called")
+
+
 class TestDryFrictionControl:
     def test_signs(self):
         # Inside every dry-friction arc the control is the steepest descent -sign(y).
@@ -153,6 +160,32 @@ class TestSimulateDamping:
         assert res.terminal_state == PhaseState(5e-11, 5e-10)
         assert res.phase_log == []
         assert res.trajectory.stop_reason == STOP_STALL
+
+    @pytest.mark.parametrize("policy,message", [
+        (CapturePolicy(budget_factor=math.nan), "budget_factor must be positive and finite, got nan"),
+        (CapturePolicy(budget_factor=math.inf), "budget_factor must be positive and finite, got inf"),
+        (CapturePolicy(budget_factor=-1.0), "budget_factor must be positive and finite, got -1.0"),
+        (CapturePolicy(budget_factor=0.0), "budget_factor must be positive and finite, got 0.0"),
+        (CapturePolicy(k_cap=-1.0), f"{K_CAP_BOUND}, got -1.0"),
+        (CapturePolicy(k_cap=math.nan), f"{K_CAP_BOUND}, got nan"),
+        (CapturePolicy(k_cap=math.inf), f"{K_CAP_BOUND}, got inf"),
+        (CapturePolicy(k_cap=0.5), f"{K_CAP_BOUND}, got 0.5"),
+    ], ids=["budget-nan", "budget-inf", "budget-1", "budget0", "k-1", "k-nan", "k-inf", "k0.5"])
+    def test_capture_policy_is_checked_before_any_integration(self, monkeypatch, policy,
+                                                                message):
+        monkeypatch.setattr(quasiopt, "integrate", no_integration)
+        with pytest.raises(ValueError) as exc:
+            simulate_damping(PhaseState(-2.5, 0.0), Params(0.1), policy)
+        assert str(exc.value) == message
+
+    def test_k_cap_at_its_bound_is_accepted(self, monkeypatch):
+        # A rest at sin x = eps has energy eps^2 / (1 + sqrt(1 - eps^2)).
+        eps = 0.1
+        k_min = 1.0 / (1.0 + math.sqrt(1.0 - eps * eps))
+        assert energy(PhaseState(math.asin(eps), 0.0)) == pytest.approx(k_min * eps * eps, rel=1e-12)
+        monkeypatch.setattr(quasiopt, "integrate", no_integration)
+        with pytest.raises(AssertionError, match="integrate was called"):
+            simulate_damping(PhaseState(-2.5, 0.0), Params(eps), CapturePolicy(k_cap=k_min))
 
     def test_trajectory_samples_kept(self):
         res = simulate_damping(PhaseState(-2.0, 0.0), Params(0.1), keep_samples=True)
