@@ -57,11 +57,11 @@ def _extremal_sweeps(cache):
     return cache["extremal_sweeps"]
 
 
-def _bif_table(cache):
-    if "bif_table" not in cache:
-        cache["bif_table"] = bifurcation_table(
+def _bif_rows(cache):
+    if "bif_rows" not in cache:
+        cache["bif_rows"] = bifurcation_table(
             8, tol=1e-3, policy=SweepPolicy(grid_points=BIFURCATION_GRID))
-    return cache["bif_table"]
+    return cache["bif_rows"]
 
 
 def criterion_01(cache) -> tuple[bool, str]:
@@ -148,13 +148,13 @@ def criterion_09(cache) -> tuple[bool, str]:
 
 
 def criterion_10(cache) -> tuple[bool, str]:
-    tab = _bif_table(cache)
-    eps = [r.epsilon_n for r in tab.rows]
+    rows = _bif_rows(cache)
+    eps = [r.epsilon_n for r in rows]
     decreasing = all(a > b for a, b in zip(eps, eps[1:]))
-    devs = [abs(r.product - D_TARGET) / D_TARGET for r in tab.rows]
-    band_ok = all(dev <= 0.05 for r, dev in zip(tab.rows, devs) if 5 <= r.n <= 8)
+    devs = [abs(r.product - D_TARGET) / D_TARGET for r in rows]
+    band_ok = all(dev <= 0.05 for r, dev in zip(rows, devs) if 5 <= r.n <= 8)
     trend_ok = all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
-    products = " ".join(f"{r.n}:{r.product:.4f}" for r in tab.rows)
+    products = " ".join(f"{r.n}:{r.product:.4f}" for r in rows)
     return decreasing and band_ok and trend_ok, (
         f"products n*eps_n = [{products}]; decreasing={decreasing}, "
         f"band(n=5..8)<=5%={band_ok}, |dev| monotone={trend_ok}")

@@ -187,16 +187,16 @@ def cmd_extremals(args) -> int:
 
 def cmd_bifurcations(args) -> int:
     policy = SweepPolicy(grid_points=args.grid)
-    tab = bifurcation_table(args.n_max, tol=args.tol, policy=policy)
+    rows = bifurcation_table(args.n_max, tol=args.tol, policy=policy)
     if args.format == "csv":
         _write_rows_csv(args.out, ["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"],
-                        [[r.n, r.epsilon_n, r.product, r.bracket_width] for r in tab.rows])
+                        [[r.n, r.epsilon_n, r.product, r.bracket_width] for r in rows])
         return 0
     payload = {
         "rows": [
             {"n": r.n, "epsilon_n": r.epsilon_n, "n_times_epsilon_n": r.product,
              "bracket_width": r.bracket_width}
-            for r in tab.rows
+            for r in rows
         ],
         "D": acceptance.D_TARGET,
         "config": {"n_max": args.n_max, "tol": args.tol, "grid": args.grid},

@@ -93,17 +93,16 @@ def energy_xy(x: float, y: float) -> float:
     return 0.5 * y * y + (1.0 - math.cos(x))
 
 
-def standstill_zone(s: PhaseState, p: Params, factor: float = ZONE_FACTOR) -> ZoneTag:
-    """Classify a state against the standstill zone |sin x| < f*eps, |y| < f*eps.
+def standstill_zone(s: PhaseState, p: Params) -> ZoneTag:
+    """Classify a state against the standstill zone |sin x|, |y| < ZONE_FACTOR*eps.
 
-    The zone has two components for f*eps < 1; the sign of cos x picks the one
-    around the lower (cos x > 0) or upper (cos x < 0) equilibrium.
+    The zone has two components for ZONE_FACTOR*eps < 1; the sign of cos x
+    picks the one around the lower (cos x > 0) or upper (cos x < 0)
+    equilibrium.
     """
-    if factor <= 0.0:
-        raise ValueError(f"factor must be positive, got {factor}")
-    thr = factor * p.epsilon
+    thr = ZONE_FACTOR * p.epsilon
     if thr >= 1.0:
-        raise ValueError(f"factor*epsilon = {thr} >= 1: zone components not disjoint")
+        raise ValueError(f"ZONE_FACTOR*epsilon = {thr} >= 1: zone components not disjoint")
     return zone_xy(s.x, s.y, thr)
 
 

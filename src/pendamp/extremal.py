@@ -74,7 +74,12 @@ class StopPolicy:
     """
 
     time_budget_factor: float = 8.0
-    ctl: StepControl = field(default_factory=lambda: StepControl(interp_tol=None))
+    ctl: StepControl = field(default_factory=StepControl)
+
+    def __post_init__(self):
+        f = self.time_budget_factor
+        if not (math.isfinite(f) and f > 0.0):
+            raise ValueError(f"time_budget_factor must be positive and finite, got {f}")
 
 
 # tau(E) on knots log-dense toward the separatrix E = 2, which resolve the
@@ -583,17 +588,19 @@ class SweepPolicy:
 
     The terminal covector slope is scanned in the rescaled variable
     g = eps * phi_T over [-phi_max_scaled, phi_max_scaled] (so the raw range
-    is +-phi_max_scaled/eps), on a uniform grid per control sign, refined by
-    bisection around every change of (allowed_count, stop_reason) until the
-    scaled spacing drops below refine_tol.
+    is +-phi_max_scaled/eps), on a uniform grid for each control sign +-1,
+    refined by bisection around every change of (allowed_count, stop_reason)
+    until the scaled spacing drops below refine_tol.
     """
 
     phi_max_scaled: float = 4.0
     grid_points: int = 512
     refine_tol: float = 1e-3
     max_extra_runs: int = 4096
-    signs: tuple[int, ...] = (1, -1)
     stop: StopPolicy = field(default_factory=StopPolicy)
+    # Not a field: every sweep scans both signs.  perfbench/tracing.py still
+    # reads it; ROADMAP item 2's benchmark change deletes it.
+    signs = (1, -1)
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -668,7 +675,7 @@ def _bisect(grid, cache, policy: SweepPolicy, found):
         return (d.allowed_count, d.stop_reason)
 
     frontier: list[tuple[float, float, int]] = []
-    for s in policy.signs:
+    for s in (1, -1):
         gs = sorted(g for (g, sg) in grid if sg == s)
         for a, b in zip(gs, gs[1:]):
             if key(cache[(a, s)]) != key(cache[(b, s)]):
@@ -744,7 +751,7 @@ def max_switchings(
         policy = SweepPolicy()
     eps = p.epsilon
     gmax = policy.phi_max_scaled
-    jobs = [(g, s) for s in policy.signs for g in phi_grid(policy.grid_points, gmax)]
+    jobs = [(g, s) for s in (1, -1) for g in phi_grid(policy.grid_points, gmax)]
     cache: dict[tuple[float, int], RunDiagnostics] = {}
 
     def found(diag) -> bool:
@@ -804,11 +811,6 @@ class BifurcationRow:
     bracket_width: float
 
 
-@dataclass
-class BifurcationTable:
-    rows: list[BifurcationRow]
-
-
 class BracketError(Exception):
     """The integer count is not monotone across the supplied bracket."""
 
@@ -824,8 +826,7 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
     the checks cost nothing for the ends the two searches already answered.
     """
     if not (math.isfinite(tol) and tol > 0.0):
-        # The bisection below stops on width tol; once its midpoint rounds to
-        # an end, a smaller tol would loop forever on cached answers.
+        # The bisection below stops on width tol, which such a tol never meets.
         raise ValueError(f"tol must be positive and finite, got {tol}")
     target = n + 1
     answers: dict[float, bool] = {}
@@ -858,6 +859,11 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: a tol below their spacing would
+            # loop forever on cached answers.
+            raise ValueError(f"tol = {tol!r} is below the float spacing at eps_{n}: "
+                             f"the bracket [{lo!r}, {hi!r}] cannot be halved")
         if reaches(mid):
             lo = mid
         else:
@@ -900,7 +906,7 @@ def bifurcation_table(
     n_max: int,
     tol: float = 1e-3,
     policy: SweepPolicy | None = None,
-) -> BifurcationTable:
+) -> list[BifurcationRow]:
     """Bifurcation values eps_1 > ... > eps_nmax by a shared descending scan.
 
     The thresholds are nested (reaching count n implies reaching n-1), so the
@@ -916,4 +922,4 @@ def bifurcation_table(
     for n in range(1, n_max + 1):
         rows.append(_bifurcation(n, None, hi, tol, policy))
         hi = rows[-1].epsilon_n + tol
-    return BifurcationTable(rows)
+    return rows

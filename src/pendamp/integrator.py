@@ -10,6 +10,9 @@ Design constraints:
 * explicit embedded pair with dense output (quartic interpolant), so event
   zero crossings can be bracketed between accepted steps and refined on the
   event-function value;
+* the returned samples are the accepted step ends and, where a terminal
+  event stops the arc, its located state: the dense output serves event
+  localization only, never extra samples;
 * forward and backward integration (the sign of ``t_limit - t0`` selects the
   direction);
 * discontinuous right-hand sides are out of contract: callers split
@@ -38,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 RISING = "rising"
@@ -172,8 +175,10 @@ class StepControl:
     event_tol: float = 1e-11
     max_step: float = 0.5
     min_step: float = 1e-12
-    interp_tol: float | None = 1e-4
     max_steps: int = 2_000_000
+    # Not a field: integrate keeps no interpolated samples.  perfbench/tracing.py
+    # still reads it; ROADMAP item 2's benchmark change deletes it.
+    interp_tol = None
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0 or self.event_tol <= 0:
@@ -275,18 +280,6 @@ def _initial_step(rhs, t0, y0, f0, direction, ctl: StepControl) -> float:
     return direction * min(100.0 * h0, h1, ctl.max_step)
 
 
-def _refine_samples(dense, t_a, y_a, t_b, y_b, tol, out_t, out_y, depth=0):
-    """Insert dense-output midpoints until linear interpolation meets tol."""
-    t_m = 0.5 * (t_a + t_b)
-    y_m = dense(t_m)
-    err = max(abs(y_m[i] - 0.5 * (y_a[i] + y_b[i])) for i in range(len(y_m)))
-    if err > tol and depth < 8:
-        _refine_samples(dense, t_a, y_a, t_m, y_m, tol, out_t, out_y, depth + 1)
-        out_t.append(t_m)
-        out_y.append(y_m)
-        _refine_samples(dense, t_m, y_m, t_b, y_b, tol, out_t, out_y, depth + 1)
-
-
 # The tableau by rows, for the attempt code generator: stage times as
 # fractions of h (stage 6 sits at t + h), the stage-input rows, and the
 # solution and error weights on stages 1..6 and 1..7 (zero weights skipped).
@@ -358,9 +351,10 @@ def integrate(
     """Integrate ``rhs`` from ``t0`` to ``t_limit`` with event localization.
 
     Returns the trajectory up to the first terminal event, the time limit, or
-    a step failure.  Every sign change of every event function across the
-    accepted step sequence is bracketed and refined on the dense output until
-    the event-function value is below ``ctl.event_tol``.  Events within one
+    a step failure, sampled at the accepted step ends.  Every sign change of
+    every event function across the accepted step sequence is bracketed and
+    refined on the dense output until the event-function value is below
+    ``ctl.event_tol``.  Events within one
     ``min_step`` of the start are suppressed (post-event dead band), so
     re-integrating from a reported event state does not immediately re-trigger.
     """
@@ -376,7 +370,6 @@ def integrate(
     t = float(t0)
     atol, rtol = ctl.atol, ctl.rtol
     min_step, max_step, max_steps = ctl.min_step, ctl.max_step, ctl.max_steps
-    interp_tol = ctl.interp_tol
     dead_band = min_step
 
     k1 = tuple(rhs(t, y))
@@ -455,10 +448,6 @@ def integrate(
                     break
 
         end_t, end_y = (t_new, y_new) if terminal_hit is None else terminal_hit
-        if interp_tol is not None:
-            if dense is None:
-                dense = _make_dense(t, h, y, stages)
-            _refine_samples(dense, t, y, end_t, end_y, interp_tol, times, states)
         times.append(end_t)
         states.append(end_y)
 

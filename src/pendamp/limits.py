@@ -68,6 +68,10 @@ def quad(*args, **kwargs):
 
 
 def _quad(f, a, b, tol, points=None, limit=200) -> QuadratureResult:
+    # A NaN or infinite tol would pass the certificate below whatever the
+    # error estimate.
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     # Request an order tighter than certified: QUADPACK's estimate for
     # endpoint-singular integrands hovers just above the requested accuracy.
     req = max(tol / 100.0, 1e-13)
@@ -267,15 +271,12 @@ class PoincareIterates:
     """Orbit of a dry-friction section map with exact per-step times.
 
     ``values`` holds rest amplitudes x_n (low zone, section y = 0) or section
-    speeds y_n (high zone, section x = pi mod 2pi); ``reduced`` holds 2 - E_n
-    in the low zone and E_n - 2 in the high zone.  ``times`` has one entry per
-    map step, computed by quadrature of the tilted-potential motion.
+    speeds y_n (high zone, section x = pi mod 2pi).  ``times`` has one entry
+    per map step, computed by quadrature of the tilted-potential motion.
     """
 
     zone: str
     values: tuple[float, ...]
-    energies: tuple[float, ...]
-    reduced: tuple[float, ...]
     times: tuple[float, ...]
 
 
@@ -365,13 +366,7 @@ def poincare_iterates(zone: str, start: float, p: Params,
             times.append(_low_step_time(values[-1], v, eps, tol) if zone == "low"
                          else _high_step_time(values[-1], eps, tol))
         values.append(v)
-    if zone == "low":
-        energies = tuple(1.0 - math.cos(v) for v in values)
-        reduced = tuple(2.0 - e for e in energies)
-    else:
-        energies = tuple(0.5 * v * v + 2.0 for v in values)
-        reduced = tuple(e - 2.0 for e in energies)
-    return PoincareIterates(zone, tuple(values), energies, reduced, tuple(times))
+    return PoincareIterates(zone, tuple(values), tuple(times))
 
 
 @dataclass(frozen=True)

@@ -65,40 +65,14 @@ def lin_feedback(s: LinState) -> int:
     return 1 if s.x > 0.0 else -1
 
 
-@dataclass(frozen=True)
-class LinArc:
-    center: float          # arc center (u, 0)
-    radius: float
-    t_start: float
-    duration: float        # clockwise rotation angle = elapsed time
-    start: tuple[float, float]
-    end: tuple[float, float]
-
-
 @dataclass
 class LinDampingResult:
     damping_time: float
     switch_points: list[tuple[float, float]]
-    arcs: list[LinArc]
 
     @property
     def switch_count(self) -> int:
         return len(self.switch_points)
-
-    def sample(self, dt: float = 0.01) -> tuple[list[float], list[tuple[float, float]]]:
-        """Sample the exact arcs on a time grid (for export and checks)."""
-        ts: list[float] = []
-        states: list[tuple[float, float]] = []
-        for arc in self.arcs:
-            th0 = math.atan2(arc.start[1], arc.start[0] - arc.center)
-            n = max(2, int(math.ceil(arc.duration / dt)) + 1)
-            for i in range(n):
-                tau = arc.duration * i / (n - 1)
-                th = th0 - tau
-                ts.append(arc.t_start + tau)
-                states.append((arc.center + arc.radius * math.cos(th),
-                               arc.radius * math.sin(th)))
-        return ts, states
 
 
 def _first_curve_hit(u: int, cx: float, r: float, th0: float) -> tuple[float, float, float] | None:
@@ -140,10 +114,9 @@ def lin_simulate(p0: LinState, max_arcs: int = 10_000) -> LinDampingResult:
     """
     x, y = float(p0.x), float(p0.y)
     t = 0.0
-    arcs: list[LinArc] = []
     switches: list[tuple[float, float]] = []
     if x == 0.0 and y == 0.0:
-        return LinDampingResult(0.0, [], [])
+        return LinDampingResult(0.0, [])
     u = lin_feedback(p0)
     for _ in range(max_arcs):
         cx = float(u)
@@ -153,13 +126,11 @@ def lin_simulate(p0: LinState, max_arcs: int = 10_000) -> LinDampingResult:
             # Terminal arc: the origin sits at angle pi (u=+1) or 0 (u=-1).
             th_target = math.pi if u > 0 else 0.0
             delta = (th0 - th_target) % TWO_PI
-            arcs.append(LinArc(cx, r, t, delta, (x, y), (0.0, 0.0)))
-            return LinDampingResult(t + delta, switches, arcs)
+            return LinDampingResult(t + delta, switches)
         hit = _first_curve_hit(u, cx, r, th0)
         if hit is None:
             raise RuntimeError(f"arc chaining failed at state ({x}, {y}), u={u}")
         delta, x_new, y_new = hit
-        arcs.append(LinArc(cx, r, t, delta, (x, y), (x_new, y_new)))
         t += delta
         x, y = x_new, y_new
         switches.append((x, y))

@@ -54,10 +54,10 @@ class DampingNonConvergence(Exception):
 
 
 # The per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).  Every arc
-# runs under the integrator's error control without interpolated samples.
+# runs under the integrator's default error control.
 COAST_BASE = 16.0
 COAST_LOG = 4.0
-CTL = StepControl(interp_tol=None)
+CTL = StepControl()
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,6 @@ class ScalingRow:
 
 @dataclass
 class ScalingTable:
-    initial_state: PhaseState
     rows: list[ScalingRow]
     extrapolated_eps_T: float
     extrapolated_eps_N: float
@@ -338,4 +337,4 @@ def sweep_scaling(p0: PhaseState, eps_list, policy: CapturePolicy | None = None)
                                eps * res.damping_time, eps * res.switch_count))
     ext_T = _linear_intercept([r.epsilon for r in rows], [r.eps_T for r in rows])
     ext_N = _linear_intercept([r.epsilon for r in rows], [r.eps_N for r in rows])
-    return ScalingTable(p0, rows, ext_T, ext_N)
+    return ScalingTable(rows, ext_T, ext_N)

@@ -79,8 +79,13 @@ K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at
     (SIMULATE + ("--capture-k", "nan"), f"{K_CAP_BOUND}, got nan"),
     (("sweep", "--x0", "-2.5", "--y0", "0", "--eps-list", "0.1,0.05", "--budget", "nan"),
      "budget_factor must be positive and finite, got nan"),
+    (("tau", "--E", "1.0", "--tol", "nan"), "tol must be positive and finite, got nan"),
+    (("tau", "--E", "3.0", "--tol", "inf"), "tol must be positive and finite, got inf"),
+    (("constants", "--tol", "nan"), "tol must be positive and finite, got nan"),
+    (("constants", "--tol", "inf"), "tol must be positive and finite, got inf"),
 ], ids=["quadrature", "merged-zones", "E-nan", "E-inf", "budget-nan", "budget-inf", "budget-1",
-        "capture-k-1", "capture-k-nan", "sweep-budget-nan"])
+        "capture-k-1", "capture-k-nan", "sweep-budget-nan", "tau-tol-nan", "tau-tol-inf",
+        "constants-tol-nan", "constants-tol-inf"])
 def test_computation_failure_exits_1(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -226,6 +231,16 @@ def test_degenerate_sweep_sizes_fail_cleanly(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_bifurcation_tol_below_float_spacing_exits_1(capsys):
+    # The bisection ends with an error once its bracket ends are adjacent floats.
+    code = main(["bifurcations", "--n-max", "1", "--tol", "1e-20", "--grid", "16"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(
+        "error: tol = 1e-20 is below the float spacing at eps_1: the bracket [")
     assert captured.out == ""
 
 

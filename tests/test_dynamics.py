@@ -77,22 +77,8 @@ def test_standstill_zone_tags():
 
 
 def test_standstill_zone_rejects_merged_components():
-    with pytest.raises(ValueError):
-        standstill_zone(PhaseState(0.0, 0.0), Params(0.6), factor=2.0)
-
-
-@pytest.mark.parametrize("factor", [0.0, -1.0])
-def test_standstill_zone_rejects_nonpositive_factor(factor):
-    with pytest.raises(ValueError, match=f"factor must be positive, got {factor}"):
-        standstill_zone(PhaseState(0.0, 0.0), Params(0.1), factor=factor)
-
-
-def test_standstill_zone_custom_factor():
-    # factor is a parameter: with factor 4 the box is twice as wide
-    p = Params(0.1)
-    s = PhaseState(0.25, 0.3)
-    assert standstill_zone(s, p, factor=2.0) is ZoneTag.NONE
-    assert standstill_zone(s, p, factor=4.0) is ZoneTag.LOWER
+    with pytest.raises(ValueError, match="ZONE_FACTOR\\*epsilon = 1.2 >= 1"):
+        standstill_zone(PhaseState(0.0, 0.0), Params(0.6))
 
 
 def test_zone_xy_box_is_open():

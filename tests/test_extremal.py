@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from pendamp.extremal import (
     STOP_ENERGY_EXIT,
     BracketError,
     ExtremalRun,
+    StopPolicy,
     SweepPolicy,
     _rhs_lanes,
     bifurcation_table,
@@ -179,11 +181,19 @@ class TestMaxSwitchings:
         assert n_08 <= n_04 <= n_02
 
     def test_sign_family_symmetry(self):
-        p = Params(0.3)
-        plus = max_switchings(p, SweepPolicy(grid_points=64, signs=(1,)))
-        minus = max_switchings(p, SweepPolicy(grid_points=64, signs=(-1,)))
-        assert plus.max_allowed == minus.max_allowed
-        assert plus.max_raw == minus.max_raw
+        # The sign -1 runs of one sweep are its sign +1 runs with phi_T negated.
+        res = max_switchings(Params(0.3), SweepPolicy(grid_points=64))
+        fates = {1: {}, -1: {}}
+        for d in res.runs:
+            fates[d.sign][d.phi_T] = (d.switch_count, d.allowed_count, d.stop_reason)
+        assert len(fates[1]) == len(fates[-1]) > 64
+        assert fates[-1] == {-phi_T: fate for phi_T, fate in fates[1].items()}
+
+    def test_signs_option_is_gone(self):
+        # Every sweep scans both signs; the attribute is not a field.
+        assert SweepPolicy.signs == (1, -1)
+        with pytest.raises(TypeError):
+            SweepPolicy(signs=(1,))
 
     def test_scaled_count_band_at_02(self):
         res = small_sweep(0.2, grid=128)
@@ -261,7 +271,7 @@ class TestBifurcation:
             call()
 
     def test_table_rows_pinned_at_grid_64(self, table_grid_64):
-        rows = table_grid_64.rows
+        rows = table_grid_64
         assert [r.epsilon_n for r in rows] == [
             9.222134765625, 0.649296864083968, 0.36129468151801447, 0.24876743661706974]
         assert [r.bracket_width for r in rows] == [
@@ -271,7 +281,7 @@ class TestBifurcation:
     def test_table_rows_grid_converged(self, table_grid_64):
         # A 4x finer phi_T grid finds the same eps_n rows (grid 128 does too).
         fine = bifurcation_table(4, tol=1e-2, policy=SweepPolicy(grid_points=256))
-        assert [r.epsilon_n for r in fine.rows] == [r.epsilon_n for r in table_grid_64.rows]
+        assert [r.epsilon_n for r in fine] == [r.epsilon_n for r in table_grid_64]
 
     def test_threads_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="one process"):
@@ -309,7 +319,7 @@ class TestSharedSearch:
     def test_table_rows_pinned(self, monkeypatch):
         stub_counts(monkeypatch, staircase)
         rows = [(r.n, r.epsilon_n, r.product, r.bracket_width)
-                for r in bifurcation_table(4).rows]
+                for r in bifurcation_table(4)]
         assert rows == [
             (1, 0.925875, 0.925875, 0.0007500000000000284),
             (2, 0.46306674999999997, 0.9261334999999999, 0.000741500000000006),
@@ -319,7 +329,7 @@ class TestSharedSearch:
 
     def test_find_matches_first_table_row(self, monkeypatch):
         stub_counts(monkeypatch, staircase)
-        assert find_bifurcation(1) == bifurcation_table(1).rows[0]
+        assert find_bifurcation(1) == bifurcation_table(1)[0]
 
     def test_explicit_bracket_ends_are_scanned(self, monkeypatch):
         calls = stub_counts(monkeypatch, staircase)
@@ -347,6 +357,18 @@ class TestBracketErrors:
         row = find_bifurcation(1, tol=1e-4)
         assert row.epsilon_n == pytest.approx(0.7, abs=1e-4)
 
+    def test_tol_below_float_spacing_rejected(self, monkeypatch):
+        # The bisection reaches adjacent floats, whose midpoint rounds to an
+        # end; it must stop there instead of spinning on cached answers.
+        calls = stub_counts(monkeypatch, lambda e: 2 if e < 0.7 else 1)
+        with pytest.raises(ValueError) as exc:
+            find_bifurcation(1, tol=1e-20)
+        m = re.fullmatch(r"tol = 1e-20 is below the float spacing at eps_1: "
+                         r"the bracket \[(\S+), (\S+)\] cannot be halved", str(exc.value))
+        lo, hi = float(m[1]), float(m[2])
+        assert lo < 0.7 <= hi == math.nextafter(lo, math.inf)
+        assert len(calls) == len(set(calls)) < 100
+
     def test_table_count_persists(self, monkeypatch):
         stub_counts(monkeypatch, lambda e: 2)
         with pytest.raises(BracketError, match="count >= 2 persists"):
@@ -359,6 +381,12 @@ class TestBracketErrors:
 
 
 class TestStopPolicy:
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_time_budget_factor(self, factor):
+        message = f"time_budget_factor must be positive and finite, got {factor}"
+        with pytest.raises(ValueError, match=message):
+            StopPolicy(time_budget_factor=factor)
+
     def test_exit_runs_reach_threshold(self):
         p = Params(0.2)
         res = small_sweep(0.2, grid=64)

@@ -27,8 +27,8 @@ from oracles import oracle_trace_extremal
 GRID = 48
 
 
-def grid_jobs(grid, signs=(1, -1), gmax=4.0):
-    return [(g, s) for s in signs for g in phi_grid(grid, gmax)]
+def grid_jobs(grid, gmax=4.0):
+    return [(g, s) for s in (1, -1) for g in phi_grid(grid, gmax)]
 
 
 def mirrored(run):
@@ -72,12 +72,12 @@ def oracle_sweep(p, policy, stop_at=None):
     def key(d):
         return (d.allowed_count, d.stop_reason)
 
-    for g, s in grid_jobs(policy.grid_points, policy.signs, policy.phi_max_scaled):
+    for g, s in grid_jobs(policy.grid_points, policy.phi_max_scaled):
         table[(g, s)] = diag(g, s)
         if found(table[(g, s)]):
             return table, False
     frontier = []
-    for s in policy.signs:
+    for s in (1, -1):
         gs = sorted(g for (g, sg) in table if sg == s)
         frontier += [(a, b, s) for a, b in zip(gs, gs[1:])
                      if key(table[(a, s)]) != key(table[(b, s)])]
@@ -133,16 +133,13 @@ def test_dense_component_is_the_integrators_dense_output():
                 assert value(t) == dense(t)[c], (t_old, h, c, t)
 
 
-def ctl(**kw):
-    return StepControl(interp_tol=None, **kw)
-
-
 # Each policy with the stop reasons its runs reach at eps 0.5 and 0.2 on grid 16.
 STOP_POLICIES = {
     "default": (StopPolicy(), {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL}),
     "short-budget": (StopPolicy(time_budget_factor=1.0), {STOP_TIME_BUDGET}),
-    "max-steps": (StopPolicy(ctl=ctl(max_steps=40)), {STOP_STEP_FAILURE}),
-    "min-step": (StopPolicy(ctl=ctl(min_step=0.05, rtol=1e-13, atol=1e-15)), {STOP_STEP_FAILURE}),
+    "max-steps": (StopPolicy(ctl=StepControl(max_steps=40)), {STOP_STEP_FAILURE}),
+    "min-step": (StopPolicy(ctl=StepControl(min_step=0.05, rtol=1e-13, atol=1e-15)),
+                 {STOP_STEP_FAILURE}),
 }
 
 
@@ -174,10 +171,8 @@ def test_every_stop_policy_matches_oracle(name):
 @pytest.mark.parametrize("eps,policy", [
     (0.3, SweepPolicy(grid_points=GRID)),
     (0.3, SweepPolicy(grid_points=GRID, max_extra_runs=5)),
-    (0.5, SweepPolicy(grid_points=32, signs=(1,))),
+    (0.5, SweepPolicy(grid_points=32)),
     (0.3, SweepPolicy(grid_points=47)),
-    (0.5, SweepPolicy(grid_points=32, signs=(-1,))),
-    (0.3, SweepPolicy(grid_points=GRID, signs=(-1, 1))),
 ])
 def test_sweep_matches_oracle_sweep(eps, policy):
     p = Params(eps)
@@ -257,12 +252,11 @@ def test_stop_at_batch_returns_witness_and_stops():
 
 
 def test_single_sign_and_zero_refinement_budget():
-    p = Params(0.3)
-    plus = max_switchings(p, SweepPolicy(grid_points=GRID, signs=(1,)))
-    assert {d.sign for d in plus.runs} == {1}
-    none = max_switchings(p, SweepPolicy(grid_points=GRID, max_extra_runs=0))
+    # Without refinement each single sign keeps exactly its grid runs.
+    none = max_switchings(Params(0.3), SweepPolicy(grid_points=GRID, max_extra_runs=0))
     assert none.unresolved_transitions
     assert none.n_runs == 2 * GRID
+    assert [d.sign for d in none.runs] == [-1] * GRID + [1] * GRID
 
 
 def test_rejects_bad_signs():

@@ -21,7 +21,6 @@ from pendamp.integrator import (
     TrajectorySegment,
     _initial_step,
     _make_dense,
-    _refine_samples,
     brentq,
     integrate,
 )
@@ -141,25 +140,13 @@ def test_rejects_non_finite_initial_state():
         integrate(free_pendulum, (math.nan, 0.0), 0.0, 1.0)
 
 
-def test_sample_density_meets_interp_tolerance():
-    ctl = StepControl(interp_tol=1e-4)
-    seg = integrate(free_pendulum, (2.0, 0.0), 0.0, 15.0, ctl=ctl)
-    ts, ss = seg.times, seg.states
-    worst = 0.0
-    for i in range(1, len(ts) - 1):
-        w = (ts[i] - ts[i - 1]) / (ts[i + 1] - ts[i - 1])
-        lin = [a + w * (b - a) for a, b in zip(ss[i - 1], ss[i + 1])]
-        worst = max(worst, max(abs(l - v) for l, v in zip(lin, ss[i])))
-    # the probe spans two sample intervals, which quadruples the guaranteed
-    # per-interval midpoint error
-    assert worst <= 5.0 * ctl.interp_tol
-
-
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(rtol=0.0)
     with pytest.raises(ValueError):
         StepControl(min_step=1.0, max_step=0.5)
+    with pytest.raises(TypeError):
+        StepControl(interp_tol=1e-4)  # no interpolated samples
     with pytest.raises(ValueError):
         EventSpec(lambda t, s: s[0], "sideways", False, "bad")
 
@@ -293,10 +280,6 @@ def oracle_integrate(rhs, s0, t0, t_limit, events=(), ctl=None):
                     break
 
         end_t, end_y = (t_new, y_new) if terminal_hit is None else terminal_hit
-        if ctl.interp_tol is not None:
-            if dense is None:
-                dense = _make_dense(t, h, y, stages)
-            _refine_samples(dense, t, y, end_t, end_y, ctl.interp_tol, times, states)
         times.append(end_t)
         states.append(end_y)
 
@@ -337,34 +320,34 @@ def _pendulum_costate(t, s):
     return (s[1], -math.sin(s[0]) + u, s[3] * math.cos(s[0]), -s[2])
 
 
-LOOSE = StepControl(rtol=1e-6, atol=1e-9, interp_tol=None)
+LOOSE = StepControl(rtol=1e-6, atol=1e-9)
 
 # id: (rhs, s0, t0, t_limit, events, ctl, what the case must exercise)
 STEP_CASES = {
     "n1-forward-min-step-failure": (
-        _blowup, (1.0,), 0.0, 2.0, (), StepControl(min_step=1e-6, interp_tol=None), "min_step"),
+        _blowup, (1.0,), 0.0, 2.0, (), StepControl(min_step=1e-6), "min_step"),
     "n1-backward-falling": (
         _forced_decay, (0.4,), 6.0, -1.0, [EventSpec(lambda t, s: 1.0 - s[0], FALLING, False, "y")],
         LOOSE, "clipped"),
-    "n2-forward-any-terminal-interp": (
+    "n2-forward-any-terminal": (
         free_pendulum, (1.0, 0.2), 0.0, 50.0, [EventSpec(lambda t, s: s[1], ANY, True, "rest")],
         StepControl(), "terminal"),
     "n2-backward-falling-nonterminal": (
         free_pendulum, (2.0, 0.0), 0.0, -20.0, [EventSpec(lambda t, s: s[1], FALLING, False, "rest")],
-        StepControl(interp_tol=None), "clipped"),
+        StepControl(), "clipped"),
     "n2-forward-max-step": (
         free_pendulum, (1.0, 0.0), 0.0, 10.0, (),
-        StepControl(rtol=1e-6, atol=1e-9, max_step=0.05, interp_tol=None), "max_step"),
+        StepControl(rtol=1e-6, atol=1e-9, max_step=0.05), "max_step"),
     "n2-forward-rejected-steps": (
         _van_der_pol, (2.0, 0.0), 0.0, 12.0,
         [EventSpec(lambda t, s: s[0], RISING, False, "up"),
          EventSpec(lambda t, s: s[0], FALLING, False, "down")],
         LOOSE, "rejected"),
-    "n3-forward-rising-interp": (
+    "n3-forward-rising": (
         _lorenz, (1.0, 1.0, 20.0), 0.0, 3.0,
         [EventSpec(lambda t, s: s[0], RISING, False, "x"),
          EventSpec(lambda t, s: s[2] - 40.0, RISING, True, "z")],
-        StepControl(rtol=1e-8, atol=1e-10, interp_tol=1e-2), "terminal"),
+        StepControl(rtol=1e-8, atol=1e-10), "terminal"),
     "n3-backward-any": (
         _lorenz, (1.0, 1.0, 20.0), 0.0, -0.3, [EventSpec(lambda t, s: s[1] - s[0], ANY, False, "xy")],
         LOOSE, "clipped"),
@@ -372,12 +355,12 @@ STEP_CASES = {
         _pendulum_costate, (0.5, 0.0, 0.2, 1.0), 0.0, 30.0,
         [EventSpec(lambda t, s: s[1], ANY, False, "y0"),
          EventSpec(lambda t, s: s[3] - 1.5, RISING, True, "q")],
-        StepControl(interp_tol=None), "events"),
-    "n4-backward-any-terminal-interp": (
+        StepControl(), "events"),
+    "n4-backward-any-terminal": (
         _pendulum_costate, (0.5, 0.0, 0.2, 1.0), 0.0, -30.0,
         [EventSpec(lambda t, s: s[3], ANY, True, "switch"),
          EventSpec(lambda t, s: s[1], ANY, False, "y0")],
-        StepControl(interp_tol=1e-3), "terminal"),
+        StepControl(), "terminal"),
 }
 
 
@@ -416,9 +399,8 @@ def test_step_bit_identical_to_oracle(case):
     elif feature == "max_step":
         assert max(abs(b - a) for a, b in zip(got.times, got.times[1:])) == pytest.approx(ctl.max_step)
     elif feature == "rejected":
-        # 2 rhs calls before the loop and 6 per attempt; without interpolated
-        # samples each accepted step adds one sample.
-        assert ctl.interp_tol is None
+        # 2 rhs calls before the loop and 6 per attempt; each accepted step
+        # adds one sample.
         assert (rhs_calls - 2) // 6 > len(got.times) - 1
     assert len(got.events) > 0 or not events
 

@@ -18,6 +18,7 @@ from pendamp.limits import (
     limit_ode_solve,
     period_integral,
     poincare_high,
+    poincare_iterates,
     poincare_low,
     swing_progress,
     switching_integrand,
@@ -365,9 +366,8 @@ class TestPoincareIterates:
         it = poincare_iterates("low", 2.8, Params(eps))
         assert it.zone == "low"
         assert len(it.times) == len(it.values) - 1
-        # energies strictly decrease, reduced energies h = 2 - E increase
-        assert all(a > b for a, b in zip(it.energies, it.energies[1:]))
-        assert all(a < b for a, b in zip(it.reduced, it.reduced[1:]))
+        # rest amplitudes in (0, pi), hence energies 1 - cos x, strictly decrease
+        assert all(a > b for a, b in zip(it.values, it.values[1:]))
         assert it.values == tuple(low_orbit(2.8, Params(eps)))
 
     def test_orbit_truncated_at_max_steps(self):
@@ -444,7 +444,6 @@ class TestPoincareIterates:
         it = poincare_iterates("high", 3.0, Params(eps))
         assert len(it.values) >= 3
         assert all(a > b for a, b in zip(it.values, it.values[1:]))
-        assert all(a > b for a, b in zip(it.reduced, it.reduced[1:]))
         # turn times against the simulated section-crossing instants
         res = simulate_damping(PhaseState(math.pi, 3.0), Params(eps), keep_samples=False)
         crossings = [t for t, _ in res.section_speeds]
@@ -479,6 +478,24 @@ class TestPoincareIterates:
 def test_rejects_arguments_outside_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_quadrature_tol_must_be_positive_and_finite(monkeypatch, tol):
+    # _quad is the one certificate: a tol that is not positive and finite is
+    # rejected before any integrand is evaluated.
+    def no_quad(*args, **kw):
+        raise AssertionError("integrated before rejecting tol")
+
+    monkeypatch.setattr(limits, "quad", no_quad)
+    message = f"tol must be positive and finite, got {tol}"
+    for call in (lambda: tau(1.0, tol), lambda: tau(3.0, tol), lambda: period_integral(0.1, tol),
+                 lambda: poincare_iterates("high", 3.0, Params(0.1), tol=tol)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    if not tol < 1e-12:  # constant_D's 1e-12 floor rejects 0 and -1e-9 first
+        with pytest.raises(ValueError, match=message):
+            constant_D(tol)
 
 
 def test_unreachable_tolerance_raises_quadrature_error():

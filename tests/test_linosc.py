@@ -107,13 +107,6 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="arc budget exhausted after 1 arcs"):
             lin_simulate(LinState(0.0, 20.0), max_arcs=1)
 
-    def test_sampling(self):
-        res = lin_simulate(LinState(0.0, 4.0))
-        ts, states = res.sample(0.05)
-        assert len(ts) == len(states) > 10
-        # samples live on circles of the logged arcs: energy piecewise smooth
-        assert ts[0] == 0.0
-
 
 class TestSupportFunction:
     def test_paper_value_over_one_period(self):
