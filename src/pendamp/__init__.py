@@ -3,7 +3,8 @@
 Modules by topic:
 
 * :mod:`pendamp.dynamics` - pendulum state, vector field, energies, zones;
-* :mod:`pendamp.integrator` - adaptive RK with dense event localization;
+* :mod:`pendamp.integrator` - Taylor arcs of the pendulum and adaptive RK,
+  with event localization;
 * :mod:`pendamp.extremal` - backward maximum-principle extremals, switching
   counts, bifurcation values of the control amplitude;
 * :mod:`pendamp.quasiopt` - dry-friction feedback and closed-loop damping;

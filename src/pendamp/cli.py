@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -128,6 +129,7 @@ def cmd_simulate(args) -> int:
              "t_end": e.t_end, "start": list(e.start), "end": list(e.end)}
             for e in res.phase_log
         ],
+        "stats": dataclasses.asdict(res.stats),
         "config": {"capture_k": args.capture_k, "budget": args.budget},
     }
     _emit(payload, args)

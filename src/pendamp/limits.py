@@ -67,11 +67,16 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _quad(f, a, b, tol, points=None, limit=200) -> QuadratureResult:
-    # A NaN or infinite tol would pass the certificate below whatever the
-    # error estimate.
+def _check_tol(tol: float) -> None:
+    """Reject a quadrature tol that is not positive and finite: a NaN or
+    infinite tol would pass the certificate of :func:`_quad` whatever the
+    error estimate."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _quad(f, a, b, tol, points=None, limit=200) -> QuadratureResult:
+    _check_tol(tol)
     # Request an order tighter than certified: QUADPACK's estimate for
     # endpoint-singular integrands hovers just above the requested accuracy.
     req = max(tol / 100.0, 1e-13)
@@ -178,6 +183,7 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
     The inner integral equals 4 K(2/e)/sqrt(e), log-divergent as e -> 2+ and
     integrable in the outer variable.
     """
+    _check_tol(tol)
     if not math.isfinite(E):
         raise ValueError(f"energy must be finite, got {E}")
     if E < 2.0:
@@ -350,6 +356,7 @@ def poincare_iterates(zone: str, start: float, p: Params,
     Low zone: amplitudes from ``start`` down to standstill capture.
     High zone: positive section speeds down to the last full turn.
     """
+    _check_tol(tol)
     eps = p.epsilon
     if zone == "low":
         step, stop = poincare_low, StandstillCapture

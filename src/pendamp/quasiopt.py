@@ -14,6 +14,12 @@ machine built from smooth constant-control arcs:
 * lower standstill zone: terminal capture once the energy is of order eps^2
   (a local stabilizer would finish in bounded time, which vanishes after
   eps-scaling; the capture adds zero time).
+
+Every arc runs on ``integrator.pendulum_arc`` (Taylor steps); the DP5
+``integrator.integrate`` is the tests' reference for the same mode machine.
+The capture is a terminal event of the dry-friction arcs, located like the
+rest points, so the damping time T is the located time of the first entry
+into the capture set, not the first step end found inside it.
 """
 
 from __future__ import annotations
@@ -21,16 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import (
-    ZONE_FACTOR, Params, PhaseState, ZoneTag, energy_xy, pendulum_rhs, reduce_angle, zone_xy,
-)
+from .dynamics import ZONE_FACTOR, Params, PhaseState, ZoneTag, energy_xy, reduce_angle, zone_xy
 from .integrator import (
     ANY,
+    FALLING,
     STOP_TERMINAL,
     EventSpec,
-    StepControl,
     TrajectorySegment,
-    integrate,
+    integrate,  # noqa: F401  unused; perfbench/tracing.py wraps quasiopt.integrate
+    pendulum_arc,
 )
 
 MODE_DRY = "dry-friction"
@@ -53,11 +58,15 @@ class DampingNonConvergence(Exception):
         self.reason = reason
 
 
-# The per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).  Every arc
-# runs under the integrator's default error control.
+# The per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).
 COAST_BASE = 16.0
 COAST_LOG = 4.0
-CTL = StepControl()
+# The largest step of a dry arc that can reach the capture energy.  At that
+# energy the orbit grazes the corners of the lower zone, so the capture
+# function is below zero on windows that can be much shorter than a Taylor
+# step (0.08 time units are common, steps reach 1).  A window is found when a
+# step end falls in it, so these arcs take steps of at most this length.
+CAPTURE_STEP = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,17 @@ class PhaseLogEntry:
     end: tuple[float, float]
 
 
+@dataclass(frozen=True)
+class DampingStats:
+    """The work of one damping run: its arcs, their Taylor steps, the events
+    located on them, and the worst event residual |g| at those events."""
+
+    arcs: int
+    steps: int
+    events: int
+    event_residual_max: float
+
+
 @dataclass
 class DampingResult:
     """Closed-loop outcome of the dry-friction strategy."""
@@ -99,6 +119,7 @@ class DampingResult:
     trajectory: TrajectorySegment | None
     section_speeds: list[tuple[float, float]]   # (t, y) at x = pi (mod 2pi) crossings
     rest_amplitudes: list[tuple[float, float]]  # (t, |x| reduced) at dry-arc rest points
+    stats: DampingStats
 
     def control_at(self, t: float) -> float:
         """Control applied at time t, from the phase log (0 on coast arcs)."""
@@ -112,6 +133,17 @@ class DampingResult:
         """Universal damping-time bound sqrt(2 E(p0)) / eps."""
         e0 = energy_xy(self.initial_state.x, self.initial_state.y)
         return math.sqrt(2.0 * e0) / self.epsilon
+
+
+def _lowest_energy(en: float, eps: float) -> float:
+    """A lower bound on the energy along a dry arc that starts at energy ``en``.
+
+    Dry friction lowers the energy by eps per unit of x travelled.  Once below
+    E = 2 the arc stays in one well, where |x| is at most the well's amplitude
+    acos(1 - E), until it comes to rest.
+    """
+    e = min(en, 2.0)
+    return e - 2.0 * eps * math.acos(1.0 - e)
 
 
 def _rest_control(x: float, eps: float) -> int:
@@ -131,7 +163,9 @@ def simulate_damping(
     Each pass of the loop picks the next arc from the current state.  Coasts
     and the push away from the saddle are written out in their modes; every
     dry-friction arc, whatever mode leads to it, runs under u = +-1 to the
-    next rest point in the one block at the end of the loop.
+    next rest point, or to the capture, in the one block at the end of the
+    loop.  ``stats`` counts the arcs, their Taylor steps, the events located
+    on them and the worst residual |g| at those events.
     """
     if policy is None:
         policy = CapturePolicy()
@@ -150,12 +184,20 @@ def simulate_damping(
     budget = policy.budget_factor / eps
     coast_budget = COAST_BASE + COAST_LOG * math.log(1.0 / eps)
 
-    rhs_free = pendulum_rhs(0.0)
+    def capture_gap(t, s):
+        """max(|y| - thr, |sin x| - thr, E - k_cap eps^2, -cos x): <= 0 in the
+        lower zone at capture energy, so its first zero is the capture."""
+        x, yv = s[0], s[1]
+        c = math.cos(x)
+        return max(abs(yv) - thr, abs(math.sin(x)) - thr,
+                   0.5 * yv * yv + (1.0 - c) - cap_energy, -c)
+
     ev_rest = EventSpec(lambda t, s: s[1], ANY, True, "rest")
     ev_section = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, False, "section")
     ev_section_stop = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, True, "section")
     ev_bottom_stop = EventSpec(lambda t, s: math.sin(0.5 * s[0]), ANY, True, "bottom")
     ev_leave_saddle = EventSpec(lambda t, s: math.sin(s[0]) ** 2 - thr * thr, ANY, True, "off-saddle")
+    ev_capture = EventSpec(capture_gap, FALLING, True, "capture")
     to_rest = [ev_rest]
     to_rest_via_sections = [ev_rest, ev_section]
 
@@ -168,28 +210,23 @@ def simulate_damping(
     rests: list[tuple[float, float]] = []
     switch_count = 0
     prev_arc_dry = False
+    work = [0, 0, 0, 0.0]  # arcs, steps, events, worst event residual
 
-    def record(seg: TrajectorySegment, mode: str, control: float, cut: int | None = None):
+    def record(seg: TrajectorySegment, mode: str, control: float):
         nonlocal t, state
-        hi = len(seg.times) if cut is None else cut + 1
         if keep_samples:
             start = 1 if all_t else 0
-            all_t.extend(seg.times[start:hi])
-            all_s.extend(seg.states[start:hi])
-        log.append(PhaseLogEntry(mode, control, seg.times[0], seg.times[hi - 1],
+            all_t.extend(seg.times[start:])
+            all_s.extend(seg.states[start:])
+        log.append(PhaseLogEntry(mode, control, seg.times[0], seg.times[-1],
                                  (seg.states[0][0], seg.states[0][1]),
-                                 (seg.states[hi - 1][0], seg.states[hi - 1][1])))
-        t = seg.times[hi - 1]
-        state = seg.states[hi - 1]
-
-    def capture_cut(seg: TrajectorySegment) -> int | None:
-        """First sample index inside the lower zone with energy below capture."""
-        for i, st in enumerate(seg.states):
-            x, yv = st[0], st[1]
-            if abs(yv) < thr and abs(math.sin(x)) < thr and math.cos(x) > 0.0:
-                if energy_xy(x, yv) <= cap_energy:
-                    return i
-        return None
+                                 (seg.states[-1][0], seg.states[-1][1])))
+        t = seg.times[-1]
+        state = seg.states[-1]
+        work[0] += 1
+        work[1] += len(seg.times) - 1
+        work[2] += len(seg.events)
+        work[3] = max(work[3], seg.event_residual)
 
     captured = False
     stop = STOP_BUDGET
@@ -212,14 +249,13 @@ def simulate_damping(
         if tag is ZoneTag.UPPER and abs(yv) < 1e-9:
             # Rest near the saddle: wait for the fall through the bottom,
             # then dry friction from the bottom crossing down to the next rest.
-            seg = integrate(rhs_free, state, t, t + coast_budget, [ev_bottom_stop], CTL)
+            seg = pendulum_arc(0.0, state, t, t + coast_budget, [ev_bottom_stop])
             record(seg, MODE_UPPER, 0.0)
             if seg.stop_reason != STOP_TERMINAL:
                 # Stalled coast: one budgeted push arc accelerating away from
                 # the saddle (increasing |sin x|, i.e. downhill).
                 push = -1 if math.sin(x) > 0.0 else 1
-                seg = integrate(pendulum_rhs(eps * push), state, t, t + coast_budget,
-                                [ev_leave_saddle], CTL)
+                seg = pendulum_arc(eps * push, state, t, t + coast_budget, [ev_leave_saddle])
                 record(seg, MODE_UPPER, float(push))
                 prev_arc_dry = False
                 continue
@@ -228,7 +264,7 @@ def simulate_damping(
             # High energy: coast to the section unless already on it, then
             # dry friction through the rotation regime.
             if abs(math.sin(0.5 * (x - math.pi))) > 1e-9:
-                seg = integrate(rhs_free, state, t, t + coast_budget, [ev_section_stop], CTL)
+                seg = pendulum_arc(0.0, state, t, t + coast_budget, [ev_section_stop])
                 mode = MODE_COAST if seg.stop_reason == STOP_TERMINAL else MODE_UPPER
                 record(seg, mode, 0.0)
                 prev_arc_dry = False
@@ -251,14 +287,17 @@ def simulate_damping(
         else:
             u = -1 if yv > 0.0 else 1
 
-        # The dry-friction arc under u to the next rest point.
-        seg = integrate(pendulum_rhs(eps * u), state, t, t + budget, events, CTL)
+        # The dry-friction arc under u to the next rest point, or to the
+        # capture if the arc can reach the capture energy and does so first.
+        if _lowest_energy(energy_xy(*state), eps) <= cap_energy:
+            seg = pendulum_arc(eps * u, state, t, t + budget, events + [ev_capture], CAPTURE_STEP)
+        else:
+            seg = pendulum_arc(eps * u, state, t, t + budget, events)
         for ev in seg.events:
             if ev.label == "section":
                 sections.append((ev.t, ev.state[1]))
-        cut = capture_cut(seg)
-        record(seg, MODE_DRY, u, cut)
-        if cut is not None:
+        record(seg, MODE_DRY, u)
+        if seg.events and seg.events[-1].label == "capture":
             captured = True
             break
         prev_arc_dry = True
@@ -280,6 +319,7 @@ def simulate_damping(
         trajectory=trajectory,
         section_speeds=sections,
         rest_amplitudes=rests,
+        stats=DampingStats(*work),
     )
     if not captured:
         message = {

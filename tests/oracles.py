@@ -8,11 +8,11 @@ other.  None of them is reachable from the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.special import ellipk
 
-from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, in_zone_xy
+from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, in_zone_xy, pendulum_rhs
 from pendamp.extremal import (
     _TAU_KNOTS,
     _TAU_VALUES,
@@ -32,6 +32,7 @@ from pendamp.integrator import (
     STOP_TERMINAL,
     STOP_TIME_LIMIT,
     EventSpec,
+    StepControl,
     TrajectorySegment,
     integrate,
 )
@@ -224,6 +225,21 @@ def oracle_trace_extremal(
 
 
 # ------------------------------------------------------------ plant
+
+# DP5 tolerances of the reference damping arcs, three decades below the
+# integrator's defaults.
+TIGHT = StepControl(rtol=1e-13, atol=1e-15)
+
+
+def oracle_pendulum_arc(pull, s0, t0, t_limit, events=(), max_step=math.inf):
+    """``integrator.pendulum_arc`` run by the DP5 ``integrate`` at ``TIGHT``.
+
+    Patched over ``quasiopt.pendulum_arc``, it gives ``simulate_damping`` with
+    every arc on the reference integrator.
+    """
+    ctl = replace(TIGHT, max_step=min(TIGHT.max_step, max_step))
+    return integrate(pendulum_rhs(pull), s0, t0, t_limit, events, ctl)
+
 
 
 def oracle_controlled_hamiltonian(s: PhaseState, u: int, p: Params) -> float:

@@ -114,6 +114,11 @@ def test_simulate_report(capsys, tmp_path):
     modes = {e["mode"] for e in payload["phase_log"]}
     assert "terminal capture" in modes
     assert traj.read_text().splitlines()[0] == "t,x,y,phi,psi,u,E"
+    stats = payload["stats"]
+    assert set(stats) == {"arcs", "steps", "events", "event_residual_max"}
+    assert stats["arcs"] == len(payload["phase_log"]) - 1  # the capture entry is no arc
+    assert stats["steps"] > 0 and stats["events"] >= payload["switch_count"]
+    assert 0.0 <= stats["event_residual_max"] <= 1e-11
 
 
 def test_sweep_csv(capsys, tmp_path):

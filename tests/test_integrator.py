@@ -21,10 +21,14 @@ from pendamp.integrator import (
     TrajectorySegment,
     _initial_step,
     _make_dense,
+    _step_events,
+    _taylor,
     brentq,
     integrate,
+    pendulum_arc,
 )
-from oracles import oracle_free_oscillation_period
+from pendamp.dynamics import pendulum_rhs
+from oracles import TIGHT, oracle_free_oscillation_period
 
 
 def free_pendulum(t, s):
@@ -157,6 +161,7 @@ def oracle_integrate(rhs, s0, t0, t_limit, events=(), ctl=None):
     The stage inputs, the new state and the error norm are built with loops
     over ``range(n)``.  ``integrate`` runs one generated straight-line attempt
     per state dimension instead and must give the same results bit for bit.
+    Events go through the package's one event routine, ``_step_events``.
     """
     if ctl is None:
         ctl = StepControl()
@@ -236,48 +241,10 @@ def oracle_integrate(rhs, s0, t0, t_limit, events=(), ctl=None):
             h = direction * h_mag
             continue
 
-        # Accepted step.  Localize event crossings before committing samples.
+        # Accepted step: the package's one event routine.
         stages = (k1, k2, k3, k4, k5, k6, k7)
-        dense = None
-        hits: list[tuple[float, int]] = []
-        for j, ev in enumerate(events):
-            g_new = ev.fn(t_new, y_new)
-            gp = g_prev[j]
-            crossed = False
-            if gp != 0.0:
-                if ev.direction == RISING:
-                    crossed = gp < 0.0 <= g_new
-                elif ev.direction == FALLING:
-                    crossed = gp > 0.0 >= g_new
-                else:
-                    crossed = (gp < 0.0 <= g_new) or (gp > 0.0 >= g_new)
-            g_prev[j] = g_new
-            if not crossed:
-                continue
-            if dense is None:
-                dense = _make_dense(t, h, y, stages)
-            if g_new == 0.0:
-                t_e = t_new
-            else:
-                ta, tb = (t, t_new) if t < t_new else (t_new, t)
-                t_e = scipy_brentq(lambda s: ev.fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
-            if abs(t_e - t0) < dead_band:
-                continue
-            hits.append((t_e, j))
-
-        terminal_hit = None
-        if hits:
-            hits.sort(key=lambda p: direction * p[0])
-            for t_e, j in hits:
-                ev = events[j]
-                state_e = dense(t_e)
-                resid = abs(ev.fn(t_e, state_e))
-                if resid > ctl.event_tol:
-                    detail = f"event {ev.label!r} localized to |g|={resid:.2e} > event_tol"
-                recs.append(EventRecord(t_e, state_e, ev.label))
-                if ev.terminal:
-                    terminal_hit = (t_e, state_e)
-                    break
+        terminal_hit = _step_events(events, g_prev, t0, t, t_new, y_new, dead_band, recs,
+                                    lambda: _make_dense(t, h, y, stages))
 
         end_t, end_y = (t_new, y_new) if terminal_hit is None else terminal_hit
         times.append(end_t)
@@ -403,6 +370,99 @@ def test_step_bit_identical_to_oracle(case):
         # adds one sample.
         assert (rhs_calls - 2) // 6 > len(got.times) - 1
     assert len(got.events) > 0 or not events
+
+
+# ------------------------------------------------------------ Taylor arcs
+
+def _section(t, s):
+    return math.sin(0.5 * (s[0] - math.pi))
+
+
+def _rest(t, s):
+    return s[1]
+
+
+def test_taylor_first_order_is_the_field():
+    series, _ = _taylor()
+    rng = random.Random(5)
+    for _ in range(2000):
+        x, y, pull = rng.uniform(-50.0, 50.0), rng.uniform(-4.0, 4.0), rng.uniform(-0.5, 0.5)
+        xs, ys, rho = series(x, y, pull)
+        assert (xs[0], ys[0]) == (x, y)
+        assert (xs[1], ys[1]) == pendulum_rhs(pull)(0.0, (x, y))
+        assert 0.0 < rho < math.inf
+
+
+# id: (pull, s0, t0, t_limit, events); each runs to its time limit or a rest.
+ARC_CASES = {
+    "coast": (0.0, (1.0, 0.5), 0.0, 30.0, [EventSpec(_rest, ANY, False, "rest")]),
+    "coast-backward": (0.0, (2.0, -1.0), 5.0, -25.0, [EventSpec(_rest, FALLING, False, "rest")]),
+    "dry-to-rest": (-0.05, (-2.5, 0.0), 0.0, 50.0, [EventSpec(_rest, ANY, True, "rest")]),
+    "rotation-with-sections": (
+        -0.05, (math.pi, 2.5), 0.0, 200.0,
+        [EventSpec(_rest, ANY, True, "rest"), EventSpec(_section, ANY, False, "section")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARC_CASES))
+def test_pendulum_arc_matches_tight_dp5(case):
+    pull, s0, t0, t_limit, events = ARC_CASES[case]
+    got = pendulum_arc(pull, s0, t0, t_limit, events)
+    want = integrate(pendulum_rhs(pull), s0, t0, t_limit, events, TIGHT)
+    assert got.stop_reason == want.stop_reason
+    assert got.t_end == pytest.approx(want.t_end, abs=1e-9)
+    assert got.end_state == pytest.approx(want.end_state, abs=1e-9)
+    assert [r.label for r in got.events] == [r.label for r in want.events]
+    assert got.events
+    for a, b in zip(got.events, want.events):
+        assert a.t == pytest.approx(b.t, abs=1e-9)
+        assert a.residual <= StepControl().event_tol
+    # Taylor steps are long: several times fewer samples than the reference.
+    assert 4 * len(got.times) < len(want.times)
+
+
+def test_pendulum_arc_rebrackets_events_before_a_terminal_event():
+    # In one Taylor step this arc crosses the section x = pi at speed 4.4e-4,
+    # comes to rest just beyond it, and is back across the section by the
+    # step's end.  The section is found on the part of the step before the rest.
+    events = [EventSpec(_rest, ANY, True, "rest"), EventSpec(_section, ANY, False, "section")]
+    s0, pull = (3.1408305954792013, 0.00198425228459135), -0.002072739411558288
+    got = pendulum_arc(pull, s0, 0.0, 50.0, events)
+    want = integrate(pendulum_rhs(pull), s0, 0.0, 50.0, events, TIGHT)
+    assert len(got.times) == 2  # the case needs both crossings in one step
+    assert [r.label for r in got.events] == [r.label for r in want.events] == ["section", "rest"]
+    for a, b in zip(got.events, want.events):
+        assert a.t == pytest.approx(b.t, abs=1e-9)
+
+
+def test_pendulum_arc_steps_and_limits():
+    seg = pendulum_arc(0.1, (0.5, 0.0), 0.0, 10.0, max_step=0.25)
+    assert seg.stop_reason == STOP_TIME_LIMIT and seg.t_end == 10.0
+    steps = [b - a for a, b in zip(seg.times, seg.times[1:])]
+    assert max(steps) == 0.25 and len(steps) == 40
+    assert seg.events == [] and seg.event_residual == 0.0
+    with pytest.raises(ValueError, match="t_limit must differ from t0"):
+        pendulum_arc(0.0, (1.0, 0.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite initial state"):
+        pendulum_arc(0.0, (math.inf, 0.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("speed", [1e200, 1e300])
+def test_pendulum_arc_overflow_is_a_step_failure(speed):
+    # The products in the coefficient recurrences overflow.
+    seg = pendulum_arc(0.0, (0.0, speed), 0.0, 1.0)
+    assert seg.stop_reason == STOP_STEP_FAILURE
+    assert seg.detail == "Taylor series overflowed at t=0.0"
+    assert seg.times == [0.0]
+
+
+def test_pendulum_arc_at_rest_point_takes_one_step():
+    # At the equilibrium sin x = pull every coefficient past the first is zero,
+    # so the step rule bounds nothing and one step reaches the limit.
+    pull = 0.5
+    seg = pendulum_arc(pull, (math.asin(pull), 0.0), 0.0, 100.0)
+    assert len(seg.times) == 2
+    assert seg.end_state == pytest.approx((math.asin(pull), 0.0), abs=1e-15)
 
 
 # brentq is a port of scipy's C brentq: on every input it must return scipy's

@@ -498,6 +498,24 @@ def test_quadrature_tol_must_be_positive_and_finite(monkeypatch, tol):
             constant_D(tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("call", [
+    lambda tol: poincare_iterates("high", 0.5, Params(0.1), tol=tol),
+    lambda tol: poincare_iterates("low", 0.05, Params(0.1), tol=tol),
+    lambda tol: tau_plus(2.0, tol),
+], ids=["high-no-full-turn", "low-below-capture", "tau-plus-at-separatrix"])
+def test_tol_checked_before_an_orbit_without_quadrature(monkeypatch, call, tol):
+    # Each call returns without any quadrature (a one-value orbit, or the
+    # tau_plus(2) = 0 shortcut), so only an up-front check rejects the tol.
+    def no_quad(*args, **kw):
+        raise AssertionError("integrated before rejecting tol")
+
+    monkeypatch.setattr(limits, "quad", no_quad)
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+        call(tol)
+    assert call(1e-10) is not None  # the same call with a good tol runs no quadrature
+
+
 def test_unreachable_tolerance_raises_quadrature_error():
     # QUADPACK's error estimate for tau_minus(1) stays near 2.5e-14.
     with pytest.raises(QuadratureError, match="above tolerance 1.000e-16"):

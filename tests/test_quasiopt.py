@@ -4,7 +4,10 @@ import pytest
 
 from pendamp import quasiopt
 from pendamp.dynamics import Params, PhaseState, energy
-from pendamp.limits import poincare_high, poincare_low, RegimeExit, StandstillCapture
+from pendamp.integrator import StepControl
+from pendamp.limits import (
+    RegimeExit, StandstillCapture, poincare_high, poincare_iterates, poincare_low,
+)
 from pendamp.quasiopt import (
     MODE_CAPTURE,
     MODE_DRY,
@@ -15,13 +18,14 @@ from pendamp.quasiopt import (
     simulate_damping,
     sweep_scaling,
 )
+from oracles import oracle_pendulum_arc
 
 
 K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at eps=0.1"
 
 
 def no_integration(*args, **kw):
-    raise AssertionError("integrate was called")
+    raise AssertionError("an arc was integrated")
 
 
 class TestDryFrictionControl:
@@ -55,7 +59,7 @@ class TestSimulateDamping:
         def no_integration(*args, **kw):
             raise AssertionError("integrated before rejecting eps")
 
-        monkeypatch.setattr(quasiopt, "integrate", no_integration)
+        monkeypatch.setattr(quasiopt, "pendulum_arc", no_integration)
         with pytest.raises(ValueError, match=r"needs eps < 0\.5, got 0\.5: the standstill zones "
                                              r"\|sin x\|, \|y\| < 2\.0 eps are not disjoint"):
             simulate_damping(PhaseState(-2.5, 0.0), Params(0.5))
@@ -173,7 +177,7 @@ class TestSimulateDamping:
     ], ids=["budget-nan", "budget-inf", "budget-1", "budget0", "k-1", "k-nan", "k-inf", "k0.5"])
     def test_capture_policy_is_checked_before_any_integration(self, monkeypatch, policy,
                                                                 message):
-        monkeypatch.setattr(quasiopt, "integrate", no_integration)
+        monkeypatch.setattr(quasiopt, "pendulum_arc", no_integration)
         with pytest.raises(ValueError) as exc:
             simulate_damping(PhaseState(-2.5, 0.0), Params(0.1), policy)
         assert str(exc.value) == message
@@ -183,8 +187,8 @@ class TestSimulateDamping:
         eps = 0.1
         k_min = 1.0 / (1.0 + math.sqrt(1.0 - eps * eps))
         assert energy(PhaseState(math.asin(eps), 0.0)) == pytest.approx(k_min * eps * eps, rel=1e-12)
-        monkeypatch.setattr(quasiopt, "integrate", no_integration)
-        with pytest.raises(AssertionError, match="integrate was called"):
+        monkeypatch.setattr(quasiopt, "pendulum_arc", no_integration)
+        with pytest.raises(AssertionError, match="an arc was integrated"):
             simulate_damping(PhaseState(-2.5, 0.0), Params(eps), CapturePolicy(k_cap=k_min))
 
     def test_trajectory_samples_kept(self):
@@ -272,3 +276,73 @@ def test_capture_energy_below_threshold():
     for eps in (0.2, 0.1, 0.05):
         res = simulate_damping(PhaseState(-2.5, 0.0), Params(eps), keep_samples=False)
         assert energy(res.terminal_state) <= 4.0 * eps * eps + 1e-12
+
+
+# ------------------------------------------------- Taylor arcs and capture
+
+SEPARATRIX_START = ((math.pi, 2.4529194207252676), 0.002072739411558288)
+
+
+def _recording_arcs(monkeypatch):
+    segs = []
+    arc = quasiopt.pendulum_arc
+
+    def recording(*args, **kw):
+        segs.append(arc(*args, **kw))
+        return segs[-1]
+
+    monkeypatch.setattr(quasiopt, "pendulum_arc", recording)
+    return segs
+
+
+def test_capture_is_the_located_entry_mid_arc(monkeypatch):
+    segs = _recording_arcs(monkeypatch)
+    res = simulate_damping(PhaseState(-3.0, 0.0), Params(0.05), keep_samples=False)
+    last = segs[-1].events[-1]
+    assert last.label == "capture"
+    assert res.damping_time == last.t
+    assert (res.terminal_state.x, res.terminal_state.y) == last.state
+    assert last.residual <= StepControl().event_tol
+    # Mid-arc: moving, and strictly between two step ends of the arc.
+    assert abs(last.state[1]) > 1e-3
+    assert segs[-1].times[-2] < last.t < segs[-1].times[-2] + quasiopt.CAPTURE_STEP
+    assert res.stats.arcs == len(segs) == len(res.phase_log) - 1
+    assert res.stats.steps == sum(len(seg.times) - 1 for seg in segs)
+    assert res.stats.events == sum(len(seg.events) for seg in segs)
+    assert res.stats.event_residual_max == max(seg.event_residual for seg in segs)
+
+
+@pytest.mark.parametrize("start,eps", [
+    SEPARATRIX_START, ((-2.9, 0.0), 0.003), ((math.pi, 3.0), 0.005), ((-3.0, 0.0), 0.05),
+], ids=["separatrix", "low", "high", "low-0.05"])
+def test_damping_matches_tight_dp5_arcs(monkeypatch, start, eps):
+    # The same mode machine with every arc on DP5 at rtol 1e-13, atol 1e-15.
+    res = simulate_damping(PhaseState(*start), Params(eps), keep_samples=False)
+    monkeypatch.setattr(quasiopt, "pendulum_arc", oracle_pendulum_arc)
+    ref = simulate_damping(PhaseState(*start), Params(eps), keep_samples=False)
+    assert res.switch_count == ref.switch_count
+    assert res.damping_time == pytest.approx(ref.damping_time, rel=1e-6)
+    assert len(res.rest_amplitudes) == len(ref.rest_amplitudes)
+    for (_, a), (_, b) in zip(res.rest_amplitudes, ref.rest_amplitudes):
+        assert a == pytest.approx(b, abs=1e-8)
+    assert len(res.section_speeds) == len(ref.section_speeds)
+    for (_, a), (_, b) in zip(res.section_speeds, ref.section_speeds):
+        # The last turn of the separatrix start crosses the section at speed
+        # 4.4e-4, where y_end = sqrt(y^2 - 4 pi eps) amplifies the reference's
+        # own error 400-fold: it is 7.4e-8 from the Taylor run, and DP5 at
+        # rtol 3e-14 moves it by 2.9e-8.
+        assert a == pytest.approx(b, abs=1e-8 if abs(b) > 1e-2 else 1e-6)
+
+
+def test_section_times_match_poincare_iterates_near_the_separatrix():
+    # The start of the damping benchmark's seed 28, pass 2: its last turn ends
+    # within 1e-3 of the separatrix.  At rtol 1e-10 the DP5 arcs were 3.2e-3
+    # (relative) off the exact map's step times there.
+    (x0, y0), eps = SEPARATRIX_START
+    p = Params(eps)
+    res = simulate_damping(PhaseState(x0, y0), p, keep_samples=False)
+    it = poincare_iterates("high", y0, p)
+    ts = [0.0] + [t for t, _ in res.section_speeds]
+    simulated = [b - a for a, b in zip(ts, ts[1:])]
+    assert len(simulated) == len(it.times) == 231
+    assert max(abs(a - b) / b for a, b in zip(it.times, simulated)) <= 1e-4
