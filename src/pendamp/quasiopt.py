@@ -17,9 +17,12 @@ machine built from smooth constant-control arcs:
 
 Every arc runs on ``integrator.pendulum_arc`` (Taylor steps); the DP5
 ``integrator.integrate`` is the tests' reference for the same mode machine.
-The capture is a terminal event of the dry-friction arcs, located like the
-rest points, so the damping time T is the located time of the first entry
-into the capture set, not the first step end found inside it.
+The capture is a terminal event of the dry-friction arcs.  The point where
+an arc first enters the capture set follows from the arc's first integral
+(:func:`_capture_entry`), and the event is the crossing of that point,
+located like the rest points.  So the damping time T is the located time
+of the first entry into the capture set, however briefly the orbit stays
+inside, not the first step end found inside it.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from dataclasses import dataclass
 from .dynamics import ZONE_FACTOR, Params, PhaseState, ZoneTag, energy_xy, reduce_angle, zone_xy
 from .integrator import (
     ANY,
-    FALLING,
     STOP_TERMINAL,
     EventSpec,
     TrajectorySegment,
+    brentq,
     integrate,  # noqa: F401  unused; perfbench/tracing.py wraps quasiopt.integrate
     pendulum_arc,
 )
@@ -61,12 +64,6 @@ class DampingNonConvergence(Exception):
 # The per-arc coast budget COAST_BASE + COAST_LOG log(1/eps).
 COAST_BASE = 16.0
 COAST_LOG = 4.0
-# The largest step of a dry arc that can reach the capture energy.  At that
-# energy the orbit grazes the corners of the lower zone, so the capture
-# function is below zero on windows that can be much shorter than a Taylor
-# step (0.08 time units are common, steps reach 1).  A window is found when a
-# step end falls in it, so these arcs take steps of at most this length.
-CAPTURE_STEP = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -135,15 +132,44 @@ class DampingResult:
         return math.sqrt(2.0 * e0) / self.epsilon
 
 
-def _lowest_energy(en: float, eps: float) -> float:
-    """A lower bound on the energy along a dry arc that starts at energy ``en``.
+def _capture_entry(x: float, y: float, pull: float, thr: float, cap_energy: float) -> float | None:
+    """The x at which a dry arc from (x, y) under ``pull`` enters the capture set.
 
-    Dry friction lowers the energy by eps per unit of x travelled.  Once below
-    E = 2 the arc stays in one well, where |x| is at most the well's amplitude
-    acos(1 - E), until it comes to rest.
+    The capture set is |y| <= thr, |sin x| <= thr, cos x >= 0 and energy
+    <= cap_energy.  Its corners are grazed at the capture energy, so the set
+    is often entered for a few thousandths of a time unit only, and a sign
+    test at step ends misses it.  Instead the entry is found from the orbit:
+    along the arc the speed keeps the sign d = -sign(pull) up to the rest that
+    ends it, so w = d x grows, the energy E = E0 - eps (w - w0) falls, and
+    h = y^2/2 - cos w + eps w is conserved (eps = |pull|).  Each condition is
+    then one on w: the bands |w - 2 pi k| <= asin(thr), the ray w >= w_e where
+    E = cap_energy, and |y| <= thr, that is
+    phi(w) = cos w - eps w - thr^2/2 + h <= 0, where phi is concave on each
+    band with its top at 2 pi k - asin(eps).  The first such w at or after w0
+    is the entry.  Where y^2 = 2 phi + thr^2 < 0, it lies past the rest that
+    ends the arc: then there is no entry, and None is returned.
     """
-    e = min(en, 2.0)
-    return e - 2.0 * eps * math.acos(1.0 - e)
+    eps = abs(pull)
+    d = -1.0 if pull > 0.0 else 1.0
+    w0 = d * x
+    h = 0.5 * y * y - math.cos(w0) + eps * w0
+    w_e = w0 + (energy_xy(x, y) - cap_energy) / eps
+    half_band = math.asin(thr)
+    top = -math.asin(eps)
+
+    def phi(w: float) -> float:
+        return math.cos(w) - eps * w - 0.5 * thr * thr + h
+
+    lo = max(w0, w_e)
+    center = 2.0 * math.pi * math.ceil((lo - half_band) / (2.0 * math.pi))
+    while True:
+        start = max(lo, center - half_band)
+        if phi(start) <= 0.0:
+            return d * start if 2.0 * phi(start) + thr * thr >= 0.0 else None
+        if phi(center + half_band) <= 0.0:
+            return d * brentq(phi, max(start, center + top), center + half_band,
+                              xtol=1e-14, rtol=8.9e-16)
+        center += 2.0 * math.pi
 
 
 def _rest_control(x: float, eps: float) -> int:
@@ -184,20 +210,11 @@ def simulate_damping(
     budget = policy.budget_factor / eps
     coast_budget = COAST_BASE + COAST_LOG * math.log(1.0 / eps)
 
-    def capture_gap(t, s):
-        """max(|y| - thr, |sin x| - thr, E - k_cap eps^2, -cos x): <= 0 in the
-        lower zone at capture energy, so its first zero is the capture."""
-        x, yv = s[0], s[1]
-        c = math.cos(x)
-        return max(abs(yv) - thr, abs(math.sin(x)) - thr,
-                   0.5 * yv * yv + (1.0 - c) - cap_energy, -c)
-
     ev_rest = EventSpec(lambda t, s: s[1], ANY, True, "rest")
     ev_section = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, False, "section")
     ev_section_stop = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, True, "section")
     ev_bottom_stop = EventSpec(lambda t, s: math.sin(0.5 * s[0]), ANY, True, "bottom")
     ev_leave_saddle = EventSpec(lambda t, s: math.sin(s[0]) ** 2 - thr * thr, ANY, True, "off-saddle")
-    ev_capture = EventSpec(capture_gap, FALLING, True, "capture")
     to_rest = [ev_rest]
     to_rest_via_sections = [ev_rest, ev_section]
 
@@ -288,11 +305,11 @@ def simulate_damping(
             u = -1 if yv > 0.0 else 1
 
         # The dry-friction arc under u to the next rest point, or to the
-        # capture if the arc can reach the capture energy and does so first.
-        if _lowest_energy(energy_xy(*state), eps) <= cap_energy:
-            seg = pendulum_arc(eps * u, state, t, t + budget, events + [ev_capture], CAPTURE_STEP)
-        else:
-            seg = pendulum_arc(eps * u, state, t, t + budget, events)
+        # capture if the arc enters the capture set first.  x moves against u.
+        x_cap = _capture_entry(state[0], state[1], eps * u, thr, cap_energy)
+        if x_cap is not None:
+            events = events + [EventSpec(lambda t, s: s[0] - x_cap, ANY, True, "capture")]
+        seg = pendulum_arc(eps * u, state, t, t + budget, events)
         for ev in seg.events:
             if ev.label == "section":
                 sections.append((ev.t, ev.state[1]))

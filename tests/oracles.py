@@ -8,7 +8,7 @@ other.  None of them is reachable from the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.special import ellipk
 
@@ -231,14 +231,13 @@ def oracle_trace_extremal(
 TIGHT = StepControl(rtol=1e-13, atol=1e-15)
 
 
-def oracle_pendulum_arc(pull, s0, t0, t_limit, events=(), max_step=math.inf):
+def oracle_pendulum_arc(pull, s0, t0, t_limit, events=()):
     """``integrator.pendulum_arc`` run by the DP5 ``integrate`` at ``TIGHT``.
 
     Patched over ``quasiopt.pendulum_arc``, it gives ``simulate_damping`` with
     every arc on the reference integrator.
     """
-    ctl = replace(TIGHT, max_step=min(TIGHT.max_step, max_step))
-    return integrate(pendulum_rhs(pull), s0, t0, t_limit, events, ctl)
+    return integrate(pendulum_rhs(pull), s0, t0, t_limit, events, TIGHT)
 
 
 

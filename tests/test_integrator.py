@@ -15,13 +15,13 @@ from pendamp.integrator import (
     STOP_STEP_FAILURE,
     STOP_TERMINAL,
     STOP_TIME_LIMIT,
+    EVENT_TOL,
     EventRecord,
     EventSpec,
     StepControl,
     TrajectorySegment,
     _initial_step,
     _make_dense,
-    _step_events,
     _taylor,
     brentq,
     integrate,
@@ -118,10 +118,10 @@ def test_nonterminal_events_recorded_and_continue():
 
 
 def test_event_value_localized_below_tolerance():
-    ctl = StepControl()
     ev = EventSpec(lambda t, s: s[0] + 0.5, ANY, True, "xcross")
-    seg = integrate(free_pendulum, (1.0, 0.0), 0.0, 50.0, [ev], ctl)
-    assert abs(seg.end_state[0] + 0.5) <= ctl.event_tol
+    seg = integrate(free_pendulum, (1.0, 0.0), 0.0, 50.0, [ev])
+    assert abs(seg.end_state[0] + 0.5) <= EVENT_TOL
+    assert seg.events[-1].residual == abs(seg.end_state[0] + 0.5)
 
 
 def test_step_failure_reported():
@@ -151,6 +151,8 @@ def test_step_control_validation():
         StepControl(min_step=1.0, max_step=0.5)
     with pytest.raises(TypeError):
         StepControl(interp_tol=1e-4)  # no interpolated samples
+    with pytest.raises(TypeError):
+        StepControl(event_tol=1e-11)  # residuals are returned, not judged
     with pytest.raises(ValueError):
         EventSpec(lambda t, s: s[0], "sideways", False, "bad")
 
@@ -161,7 +163,9 @@ def oracle_integrate(rhs, s0, t0, t_limit, events=(), ctl=None):
     The stage inputs, the new state and the error norm are built with loops
     over ``range(n)``.  ``integrate`` runs one generated straight-line attempt
     per state dimension instead and must give the same results bit for bit.
-    Events go through the package's one event routine, ``_step_events``.
+    Events are located here by scipy's ``brentq`` on the dense output, each
+    with its residual, and those missed over a step that a terminal event
+    cuts short are looked for again over the part that is kept.
     """
     if ctl is None:
         ctl = StepControl()
@@ -241,10 +245,58 @@ def oracle_integrate(rhs, s0, t0, t_limit, events=(), ctl=None):
             h = direction * h_mag
             continue
 
-        # Accepted step: the package's one event routine.
-        stages = (k1, k2, k3, k4, k5, k6, k7)
-        terminal_hit = _step_events(events, g_prev, t0, t, t_new, y_new, dead_band, recs,
-                                    lambda: _make_dense(t, h, y, stages))
+        # Accepted step.  Localize event crossings before committing samples.
+        dense = _make_dense(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+
+        def crossings(js, t_b, y_b):
+            """The crossings over [t, t_b] of the events js, and the events without one."""
+            found, quiet = [], []
+            for j in js:
+                ev = events[j]
+                g_b = ev.fn(t_b, y_b)
+                gp = g_prev[j]
+                crossed = False
+                if gp != 0.0:
+                    if ev.direction == RISING:
+                        crossed = gp < 0.0 <= g_b
+                    elif ev.direction == FALLING:
+                        crossed = gp > 0.0 >= g_b
+                    else:
+                        crossed = (gp < 0.0 <= g_b) or (gp > 0.0 >= g_b)
+                if not crossed:
+                    quiet.append(j)
+                    continue
+                if g_b == 0.0:
+                    t_e = t_b
+                else:
+                    ta, tb = (t, t_b) if t < t_b else (t_b, t)
+                    t_e = scipy_brentq(lambda s: ev.fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
+                if abs(t_e - t0) >= dead_band:
+                    found.append((t_e, j))
+            return found, quiet
+
+        hits, quiet = crossings(range(len(events)), t_new, y_new)
+        # A terminal crossing keeps only the step's part before it, where an
+        # event quiet over the whole step may have crossed and crossed back.
+        cut = t_new
+        while True:
+            hits.sort(key=lambda p: direction * p[0])
+            first_terminal = [t_e for t_e, j in hits if events[j].terminal][:1]
+            if not first_terminal or first_terminal[0] == cut or not quiet:
+                break
+            cut = first_terminal[0]
+            more, quiet = crossings(quiet, cut, dense(cut))
+            hits += more
+        g_prev = [ev.fn(t_new, y_new) for ev in events]
+
+        terminal_hit = None
+        for t_e, j in hits:
+            ev = events[j]
+            state_e = dense(t_e)
+            recs.append(EventRecord(t_e, state_e, ev.label, abs(ev.fn(t_e, state_e))))
+            if ev.terminal:
+                terminal_hit = (t_e, state_e)
+                break
 
         end_t, end_y = (t_new, y_new) if terminal_hit is None else terminal_hit
         times.append(end_t)
@@ -273,6 +325,10 @@ def _blowup(t, s):
     return (s[0] * s[0],)
 
 
+def _drift(t, s):
+    return (1.0,)
+
+
 def _van_der_pol(t, s):
     return (s[1], 8.0 * (1.0 - s[0] * s[0]) * s[1] - s[0])
 
@@ -296,6 +352,11 @@ STEP_CASES = {
     "n1-backward-falling": (
         _forced_decay, (0.4,), 6.0, -1.0, [EventSpec(lambda t, s: 1.0 - s[0], FALLING, False, "y")],
         LOOSE, "clipped"),
+    "n1-forward-rebracket": (
+        _drift, (0.0,), 0.0, 5.0,
+        [EventSpec(lambda t, s: (s[0] - 1.2) ** 2 - 0.0025, ANY, False, "dip"),
+         EventSpec(lambda t, s: s[0] - 1.2, RISING, True, "stop")],
+        StepControl(), "rebracket"),
     "n2-forward-any-terminal": (
         free_pendulum, (1.0, 0.2), 0.0, 50.0, [EventSpec(lambda t, s: s[1], ANY, True, "rest")],
         StepControl(), "terminal"),
@@ -365,6 +426,11 @@ def test_step_bit_identical_to_oracle(case):
         assert got.stop_reason == STOP_TERMINAL
     elif feature == "max_step":
         assert max(abs(b - a) for a, b in zip(got.times, got.times[1:])) == pytest.approx(ctl.max_step)
+    elif feature == "rebracket":
+        # The dip crosses at 1.15 and back at 1.25, in the step that the stop
+        # at 1.2 ends: its first crossing is found over the part kept.
+        assert [r.label for r in got.events] == ["dip", "stop"]
+        assert got.times[-2] < got.events[0].t
     elif feature == "rejected":
         # 2 rhs calls before the loop and 6 per attempt; each accepted step
         # adds one sample.
@@ -416,7 +482,7 @@ def test_pendulum_arc_matches_tight_dp5(case):
     assert got.events
     for a, b in zip(got.events, want.events):
         assert a.t == pytest.approx(b.t, abs=1e-9)
-        assert a.residual <= StepControl().event_tol
+        assert a.residual <= EVENT_TOL
     # Taylor steps are long: several times fewer samples than the reference.
     assert 4 * len(got.times) < len(want.times)
 
@@ -436,10 +502,17 @@ def test_pendulum_arc_rebrackets_events_before_a_terminal_event():
 
 
 def test_pendulum_arc_steps_and_limits():
-    seg = pendulum_arc(0.1, (0.5, 0.0), 0.0, 10.0, max_step=0.25)
+    # Every step is the one of Jorba and Zou's rule at its start, but the
+    # last, which is cut to end on the time limit.
+    pull = 0.1
+    seg = pendulum_arc(pull, (0.5, 0.0), 0.0, 10.0)
     assert seg.stop_reason == STOP_TIME_LIMIT and seg.t_end == 10.0
+    series, _ = _taylor()
+    rhos = [series(x, y, pull)[2] for x, y in seg.states[:-1]]
     steps = [b - a for a, b in zip(seg.times, seg.times[1:])]
-    assert max(steps) == 0.25 and len(steps) == 40
+    assert len(steps) > 5
+    assert steps[:-1] == pytest.approx(rhos[:-1], rel=1e-12)
+    assert 0.0 < steps[-1] <= rhos[-1]
     assert seg.events == [] and seg.event_residual == 0.0
     with pytest.raises(ValueError, match="t_limit must differ from t0"):
         pendulum_arc(0.0, (1.0, 0.0), 1.0, 1.0)
