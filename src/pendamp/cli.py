@@ -181,6 +181,7 @@ def cmd_extremals(args) -> int:
             "lemma_bound_ok": all(d.lemma_bound_ok for d in res.runs),
         },
         "runs": [d.as_dict() for d in res.runs],
+        "stats": dataclasses.asdict(res.stats),
         "config": {"grid": args.grid, "phi_max": args.phi_max},
     }
     _emit(payload, args)

@@ -19,6 +19,8 @@ control sign are scale invariant.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -26,10 +28,9 @@ import numpy as np
 
 from .dynamics import ZONE_FACTOR, Params, in_zone_xy
 from .integrator import (
-    _A_ROWS, _B_ROW, _E_ROW, _P,
     STOP_STEP_FAILURE,
-    StepControl,
-    _make_dense,
+    TAYLOR_ORDER,
+    TAYLOR_TOL,
     brentq,
     integrate,  # noqa: F401  unused; perfbench/tracing.py wraps extremal.integrate
 )
@@ -63,18 +64,18 @@ OPTIMALITY_SLACK = 0.7
 
 @dataclass(frozen=True)
 class StopPolicy:
-    """Time budget and step control of backward traces.
+    """Time budget of backward traces.
 
     A trace stops at the first of: the speed exit (SPEED_EXIT), the time
     budget time_budget_factor / eps, entry into the standstill zone
     (dynamics.ZONE_FACTOR) after first leaving it, the optimality screen
-    (OPTIMALITY_SLACK), or a step failure under ``ctl``.  The time budget is
-    a safety net: the screen cuts every run by tau(E)/eps + 0.7 <= 5.22/eps
-    + 0.7, which is under the default 8/eps for eps < 3.9.
+    (OPTIMALITY_SLACK), or a step failure (a non-finite Taylor step).  The
+    time budget is a safety net: the screen cuts every run by
+    tau(E)/eps + 0.7 <= 5.22/eps + 0.7, which is under the default 8/eps for
+    eps < 3.9.
     """
 
     time_budget_factor: float = 8.0
-    ctl: StepControl = field(default_factory=StepControl)
 
     def __post_init__(self):
         f = self.time_budget_factor
@@ -119,6 +120,30 @@ _TAU_VALUES = np.array((
 _TAU_WIDTH, _TAU_RISE = np.diff(_TAU_KNOTS), np.diff(_TAU_VALUES)
 
 
+def _slope_table(reduce):
+    """reduce(slope[i..j]) at [i, j] for i <= j, over the table's segments."""
+    slope = _TAU_RISE / _TAU_WIDTH
+    out = np.zeros((slope.size, slope.size))
+    for i in range(slope.size):
+        out[i, i:] = reduce.accumulate(slope[i:])
+    return out
+
+
+_SLOPE_MIN, _SLOPE_MAX = _slope_table(np.minimum), _slope_table(np.maximum)
+
+
+def _slope_range(Ea, Eb):
+    """The least and the largest slope of the tau(E) table between the energies Ea and Eb.
+
+    Past the last knot the bound is flat, so there the least slope is 0.
+    """
+    i = np.searchsorted(_TAU_KNOTS[1:-1], Ea, side="right")
+    j = np.searchsorted(_TAU_KNOTS[1:-1], Eb, side="right")
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    beyond = np.maximum(Ea, Eb) >= _TAU_KNOTS[-1]
+    return np.where(beyond, 0.0, _SLOPE_MIN[i, j]), _SLOPE_MAX[i, j]
+
+
 def _tau_bound(E):
     """tau(E) interpolated linearly between the knots, clamped at both ends, elementwise."""
     i = np.searchsorted(_TAU_KNOTS[1:-1], E, side="right")  # knots[i] <= E < knots[i + 1]
@@ -142,6 +167,7 @@ class ExtremalRun:
     stop_reason: str
     duration: float
     max_hamiltonian_residual: float
+    end_state: tuple[float, float, float, float]  # unscaled covector
 
     @property
     def switch_count(self) -> int:
@@ -223,83 +249,304 @@ def run_diagnostics(run: ExtremalRun) -> RunDiagnostics:
 # ------------------------------------------------------------ batched lanes
 #
 # trace_lanes traces many backward extremals at once, one lane per terminal
-# covector, with numpy arithmetic on (4, lanes) blocks.  Every operation is
-# elementwise, in the order that integrate uses on one trajectory, so a
-# lane's result does not depend on the batch it rides in.
+# covector.  A step is the Taylor series of the canonical field at each
+# lane's state, built for all lanes at once on an (order + 1, 4, lanes)
+# block.  Every operation is elementwise per lane, and every sum runs over
+# the leading axis, which numpy adds row by row, so a lane's result does not
+# depend on the batch it rides in.
 
 
-def _rhs_lanes(Y, ueps, out):
-    """Canonical right-hand side on a (4, lanes) block; ueps = u * eps per lane."""
-    x = Y[0]
-    out[0] = Y[1]
-    np.subtract(ueps, np.sin(x), out=out[1])
-    np.multiply(np.cos(x), Y[3], out=out[2])
-    np.negative(Y[2], out=out[3])
+@functools.lru_cache(maxsize=8)
+def _series_factors(unit: float):
+    """H / k for k = 0..TAYLOR_ORDER (0 at k = 0), and each as the column (H/k, -H/k)."""
+    factors = [unit / k if k else 0.0 for k in range(TAYLOR_ORDER + 1)]
+    return factors, [np.array([[f], [-f]]) for f in factors]
+
+
+def _lane_series(Z, ueps, unit=1.0):
+    """Taylor coefficients of the canonical field at the (4, lanes) states Z.
+
+    Z holds (x, y, eps phi, eps psi) = (x, y, P, Q) per lane, and ueps is
+    u eps per lane.  The series is in the step variable tau = (t - t0) / H,
+    for the time unit H = ``unit``.  With the pair S = sin x, C = cos x, whose
+    derivatives are S' = C x', C' = -S x', and x' = y,
+
+        k S_k = H sum_{j=1..k} y_{j-1} C_{k-j},   k C_k = -H sum_{j=1..k} y_{j-1} S_{k-j},
+        (k+1) x_{k+1} = H y_k,   (k+1) y_{k+1} = H (ueps [k = 0] - S_k),
+        (k+1) P_{k+1} = H sum_{j=0..k} C_j Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
+
+    Returns the (TAYLOR_ORDER + 1, 4, lanes) block of coefficients.  At H = 1
+    the first-order coefficients are the field itself, bit for bit.
+    """
+    if Z.shape[1] == 1:
+        # numpy sums a one-lane block along its one remaining axis pairwise,
+        # not row by row; a doubled lane keeps the row-by-row order.
+        return _lane_series(np.repeat(Z, 2, axis=1), np.repeat(ueps, 2), unit)[:, :, :1]
+    factors, signed = _series_factors(unit)
+    n = TAYLOR_ORDER
+    cf = np.empty((n + 1,) + Z.shape)
+    sc = np.empty((n, 2, Z.shape[1]))  # (S_k, C_k)
+    cf[0] = Z
+    x, y, P, Q = Z
+    np.sin(x, out=sc[0, 0])
+    np.cos(x, out=sc[0, 1])
+    f = factors[1]
+    cf[1, 0] = y * f
+    cf[1, 1] = (ueps - sc[0, 0]) * f
+    cf[1, 2] = sc[0, 1] * Q * f
+    cf[1, 3] = -P * f
+    ys, Qs = cf[:, 1], cf[:, 3]
+    add, mul = np.add.reduce, np.multiply
+    for k in range(1, n):
+        conv = add(ys[:k, None] * sc[k - 1::-1], axis=0)  # sum_j y_{j-1} (S, C)_{k-j}
+        mul(conv[::-1], signed[k], out=sc[k])
+        f = factors[k + 1]
+        mul(cf[k, 1:3], signed[k + 1], out=cf[k + 1, ::3])  # x from y, Q from P
+        mul(sc[k, 0], -f, out=cf[k + 1, 1])
+        mul(add(sc[:k + 1, 1] * Qs[k::-1], axis=0), f, out=cf[k + 1, 2])
+    return cf
+
+
+def _step_rule(cf):
+    """Jorba and Zou's step per lane, in the series variable.
+
+    rho = min over j = N-1, N of (TAYLOR_TOL / m_j)^(1/j), as in
+    ``integrator.pendulum_arc``; m_j is the largest of |x_j|, |y_j| and the
+    covector's |P_j|, |Q_j| relative to max(1, |P_0|, |Q_0|).  The covector
+    is linear and homogeneous, so only its relative error matters.  A zero
+    m_j bounds nothing; NaN coefficients give a NaN step.
+    """
+    n = cf.shape[0] - 1
+    scale = np.maximum(1.0, np.maximum(np.abs(cf[0, 2]), np.abs(cf[0, 3])))
+    rho = np.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        for j in (n - 1, n):
+            a = np.abs(cf[j])
+            mj = np.maximum(np.maximum(a[0], a[1]), np.maximum(a[2], a[3]) / scale)
+            rho = np.minimum(rho, np.float_power(TAYLOR_TOL / mj, 1.0 / j))
+    return rho
+
+
+def _horner_lanes(cf, tau):
+    """The series cf summed at tau per lane, by Horner's rule from the top."""
+    acc = cf[-1].copy()
+    for c in cf[-2::-1]:
+        acc *= tau
+        acc += c
+    return acc
+
+
+def _horner_source(order: int) -> str:
+    """Source of ``horner(c, t)``: sum_k c[k] t^k over k <= order, written out.
+
+    The terms of :func:`_horner_lanes` in its order, so that one lane's
+    polynomial gives the block's value bit for bit.
+    """
+    expr = f"c{order}"
+    for k in range(order - 1, -1, -1):
+        expr = f"({expr}) * t + c{k}" if k < order - 1 else f"{expr} * t + c{k}"
+    names = ", ".join(f"c{k}" for k in range(order + 1))
+    return f"def horner(c, t):\n    {names}, = c\n    return {expr}\n"
+
+
+def _compile_horner(order: int):
+    namespace = {}
+    exec(compile(_horner_source(order), f"<horner, order {order}>", "exec"), namespace)
+    return namespace["horner"]
+
+
+# One component's series summed at t, for the scalar event location.  It is
+# compiled at import, not at the first trace: it takes well under a millisecond.
+_horner = _compile_horner(TAYLOR_ORDER)
+
+
+def _crossed(old, new):
+    """Sign changes between the values old and new (either direction), elementwise."""
+    return ((old < 0.0) & (new >= 0.0)) | ((old > 0.0) & (new <= 0.0))
+
+
+_KNOTS_INNER = _TAU_KNOTS[1:-1].tolist()
+_TAU_LISTS = tuple(a.tolist() for a in (_TAU_KNOTS, _TAU_VALUES, _TAU_WIDTH, _TAU_RISE))
+
+
+def _tau_bound_at(E: float) -> float:
+    """:func:`_tau_bound` at one energy, with its arithmetic."""
+    knots, values, width, rise = _TAU_LISTS
+    if E <= 0.0:
+        return 0.0
+    if E >= knots[-1]:
+        return values[-1]
+    i = bisect.bisect_right(_KNOTS_INNER, E)
+    return values[i] + (E - knots[i]) / width[i] * rise[i]
+
+
+# The x-monotone pieces of an arc.  Between two zeros of y the lane's x is
+# monotone, and w = d x grows along the backward trace (d = sign of the
+# piece's x motion).  The arc's first integral y^2/2 - u eps x - cos x gives
+# the speed and the energy as functions of w,
+#
+#     Y2(w) = ya^2 + 2 e (w - wa) + 2 (cos w - cos wa),   E(w) = Ea + e (w - wa),
+#
+# with e = d u eps.  Y2 is monotone between the roots of sin w = e, so on a
+# piece cut at those roots (and at whatever else a test needs) each level is
+# crossed at most once per cut, and brentq in w finds the crossing.  The
+# mirror piece has the same w, e and Y2, so it gives the same answers.
+
+
+def _speed2(wa: float, ya: float, e: float):
+    """Y2(w) on the piece that starts at (wa, ya), from the first integral."""
+    y2a, cwa = ya * ya, math.cos(wa)
+    return lambda w: y2a + 2.0 * e * (w - wa) + 2.0 * (math.cos(w) - cwa)
+
+
+def _cuts(wa: float, wb: float, e: float, thr: float | None = None) -> list[float]:
+    """The roots of sin w = e in (wa, wb), and the band edges |sin w| = thr, sorted, then wb."""
+    bases = []
+    if abs(e) < 1.0:
+        c = math.asin(e)
+        bases += [(c, 2.0 * math.pi), (math.pi - c, 2.0 * math.pi)]
+    if thr is not None:
+        half = math.asin(thr)
+        bases += [(half, math.pi), (-half, math.pi)]
+    out = []
+    for base, period in bases:
+        w = base + period * (math.floor((wa - base) / period) + 1.0)
+        while w < wb:
+            out.append(w)
+            w += period
+    out.sort()
+    out.append(wb)
     return out
 
 
-# Powers go through np.float_power, which calls the C library's pow like
-# Python's ``**`` does; np.power and a * a differ from it in the last bit.
+def _piece_hit(wa: float, ya: float, wb: float, e: float, thr: float | None,
+               armed: bool, xtol: float):
+    """Where a piece first reaches the speed exit or enters the standstill zone.
 
-
-def _rms4(a):
-    """RMS over the 4 state components: the integrator's norm, summed in its order."""
-    return np.sqrt(np.add.reduce(np.float_power(a, 2), axis=0) / 4)
-
-
-def _coefficients(*c):
-    return np.array(c)[:, None, None]
-
-
-# The integrator's tableau rows, for stage sums over a (stages, 4, lanes)
-# block.  numpy adds a reduction over the leading axis row by row, in the
-# integrator's order; the solution and error sums skip the zero weights, as
-# the integrator's generated attempt code does.
-_A_LANES = tuple(_coefficients(*row) for row in _A_ROWS)
-_B_STAGES = np.array([s for s, w in enumerate(_B_ROW) if w != 0.0])
-_E_STAGES = np.array([s for s, w in enumerate(_E_ROW) if w != 0.0])
-_B_LANES = _coefficients(*(_B_ROW[s] for s in _B_STAGES))
-_E_LANES = _coefficients(*(_E_ROW[s] for s in _E_STAGES))
-
-
-def _initial_step_lanes(Y, f0, ueps, ctl: StepControl):
-    """The integrator's starting-step heuristic per lane, backward in time."""
-    sc = ctl.atol + ctl.rtol * np.abs(Y)
-    d0 = _rms4(Y / sc)
-    d1 = _rms4(f0 / sc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        f1 = _rhs_lanes(Y + -h0 * f0, ueps, np.empty_like(Y))
-        d2 = _rms4((f1 - f0) / sc) / h0
-        dm = np.maximum(d1, d2)
-        h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / dm, 0.2))
-    return -np.minimum(np.minimum(100.0 * h0, h1), ctl.max_step)
-
-
-def _dense_component(t_old: float, h: float, y_old: float, ks):
-    """One component of the integrator's quartic dense output over a step.
-
-    Same arithmetic as ``integrator._make_dense``, restricted to one
-    component and to the stages with a dense weight.
+    The piece runs from w = wa, with speed ya, to wb.  It is cut at the
+    roots of sin w = e and, when the zone is on (thr is not None), at the
+    band edges |sin w| = thr, so that on each cut the band test is constant.
+    Then the exit is the first w with Y2 >= SPEED_EXIT^2; the lane is armed
+    at the first w outside the zone (|y| >= thr or |sin x| >= thr), and once
+    armed it enters the zone at the first w inside it (|y| < thr and
+    |sin x| < thr).  So a pass of any length between two samples is found.
+    Returns (armed, kind, w): kind is _EXIT, _STANDSTILL or None, w the
+    point of the hit, and armed the lane's state there or at the piece's end.
     """
-    terms = [(p, k) for p, k in zip(_P, ks) if any(p)]
+    speed2 = _speed2(wa, ya, e)
 
-    def value(t: float) -> float:
-        th = (t - t_old) / h
-        ht = h * th
-        out = y_old
-        for (p0, p1, p2, p3), k in terms:
-            w = ht * (p0 + th * (p1 + th * (p2 + th * p3)))
-            if w != 0.0:
-                out += w * k
-        return out
+    def root(level: float, lo: float, hi: float) -> float:
+        return brentq(lambda w: speed2(w) - level, lo, hi, xtol=xtol, rtol=8.9e-16)
 
-    return value
+    exit2 = SPEED_EXIT * SPEED_EXIT
+    thr2 = thr * thr if thr is not None else 0.0
+    lo, slo = wa, ya * ya
+    for hi in _cuts(wa, wb, e, thr):
+        shi = speed2(hi)
+        hit = None
+        if slo >= exit2:
+            hit = (lo, _EXIT)
+        elif shi >= exit2:
+            hit = (root(exit2, lo, hi), _EXIT)
+        if thr is not None:
+            band = abs(math.sin(0.5 * (lo + hi))) < thr
+            if not (band and slo < thr2):
+                armed = True
+            if armed and band:
+                if slo < thr2:
+                    hit = (lo, _STANDSTILL)
+                elif shi < thr2 and hit is None:
+                    hit = (root(thr2, lo, hi), _STANDSTILL)
+            elif band and shi >= thr2:
+                armed = True  # leaves; Y2 keeps rising on this cut
+        if hit is not None:
+            return armed, hit[1], hit[0]
+        lo, slo = hi, shi
+    return armed, None, None
 
 
-_NO_CUT, _CUT_STANDSTILL, _CUT_OPTIMALITY = 0, 1, 2
-_CUT_REASON = {_CUT_STANDSTILL: STOP_STANDSTILL, _CUT_OPTIMALITY: STOP_OPTIMALITY}
-_SWITCH, _EXIT, _Y0 = 0, 1, 2  # the events; at equal times the first listed wins
+def _gap_minima(wa: float, ya: float, wb: float, e: float, Ea: float, xtol: float) -> list[float]:
+    """The local minima, in (wa, wb), of the budget gap along a piece that gains energy.
+
+    The gap B = tau(E)/eps + OPTIMALITY_SLACK + t falls by 1 per unit of
+    backward time and rises with tau(E)/eps.  For e = eps > 0, with
+    dt/dw = -1/|y| and the table's slope rho on the segment that holds E(w),
+
+        dB/dw = rho - 1 / sqrt(Y2(w)),
+
+    so B rises where Y2 >= 1/rho^2.  On the piece cut at the roots of
+    sin w = e and at the knots of the table, rho is constant and Y2
+    monotone, so B turns from falling to rising at most once inside a cut,
+    where Y2 rises through 1/rho^2, and otherwise at a knot.  (For e < 0 the
+    gap falls all along the piece and has no inner minimum.)
+    """
+    speed2 = _speed2(wa, ya, e)
+    knots, _, width, rise = _TAU_LISTS
+    Eb = Ea + e * (wb - wa)
+    inner = knots[bisect.bisect_right(knots, Ea):bisect.bisect_left(knots, Eb)]
+    cuts = sorted(_cuts(wa, wb, e)[:-1] + [wa + (K - Ea) / e for K in inner if wa + (K - Ea) / e < wb])
+    cuts.append(wb)
+    minima = []
+    rising = None
+    lo, slo = wa, ya * ya
+    for hi in cuts:
+        shi = speed2(hi)
+        E = Ea + e * (0.5 * (lo + hi) - wa)
+        i = bisect.bisect_right(knots, E) - 1
+        rho = rise[i] / width[i] if 0 <= i < len(width) else 0.0
+        level = 1.0 / (rho * rho) if rho > 0.0 else math.inf
+        up = slo >= level
+        if rising is False and up:
+            minima.append(lo)
+        rising = up
+        if up != (shi >= level):
+            r = brentq(lambda w: speed2(w) - level, lo, hi, xtol=xtol, rtol=8.9e-16)
+            if not rising:
+                minima.append(r)
+            rising = not rising
+        lo, slo = hi, shi
+    return minima
+
+
+_SWITCH, _EXIT, _STANDSTILL, _OPTIMALITY = range(4)  # the terminal events; at equal times the first wins
+_REASON = {_EXIT: STOP_ENERGY_EXIT, _STANDSTILL: STOP_STANDSTILL, _OPTIMALITY: STOP_OPTIMALITY}
+# A switch within this much of the start of the arc that it began (in the
+# series variable) is that switch found again, and is dropped.
+_DEAD_BAND = 1e-12
+_ROOT_TOL = dict(xtol=1e-14, rtol=8.9e-16)
+_SCREEN_SLACK = 1e-9  # margin of the vectorised screens over rounding
+
+
+def _root(f, a: float, b: float) -> float:
+    """brentq's zero of f between a and b in the step variable.
+
+    Where rounding leaves f with one sign at both ends, the zero is the end
+    where |f| is least.
+    """
+    try:
+        return brentq(f, a, b, **_ROOT_TOL)
+    except ValueError:  # f(a) and f(b) have one sign
+        return min((a, b), key=lambda s: abs(f(s)))
+
+
+@dataclass
+class LaneWork:
+    """The work of trace_lanes batches, added up over every batch it is passed to.
+
+    ``batch_steps`` counts Taylor steps of whole batches, ``lane_steps`` the
+    steps of single lanes, ``events`` the events located by brentq (switch,
+    exit, y0, budget line, zone entry), ``event_residual_max`` the worst
+    |g| there, ``peak_lanes`` the largest batch, and ``stops`` the runs by
+    stop reason.
+    """
+
+    batches: int = 0
+    batch_steps: int = 0
+    lane_steps: int = 0
+    events: int = 0
+    event_residual_max: float = 0.0
+    peak_lanes: int = 0
+    stops: dict[str, int] = field(default_factory=dict)
 
 
 def trace_lanes(
@@ -308,18 +555,30 @@ def trace_lanes(
     p: Params,
     stop: StopPolicy | None = None,
     stop_at: int | None = None,
+    work: LaneWork | None = None,
 ) -> list[ExtremalRun | None]:
     """Trace the backward extremals (phi_T, s) = (g / eps, signs) all at once.
 
-    The package's one extremal tracer.  Each lane keeps its own step size,
-    control sign, time and arc count, and takes the steps of one
-    :func:`integrate` call per arc (the scalar oracle in tests/oracles.py):
-    Dormand-Prince 5(4) steps under the same error control; the
-    starting-step heuristic and a fresh first stage at every arc start; the
-    ``min_step`` dead band after each switch; switch, exit and y0 events
-    located by brentq on the quartic dense output; and the standstill and
-    optimality cuts on every sample.  Runs keep no samples.  Memory is
-    O(lanes): no step history is kept, and finished lanes are compacted away.
+    The package's one extremal tracer.  Each lane keeps its own time,
+    control sign and arc count, and steps by the Taylor series of the
+    canonical field (:func:`_lane_series`, order ``TAYLOR_ORDER``) over
+    Jorba and Zou's step at ``TAYLOR_TOL`` (:func:`_step_rule`), in units of
+    H = 1/max(1, eps), so that the series stays finite at any eps.  The
+    stops are events located by brentq on the step's polynomials:
+
+    * the switch psi = 0, which starts the next arc, and the zeros of y;
+    * the optimality budget line -t = tau(E)/eps + OPTIMALITY_SLACK;
+    * the speed exit y^2 = SPEED_EXIT^2 and the entry into the standstill
+      zone after first leaving it, both found from the arc's first integral
+      on the step's x-monotone pieces (:func:`_piece_hit`), so that a pass
+      between two step ends is not missed.
+
+    A lane's fate depends on its trajectory, not on where its steps land.
+    Vectorised screens send only the lanes whose step may hold an event to
+    the scalar location.  A step with a non-finite series or size is a step
+    failure.  Runs keep no samples.  Memory is O(lanes): no step history is
+    kept, and finished lanes are compacted away.  ``work``, when given, has
+    this batch's counts added to it.
 
     With ``stop_at`` the batch is a witness search.  It ends as soon as a
     finished run reaches that allowed count, and once some lane has made
@@ -329,7 +588,6 @@ def trace_lanes(
     if stop is None:
         stop = StopPolicy()
     eps = p.epsilon
-    ctl = stop.ctl
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -337,31 +595,36 @@ def trace_lanes(
     if g.shape != sgn.shape or not np.all(np.abs(sgn) == 1.0):
         raise ValueError("need one sign of +-1 per lane")
     n = g.size
+    if work is None:
+        work = LaneWork()
+    work.batches += 1
+    work.peak_lanes = max(work.peak_lanes, n)
     phi_T = g / eps
-    y_stop2 = SPEED_EXIT ** 2
+    unit = 1.0 / max(1.0, eps)
+    xtol = _ROOT_TOL["xtol"] * unit
+    exit2 = SPEED_EXIT ** 2
     t_budget = stop.time_budget_factor / eps
     t_limit = -t_budget
     thr = ZONE_FACTOR * eps
     zone_on = thr < 1.0
+    thr2 = thr * thr
+    half_band = math.asin(thr) if zone_on else 0.0
+    ce = math.asin(eps) if eps < 1.0 else 0.0
     max_arcs = int(t_budget / math.pi) + 8
 
     # State of the active lanes; `lane` maps them back to the input order.
-    # The event values at the last sample are those of Y: every sample
-    # becomes the lane's state, and a rejected step leaves both unchanged.
     lane = np.arange(n)
-    Y = np.zeros((4, n))
-    Y[2] = eps * phi_T
-    Y[3] = sgn
+    Z = np.zeros((4, n))
+    Z[2] = eps * phi_T
+    Z[3] = sgn
     ueps = sgn * eps
     t = np.zeros(n)
-    h = np.zeros(n)
-    K1 = np.zeros((4, n))
-    t0 = np.zeros(n)  # arc start
-    nsteps = np.zeros(n, dtype=int)  # attempted steps in the arc
-    arcs = np.zeros(n, dtype=int)
-    armed = np.zeros(n, dtype=bool)
-    touched = np.zeros(n, dtype=bool)
+    arcs = np.ones(n, dtype=int)
+    fresh = np.zeros(n, dtype=bool)  # at the first step of an arc begun by a switch
+    armed = np.zeros(n, dtype=bool)  # has been outside the standstill zone
+    touched = np.full(n, zone_on)  # the arc touches the zone: it began before arming
     maxres = np.zeros(n)
+    gap_t = np.full(n, OPTIMALITY_SLACK)  # the budget gap at t
 
     sw_t = [[] for _ in range(n)]
     sw_s = [[] for _ in range(n)]
@@ -370,46 +633,13 @@ def trace_lanes(
     arc_z = [[] for _ in range(n)]
     out: list[ExtremalRun | None] = [None] * n
 
-    def check(on):
-        """Cuts and Hamiltonian residual on the current samples of lanes in mask on.
-
-        Returns the cut per lane and the standstill-zone mask of the samples.
-        """
-        x, yv = Y[0], Y[1]
-        sx = np.sin(x)
-        if zone_on:
-            zone = (np.abs(yv) < thr) & (np.abs(sx) < thr) & on
-        else:
-            zone = np.zeros_like(on)
-        cut = np.where(zone & armed, _CUT_STANDSTILL, _NO_CUT)
-        touched[...] |= zone
-        armed[...] |= on & ~zone
-        en = 0.5 * yv * yv + 1.0 - np.cos(x)
-        over = (-t > _tau_bound(en) / eps + OPTIMALITY_SLACK) & on
-        cut[over & (cut == _NO_CUT)] = _CUT_OPTIMALITY
-        r = np.abs(yv * Y[2] - sx * Y[3] + eps * np.abs(Y[3]) - eps)
-        np.fmax(maxres, r, out=maxres, where=on & (cut == _NO_CUT))
-        return cut, zone
-
-    def start_arcs(j):
-        """Begin a new arc on lanes j at their current (t, Y)."""
-        y = Y[:, j]
-        f0 = _rhs_lanes(y, ueps[j], np.empty_like(y))
-        hj = _initial_step_lanes(y, f0, ueps[j], ctl)
-        span = t_limit - t[j]
-        h[j] = np.where(np.abs(hj) > np.abs(span), span, hj)
-        K1[:, j] = f0
-        t0[j] = t[j]
-        nsteps[j] = 0
-        arcs[j] += 1
-        touched[j] = False
-
-    def finish(k, reason, close_arc=True) -> bool:
+    def finish(k, reason, state, close_arc=True) -> bool:
         """Store the run of active lane k, ended at t[k]; True for a stop_at witness."""
         i = lane[k]
         done[k] = True
         if close_arc:
-            arc_z[i].append(bool(touched[k]))
+            arc_z[i].append(bool(touched[k]) or reason == STOP_STANDSTILL)
+        work.stops[reason] = work.stops.get(reason, 0) + 1
         run = out[i] = ExtremalRun(
             phi_T=float(phi_T[i]),
             sign=int(sgn[i]),
@@ -422,144 +652,198 @@ def trace_lanes(
             stop_reason=reason,
             duration=abs(float(t[k])),
             max_hamiltonian_residual=float(maxres[k]) / eps,
+            end_state=(state[0], state[1], state[2] / eps, state[3] / eps),
         )
         return stop_at is not None and run.allowed_count >= stop_at
 
-    def locate(k, ev, t_old, t_new, hk, y_old, stages):
-        """Time of event ev on the step of lane k, as integrate finds it."""
-        c = 3 if ev == _SWITCH else 1
-        g_new = Yn[c, k] * Yn[c, k] - y_stop2 if ev == _EXIT else Yn[c, k]
-        if g_new == 0.0:
-            return t_new
-        f = _dense_component(t_old, hk, y_old[c], stages[c])
-        if ev == _EXIT:
-            fy = f
+    def locate(f, a: float, b: float) -> float:
+        """The event at the zero of f between a and b, counted in ``work``."""
+        tau_e = _root(f, a, b)
+        work.events += 1
+        work.event_residual_max = max(work.event_residual_max, abs(f(tau_e)))
+        return tau_e
 
-            def f(s):
-                v = fy(s)
-                return v * v - y_stop2
+    def residual(state) -> float:
+        x, y, P, Q = state
+        return abs(y * P - math.sin(x) * Q + eps * abs(Q) - eps)
 
-        return brentq(f, t_new, t_old, xtol=1e-14, rtol=8.9e-16)
+    def gap_at(cx, cy, t0: float, s: float) -> float:
+        """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at s on a step from t0."""
+        x, y = _horner(cx, s), _horner(cy, s)
+        return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + (t0 + unit * s)
+
+    def piece_events(k, cx, cy, t0, a, b, arm):
+        """The first terminal event on the x-monotone piece a -> b of lane k's step.
+
+        Returns (armed, (tau, kind) or None).
+        """
+        xs, ys, xe = _horner(cx, a), _horner(cy, a), _horner(cx, b)
+        if xe == xs:
+            return arm, None
+        d = 1.0 if xe > xs else -1.0
+        wa, wb, e = d * xs, d * xe, d * float(ueps[k])
+        hits = []
+        if scan[k]:
+            arm, kind, w = _piece_hit(wa, ys, wb, e, thr if zone_on else None, arm, xtol)
+            if kind is not None:
+                hits.append((locate(lambda s: _horner(cx, s) - d * w, b, a), kind))
+        if budget[k]:
+            def gap(s):
+                return gap_at(cx, cy, t0, s)
+            prev = a
+            Ea = 0.5 * ys * ys + 1.0 - math.cos(xs)
+            for w in (_gap_minima(wa, ys, wb, e, Ea, xtol) if e > 0.0 else ()):
+                s = _root(lambda s: _horner(cx, s) - d * w, b, prev)
+                if gap(s) <= 0.0:
+                    hits.append((locate(gap, s, prev), _OPTIMALITY))
+                    break
+                prev = s
+            else:
+                if gap(b) <= 0.0:
+                    hits.append((locate(gap, b, prev), _OPTIMALITY))
+        return arm, max(hits, key=lambda q: (q[0], -q[1])) if hits else None
 
     done = np.zeros(n, dtype=bool)
-    start_arcs(np.arange(n))
-    # No cut can fire at t = 0, where the zone is not armed yet and the run
-    # is 0.7 below the screen's line; the check still marks the arc as
-    # touching the zone, arms lanes outside it and takes the residual.
-    check(np.ones(n, dtype=bool))
     witness = False
-    attempts = 0
     while not witness:
         if np.count_nonzero(done):
             keep = ~done
-            lane, ueps, t, h, t0, nsteps, arcs, armed, touched, maxres = (
-                a[keep] for a in (lane, ueps, t, h, t0, nsteps, arcs, armed, touched, maxres))
-            Y, K1 = Y[:, keep], K1[:, keep]
+            lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t = (
+                a[keep] for a in (lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t))
+            Z = Z[:, keep]
         m = lane.size
         if m == 0:
             break
         done = np.zeros(m, dtype=bool)
-        attempts += 1
-        if attempts > ctl.max_steps:  # no lane can have used up its steps before
-            for k in (nsteps >= ctl.max_steps).nonzero()[0]:
-                witness |= finish(k, STOP_STEP_FAILURE)
-            if np.count_nonzero(done):
-                continue
-        nsteps += 1
+        work.batch_steps += 1
+        work.lane_steps += m
 
-        # One Dormand-Prince attempt on every lane.
-        clip = t + h - t_limit < 0.0
-        h = np.where(clip, t_limit - t, h)
-        KS = np.empty((7, 4, m))
-        KS[0] = K1
-        for i, a in enumerate(_A_LANES, start=1):
-            _rhs_lanes(Y + h * np.add.reduce(a * KS[:i], axis=0), ueps, KS[i])
-        Yn = Y + h * np.add.reduce(_B_LANES * KS.take(_B_STAGES, axis=0), axis=0)
-        tn = t + h
-        _rhs_lanes(Yn, ueps, KS[6])
-        e = h * np.add.reduce(_E_LANES * KS.take(_E_STAGES, axis=0), axis=0)
-        err = _rms4(e / (ctl.atol + ctl.rtol * np.maximum(np.abs(Y), np.abs(Yn))))
+        # One Taylor step on every lane, clipped at the time budget.
+        cf = _lane_series(Z, ueps, unit)
+        rho = _step_rule(cf)
+        with np.errstate(invalid="ignore", over="ignore"):
+            t_new = t - unit * rho
+            last = ~(t_new > t_limit)
+            tau = np.where(last, (t_limit - t) / unit, -rho)
+            t_new[last] = t_limit
+            Zn = _horner_lanes(cf, tau)
+            bad = ~((rho > 0.0) & np.isfinite(Zn).all(axis=0))
 
-        # Step-size control: max(0.2, .) also sends a non-finite error to 0.2,
-        # and min(10, .) a zero error to 10, as in integrate.
-        acc = err <= 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grow = np.fmax(0.2, 0.9 * np.float_power(err, -0.2))
-        h_abs = np.abs(h)
-        h_rej = h_abs * grow
-        h_acc = np.maximum(np.minimum(ctl.max_step, h_abs * np.minimum(10.0, grow)), ctl.min_step)
-        for k in ((h_rej < ctl.min_step) & ~acc).nonzero()[0]:
-            witness |= finish(k, STOP_STEP_FAILURE)
+        # Screens, which send a lane's step to the scalar location when it
+        # may hold an event: the switch and y0 sign changes across the step;
+        # where x is monotone over the step, the extremes over its x range of
+        # the first integral's speed (see _piece_hit), at the ends and at the
+        # interior critical points; and bounds on the budget gap.
+        xa, ya, xb, yb = Z[0], Z[1], Zn[0], Zn[1]
+        y0 = _crossed(ya, yb)
+        sw = _crossed(Z[3], Zn[3])
+        sn, cn = np.sin(xb), np.cos(xb)
+        gap_energy = 0.5 * yb * yb + 1.0 - cn
+        gap = _tau_bound(gap_energy) / eps + OPTIMALITY_SLACK + t_new
+        d = np.where(xb >= xa, 1.0, -1.0)
+        wa, wb, e = d * xa, d * xb, d * ueps
+        y2a, y2b = ya * ya, yb * yb
+        cwa = np.cos(wa)
+        lead = y2a - 2.0 * e * wa - 2.0 * cwa
+        top = np.copysign(ce, e)  # asin(e): Y2 has its maxima at top + 2 pi k, its minima at pi - top + 2 pi k
+        w_max = top + 2.0 * math.pi * np.ceil((wa - top) / (2.0 * math.pi))
+        w_min = (math.pi - top) + 2.0 * math.pi * np.ceil((wa - math.pi + top) / (2.0 * math.pi))
+        with np.errstate(invalid="ignore"):
+            s_max = np.where(w_max < wb, lead + 2.0 * e * w_max + 2.0 * np.cos(w_max), -np.inf)
+            s_min = np.where(w_min < wb, lead + 2.0 * e * w_min + 2.0 * np.cos(w_min), np.inf)
+        hi = np.maximum(np.maximum(y2a, y2b), s_max)
+        lo = np.minimum(np.minimum(y2a, y2b), s_min)
+        odd = y0 | (wb - wa > math.pi)  # x not monotone, or a range past one max and min of Y2
+        scan = odd | (hi >= exit2 - _SCREEN_SLACK)
+        # In backward time s the gap changes at the rate rho |y| - 1 while
+        # the energy rises (e > 0; rho is the table's slope), and at
+        # -rho |y| - 1 while it falls.  Over a step from gap_t it stays
+        # above gap_t - (1 - rho_lo |y|_lo) (s - s_a), and above its end
+        # value gap when rho_hi |y|_hi <= 1.  A step with a zero of y is
+        # bounded by gap_t minus the step's length alone.
+        span = t - t_new
+        rho_lo, rho_hi = _slope_range(0.5 * y2a + 1.0 - cwa, gap_energy)
+        fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
+        budget = (gap <= 0.0) | (odd & (gap_t - span <= _SCREEN_SLACK)) | (
+            (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
+        if zone_on:
+            meets = (math.pi * np.ceil((wa - half_band - _SCREEN_SLACK) / math.pi)
+                     <= wb + half_band + _SCREEN_SLACK)
+            home = math.pi * np.rint(wa / math.pi) + half_band  # edge of the band the lane is in
+            scan |= np.where(armed, meets & (lo <= thr2 + _SCREEN_SLACK),
+                             (wb >= home - _SCREEN_SLACK) | (hi >= thr2 - _SCREEN_SLACK))
+        flag = (scan | budget | sw | last) & ~bad
 
-        # Event crossings over accepted steps: psi and y change sign (any
-        # direction), y^2 - y_stop^2 rises through 0.
-        old, new = Y[1::2], Yn[1::2]
-        sign_change = ((old < 0.0) & (new >= 0.0)) | ((old > 0.0) & (new <= 0.0))
-        exits = (Y[1] * Y[1] - y_stop2 < 0.0) & (Yn[1] * Yn[1] - y_stop2 >= 0.0)
-        hit = (sign_change[0] | sign_change[1] | exits) & acc
-        crossed = {}
-        for k in hit.nonzero()[0]:
-            t_old, t_new, hk = float(t[k]), float(tn[k]), float(h[k])
-            y_old, stages = Y[:, k].tolist(), KS[:, :, k].T.tolist()
-            hits = []
-            events = (_SWITCH, sign_change[1, k]), (_EXIT, exits[k]), (_Y0, sign_change[0, k])
-            for ev, on in events:
-                if on:
-                    t_e = locate(k, ev, t_old, t_new, hk, y_old, stages)
-                    if abs(t_e - t0[k]) >= ctl.min_step:
-                        hits.append((t_e, ev))
-            hits.sort(key=lambda q: -q[0])
-            y0s, end = [], None
-            for t_e, ev in hits:
-                if ev == _Y0:
-                    y0s.append(t_e)
-                else:
-                    end = (ev, t_e, _make_dense(t_old, hk, y_old, KS[:, :, k].tolist())(t_e))
-                    break
-            crossed[k] = (y0s, end)
+        for k in bad.nonzero()[0]:
+            witness |= finish(k, STOP_STEP_FAILURE, Z[:, k].tolist())
 
-        # Accepted steps become the lanes' states (event states where a
-        # terminal event ended the step), then the cuts run on them.
-        np.copyto(t, tn, where=acc)
-        np.copyto(Y, Yn, where=acc)
-        np.copyto(K1, KS[6], where=acc)
-        h = -np.where(acc, h_acc, h_rej)
-        ended = {}
-        for k, (y0s, end) in crossed.items():
-            if end is not None:
-                ended[k], t[k], Y[:, k] = end
-        cut, zone = check(acc)
-        budget = acc & (clip | (tn - t_limit <= 0.0))
+        # Steps without an event: the step's end becomes the lane's state.
+        plain = ~flag & ~bad
+        r = np.abs(yb * Zn[2] - sn * Zn[3] + eps * np.abs(Zn[3]) - eps)
+        np.copyto(Z, Zn, where=plain)
+        np.copyto(t, t_new, where=plain)
+        np.copyto(gap_t, gap, where=plain)
+        np.fmax(maxres, r, out=maxres, where=plain)
+        fresh &= ~plain
 
         restart, sure = [], []
-        for k in sorted(crossed.keys() | set(cut.nonzero()[0]) | set(budget.nonzero()[0])):
+        for k in flag.nonzero()[0]:
             i = lane[k]
-            y0s = crossed.get(k, ((), None))[0]
-            y0_t[i].extend(y0s if not cut[k] else [v for v in y0s if v > t[k]])
-            if cut[k]:
-                witness |= finish(k, _CUT_REASON[cut[k]])
-            elif ended.get(k) == _EXIT:
-                witness |= finish(k, STOP_ENERGY_EXIT)
-            elif ended.get(k) == _SWITCH:
-                st = Y[:, k].tolist()
-                sw_t[i].append(float(t[k]))
-                sw_s[i].append((st[0], st[1], st[2] / eps, st[3] / eps))
-                sw_z[i].append(zone_on and in_zone_xy(st[0], st[1], thr))
-                arc_z[i].append(bool(touched[k]))
-                if stop_at is not None and len(sw_t[i]) >= stop_at:
-                    sure.append(k)
-                if arcs[k] == max_arcs:
-                    witness |= finish(k, STOP_TIME_BUDGET, close_arc=False)
-                else:
-                    restart.append(k)
-            elif budget[k]:
-                witness |= finish(k, STOP_TIME_BUDGET)
+            cx, cy, cP, cQ = cf[:, :, k].T.tolist()
+            tau_end, t0 = float(tau[k]), float(t[k])
+            # The switch ends the step's scan; the x-monotone pieces before
+            # it, split at the zero of y, are searched in order.
+            tau_e, kind = tau_end, None
+            if sw[k]:
+                ts = locate(lambda s: _horner(cQ, s), tau_end, 0.0)
+                if not (fresh[k] and abs(ts) < _DEAD_BAND):
+                    tau_e, kind = ts, _SWITCH
+            ends = [0.0]
+            # y changes sign at most once on a step; past the switch its zero
+            # is not needed.
+            if y0[k] and (kind is None or (_horner(cy, tau_e) < 0.0) != (ya[k] < 0.0)):
+                ends.append(locate(lambda s: _horner(cy, s), tau_e, 0.0))
+            ends.append(tau_e)
+            arm = bool(armed[k])
+            for a, b in zip(ends, ends[1:]):
+                arm, hit = piece_events(k, cx, cy, t0, a, b, arm)
+                if hit is not None and (kind is None or hit[0] > tau_e):
+                    tau_e, kind = hit
+                    break
+            armed[k] = arm
+            y0_t[i].extend(t0 + unit * v for v in ends[1:-1] if v > tau_e)
+            if kind is None:
+                Z[:, k] = Zn[:, k]
+                t[k] = t_new[k]
+                gap_t[k] = gap[k]
+                maxres[k] = max(maxres[k], r[k])
+                fresh[k] = False
+                if last[k]:
+                    witness |= finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
+                continue
+            state = [_horner(c, tau_e) for c in (cx, cy, cP, cQ)]
+            t[k] = t0 + unit * tau_e
+            if kind != _SWITCH:
+                witness |= finish(k, _REASON[kind], state)
+                continue
+            maxres[k] = max(maxres[k], residual(state))
+            gap_t[k] = gap_at(cx, cy, t0, tau_e)
+            sw_t[i].append(float(t[k]))
+            sw_s[i].append((state[0], state[1], state[2] / eps, state[3] / eps))
+            sw_z[i].append(zone_on and in_zone_xy(state[0], state[1], thr))
+            arc_z[i].append(bool(touched[k]))
+            Z[:, k] = state
+            if stop_at is not None and len(sw_t[i]) >= stop_at:
+                sure.append(k)
+            if arcs[k] == max_arcs:
+                witness |= finish(k, STOP_TIME_BUDGET, state, close_arc=False)
+            else:
+                restart.append(k)
         if restart:
-            # The new arc's first sample is the switch state, which has just
-            # passed the cuts; it only marks the arc as touching the zone.
             ueps[restart] = -ueps[restart]
-            start_arcs(restart)
-            touched[restart] = zone[restart]
+            arcs[restart] += 1
+            fresh[restart] = True
+            touched[restart] = zone_on & ~armed[restart]
         if sure:
             done[:] = True
             done[sure] = False
@@ -634,6 +918,7 @@ class SweepResult:
     boundary_hit: bool
     unresolved_transitions: bool
     n_runs: int
+    stats: LaneWork  # the grid batch and every refinement round, added up
 
 
 # Most bisection levels of one frontier interval traced in one refinement
@@ -727,9 +1012,10 @@ def max_switchings(
     """Scan the backward family for the maximal switching count.
 
     The phi_T grid is traced as one trace_lanes batch, and each round of the
-    bisection refinement as another.  Lane results do not depend on the
-    batch, so the runs and their count equal those of a scan that traces one
-    run at a time.  ``threads`` accepts only 1 (see :func:`_one_process`).
+    bisection refinement as another; ``stats`` adds up their work.  Lane
+    results do not depend on the batch, so the runs and their count equal
+    those of a scan that traces one run at a time.  ``threads`` accepts only
+    1 (see :func:`_one_process`).
 
     The canonical system is odd: (x, y, phi, psi, u) -> -(x, y, phi, psi, u)
     maps extremals to extremals, and the run from (-phi_T, -s) is, bit for
@@ -753,6 +1039,7 @@ def max_switchings(
     gmax = policy.phi_max_scaled
     jobs = [(g, s) for s in (1, -1) for g in phi_grid(policy.grid_points, gmax)]
     cache: dict[tuple[float, int], RunDiagnostics] = {}
+    work = LaneWork()
 
     def found(diag) -> bool:
         return stop_at is not None and diag.allowed_count >= stop_at
@@ -763,7 +1050,8 @@ def max_switchings(
         for g, s in batch:
             (twins if (-g, -s) in cache or (-g, -s) in seen else traced).append((g, s))
             seen.add((g, s))
-        runs = trace_lanes([g for g, _ in traced], [s for _, s in traced], p, policy.stop, stop_at)
+        runs = trace_lanes([g for g, _ in traced], [s for _, s in traced], p, policy.stop, stop_at,
+                           work)
         cache.update((job, run_diagnostics(r)) for job, r in zip(traced, runs) if r is not None)
         for g, s in twins:
             diag = cache.get((-g, -s))
@@ -800,6 +1088,7 @@ def max_switchings(
         boundary_hit=boundary,
         unresolved_transitions=unresolved,
         n_runs=len(diags),
+        stats=work,
     )
 
 

@@ -5,18 +5,20 @@ Two integrators, each serving its own paths:
 * :func:`pendulum_arc` runs every arc of the damping simulation
   (``quasiopt.simulate_damping``: coasts, saddle pushes, dry-friction arcs)
   on the one field it needs, x' = y, y' = -sin x + pull, by Taylor series of
-  order ``TAYLOR_ORDER`` with Jorba and Zou's step rule.
+  order ``TAYLOR_ORDER`` with Jorba and Zou's step rule at ``TAYLOR_TOL``.
+  The lane kernel ``extremal.trace_lanes`` takes the same steps on the
+  canonical system of the backward extremals, many lanes at once.
 * :func:`integrate`, adaptive Dormand-Prince 5(4), takes any field.  It is
-  the reference for :func:`pendulum_arc` (the tests run the damping
-  simulation on it at rtol 1e-13), and its tableau and dense output are the
-  step of the lane-batched extremal kernel ``extremal.trace_lanes``, which
-  is tested against a scalar trace on :func:`integrate`, the oracle
-  ``oracle_trace_extremal`` in tests/oracles.py.
+  the reference of both Taylor integrators: the tests run the damping
+  simulation on it at rtol 1e-13, and trace extremals on it at rtol 1e-12
+  (the lane kernel's differential oracle ``oracle_trace_extremal`` in
+  tests/oracles.py).
 
-Both keep one contract, and locate their events by one routine,
-:func:`_step_events`: every sign change of an event function between two
-step ends is refined by :func:`brentq` on the step's own interpolant, and
-each located event carries its residual |g| back to the caller.
+The two integrators of this module keep one contract, and locate their
+events by one routine, :func:`_step_events`: every sign change of an event
+function between two step ends is refined by :func:`brentq` on the step's
+own interpolant, and each located event carries its residual |g| back to
+the caller.
 Design constraints of :func:`integrate`:
 
 * explicit embedded pair with dense output (quartic interpolant), so event
@@ -527,8 +529,8 @@ def integrate(
     return TrajectorySegment(times, states, recs, stop_reason, detail)
 
 
-# The Taylor arcs of the pendulum field.  The order and the tolerance of the
-# step rule are model constants.  On the damping benchmark's runs, order 16
+# The Taylor steps of the pendulum arcs and of the extremal lanes.  The
+# order and the tolerance of the step rule are model constants.  On the damping benchmark's runs, order 16
 # takes half the steps of order 12 in 30% less time; orders 18-24 take fewer
 # steps still, but more time.
 TAYLOR_ORDER = 16

@@ -7,6 +7,7 @@ other.  None of them is reachable from the package.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from pendamp.extremal import (
 )
 from pendamp.integrator import (
     ANY,
+    FALLING,
     RISING,
     STOP_STEP_FAILURE,
     STOP_TERMINAL,
@@ -78,19 +80,52 @@ class OracleRun(ExtremalRun):
     trajectory: TrajectorySegment | None = None
 
 
+# DP5 tolerances of the reference extremals, two decades below integrate's
+# defaults.
+TIGHT_EXTREMAL = StepControl(rtol=1e-12, atol=1e-14)
+
+
+def _tau_slope(E: float) -> float:
+    """The slope of the tau(E) table on the segment that holds E (0 past it)."""
+    if E <= 0.0 or E >= _KNOTS[-1]:
+        return 0.0
+    i = bisect.bisect_right(_KNOTS, E) - 1
+    return (_VALUES[i + 1] - _VALUES[i]) / (_KNOTS[i + 1] - _KNOTS[i])
+
+
+def _knot_phase(E: float) -> float:
+    """sin(pi phi(E)), where phi runs through the integers at the table's knots."""
+    if E <= 0.0:
+        return 0.0
+    i = min(bisect.bisect_right(_KNOTS, E) - 1, len(_KNOTS) - 2)
+    return math.sin(math.pi * (i + (E - _KNOTS[i]) / (_KNOTS[i + 1] - _KNOTS[i])))
+
+
 def oracle_trace_extremal(
     phi_T: float,
     s: int,
     p: Params,
     stop: StopPolicy | None = None,
     keep_samples: bool = True,
+    ctl: StepControl = TIGHT_EXTREMAL,
 ) -> OracleRun:
-    """Trace one backward extremal on ``integrate``, splitting arcs at psi zeros.
+    """Trace one backward extremal on DP5 ``integrate``, one arc per call.
 
-    The scalar oracle of the lane kernel ``extremal.trace_lanes``: one arc
-    per ``integrate`` call, with the same step, event and cut policy, so the
-    two agree run for run.  With ``keep_samples`` the run also carries its
-    samples, with the covector unscaled.
+    The differential oracle of the Taylor lane kernel ``extremal.trace_lanes``,
+    with every stop located in the time domain.  Each arc ends at the switch
+    psi = 0, or earlier at a sign change of y^2 - SPEED_EXIT^2 or of the
+    budget gap tau(E)/eps + OPTIMALITY_SLACK + t between step ends.  Along
+    the arc ``integrate`` also locates, as non-terminal events, the zeros of
+    y, of y' = u eps - sin x, of sin 2x, of sin(pi phi(E)) (the table's
+    knots) and of 1 + u rho(E) y, the sign of the gap's slope.  Between two
+    such points |y|, |sin x| and E are monotone, rho is constant, and so the
+    gap is monotone too.  So the end values of each piece tell whether the
+    speed exit, the budget line, the zone (|y| < thr and |sin x| < thr) and
+    its complement are met inside it, and each first crossing is located by
+    integrating the piece again up to it as a terminal event.  The lane is
+    armed at its first point outside the zone and stops at its first point
+    inside it after that.  With ``keep_samples`` the run also carries its
+    samples (step ends and located stops), with the covector unscaled.
     """
     if s not in (-1, 1):
         raise ValueError(f"s must be +-1, got {s}")
@@ -103,21 +138,48 @@ def oracle_trace_extremal(
     # stop is meaningless; traces there exit on speed long before it matters.
     thr = ZONE_FACTOR * eps
     zone_on = thr < 1.0
-    ctl = stop.ctl
 
-    def rhs_plus(t, st):
-        x = st[0]
-        return (st[1], eps - math.sin(x), math.cos(x) * st[3], -st[2])
+    def energy(st):
+        return 0.5 * st[1] * st[1] + 1.0 - math.cos(st[0])
 
-    def rhs_minus(t, st):
-        x = st[0]
-        return (st[1], -eps - math.sin(x), math.cos(x) * st[3], -st[2])
+    def speed_gap(t, st):
+        return st[1] * st[1] - y_stop2
 
-    events = (
-        EventSpec(lambda t, st: st[3], ANY, True, "switch"),
-        EventSpec(lambda t, st: st[1] * st[1] - y_stop2, RISING, True, "exit"),
-        EventSpec(lambda t, st: st[1], ANY, False, "y0"),
-    )
+    def budget_gap(t, st):
+        return _tau_bound(energy(st)) / eps + OPTIMALITY_SLACK + t
+
+    def y_gap(t, st):
+        return abs(st[1]) - thr
+
+    def sin_gap(t, st):
+        return abs(math.sin(st[0])) - thr
+
+    def arc(u, state, t0):
+        """The arc under control u from (t0, state), to its switch or first stop."""
+        ueps = u * eps
+
+        def rhs(t, st):
+            x = st[0]
+            return (st[1], ueps - math.sin(x), math.cos(x) * st[3], -st[2])
+
+        events = [
+            EventSpec(lambda t, st: st[3], ANY, True, "switch"),
+            EventSpec(speed_gap, RISING, True, "exit"),
+            EventSpec(budget_gap, FALLING, True, "budget"),
+            EventSpec(lambda t, st: st[1], ANY, False, "y0"),
+            EventSpec(lambda t, st: ueps - math.sin(st[0]), ANY, False, "cut"),
+            EventSpec(lambda t, st: math.sin(2.0 * st[0]), ANY, False, "cut"),
+            EventSpec(lambda t, st: _knot_phase(energy(st)), ANY, False, "cut"),
+            EventSpec(lambda t, st: 1.0 + u * _tau_slope(energy(st)) * st[1], ANY, False, "cut"),
+        ]
+        seg = integrate(rhs, state, t0, -t_budget, events, ctl)
+
+        def crossing(fn, a, b):
+            """The first zero of fn after point a, which lies in the monotone piece (a, b)."""
+            again = integrate(rhs, a[1], a[0], b[0], [EventSpec(fn, ANY, True)], ctl)
+            return (again.t_end, again.end_state) if again.events else b
+
+        return seg, crossing
 
     u = s
     t = 0.0
@@ -132,76 +194,94 @@ def oracle_trace_extremal(
     all_s: list[tuple[float, float, float, float]] = []
     max_res = 0.0
     stop_reason = STOP_TIME_BUDGET
-    end_t = 0.0
     max_arcs = int(t_budget / math.pi) + 8
 
+    def inside(st):
+        return zone_on and abs(st[1]) < thr and abs(math.sin(st[0])) < thr
+
     for _ in range(max_arcs):
-        seg = integrate(rhs_plus if u > 0 else rhs_minus, state, t, -t_budget, events, ctl)
-
-        cut = None
-        cut_reason = None
-        touched = False
-        for i, st in enumerate(seg.states):
-            x, yv = st[0], st[1]
-            sx = math.sin(x)
-            if zone_on and abs(yv) < thr and abs(sx) < thr:
-                touched = True
-                if armed:
-                    cut = i
-                    cut_reason = STOP_STANDSTILL
-                    break
-            else:
-                armed = True
-            en = 0.5 * yv * yv + 1.0 - math.cos(x)
-            if -seg.times[i] > _tau_bound(en) / eps + OPTIMALITY_SLACK:
-                cut = i
-                cut_reason = STOP_OPTIMALITY
-                break
-            r = yv * st[2] - sx * st[3] + eps * abs(st[3]) - eps
-            if abs(r) > max_res:
-                max_res = abs(r)
-
-        t_cut = seg.times[cut] if cut is not None else None
-        for ev in seg.events:
-            if ev.label == "y0" and (t_cut is None or ev.t > t_cut):
-                y_zero_times.append(ev.t)
-
-        if keep_samples:
-            hi = (cut + 1) if cut is not None else len(seg.times)
-            start = 1 if all_t else 0  # arc junction duplicates the last sample
-            all_t.extend(seg.times[start:hi])
-            all_s.extend(seg.states[start:hi])
-
-        arc_zone.append(touched)
-
-        if cut is not None:
-            stop_reason = cut_reason
-            end_t = seg.times[cut]
-            break
-        if seg.stop_reason == STOP_TERMINAL:
-            last = seg.events[-1]
-            if last.label == "switch":
-                st = last.state
-                switch_times.append(last.t)
-                switch_states.append((st[0], st[1], st[2] / eps, st[3] / eps))
-                switch_in_zone.append(zone_on and in_zone_xy(st[0], st[1], thr))
-                u = -u
-                state = st
-                t = last.t
-                end_t = last.t
+        seg, crossing = arc(u, state, t)
+        touched = inside(state)
+        # The arc's pieces, between its start, its located events and its end.
+        points = [(t, state)] + [(ev.t, ev.state) for ev in seg.events] + [(seg.t_end, seg.end_state)]
+        end = None
+        for a, b in zip(points, points[1:]):
+            if b[0] == a[0]:
                 continue
-            stop_reason = STOP_ENERGY_EXIT
-            end_t = seg.t_end
+            hits = []
+            if speed_gap(*b) >= 0.0 > speed_gap(*a):
+                hits.append((*crossing(speed_gap, a, b), STOP_ENERGY_EXIT))
+            if budget_gap(*b) <= 0.0 < budget_gap(*a):
+                hits.append((*crossing(budget_gap, a, b), STOP_OPTIMALITY))
+            if zone_on:
+                # The zone's points in the piece form one interval, from
+                # first to last (in trace order, so by falling t), since |y|
+                # and |sin x| are monotone there.
+                first, last_in, from_a, to_b = a, b, True, True
+                for gap in (y_gap, sin_gap):
+                    ga, gb = gap(*a), gap(*b)
+                    if ga >= 0.0 and gb >= 0.0:
+                        first = None
+                        break
+                    if ga >= 0.0:
+                        c = crossing(gap, a, b)
+                        first, from_a = min(first, c, key=lambda q: q[0]), False
+                    elif gb >= 0.0:
+                        c = crossing(gap, a, b)
+                        last_in, to_b = max(last_in, c, key=lambda q: q[0]), False
+                if first is not None and first[0] < last_in[0]:
+                    first = None  # the two intervals miss each other
+                if not armed:
+                    # The lane is inside at a unless rounding says otherwise.
+                    if first is None or not from_a:
+                        armed = True
+                        if first is not None:
+                            hits.append((*first, STOP_STANDSTILL))
+                    elif not to_b:
+                        armed = True  # it leaves at last_in; the interval is behind it
+                elif first is not None:
+                    hits.append((*first, STOP_STANDSTILL))
+            if hits:
+                end = max(hits, key=lambda q: q[0])
+                break
+        y_zero_times += [ev.t for ev in seg.events if ev.label == "y0" and (end is None or ev.t > end[0])]
+        n_kept = len(seg.times) if end is None else sum(ts > end[0] for ts in seg.times)
+        for st in seg.states[:n_kept]:
+            max_res = max(max_res, abs(st[1] * st[2] - math.sin(st[0]) * st[3] + eps * abs(st[3]) - eps))
+        if keep_samples:
+            start = 1 if all_t else 0  # arc junction duplicates the last sample
+            all_t.extend(seg.times[start:n_kept])
+            all_s.extend(seg.states[start:n_kept])
+            if end is not None:
+                all_t.append(end[0])
+                all_s.append(end[1])
+        if end is not None:
+            arc_zone.append(touched or end[2] == STOP_STANDSTILL)
+            end_t, end_state, stop_reason = end
             break
-        if seg.stop_reason == STOP_TIME_LIMIT:
+        arc_zone.append(touched)
+        last = seg.events[-1] if seg.events else None
+        if seg.stop_reason == STOP_TERMINAL and last.label == "switch":
+            st = last.state
+            switch_times.append(last.t)
+            switch_states.append((st[0], st[1], st[2] / eps, st[3] / eps))
+            switch_in_zone.append(zone_on and in_zone_xy(st[0], st[1], thr))
+            u = -u
+            state = st
+            t = last.t
+            continue
+        if seg.stop_reason == STOP_TERMINAL:
+            # A stop that the arc's own sign test found, at a step end or
+            # inside a step; the pieces found nothing earlier.
+            stop_reason = STOP_ENERGY_EXIT if last.label == "exit" else STOP_OPTIMALITY
+        elif seg.stop_reason == STOP_TIME_LIMIT:
             stop_reason = STOP_TIME_BUDGET
-            end_t = seg.t_end
-            break
-        stop_reason = STOP_STEP_FAILURE
-        end_t = seg.t_end
+        else:
+            stop_reason = STOP_STEP_FAILURE
+        end_t, end_state = seg.t_end, seg.end_state
         break
     else:
-        stop_reason = STOP_TIME_BUDGET
+        end_t, end_state = t, state
 
     trajectory = None
     if keep_samples:
@@ -220,8 +300,31 @@ def oracle_trace_extremal(
         stop_reason=stop_reason,
         duration=abs(end_t),
         max_hamiltonian_residual=max_res / eps,
+        end_state=(end_state[0], end_state[1], end_state[2] / eps, end_state[3] / eps),
         trajectory=trajectory,
     )
+
+
+def oracle_canonical_series(state, ueps: float, order: int) -> list[list[float]]:
+    """Taylor coefficients of the canonical field at one state, by plain loops.
+
+    The textbook recurrences of ``extremal._lane_series`` in time units of
+    1, with divisions where the kernel multiplies by reciprocals: for
+    x' = y, y' = ueps - sin x, P' = cos x Q, Q' = -P, with S = sin x,
+    C = cos x, k S_k = sum_j j x_j C_{k-j} and k C_k = -sum_j j x_j S_{k-j}.
+    Returns [x_k, y_k, P_k, Q_k] for k = 0..order.
+    """
+    x, y, P, Q = ([v] for v in state)
+    S, C = [math.sin(x[0])], [math.cos(x[0])]
+    for k in range(order):
+        if k:
+            S.append(sum(j * x[j] * C[k - j] for j in range(1, k + 1)) / k)
+            C.append(-sum(j * x[j] * S[k - j] for j in range(1, k + 1)) / k)
+        x.append(y[k] / (k + 1))
+        y.append(((ueps if k == 0 else 0.0) - S[k]) / (k + 1))
+        P.append(sum(C[j] * Q[k - j] for j in range(k + 1)) / (k + 1))
+        Q.append(-P[k] / (k + 1))
+    return [list(c) for c in zip(x, y, P, Q)]
 
 
 # ------------------------------------------------------------ plant

@@ -10,6 +10,7 @@ import pytest
 from pendamp import acceptance
 from pendamp.cli import main
 from pendamp.dynamics import Params, PhaseState
+from pendamp.integrator import EVENT_TOL
 from pendamp.limits import tau
 from pendamp.quasiopt import simulate_damping
 
@@ -212,6 +213,10 @@ def test_extremals_report(capsys):
     assert len(payload["runs"]) >= 48
     assert payload["sturm"]["spacing_ok"] is True
     assert "argmax_phiT" in payload
+    stats = payload["stats"]
+    assert 0 < stats["batch_steps"] < stats["lane_steps"]
+    assert 0.0 < stats["event_residual_max"] <= EVENT_TOL
+    assert sum(stats["stops"].values()) >= payload["n_runs"] // 2  # one traced lane per mirror pair
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -16,7 +16,7 @@ from pendamp.extremal import (
     ExtremalRun,
     StopPolicy,
     SweepPolicy,
-    _rhs_lanes,
+    _lane_series,
     bifurcation_table,
     find_bifurcation,
     max_switchings,
@@ -35,9 +35,9 @@ def small_sweep(eps, grid=96):
 
 
 def canonical_rhs(x, y, phi, psi, u, eps):
-    """The canonical right-hand side that the sweeps run, on one lane."""
-    return tuple(_rhs_lanes(np.array([[x], [y], [phi], [psi]]), np.array([u * eps]),
-                            np.empty((4, 1)))[:, 0])
+    """The canonical right-hand side that the sweeps run, on one lane: the
+    first-order Taylor coefficients of the lane kernel's series."""
+    return tuple(_lane_series(np.array([[x], [y], [phi], [psi]]), np.array([u * eps]))[1, :, 0])
 
 
 class TestCanonicalField:
@@ -164,7 +164,7 @@ class TestSturmProperties:
             phi_T=0.0, sign=1, epsilon=0.2, switch_times=(-1.0, -2.5),
             switch_states=(state, state), switch_in_zone=(False, False), y_zero_times=(),
             arc_zone_touched=(False, False, False), stop_reason=STOP_ENERGY_EXIT,
-            duration=3.0, max_hamiltonian_residual=0.0)
+            duration=3.0, max_hamiltonian_residual=0.0, end_state=(0.0, 2.5, 1.0, 0.5))
         d = run_diagnostics(run)
         assert d.min_gap == 1.5
         assert not d.spacing_ok and not d.interleaving_ok

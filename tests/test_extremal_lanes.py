@@ -1,28 +1,39 @@
-"""Differential tests of the batched kernel trace_lanes against the scalar oracle."""
+"""Tests of the Taylor lane kernel trace_lanes, differential against the DP5 oracle."""
 
+import math
 import random
+import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pendamp import extremal
 from pendamp.acceptance import EXTREMAL_EPS_LIST
-from pendamp.dynamics import Params
+from pendamp.dynamics import ZONE_FACTOR, Params
 from pendamp.extremal import (
+    OPTIMALITY_SLACK,
+    SPEED_EXIT,
     STOP_ENERGY_EXIT,
     STOP_OPTIMALITY,
     STOP_STANDSTILL,
     STOP_TIME_BUDGET,
+    LaneWork,
     StopPolicy,
     SweepPolicy,
-    _dense_component,
+    _horner,
+    _horner_lanes,
+    _lane_series,
+    _step_rule,
+    _tau_bound,
     max_switchings,
     phi_grid,
     run_diagnostics,
     trace_lanes,
 )
-from pendamp.integrator import STOP_STEP_FAILURE, StepControl, _make_dense
-from oracles import oracle_trace_extremal
+from pendamp.integrator import (EVENT_TOL, RISING, STOP_STEP_FAILURE, TAYLOR_ORDER, EventSpec,
+                                StepControl, _taylor, integrate)
+from oracles import oracle_canonical_series, oracle_trace_extremal
 
 GRID = 48
 
@@ -34,7 +45,8 @@ def grid_jobs(grid, gmax=4.0):
 def mirrored(run):
     """The run from (-phi_T, -s): every state negated, times and counts kept."""
     return replace(run, phi_T=-run.phi_T, sign=-run.sign,
-                   switch_states=tuple(tuple(-v for v in st) for st in run.switch_states))
+                   switch_states=tuple(tuple(-v for v in st) for st in run.switch_states),
+                   end_state=tuple(-v for v in run.end_state))
 
 
 def assert_mirror_pairs(jobs, runs):
@@ -101,68 +113,191 @@ def oracle_sweep(p, policy, stop_at=None):
     return table, False
 
 
+def assert_matches_oracle(run, ref):
+    """Same fate, switch times within 1e-8, end within 1e-6, as the DP5 oracle."""
+    assert run.phi_T == ref.phi_T and run.sign == ref.sign
+    assert (run.allowed_count, run.stop_reason) == (ref.allowed_count, ref.stop_reason), run.phi_T
+    assert len(run.switch_times) == len(ref.switch_times)
+    assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
+    assert run.arc_zone_touched == ref.arc_zone_touched
+    assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+
+
 @pytest.mark.parametrize("eps", EXTREMAL_EPS_LIST)
 def test_every_grid_lane_matches_oracle(eps):
     p = Params(eps)
     jobs = grid_jobs(GRID)
     runs = lanes(jobs, eps)
     for (g, s), run in zip(jobs, runs):
-        ref = oracle_trace_extremal(g / eps, s, p, keep_samples=False)
-        assert run.phi_T == ref.phi_T and run.sign == ref.sign
-        assert (run.allowed_count, run.stop_reason) == (ref.allowed_count, ref.stop_reason), (g, s)
-        assert len(run.switch_times) == len(ref.switch_times)
-        assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
-        assert run.arc_zone_touched == ref.arc_zone_touched
-        assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+        assert_matches_oracle(run, oracle_trace_extremal(g / eps, s, p, keep_samples=False))
     assert_mirror_pairs(jobs, runs)
 
 
-def test_dense_component_is_the_integrators_dense_output():
-    # The kernel locates its events on _dense_component; it must give, bit
-    # for bit, the component of the integrator's dense output.
-    rng = random.Random(5)
-    for _ in range(2000):
-        t_old, h = rng.uniform(-60.0, 0.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.5)
-        y_old = [rng.uniform(-4.0, 4.0) for _ in range(4)]
-        stages = [[rng.uniform(-4.0, 4.0) for _ in range(4)] for _ in range(7)]
-        dense = _make_dense(t_old, h, y_old, stages)
-        times = [t_old, t_old + h] + [t_old + rng.random() * h for _ in range(4)]
+@pytest.mark.parametrize("eps", [0.3, 0.12])
+def test_fate_table_matches_oracle(eps):
+    # The g < 0 half of phi_grid(256, 4), sign +1: the lanes whose fates moved
+    # with the DP5 kernel's tolerance when the cuts were tested at samples.
+    p = Params(eps)
+    g = phi_grid(256, 4.0)[:128]
+    for gi, run in zip(g, trace_lanes(g, [1] * len(g), p)):
+        assert_matches_oracle(run, oracle_trace_extremal(gi / eps, 1, p, keep_samples=False))
+
+
+def test_zone_pass_shorter_than_a_step_ends_the_lane():
+    # After its second switch this lane crosses a corner of the standstill
+    # zone in 0.006 time units, under a Taylor step of 0.26 there: step ends
+    # alone would step over the pass.
+    eps, g = 0.3, -0.5176470588235293
+    thr = ZONE_FACTOR * eps
+    (run,) = trace_lanes([g], [1], Params(eps))
+    assert run.stop_reason == STOP_STANDSTILL and run.switch_count == 2
+    x, y, phi, psi = run.end_state
+    assert max(abs(y), abs(math.sin(x))) == pytest.approx(thr, abs=EVENT_TOL)
+    u = 1.0  # the third arc, as the first: u = s
+    z = np.array([[x], [y], [eps * phi], [eps * psi]])
+    step = _step_rule(_lane_series(z, np.array([u * eps])))[0]
+    leave = EventSpec(lambda t, s: max(abs(s[1]), abs(math.sin(s[0]))) - thr, RISING, True)
+    seg = integrate(lambda t, s: (s[1], u * eps - math.sin(s[0])), (x, y), -run.duration,
+                    -run.duration - 1.0, [leave], StepControl(rtol=1e-13, atol=1e-15, max_step=1e-4))
+    inside = run.duration + seg.t_end
+    assert 0.0 < -inside < 0.01 and step > 0.2
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.12])
+def test_cuts_and_exits_are_located(eps):
+    # Each run ends on its event: the budget line, the zone boundary or the
+    # speed exit, to the event tolerance.
+    p = Params(eps)
+    thr = ZONE_FACTOR * eps
+    work = LaneWork()
+    g = phi_grid(256, 4.0)[:128]
+    runs = trace_lanes(g, [1] * len(g), p, work=work)
+    reasons = set()
+    for run in runs:
+        x, y, _, _ = run.end_state
+        if run.stop_reason == STOP_OPTIMALITY:
+            energy = 0.5 * y * y + 1.0 - math.cos(x)
+            gap = float(_tau_bound(energy)) / eps + OPTIMALITY_SLACK - run.duration
+            assert abs(gap) <= EVENT_TOL
+        elif run.stop_reason == STOP_STANDSTILL:
+            assert max(abs(y), abs(math.sin(x))) == pytest.approx(thr, abs=EVENT_TOL)
+        elif run.stop_reason == STOP_ENERGY_EXIT:
+            assert y * y == pytest.approx(SPEED_EXIT ** 2, abs=EVENT_TOL)
+        reasons.add(run.stop_reason)
+    assert {STOP_OPTIMALITY, STOP_STANDSTILL} <= reasons
+    assert 0.0 < work.event_residual_max <= EVENT_TOL
+
+
+def test_first_order_coefficients_are_the_field():
+    rng = np.random.default_rng(11)
+    m = 2000
+    z = np.vstack([rng.uniform(-10, 10, m), rng.uniform(-3, 3, m), rng.uniform(-5, 5, m),
+                   rng.uniform(-5, 5, m)])
+    ueps = rng.choice([-1.0, 1.0], m) * rng.uniform(0.01, 1.0, m)
+    cf = _lane_series(z, ueps)
+    x, y, phi, psi = z
+    assert (cf[0] == z).all()
+    field = np.array([y, ueps - np.sin(x), np.cos(x) * psi, -phi])
+    assert (cf[1] == field).all()
+
+
+def test_series_matches_the_textbook_recurrences():
+    rng = np.random.default_rng(4)
+    z = np.vstack([rng.uniform(-7, 7, 40), rng.uniform(-2.3, 2.3, 40), rng.uniform(-4, 4, 40),
+                   rng.uniform(-1.5, 1.5, 40)])
+    ueps = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.05, 1.0, 40)
+    cf = _lane_series(z, ueps)
+    series, _ = _taylor()
+    for k in range(40):
+        ref = np.array(oracle_canonical_series(z[:, k], ueps[k], TAYLOR_ORDER))
+        assert cf[:, :, k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        # The x, y rows are the damping arcs' series of x' = y, y' = -sin x + pull.
+        xs, ys, _ = series(z[0, k], z[1, k], ueps[k])
+        assert cf[:, 0, k] == pytest.approx(xs, rel=1e-12, abs=1e-15)
+        assert cf[:, 1, k] == pytest.approx(ys, rel=1e-12, abs=1e-15)
+
+
+def test_horner_is_the_lane_block_sum():
+    # Events are located on _horner; at the step's ends it must give, bit for
+    # bit, the values the block screens saw.
+    rng = np.random.default_rng(5)
+    cf = rng.normal(size=(TAYLOR_ORDER + 1, 4, 64)) / np.arange(1, TAYLOR_ORDER + 2)[:, None, None]
+    tau = rng.uniform(-1.0, 1.0, 64)
+    block = _horner_lanes(cf, tau)
+    for k in range(64):
         for c in range(4):
-            value = _dense_component(t_old, h, y_old[c], [k[c] for k in stages])
-            for t in times:
-                assert value(t) == dense(t)[c], (t_old, h, c, t)
+            assert _horner(cf[:, c, k].tolist(), float(tau[k])) == block[c, k]
+            assert _horner(cf[:, c, k].tolist(), 0.0) == cf[0, c, k]
 
 
-# Each policy with the stop reasons its runs reach at eps 0.5 and 0.2 on grid 16.
+def test_mirror_lane_is_the_exact_negation():
+    eps = 0.17
+    jobs = [(g, s) for g in (-2.3, -0.5, 0.0, 0.8, 3.1) for s in (1, -1)]
+    jobs += [(-g, -s) for g, s in jobs]
+    assert_mirror_pairs(jobs, lanes(jobs, eps))
+
+
+@pytest.mark.parametrize("eps", [1e13, 1e100, 1e300])
+def test_huge_amplitude_lanes_exit(eps):
+    # The first arc exits at t ~ -sqrt(5)/eps: no dead band may hide it, and
+    # the series, taken in units of 1/eps, stays finite.
+    begin = time.perf_counter()
+    jobs = grid_jobs(8)
+    for run in lanes(jobs, eps):
+        assert (run.stop_reason, run.switch_count, run.allowed_count) == (STOP_ENERGY_EXIT, 0, 1)
+        assert run.duration * eps == pytest.approx(math.sqrt(5.0), rel=1e-6)
+    res = max_switchings(Params(eps), SweepPolicy(grid_points=4))
+    assert res.max_allowed == 1
+    assert time.perf_counter() - begin < 10.0
+
+
+def test_work_record_adds_up():
+    eps = 0.25
+    jobs = grid_jobs(GRID)
+    work = LaneWork()
+    runs = lanes(jobs, eps, work=work)
+    lanes(jobs[:5], eps, work=work)
+    assert work.batches == 2 and work.peak_lanes == len(jobs)
+    assert 0 < work.batch_steps < work.lane_steps
+    assert work.events >= sum(r.switch_count + len(r.y_zero_times) for r in runs)
+    assert sum(work.stops.values()) == len(jobs) + 5
+    res = max_switchings(Params(eps), SweepPolicy(grid_points=GRID))
+    assert res.stats.batches >= 2  # the grid batch and the refinement rounds
+    assert sum(res.stats.stops.values()) >= res.n_runs // 2  # one traced lane per mirror pair
+
+
+# Each policy with the stop reasons its runs reach at eps 0.5 and 0.2 on grid
+# 16, and the Jorba-Zou tolerance it runs at (None: TAYLOR_TOL).  A NaN
+# tolerance makes every step NaN, which is a step failure.
 STOP_POLICIES = {
-    "default": (StopPolicy(), {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL}),
-    "short-budget": (StopPolicy(time_budget_factor=1.0), {STOP_TIME_BUDGET}),
-    "max-steps": (StopPolicy(ctl=StepControl(max_steps=40)), {STOP_STEP_FAILURE}),
-    "min-step": (StopPolicy(ctl=StepControl(min_step=0.05, rtol=1e-13, atol=1e-15)),
-                 {STOP_STEP_FAILURE}),
+    "default": (StopPolicy(), None, {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL}),
+    "short-budget": (StopPolicy(time_budget_factor=1.0), None, {STOP_TIME_BUDGET}),
+    "non-finite-step": (StopPolicy(), math.nan, {STOP_STEP_FAILURE}),
 }
 
 
 def test_stop_policies_reach_every_stop_reason():
-    reached = set().union(*(reasons for _, reasons in STOP_POLICIES.values()))
+    reached = set().union(*(reasons for _, _, reasons in STOP_POLICIES.values()))
     assert reached == {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL, STOP_TIME_BUDGET,
                        STOP_STEP_FAILURE}
 
 
 @pytest.mark.parametrize("name", STOP_POLICIES)
-def test_every_stop_policy_matches_oracle(name):
-    stop, reasons = STOP_POLICIES[name]
+def test_every_stop_policy_matches_oracle(name, monkeypatch):
+    stop, tol, reasons = STOP_POLICIES[name]
+    if tol is not None:
+        monkeypatch.setattr(extremal, "TAYLOR_TOL", tol)
     reached = set()
     for eps in (0.5, 0.2):
         p = Params(eps)
         jobs = grid_jobs(16)
         runs = lanes(jobs, eps, stop=stop)
         for (g, s), run in zip(jobs, runs):
-            ref = oracle_trace_extremal(g / eps, s, p, stop, keep_samples=False)
-            assert run.allowed_count == ref.allowed_count, (g, s)
-            assert run.stop_reason == ref.stop_reason, (g, s)
-            assert run.switch_times == pytest.approx(ref.switch_times, abs=1e-8)
-            assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+            if tol is None:
+                assert_matches_oracle(run, oracle_trace_extremal(g / eps, s, p, stop, keep_samples=False))
+            else:  # the first step fails: the run ends where it began
+                assert (run.switch_count, run.duration) == (0, 0.0)
+                assert run.end_state == pytest.approx((0.0, 0.0, g / eps, s / eps), rel=1e-15)
             reached.add(run.stop_reason)
         assert_mirror_pairs(jobs, runs)
     assert reasons <= reached
