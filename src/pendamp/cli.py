@@ -202,6 +202,7 @@ def cmd_bifurcations(args) -> int:
             for r in rows
         ],
         "D": acceptance.D_TARGET,
+        "stats": [{"n": r.n, "scans": r.scans, **dataclasses.asdict(r.stats)} for r in rows],
         "config": {"n_max": args.n_max, "tol": args.tol, "grid": args.grid},
     }
     _emit(payload, args)

@@ -120,36 +120,48 @@ _TAU_VALUES = np.array((
 _TAU_WIDTH, _TAU_RISE = np.diff(_TAU_KNOTS), np.diff(_TAU_VALUES)
 
 
+# The vectorised screens look energies up by segment: segment i holds
+# knots[i] <= E < knots[i + 1], and one more segment past the last knot,
+# where the bound is flat, holds E >= knots[-1].  On segment i the bound is
+# the line _SEG_BASE[i] + _SEG_SLOPE[i] E.
+_SEG_SLOPE = np.append(_TAU_RISE / _TAU_WIDTH, 0.0)
+_SEG_BASE = _TAU_VALUES - _TAU_KNOTS * _SEG_SLOPE
+_SEGMENTS = _SEG_SLOPE.size
+
+
 def _slope_table(reduce):
-    """reduce(slope[i..j]) at [i, j] for i <= j, over the table's segments."""
-    slope = _TAU_RISE / _TAU_WIDTH
-    out = np.zeros((slope.size, slope.size))
-    for i in range(slope.size):
-        out[i, i:] = reduce.accumulate(slope[i:])
-    return out
+    """reduce(slope[i..j]) at i * _SEGMENTS + j for i <= j, over the segments."""
+    out = np.zeros((_SEGMENTS, _SEGMENTS))
+    for i in range(_SEGMENTS):
+        out[i, i:] = reduce.accumulate(_SEG_SLOPE[i:])
+    return out.ravel()
 
 
 _SLOPE_MIN, _SLOPE_MAX = _slope_table(np.minimum), _slope_table(np.maximum)
 
 
-def _slope_range(Ea, Eb):
-    """The least and the largest slope of the tau(E) table between the energies Ea and Eb.
+def _segment(E):
+    """The segment of the tau(E) table that holds each energy E, elementwise."""
+    return np.searchsorted(_TAU_KNOTS[1:], E, side="right")
 
-    Past the last knot the bound is flat, so there the least slope is 0.
+
+def _slope_range(i, j):
+    """The least and the largest slope of the tau(E) table over the segments i to j, elementwise.
+
+    i and j may come in either order.  Past the last knot the slope is 0.
     """
-    i = np.searchsorted(_TAU_KNOTS[1:-1], Ea, side="right")
-    j = np.searchsorted(_TAU_KNOTS[1:-1], Eb, side="right")
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    beyond = np.maximum(Ea, Eb) >= _TAU_KNOTS[-1]
-    return np.where(beyond, 0.0, _SLOPE_MIN[i, j]), _SLOPE_MAX[i, j]
+    k = np.minimum(i, j) * _SEGMENTS + np.maximum(i, j)
+    return _SLOPE_MIN.take(k), _SLOPE_MAX.take(k)
 
 
-def _tau_bound(E):
-    """tau(E) interpolated linearly between the knots, clamped at both ends, elementwise."""
-    i = np.searchsorted(_TAU_KNOTS[1:-1], E, side="right")  # knots[i] <= E < knots[i + 1]
-    w = (E - _TAU_KNOTS.take(i)) / _TAU_WIDTH.take(i)
-    inside = _TAU_VALUES.take(i) + w * _TAU_RISE.take(i)
-    return np.where(E <= 0.0, 0.0, np.where(E >= _TAU_KNOTS[-1], _TAU_VALUES[-1], inside))
+def _tau_bound(E, i=None):
+    """tau(E) interpolated linearly between the knots, clamped at both ends, elementwise.
+
+    i is the segment of E (:func:`_segment`), when the caller has it.
+    """
+    if i is None:
+        i = _segment(E)
+    return _SEG_BASE.take(i) + _SEG_SLOPE.take(i) * np.maximum(E, 0.0)
 
 
 @dataclass
@@ -263,6 +275,63 @@ def _series_factors(unit: float):
     return factors, [np.array([[f], [-f]]) for f in factors]
 
 
+class _SeriesBlock:
+    """The Taylor series of the canonical field on a block of a fixed number of lanes.
+
+    The block of coefficients, its scratch arrays and the views that each
+    order of the recurrences reads and writes are made once; a call fills
+    the block for the (4, lanes) states Z and the controls u eps per lane.
+    See :func:`_lane_series` for the recurrences.  A block holds at least
+    two lanes: numpy sums a one-lane block along its one remaining axis
+    pairwise, not row by row.
+    """
+
+    def __init__(self, lanes: int, unit: float):
+        n = TAYLOR_ORDER
+        factors, signed = _series_factors(unit)
+        self.cf = cf = np.empty((n + 1, 4, lanes))
+        sc = np.empty((n, 2, lanes))  # (S_k, C_k)
+        # Order k sums y_{j-1} (S, C)_{k-j} over j = 1..k and, for P_k,
+        # C_j Q_{k-1-j} over j = 0..k-1: k rows each, so one reduce sums all three.
+        terms = np.empty((n, 3, lanes))
+        sums = np.empty((3, lanes))
+        ys, Qs = cf[:, 1, None], cf[:, 3]
+        self.first = (sc[0, 0], sc[0, 1], factors[1])
+        self.orders = [
+            (ys[:k], sc[k - 1::-1], terms[:k, :2], sc[:k, 1], Qs[k - 1::-1], terms[:k, 2], terms[:k],
+             sums, sums[1::-1], signed[k], sc[k], sums[2], factors[k], cf[k, 2], cf[k, 1:3],
+             signed[k + 1], cf[k + 1, ::3], sc[k, 0], -factors[k + 1], cf[k + 1, 1])
+            for k in range(1, n)
+        ]
+        self.last = (sc[:, 1], Qs[n - 1::-1], terms[:, 2], cf[n, 2], factors[n])
+
+    def __call__(self, Z, ueps):
+        cf = self.cf
+        S, C, f = self.first
+        add, mul = np.add.reduce, np.multiply
+        cf[0] = Z
+        x, y, P, Q = Z
+        np.sin(x, out=S)
+        np.cos(x, out=C)
+        mul(y, f, out=cf[1, 0])
+        np.subtract(ueps, S, out=cf[1, 1])
+        cf[1, 1] *= f
+        mul(P, -f, out=cf[1, 3])
+        for (ys, sc_rev, yt, Cs, Qs_rev, Pt, terms, sums, sums_rev, sg, sc_k, Psum, f, P_k, yP, sg1,
+             xQ, S_k, mf, y1) in self.orders:
+            mul(ys, sc_rev, out=yt)
+            mul(Cs, Qs_rev, out=Pt)
+            add(terms, axis=0, out=sums)
+            mul(sums_rev, sg, out=sc_k)
+            mul(Psum, f, out=P_k)
+            mul(yP, sg1, out=xQ)  # x from y, Q from P
+            mul(S_k, mf, out=y1)
+        Cs, Qs_rev, Pt, P_n, f = self.last
+        add(mul(Cs, Qs_rev, out=Pt), axis=0, out=P_n)
+        P_n *= f
+        return cf
+
+
 def _lane_series(Z, ueps, unit=1.0):
     """Taylor coefficients of the canonical field at the (4, lanes) states Z.
 
@@ -275,36 +344,14 @@ def _lane_series(Z, ueps, unit=1.0):
         (k+1) x_{k+1} = H y_k,   (k+1) y_{k+1} = H (ueps [k = 0] - S_k),
         (k+1) P_{k+1} = H sum_{j=0..k} C_j Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
 
-    Returns the (TAYLOR_ORDER + 1, 4, lanes) block of coefficients.  At H = 1
-    the first-order coefficients are the field itself, bit for bit.
+    Returns a new (TAYLOR_ORDER + 1, 4, lanes) block of coefficients, from a
+    :class:`_SeriesBlock` made for the call.  At H = 1 the first-order
+    coefficients are the field itself, bit for bit.
     """
     if Z.shape[1] == 1:
-        # numpy sums a one-lane block along its one remaining axis pairwise,
-        # not row by row; a doubled lane keeps the row-by-row order.
+        # A one-lane block is doubled, which keeps the row-by-row sums.
         return _lane_series(np.repeat(Z, 2, axis=1), np.repeat(ueps, 2), unit)[:, :, :1]
-    factors, signed = _series_factors(unit)
-    n = TAYLOR_ORDER
-    cf = np.empty((n + 1,) + Z.shape)
-    sc = np.empty((n, 2, Z.shape[1]))  # (S_k, C_k)
-    cf[0] = Z
-    x, y, P, Q = Z
-    np.sin(x, out=sc[0, 0])
-    np.cos(x, out=sc[0, 1])
-    f = factors[1]
-    cf[1, 0] = y * f
-    cf[1, 1] = (ueps - sc[0, 0]) * f
-    cf[1, 2] = sc[0, 1] * Q * f
-    cf[1, 3] = -P * f
-    ys, Qs = cf[:, 1], cf[:, 3]
-    add, mul = np.add.reduce, np.multiply
-    for k in range(1, n):
-        conv = add(ys[:k, None] * sc[k - 1::-1], axis=0)  # sum_j y_{j-1} (S, C)_{k-j}
-        mul(conv[::-1], signed[k], out=sc[k])
-        f = factors[k + 1]
-        mul(cf[k, 1:3], signed[k + 1], out=cf[k + 1, ::3])  # x from y, Q from P
-        mul(sc[k, 0], -f, out=cf[k + 1, 1])
-        mul(add(sc[:k + 1, 1] * Qs[k::-1], axis=0), f, out=cf[k + 1, 2])
-    return cf
+    return _SeriesBlock(Z.shape[1], unit)(Z, ueps)
 
 
 def _step_rule(cf):
@@ -317,14 +364,11 @@ def _step_rule(cf):
     m_j bounds nothing; NaN coefficients give a NaN step.
     """
     n = cf.shape[0] - 1
-    scale = np.maximum(1.0, np.maximum(np.abs(cf[0, 2]), np.abs(cf[0, 3])))
-    rho = np.inf
+    scale = np.maximum(1.0, np.abs(cf[0, 2:]).max(axis=0))
+    a = np.abs(cf[n - 1:])
+    a[:, 2:] /= scale
     with np.errstate(divide="ignore", over="ignore"):
-        for j in (n - 1, n):
-            a = np.abs(cf[j])
-            mj = np.maximum(np.maximum(a[0], a[1]), np.maximum(a[2], a[3]) / scale)
-            rho = np.minimum(rho, np.float_power(TAYLOR_TOL / mj, 1.0 / j))
-    return rho
+        return np.float_power(TAYLOR_TOL / a.max(axis=1), [[1.0 / (n - 1)], [1.0 / n]]).min(axis=0)
 
 
 def _horner_lanes(cf, tau):
@@ -349,20 +393,39 @@ def _horner_source(order: int) -> str:
     return f"def horner(c, t):\n    {names}, = c\n    return {expr}\n"
 
 
-def _compile_horner(order: int):
+def _horner_pair_source(order: int) -> str:
+    """Source of ``horner_pair(c, t)``: the sum of :func:`_horner_source` and its t-derivative.
+
+    The sum takes _horner's steps, so it is _horner's value bit for bit.
+    """
+    lines = [f"p = c{order} * t + c{order - 1}", f"d = c{order}"]
+    for k in range(order - 2, -1, -1):
+        lines += ["d = d * t + p", f"p = p * t + c{k}"]
+    names = ", ".join(f"c{k}" for k in range(order + 1))
+    body = "".join(f"    {ln}\n" for ln in lines)
+    return f"def horner_pair(c, t):\n    {names}, = c\n{body}    return p, d\n"
+
+
+def _compile(source: str, name: str):
     namespace = {}
-    exec(compile(_horner_source(order), f"<horner, order {order}>", "exec"), namespace)
-    return namespace["horner"]
+    exec(compile(source, f"<{name}, order {TAYLOR_ORDER}>", "exec"), namespace)
+    return namespace[name]
 
 
-# One component's series summed at t, for the scalar event location.  It is
-# compiled at import, not at the first trace: it takes well under a millisecond.
-_horner = _compile_horner(TAYLOR_ORDER)
+# One component's series summed at t, and the sum with its derivative, for
+# the scalar event location.  They are compiled at import, not at the first
+# trace: they take well under a millisecond.
+_horner = _compile(_horner_source(TAYLOR_ORDER), "horner")
+_horner_pair = _compile(_horner_pair_source(TAYLOR_ORDER), "horner_pair")
 
 
 def _crossed(old, new):
-    """Sign changes between the values old and new (either direction), elementwise."""
-    return ((old < 0.0) & (new >= 0.0)) | ((old > 0.0) & (new <= 0.0))
+    """Sign changes between the values old and new (either direction), elementwise.
+
+    A change is from a sign to the other sign or to 0; NaN changes nothing.
+    """
+    a = np.sign(old)
+    return a * (a - np.sign(new)) > 0.0
 
 
 _KNOTS_INNER = _TAU_KNOTS[1:-1].tolist()
@@ -515,6 +578,10 @@ _REASON = {_EXIT: STOP_ENERGY_EXIT, _STANDSTILL: STOP_STANDSTILL, _OPTIMALITY: S
 _DEAD_BAND = 1e-12
 _ROOT_TOL = dict(xtol=1e-14, rtol=8.9e-16)
 _SCREEN_SLACK = 1e-9  # margin of the vectorised screens over rounding
+# The first maximum and minimum of Y2 past a piece's start: their bases
+# top and pi - top, and Y2 there when they lie past the step's end.
+_TURNS, _TURN_SIGNS = np.array([[0.0], [math.pi]]), np.array([[1.0], [-1.0]])
+_NO_TURN = np.array([[-np.inf], [np.inf]])
 
 
 def _root(f, a: float, b: float) -> float:
@@ -529,13 +596,51 @@ def _root(f, a: float, b: float) -> float:
         return min((a, b), key=lambda s: abs(f(s)))
 
 
+def _poly_root(c, level: float, a: float, b: float, fa: float, fb: float) -> float:
+    """The zero of the step polynomial c minus level between a and b, as :func:`_root` finds it.
+
+    fa and fb are its values at a and b, which the caller already holds.
+    Safeguarded Newton on :func:`_horner_pair`, from the secant point of the
+    ends: each value narrows the bracket, and a Newton step that leaves it,
+    or a zero derivative, takes the bracket's midpoint instead.  It stops
+    once a step is below brentq's tolerance.  With one sign at both ends the
+    zero is the end where the value is least, as in _root.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        return a if abs(fa) <= abs(fb) else b
+    neg, pos = (a, b) if fa < 0.0 else (b, a)  # the value is < 0 at neg, > 0 at pos
+    s = a - fa * (b - a) / (fb - fa)
+    xtol, rtol = _ROOT_TOL["xtol"], _ROOT_TOL["rtol"]
+    for _ in range(100):  # bisection alone meets the tolerance in about 50
+        v, dv = _horner_pair(c, s)
+        v -= level
+        if v == 0.0:
+            return s
+        if v < 0.0:
+            neg = s
+        else:
+            pos = s
+        nxt = s - v / dv if dv != 0.0 else s
+        if not (neg < nxt < pos or pos < nxt < neg):
+            nxt = 0.5 * (neg + pos)
+        if abs(nxt - s) <= 0.5 * (xtol + rtol * abs(nxt)):
+            return nxt
+        s = nxt
+    return s
+
+
+
 @dataclass
 class LaneWork:
     """The work of trace_lanes batches, added up over every batch it is passed to.
 
     ``batch_steps`` counts Taylor steps of whole batches, ``lane_steps`` the
-    steps of single lanes, ``events`` the events located by brentq (switch,
-    exit, y0, budget line, zone entry), ``event_residual_max`` the worst
+    steps of single lanes, ``events`` the events located (switch, exit, y0,
+    budget line, zone entry), ``event_residual_max`` the worst
     |g| there, ``peak_lanes`` the largest batch, and ``stops`` the runs by
     stop reason.
     """
@@ -547,6 +652,17 @@ class LaneWork:
     event_residual_max: float = 0.0
     peak_lanes: int = 0
     stops: dict[str, int] = field(default_factory=dict)
+
+    def add(self, other: LaneWork) -> None:
+        """Add the work of ``other`` to this record."""
+        self.batches += other.batches
+        self.batch_steps += other.batch_steps
+        self.lane_steps += other.lane_steps
+        self.events += other.events
+        self.event_residual_max = max(self.event_residual_max, other.event_residual_max)
+        self.peak_lanes = max(self.peak_lanes, other.peak_lanes)
+        for reason, runs in other.stops.items():
+            self.stops[reason] = self.stops.get(reason, 0) + runs
 
 
 def trace_lanes(
@@ -564,7 +680,9 @@ def trace_lanes(
     canonical field (:func:`_lane_series`, order ``TAYLOR_ORDER``) over
     Jorba and Zou's step at ``TAYLOR_TOL`` (:func:`_step_rule`), in units of
     H = 1/max(1, eps), so that the series stays finite at any eps.  The
-    stops are events located by brentq on the step's polynomials:
+    stops are events located on the step's polynomials, by Newton where the
+    event function is a polynomial (:func:`_poly_root`) and by brentq where
+    it is the budget gap:
 
     * the switch psi = 0, which starts the next arc, and the zeros of y;
     * the optimality budget line -t = tau(E)/eps + OPTIMALITY_SLACK;
@@ -577,8 +695,8 @@ def trace_lanes(
     Vectorised screens send only the lanes whose step may hold an event to
     the scalar location.  A step with a non-finite series or size is a step
     failure.  Runs keep no samples.  Memory is O(lanes): no step history is
-    kept, and finished lanes are compacted away.  ``work``, when given, has
-    this batch's counts added to it.
+    kept, and finished lanes are compacted away once half the block has
+    finished.  ``work``, when given, has this batch's counts added to it.
 
     With ``stop_at`` the batch is a witness search.  It ends as soon as a
     finished run reaches that allowed count, and once some lane has made
@@ -609,10 +727,15 @@ def trace_lanes(
     zone_on = thr < 1.0
     thr2 = thr * thr
     half_band = math.asin(thr) if zone_on else 0.0
+    band_reach = (half_band + _SCREEN_SLACK) / math.pi  # the zone's bands, widened, in units of pi
+    band_edge = (half_band - _SCREEN_SLACK) / math.pi
     ce = math.asin(eps) if eps < 1.0 else 0.0
     max_arcs = int(t_budget / math.pi) + 8
 
-    # State of the active lanes; `lane` maps them back to the input order.
+    # The block of lanes; `lane` maps its columns back to the input order.  A
+    # lane that finishes leaves `live` but stays in the block, whose arrays
+    # and series workspace keep their shape, until the live lanes fall to
+    # half the block.  Then the block is compacted to them.
     lane = np.arange(n)
     Z = np.zeros((4, n))
     Z[2] = eps * phi_T
@@ -625,6 +748,8 @@ def trace_lanes(
     touched = np.full(n, zone_on)  # the arc touches the zone: it began before arming
     maxres = np.zeros(n)
     gap_t = np.full(n, OPTIMALITY_SLACK)  # the budget gap at t
+    live = np.ones(n, dtype=bool)
+    series = None
 
     sw_t = [[] for _ in range(n)]
     sw_s = [[] for _ in range(n)]
@@ -634,9 +759,9 @@ def trace_lanes(
     out: list[ExtremalRun | None] = [None] * n
 
     def finish(k, reason, state, close_arc=True) -> bool:
-        """Store the run of active lane k, ended at t[k]; True for a stop_at witness."""
+        """Store the run of block lane k, ended at t[k]; True for a stop_at witness."""
         i = lane[k]
-        done[k] = True
+        live[k] = False
         if close_arc:
             arc_z[i].append(bool(touched[k]) or reason == STOP_STANDSTILL)
         work.stops[reason] = work.stops.get(reason, 0) + 1
@@ -656,197 +781,252 @@ def trace_lanes(
         )
         return stop_at is not None and run.allowed_count >= stop_at
 
-    def locate(f, a: float, b: float) -> float:
-        """The event at the zero of f between a and b, counted in ``work``."""
-        tau_e = _root(f, a, b)
+    def count(tau_e: float, g: float) -> float:
+        """The event at tau_e, where the event function is g, counted in ``work``."""
         work.events += 1
-        work.event_residual_max = max(work.event_residual_max, abs(f(tau_e)))
+        work.event_residual_max = max(work.event_residual_max, abs(g))
         return tau_e
+
+    def locate(f, a: float, b: float) -> float:
+        """The event at the zero of f between a and b."""
+        tau_e = _root(f, a, b)
+        return count(tau_e, f(tau_e))
+
+    def locate_poly(c, level: float, a: float, b: float, fa: float, fb: float) -> float:
+        """The event where the step polynomial c meets level between a and b (:func:`_poly_root`)."""
+        tau_e = _poly_root(c, level, a, b, fa, fb)
+        return count(tau_e, _horner(c, tau_e) - level)
 
     def residual(state) -> float:
         x, y, P, Q = state
         return abs(y * P - math.sin(x) * Q + eps * abs(Q) - eps)
 
+    def gap_of(x: float, y: float, t_s: float) -> float:
+        """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at the state (x, y) and time t_s."""
+        return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + t_s
+
     def gap_at(cx, cy, t0: float, s: float) -> float:
-        """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at s on a step from t0."""
-        x, y = _horner(cx, s), _horner(cy, s)
-        return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + (t0 + unit * s)
+        """The budget gap at s on a step from t0."""
+        return gap_of(_horner(cx, s), _horner(cy, s), t0 + unit * s)
 
-    def piece_events(k, cx, cy, t0, a, b, arm):
-        """The first terminal event on the x-monotone piece a -> b of lane k's step.
+    # The standstill zone |y| < thr, |sin x| < thr holds energies up to
+    # E_bottom (cos x > 0) and from E_top on (cos x < 0), and y^2 <= 2 E.
+    E_bottom = 0.5 * thr2 + 1.0 - math.sqrt(1.0 - thr2) if zone_on else 0.0
+    E_top = 1.0 + math.sqrt(1.0 - thr2) if zone_on else 0.0
 
-        Returns (armed, (tau, kind) or None).
+    def reaches(E_lo: float, E_hi: float, arm: bool) -> bool:
+        """Whether a piece whose energy runs from E_lo to E_hi may meet the speed exit, or arm or
+        enter the standstill zone: else :func:`_piece_hit` finds nothing on it."""
+        if 2.0 * E_hi >= exit2 - _SCREEN_SLACK:
+            return True
+        if not zone_on:
+            return False
+        if not arm:  # it arms where it leaves the zone, which it cannot below thr^2 / 2
+            return E_hi >= 0.5 * thr2 - _SCREEN_SLACK
+        return E_lo <= E_bottom + _SCREEN_SLACK or E_hi >= E_top - _SCREEN_SLACK
+
+    def piece_events(cx, cy, uk, t0, a, b, xs, ys, xe, arm, scan_k, budget_k):
+        """The first terminal event on the x-monotone piece a -> b of a lane's step.
+
+        The lane's control is uk = u eps; (xs, ys) is its state at a, and xe
+        its x at b.  Returns (armed, (tau, kind) or None).
         """
-        xs, ys, xe = _horner(cx, a), _horner(cy, a), _horner(cx, b)
         if xe == xs:
             return arm, None
         d = 1.0 if xe > xs else -1.0
-        wa, wb, e = d * xs, d * xe, d * float(ueps[k])
+        wa, wb, e = d * xs, d * xe, d * uk
         hits = []
-        if scan[k]:
+        if scan_k:
             arm, kind, w = _piece_hit(wa, ys, wb, e, thr if zone_on else None, arm, xtol)
             if kind is not None:
-                hits.append((locate(lambda s: _horner(cx, s) - d * w, b, a), kind))
-        if budget[k]:
+                level = d * w
+                hits.append((locate_poly(cx, level, b, a, xe - level, xs - level), kind))
+        if budget_k:
             def gap(s):
                 return gap_at(cx, cy, t0, s)
-            prev = a
+            prev, xprev = a, xs
             Ea = 0.5 * ys * ys + 1.0 - math.cos(xs)
             for w in (_gap_minima(wa, ys, wb, e, Ea, xtol) if e > 0.0 else ()):
-                s = _root(lambda s: _horner(cx, s) - d * w, b, prev)
+                level = d * w
+                s = _poly_root(cx, level, b, prev, xe - level, xprev - level)
                 if gap(s) <= 0.0:
                     hits.append((locate(gap, s, prev), _OPTIMALITY))
                     break
-                prev = s
+                prev, xprev = s, _horner(cx, s)
             else:
                 if gap(b) <= 0.0:
                     hits.append((locate(gap, b, prev), _OPTIMALITY))
         return arm, max(hits, key=lambda q: (q[0], -q[1])) if hits else None
 
-    done = np.zeros(n, dtype=bool)
     witness = False
-    while not witness:
-        if np.count_nonzero(done):
-            keep = ~done
-            lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t = (
-                a[keep] for a in (lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t))
-            Z = Z[:, keep]
-        m = lane.size
-        if m == 0:
-            break
-        done = np.zeros(m, dtype=bool)
-        work.batch_steps += 1
-        work.lane_steps += m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while not witness:
+            m = int(np.count_nonzero(live))
+            if m == 0:
+                break
+            if series is None or (2 * m <= lane.size and lane.size > 2):
+                keep = live.nonzero()[0]
+                if m == 1:
+                    keep = np.repeat(keep, 2)  # a block holds two lanes; the copy is not live
+                lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t, live = (
+                    a[keep] for a in (lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t, live))
+                live[m:] = False
+                Z = Z[:, keep]
+                series = _SeriesBlock(keep.size, unit)
+            work.batch_steps += 1
+            work.lane_steps += m
 
-        # One Taylor step on every lane, clipped at the time budget.
-        cf = _lane_series(Z, ueps, unit)
-        rho = _step_rule(cf)
-        with np.errstate(invalid="ignore", over="ignore"):
+            # One Taylor step on every lane, clipped at the time budget.
+            cf = series(Z, ueps)
+            rho = _step_rule(cf)
             t_new = t - unit * rho
             last = ~(t_new > t_limit)
             tau = np.where(last, (t_limit - t) / unit, -rho)
             t_new[last] = t_limit
             Zn = _horner_lanes(cf, tau)
-            bad = ~((rho > 0.0) & np.isfinite(Zn).all(axis=0))
+            for k in (live & ~((rho > 0.0) & np.isfinite(Zn).all(axis=0))).nonzero()[0]:
+                witness |= finish(k, STOP_STEP_FAILURE, Z[:, k].tolist())
 
-        # Screens, which send a lane's step to the scalar location when it
-        # may hold an event: the switch and y0 sign changes across the step;
-        # where x is monotone over the step, the extremes over its x range of
-        # the first integral's speed (see _piece_hit), at the ends and at the
-        # interior critical points; and bounds on the budget gap.
-        xa, ya, xb, yb = Z[0], Z[1], Zn[0], Zn[1]
-        y0 = _crossed(ya, yb)
-        sw = _crossed(Z[3], Zn[3])
-        sn, cn = np.sin(xb), np.cos(xb)
-        gap_energy = 0.5 * yb * yb + 1.0 - cn
-        gap = _tau_bound(gap_energy) / eps + OPTIMALITY_SLACK + t_new
-        d = np.where(xb >= xa, 1.0, -1.0)
-        wa, wb, e = d * xa, d * xb, d * ueps
-        y2a, y2b = ya * ya, yb * yb
-        cwa = np.cos(wa)
-        lead = y2a - 2.0 * e * wa - 2.0 * cwa
-        top = np.copysign(ce, e)  # asin(e): Y2 has its maxima at top + 2 pi k, its minima at pi - top + 2 pi k
-        w_max = top + 2.0 * math.pi * np.ceil((wa - top) / (2.0 * math.pi))
-        w_min = (math.pi - top) + 2.0 * math.pi * np.ceil((wa - math.pi + top) / (2.0 * math.pi))
-        with np.errstate(invalid="ignore"):
-            s_max = np.where(w_max < wb, lead + 2.0 * e * w_max + 2.0 * np.cos(w_max), -np.inf)
-            s_min = np.where(w_min < wb, lead + 2.0 * e * w_min + 2.0 * np.cos(w_min), np.inf)
-        hi = np.maximum(np.maximum(y2a, y2b), s_max)
-        lo = np.minimum(np.minimum(y2a, y2b), s_min)
-        odd = y0 | (wb - wa > math.pi)  # x not monotone, or a range past one max and min of Y2
-        scan = odd | (hi >= exit2 - _SCREEN_SLACK)
-        # In backward time s the gap changes at the rate rho |y| - 1 while
-        # the energy rises (e > 0; rho is the table's slope), and at
-        # -rho |y| - 1 while it falls.  Over a step from gap_t it stays
-        # above gap_t - (1 - rho_lo |y|_lo) (s - s_a), and above its end
-        # value gap when rho_hi |y|_hi <= 1.  A step with a zero of y is
-        # bounded by gap_t minus the step's length alone.
-        span = t - t_new
-        rho_lo, rho_hi = _slope_range(0.5 * y2a + 1.0 - cwa, gap_energy)
-        fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
-        budget = (gap <= 0.0) | (odd & (gap_t - span <= _SCREEN_SLACK)) | (
-            (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
-        if zone_on:
-            meets = (math.pi * np.ceil((wa - half_band - _SCREEN_SLACK) / math.pi)
-                     <= wb + half_band + _SCREEN_SLACK)
-            home = math.pi * np.rint(wa / math.pi) + half_band  # edge of the band the lane is in
-            scan |= np.where(armed, meets & (lo <= thr2 + _SCREEN_SLACK),
-                             (wb >= home - _SCREEN_SLACK) | (hi >= thr2 - _SCREEN_SLACK))
-        flag = (scan | budget | sw | last) & ~bad
+            # Screens, which send a lane's step to the scalar location when it
+            # may hold an event: the switch and y0 sign changes across the
+            # step; where x is monotone over the step, the extremes over its x
+            # range of the first integral's speed (see _piece_hit), at the ends
+            # and at the first interior maximum and minimum; and bounds on the
+            # budget gap.
+            xa, ya, xb, yb = Z[0], Z[1], Zn[0], Zn[1]
+            y0, sw = _crossed(Z[1::2], Zn[1::2])
+            sn, cn = np.sin(xb), np.cos(xb)
+            y2a, y2b = ya * ya, yb * yb
+            Eb = 0.5 * y2b + 1.0 - cn
+            seg_b = _segment(Eb)
+            gap = _tau_bound(Eb, seg_b) / eps + OPTIMALITY_SLACK + t_new
+            d = np.where(xb >= xa, 1.0, -1.0)
+            wa, wb, e = d * xa, d * xb, d * ueps
+            cwa = np.cos(wa)
+            lead = y2a - 2.0 * e * wa - 2.0 * cwa
+            # Y2 has its maxima at top + 2 pi k and its minima at pi - top + 2 pi k, top = asin(e).
+            base = _TURNS + _TURN_SIGNS * np.copysign(ce, e)
+            w_turn = base + 2.0 * math.pi * np.ceil((wa - base) / (2.0 * math.pi))
+            s_turn = np.where(w_turn < wb, lead + 2.0 * e * w_turn + 2.0 * np.cos(w_turn), _NO_TURN)
+            hi = np.maximum(np.maximum(y2a, y2b), s_turn[0])
+            lo = np.minimum(np.minimum(y2a, y2b), s_turn[1])
+            wide = wb - wa > math.pi  # a range past one max and min of Y2
+            scan = y0 | wide | (hi >= exit2 - _SCREEN_SLACK)
+            # In backward time s the gap changes at the rate rho |y| - 1 while
+            # the energy rises (e > 0; rho is the table's slope), and at
+            # -rho |y| - 1 while it falls.  Over a step from gap_t it stays
+            # above gap_t - (1 - rho_lo |y|_lo) (s - s_a), and above its end
+            # value gap when rho_hi |y|_hi <= 1.  A wide step without a zero
+            # of y is bounded by gap_t minus the step's length; a step with a
+            # zero of y is bounded in the scalar location, once the zero is
+            # found.
+            span = t - t_new
+            rho_lo, rho_hi = _slope_range(_segment(0.5 * y2a + 1.0 - cwa), seg_b)
+            fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
+            budget = (gap <= 0.0) | (wide & (gap_t - span <= _SCREEN_SLACK)) | (
+                (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
+            if zone_on:
+                # In units of pi: the bands of the zone around k pi that the
+                # step's range meets, and the edge of the band it starts in.
+                qa, qb = wa * (1.0 / math.pi), wb * (1.0 / math.pi)
+                meets = np.ceil(qa - band_reach) <= qb + band_reach
+                leaves = qb >= np.rint(qa) + band_edge
+                scan |= np.where(armed, meets & (lo <= thr2 + _SCREEN_SLACK),
+                                 leaves | (hi >= thr2 - _SCREEN_SLACK))
+            flag = (scan | budget | sw | last) & live
+            commit = live & ~flag  # the lanes whose step's end becomes their state
 
-        for k in bad.nonzero()[0]:
-            witness |= finish(k, STOP_STEP_FAILURE, Z[:, k].tolist())
+            timeouts, restart, sure = [], [], []
+            idx = flag.nonzero()[0]
+            lanes = zip(idx.tolist(), lane[idx].tolist(), cf[:, :, idx].transpose(2, 1, 0).tolist(),
+                        *(a[idx].tolist() for a in (tau, t, ueps, Zn[0], Zn[1], Zn[3], sw, y0, scan,
+                                                     budget, last, fresh, armed)))
+            for (k, i, (cx, cy, cP, cQ), tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k, budget_k,
+                 last_k, fresh_k, arm) in lanes:
+                # The switch ends the step's scan; the x-monotone pieces before
+                # it, split at the zero of y, are searched in order.  (xe, ye)
+                # is the state at the scan's end.
+                tau_e, kind = tau_end, None
+                if sw_k:
+                    ts = locate_poly(cQ, 0.0, tau_end, 0.0, Qe, cQ[0])
+                    if not (fresh_k and abs(ts) < _DEAD_BAND):
+                        tau_e, kind = ts, _SWITCH
+                        xe, ye = _horner(cx, ts), _horner(cy, ts)
+                ends, xs, ys = [0.0], [cx[0]], [cy[0]]
+                # y changes sign at most once on a step; past the switch its
+                # zero is not needed.
+                if y0_k and (kind is None or (ye < 0.0) != (cy[0] < 0.0)):
+                    s0 = locate_poly(cy, 0.0, tau_e, 0.0, ye, cy[0])
+                    ends.append(s0)
+                    xs.append(_horner(cx, s0))
+                    ys.append(_horner(cy, s0))
+                ends.append(tau_e)
+                xs.append(xe)
+                ys.append(ye)
+                if scan_k or budget_k:
+                    # The energy is monotone on each piece, between its values
+                    # at the piece's ends.
+                    Es = [0.5 * y * y + 1.0 - math.cos(x) for x, y in zip(xs, ys)]
+                    if y0_k and not budget_k:
+                        # So the gap is at least its value at the least end
+                        # energy and at the scan's end time.
+                        budget_k = (_tau_bound_at(min(Es)) / eps + OPTIMALITY_SLACK + t0 + unit * tau_e
+                                    <= _SCREEN_SLACK)
+                    for j in range(len(ends) - 1):
+                        scan_j = scan_k and reaches(min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1]), arm)
+                        if not (scan_j or budget_k):
+                            continue
+                        arm, hit = piece_events(cx, cy, uk, t0, ends[j], ends[j + 1], xs[j], ys[j],
+                                                xs[j + 1], arm, scan_j, budget_k)
+                        if hit is not None and (kind is None or hit[0] > tau_e):
+                            tau_e, kind = hit
+                            break
+                    armed[k] = arm
+                y0_t[i].extend(t0 + unit * v for v in ends[1:-1] if v > tau_e)
+                if kind is None:
+                    commit[k] = True
+                    if last_k:
+                        timeouts.append(k)
+                    continue
+                if kind == _SWITCH:
+                    state = [xe, ye, _horner(cP, tau_e), _horner(cQ, tau_e)]
+                else:
+                    state = [_horner(c, tau_e) for c in (cx, cy, cP, cQ)]
+                t[k] = t0 + unit * tau_e
+                if kind != _SWITCH:
+                    witness |= finish(k, _REASON[kind], state)
+                    continue
+                maxres[k] = max(maxres[k], residual(state))
+                gap_t[k] = gap_of(xe, ye, float(t[k]))
+                sw_t[i].append(float(t[k]))
+                sw_s[i].append((state[0], state[1], state[2] / eps, state[3] / eps))
+                sw_z[i].append(zone_on and in_zone_xy(state[0], state[1], thr))
+                arc_z[i].append(bool(touched[k]))
+                Z[:, k] = state
+                if stop_at is not None and len(sw_t[i]) >= stop_at:
+                    sure.append(k)
+                if arcs[k] == max_arcs:
+                    witness |= finish(k, STOP_TIME_BUDGET, state, close_arc=False)
+                else:
+                    restart.append(k)
 
-        # Steps without an event: the step's end becomes the lane's state.
-        plain = ~flag & ~bad
-        r = np.abs(yb * Zn[2] - sn * Zn[3] + eps * np.abs(Zn[3]) - eps)
-        np.copyto(Z, Zn, where=plain)
-        np.copyto(t, t_new, where=plain)
-        np.copyto(gap_t, gap, where=plain)
-        np.fmax(maxres, r, out=maxres, where=plain)
-        fresh &= ~plain
-
-        restart, sure = [], []
-        for k in flag.nonzero()[0]:
-            i = lane[k]
-            cx, cy, cP, cQ = cf[:, :, k].T.tolist()
-            tau_end, t0 = float(tau[k]), float(t[k])
-            # The switch ends the step's scan; the x-monotone pieces before
-            # it, split at the zero of y, are searched in order.
-            tau_e, kind = tau_end, None
-            if sw[k]:
-                ts = locate(lambda s: _horner(cQ, s), tau_end, 0.0)
-                if not (fresh[k] and abs(ts) < _DEAD_BAND):
-                    tau_e, kind = ts, _SWITCH
-            ends = [0.0]
-            # y changes sign at most once on a step; past the switch its zero
-            # is not needed.
-            if y0[k] and (kind is None or (_horner(cy, tau_e) < 0.0) != (ya[k] < 0.0)):
-                ends.append(locate(lambda s: _horner(cy, s), tau_e, 0.0))
-            ends.append(tau_e)
-            arm = bool(armed[k])
-            for a, b in zip(ends, ends[1:]):
-                arm, hit = piece_events(k, cx, cy, t0, a, b, arm)
-                if hit is not None and (kind is None or hit[0] > tau_e):
-                    tau_e, kind = hit
-                    break
-            armed[k] = arm
-            y0_t[i].extend(t0 + unit * v for v in ends[1:-1] if v > tau_e)
-            if kind is None:
-                Z[:, k] = Zn[:, k]
-                t[k] = t_new[k]
-                gap_t[k] = gap[k]
-                maxres[k] = max(maxres[k], r[k])
-                fresh[k] = False
-                if last[k]:
-                    witness |= finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
-                continue
-            state = [_horner(c, tau_e) for c in (cx, cy, cP, cQ)]
-            t[k] = t0 + unit * tau_e
-            if kind != _SWITCH:
-                witness |= finish(k, _REASON[kind], state)
-                continue
-            maxres[k] = max(maxres[k], residual(state))
-            gap_t[k] = gap_at(cx, cy, t0, tau_e)
-            sw_t[i].append(float(t[k]))
-            sw_s[i].append((state[0], state[1], state[2] / eps, state[3] / eps))
-            sw_z[i].append(zone_on and in_zone_xy(state[0], state[1], thr))
-            arc_z[i].append(bool(touched[k]))
-            Z[:, k] = state
-            if stop_at is not None and len(sw_t[i]) >= stop_at:
-                sure.append(k)
-            if arcs[k] == max_arcs:
-                witness |= finish(k, STOP_TIME_BUDGET, state, close_arc=False)
-            else:
-                restart.append(k)
-        if restart:
-            ueps[restart] = -ueps[restart]
-            arcs[restart] += 1
-            fresh[restart] = True
-            touched[restart] = zone_on & ~armed[restart]
-        if sure:
-            done[:] = True
-            done[sure] = False
+            r = np.abs(yb * Zn[2] - sn * Zn[3] + eps * np.abs(Zn[3]) - eps)
+            np.copyto(Z, Zn, where=commit)
+            np.copyto(t, t_new, where=commit)
+            np.copyto(gap_t, gap, where=commit)
+            np.fmax(maxres, r, out=maxres, where=commit)
+            fresh &= ~commit
+            for k in timeouts:
+                witness |= finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
+            if restart:
+                ueps[restart] = -ueps[restart]
+                arcs[restart] += 1
+                fresh[restart] = True
+                touched[restart] = zone_on & ~armed[restart]
+            if sure:
+                only = np.zeros_like(live)
+                only[sure] = True
+                live &= only
     return out
 
 
@@ -1098,6 +1278,9 @@ class BifurcationRow:
     epsilon_n: float
     product: float
     bracket_width: float
+    # The row's max_switchings scans and their work, added up.
+    scans: int = field(default=0, compare=False)
+    stats: LaneWork = field(default_factory=LaneWork, compare=False)
 
 
 class BracketError(Exception):
@@ -1119,11 +1302,13 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     target = n + 1
     answers: dict[float, bool] = {}
+    work = LaneWork()
 
     def reaches(eps: float) -> bool:
         if eps not in answers:
             res = max_switchings(Params(eps), policy, stop_at=target)
             answers[eps] = res.max_allowed >= target
+            work.add(res.stats)
         return answers[eps]
 
     if hi is None:
@@ -1158,7 +1343,8 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
         else:
             hi = mid
     eps_n = 0.5 * (lo + hi)
-    return BifurcationRow(n=n, epsilon_n=eps_n, product=n * eps_n, bracket_width=hi - lo)
+    return BifurcationRow(n=n, epsilon_n=eps_n, product=n * eps_n, bracket_width=hi - lo,
+                          scans=len(answers), stats=work)
 
 
 def find_bifurcation(

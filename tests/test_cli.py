@@ -345,6 +345,11 @@ def test_bifurcations_small(capsys):
     payload = json.loads(out)
     assert len(payload["rows"]) == 1
     assert payload["rows"][0]["epsilon_n"] == pytest.approx(9.2, abs=0.6)
+    (stats,) = payload["stats"]  # the row's scans and their work, added up
+    assert stats["n"] == 1 and stats["scans"] >= 2
+    assert stats["batches"] >= stats["scans"] and 0 < stats["batch_steps"] < stats["lane_steps"]
+    assert 0.0 < stats["event_residual_max"] <= EVENT_TOL
+    assert sum(stats["stops"].values()) > 0
 
 
 def test_verify_fast_passes(capsys):

@@ -299,7 +299,7 @@ def stub_counts(monkeypatch, count):
 
     def fake(p, policy=None, stop_at=None):
         calls.append((p.epsilon, stop_at))
-        return SimpleNamespace(max_allowed=count(p.epsilon))
+        return SimpleNamespace(max_allowed=count(p.epsilon), stats=extremal.LaneWork())
 
     monkeypatch.setattr(extremal, "max_switchings", fake)
     return calls

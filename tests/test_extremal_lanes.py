@@ -24,6 +24,7 @@ from pendamp.extremal import (
     _horner,
     _horner_lanes,
     _lane_series,
+    _poly_root,
     _step_rule,
     _tau_bound,
     max_switchings,
@@ -32,7 +33,7 @@ from pendamp.extremal import (
     trace_lanes,
 )
 from pendamp.integrator import (EVENT_TOL, RISING, STOP_STEP_FAILURE, TAYLOR_ORDER, EventSpec,
-                                StepControl, _taylor, integrate)
+                                StepControl, _taylor, brentq, integrate)
 from oracles import oracle_canonical_series, oracle_trace_extremal
 
 GRID = 48
@@ -353,7 +354,7 @@ def test_early_exit_answer_matches_oracle(grid, stop_at):
         assert reached and res.n_runs == len(ref)
 
 
-def test_lane_is_bit_identical_in_any_batch():
+def test_lane_is_bit_identical_in_any_batch(monkeypatch):
     eps = 0.2
     jobs = grid_jobs(24)
     batch = lanes(jobs, eps)
@@ -364,6 +365,105 @@ def test_lane_is_bit_identical_in_any_batch():
         assert by_job[job] == run
     for job in jobs[::7]:
         assert lanes([job], eps) == [by_job[job]]
+
+    # Most lanes finish early and a few long ones run on: the finished lanes
+    # ride masked in the block until it is compacted, and the long ones go on
+    # in the compacted block.
+    widths = []
+
+    class Block(extremal._SeriesBlock):
+        def __init__(self, width, unit):
+            widths.append(width)
+            super().__init__(width, unit)
+
+    monkeypatch.setattr(extremal, "_SeriesBlock", Block)
+    by_length = sorted(jobs, key=lambda job: by_job[job].duration)
+    mixed = by_length[:20] + by_length[-3:]
+    random.Random(8).shuffle(mixed)
+    widths.clear()
+    for job, run in zip(mixed, lanes(mixed, eps)):
+        assert run == by_job[job]
+    assert widths[0] == len(mixed) and min(widths) < len(mixed) // 2
+
+    # A stop_at batch narrows to its witness, which runs on alone.
+    eps = 0.3
+    widths.clear()
+    witness = lanes(jobs, eps, stop_at=4)
+    assert widths[-1] < widths[0] and any(r is not None and r.allowed_count >= 4 for r in witness)
+    for job, run in zip(jobs, witness):
+        if run is not None:
+            assert lanes([job], eps) == [run]
+
+
+def test_budget_screen_holds_on_steps_with_a_zero_of_y(monkeypatch):
+    # At coarse Taylor tolerances one step of these lanes holds a zero of y
+    # and passes the budget line between its ends: the energy falls after
+    # the zero, and with it the gap, faster than the clock.  The screen must
+    # send that step to the budget scan, so that the run ends on the budget
+    # as the DP5 oracle's does, not later in the standstill zone.
+    eps = 0.27755822909343125
+    g = phi_grid(128, 4.0)
+    jobs = [(g[i], 1) for i in (25, 32, 37)]  # phi_T = -8.7376..., -7.1490..., -6.0142...
+    refs = [oracle_trace_extremal(gi / eps, s, Params(eps), keep_samples=False) for gi, s in jobs]
+    assert {(r.allowed_count, r.stop_reason) for r in refs} == {(1, STOP_OPTIMALITY)}
+    for tol in (1e-10, 1e-9, 1e-8):
+        monkeypatch.setattr(extremal, "TAYLOR_TOL", tol)
+        for run, ref in zip(lanes(jobs, eps), refs):
+            assert (run.allowed_count, run.stop_reason) == (ref.allowed_count, ref.stop_reason), tol
+            assert run.duration == pytest.approx(ref.duration, abs=1e-6)
+
+
+def test_newton_roots_match_brentq(monkeypatch):
+    # Every polynomial root of real batches: the switch, the zeros of y and
+    # the maps from the first integral's w back to the step variable.
+    calls = []
+    root = extremal._poly_root
+
+    def spy(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(extremal, "_poly_root", spy)
+    for eps in (0.3, 0.15):
+        lanes(grid_jobs(GRID), eps)
+    bracketed = 0
+    for c, level, a, b, fa, fb in calls:
+        # The ends' values are the ones the block holds.
+        assert (fa, fb) == (_horner(c, a) - level, _horner(c, b) - level)
+        s = root(c, level, a, b, fa, fb)
+        assert min(a, b) <= s <= max(a, b)
+        if fa * fb < 0.0:
+            bracketed += 1
+            ref = brentq(lambda v: _horner(c, v) - level, a, b, xtol=1e-14, rtol=8.9e-16)
+            assert abs(s - ref) <= 1e-14
+            assert abs(_horner(c, s) - level) <= EVENT_TOL
+    assert bracketed >= 1000
+
+
+def test_newton_root_falls_back_to_bisection_and_keeps_the_one_sign_rule(monkeypatch):
+    c = [0.0] * (TAYLOR_ORDER + 1)
+    c[0], c[15] = -0.5, 1.0  # s^15 - 1/2 on [0, 1]: the secant point 1/2 sends Newton to 544
+    seen = []
+    pair = extremal._horner_pair
+
+    def spy(c, s):
+        seen.append(s)
+        return pair(c, s)
+
+    monkeypatch.setattr(extremal, "_horner_pair", spy)
+    s = _poly_root(c, 0.0, 0.0, 1.0, -0.5, 0.5)
+    assert seen[:2] == [0.5, 0.75]  # the Newton step left [0.5, 1]: bisection instead
+    assert s == pytest.approx(0.5 ** (1.0 / 15.0), abs=1e-15)
+    c = [0.0] * (TAYLOR_ORDER + 1)
+    c[0], c[2] = -0.25, 1.0  # s^2 - 1/4
+    seen.clear()
+    # One sign at both ends: the end where the value is least, a on a tie.
+    assert _poly_root(c, 0.0, -1.0, 2.0, 0.75, 3.75) == -1.0
+    assert _poly_root(c, 0.0, 2.0, -1.0, 3.75, 0.75) == -1.0
+    assert _poly_root(c, 0.0, 1.0, -1.0, 0.75, 0.75) == 1.0
+    assert _poly_root(c, 0.0, -1.0, 0.5, 0.75, 0.0) == 0.5  # a zero at an end is that end
+    assert seen == []
+    assert _poly_root(c, 0.0, 0.0, 1.0, -0.25, 0.75) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_large_amplitude_lanes_exit_at_once():
