@@ -319,13 +319,14 @@ class _SeriesBlock:
         mul(P, -f, out=cf[1, 3])
         for (ys, sc_rev, yt, Cs, Qs_rev, Pt, terms, sums, sums_rev, sg, sc_k, Psum, f, P_k, yP, sg1,
              xQ, S_k, mf, y1) in self.orders:
-            mul(ys, sc_rev, out=yt)
-            mul(Cs, Qs_rev, out=Pt)
+            # out as the third argument: the keyword costs more than these small products.
+            mul(ys, sc_rev, yt)
+            mul(Cs, Qs_rev, Pt)
             add(terms, axis=0, out=sums)
-            mul(sums_rev, sg, out=sc_k)
-            mul(Psum, f, out=P_k)
-            mul(yP, sg1, out=xQ)  # x from y, Q from P
-            mul(S_k, mf, out=y1)
+            mul(sums_rev, sg, sc_k)
+            mul(Psum, f, P_k)
+            mul(yP, sg1, xQ)  # x from y, Q from P
+            mul(S_k, mf, y1)
         Cs, Qs_rev, Pt, P_n, f = self.last
         add(mul(Cs, Qs_rev, out=Pt), axis=0, out=P_n)
         P_n *= f
