@@ -815,7 +815,7 @@ def trace_lanes(
     E_bottom = 0.5 * thr2 + 1.0 - math.sqrt(1.0 - thr2) if zone_on else 0.0
     E_top = 1.0 + math.sqrt(1.0 - thr2) if zone_on else 0.0
 
-    def reaches(E_lo: float, E_hi: float, arm: bool) -> bool:
+    def may_hit(E_lo: float, E_hi: float, arm: bool) -> bool:
         """Whether a piece whose energy runs from E_lo to E_hi may meet the speed exit, or arm or
         enter the standstill zone: else :func:`_piece_hit` finds nothing on it."""
         if 2.0 * E_hi >= exit2 - _SCREEN_SLACK:
@@ -974,7 +974,7 @@ def trace_lanes(
                         budget_k = (_tau_bound_at(min(Es)) / eps + OPTIMALITY_SLACK + t0 + unit * tau_e
                                     <= _SCREEN_SLACK)
                     for j in range(len(ends) - 1):
-                        scan_j = scan_k and reaches(min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1]), arm)
+                        scan_j = scan_k and may_hit(min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1]), arm)
                         if not (scan_j or budget_k):
                             continue
                         arm, hit = piece_events(cx, cy, uk, t0, ends[j], ends[j + 1], xs[j], ys[j],
