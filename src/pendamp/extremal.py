@@ -634,7 +634,6 @@ def _poly_root(c, level: float, a: float, b: float, fa: float, fb: float) -> flo
     return s
 
 
-
 @dataclass
 class LaneWork:
     """The work of trace_lanes batches, added up over every batch it is passed to.
