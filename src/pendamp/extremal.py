@@ -61,26 +61,13 @@ SPEED_EXIT = math.sqrt(5.0)
 # extremals would add.
 OPTIMALITY_SLACK = 0.7
 
-
-@dataclass(frozen=True)
-class StopPolicy:
-    """Time budget of backward traces.
-
-    A trace stops at the first of: the speed exit (SPEED_EXIT), the time
-    budget time_budget_factor / eps, entry into the standstill zone
-    (dynamics.ZONE_FACTOR) after first leaving it, the optimality screen
-    (OPTIMALITY_SLACK), or a step failure (a non-finite Taylor step).  The
-    time budget is a safety net: the screen cuts every run by
-    tau(E)/eps + 0.7 <= 5.22/eps + 0.7, which is under the default 8/eps for
-    eps < 3.9.
-    """
-
-    time_budget_factor: float = 8.0
-
-    def __post_init__(self):
-        f = self.time_budget_factor
-        if not (math.isfinite(f) and f > 0.0):
-            raise ValueError(f"time_budget_factor must be positive and finite, got {f}")
+# A trace stops at the first of: the speed exit (SPEED_EXIT), the time
+# budget TIME_BUDGET_FACTOR / eps, entry into the standstill zone
+# (dynamics.ZONE_FACTOR) after first leaving it, the optimality screen
+# (OPTIMALITY_SLACK), or a step failure (a non-finite Taylor step).  The
+# time budget is a safety net: the screen cuts every run by
+# tau(E)/eps + 0.7 <= 5.22/eps + 0.7, which is under 8/eps for eps < 3.9.
+TIME_BUDGET_FACTOR = 8.0
 
 
 # tau(E) on knots log-dense toward the separatrix E = 2, which resolve the
@@ -280,10 +267,22 @@ class _SeriesBlock:
 
     The block of coefficients, its scratch arrays and the views that each
     order of the recurrences reads and writes are made once; a call fills
-    the block for the (4, lanes) states Z and the controls u eps per lane.
-    See :func:`_lane_series` for the recurrences.  A block holds at least
-    two lanes: numpy sums a one-lane block along its one remaining axis
-    pairwise, not row by row.
+    the block for the (4, lanes) states Z and the controls ueps = u eps per
+    lane, and returns it: the (TAYLOR_ORDER + 1, 4, lanes) coefficients.
+
+    Z holds (x, y, eps phi, eps psi) = (x, y, P, Q) per lane.  The series is
+    in the step variable tau = (t - t0) / H, for the time unit H = ``unit``.
+    With the pair S = sin x, C = cos x, whose derivatives are S' = C x',
+    C' = -S x', and x' = y,
+
+        k S_k = H sum_{j=1..k} y_{j-1} C_{k-j},   k C_k = -H sum_{j=1..k} y_{j-1} S_{k-j},
+        (k+1) x_{k+1} = H y_k,   (k+1) y_{k+1} = H (ueps [k = 0] - S_k),
+        (k+1) P_{k+1} = H sum_{j=0..k} C_j Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
+
+    At H = 1 the first-order coefficients are the field itself, bit for
+    bit.  A block holds at least two lanes: numpy sums a one-lane block
+    along its one remaining axis pairwise, not row by row, so one lane is
+    traced doubled.
     """
 
     def __init__(self, lanes: int, unit: float):
@@ -331,28 +330,6 @@ class _SeriesBlock:
         add(mul(Cs, Qs_rev, out=Pt), axis=0, out=P_n)
         P_n *= f
         return cf
-
-
-def _lane_series(Z, ueps, unit=1.0):
-    """Taylor coefficients of the canonical field at the (4, lanes) states Z.
-
-    Z holds (x, y, eps phi, eps psi) = (x, y, P, Q) per lane, and ueps is
-    u eps per lane.  The series is in the step variable tau = (t - t0) / H,
-    for the time unit H = ``unit``.  With the pair S = sin x, C = cos x, whose
-    derivatives are S' = C x', C' = -S x', and x' = y,
-
-        k S_k = H sum_{j=1..k} y_{j-1} C_{k-j},   k C_k = -H sum_{j=1..k} y_{j-1} S_{k-j},
-        (k+1) x_{k+1} = H y_k,   (k+1) y_{k+1} = H (ueps [k = 0] - S_k),
-        (k+1) P_{k+1} = H sum_{j=0..k} C_j Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
-
-    Returns a new (TAYLOR_ORDER + 1, 4, lanes) block of coefficients, from a
-    :class:`_SeriesBlock` made for the call.  At H = 1 the first-order
-    coefficients are the field itself, bit for bit.
-    """
-    if Z.shape[1] == 1:
-        # A one-lane block is doubled, which keeps the row-by-row sums.
-        return _lane_series(np.repeat(Z, 2, axis=1), np.repeat(ueps, 2), unit)[:, :, :1]
-    return _SeriesBlock(Z.shape[1], unit)(Z, ueps)
 
 
 def _step_rule(cf):
@@ -574,9 +551,6 @@ def _gap_minima(wa: float, ya: float, wb: float, e: float, Ea: float, xtol: floa
 
 _SWITCH, _EXIT, _STANDSTILL, _OPTIMALITY = range(4)  # the terminal events; at equal times the first wins
 _REASON = {_EXIT: STOP_ENERGY_EXIT, _STANDSTILL: STOP_STANDSTILL, _OPTIMALITY: STOP_OPTIMALITY}
-# A switch within this much of the start of the arc that it began (in the
-# series variable) is that switch found again, and is dropped.
-_DEAD_BAND = 1e-12
 _ROOT_TOL = dict(xtol=1e-14, rtol=8.9e-16)
 _SCREEN_SLACK = 1e-9  # margin of the vectorised screens over rounding
 # The first maximum and minimum of Y2 past a piece's start: their bases
@@ -669,7 +643,6 @@ def trace_lanes(
     g,
     signs,
     p: Params,
-    stop: StopPolicy | None = None,
     stop_at: int | None = None,
     work: LaneWork | None = None,
 ) -> list[ExtremalRun | None]:
@@ -677,14 +650,15 @@ def trace_lanes(
 
     The package's one extremal tracer.  Each lane keeps its own time,
     control sign and arc count, and steps by the Taylor series of the
-    canonical field (:func:`_lane_series`, order ``TAYLOR_ORDER``) over
+    canonical field (:class:`_SeriesBlock`, order ``TAYLOR_ORDER``) over
     Jorba and Zou's step at ``TAYLOR_TOL`` (:func:`_step_rule`), in units of
     H = 1/max(1, eps), so that the series stays finite at any eps.  The
     stops are events located on the step's polynomials, by Newton where the
     event function is a polynomial (:func:`_poly_root`) and by brentq where
     it is the budget gap:
 
-    * the switch psi = 0, which starts the next arc, and the zeros of y;
+    * the switch psi = 0, which starts the next arc with psi set to 0, and the
+      zeros of y;
     * the optimality budget line -t = tau(E)/eps + OPTIMALITY_SLACK;
     * the speed exit y^2 = SPEED_EXIT^2 and the entry into the standstill
       zone after first leaving it, both found from the arc's first integral
@@ -703,8 +677,6 @@ def trace_lanes(
     that many switchings (so that its run will reach it) only that lane
     runs on.  The lanes dropped or still running come back as None.
     """
-    if stop is None:
-        stop = StopPolicy()
     eps = p.epsilon
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
@@ -721,7 +693,7 @@ def trace_lanes(
     unit = 1.0 / max(1.0, eps)
     xtol = _ROOT_TOL["xtol"] * unit
     exit2 = SPEED_EXIT ** 2
-    t_budget = stop.time_budget_factor / eps
+    t_budget = TIME_BUDGET_FACTOR / eps
     t_limit = -t_budget
     thr = ZONE_FACTOR * eps
     zone_on = thr < 1.0
@@ -743,7 +715,6 @@ def trace_lanes(
     ueps = sgn * eps
     t = np.zeros(n)
     arcs = np.ones(n, dtype=int)
-    fresh = np.zeros(n, dtype=bool)  # at the first step of an arc begun by a switch
     armed = np.zeros(n, dtype=bool)  # has been outside the standstill zone
     touched = np.full(n, zone_on)  # the arc touches the zone: it began before arming
     maxres = np.zeros(n)
@@ -868,8 +839,8 @@ def trace_lanes(
                 keep = live.nonzero()[0]
                 if m == 1:
                     keep = np.repeat(keep, 2)  # a block holds two lanes; the copy is not live
-                lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t, live = (
-                    a[keep] for a in (lane, ueps, t, arcs, fresh, armed, touched, maxres, gap_t, live))
+                lane, ueps, t, arcs, armed, touched, maxres, gap_t, live = (
+                    a[keep] for a in (lane, ueps, t, arcs, armed, touched, maxres, gap_t, live))
                 live[m:] = False
                 Z = Z[:, keep]
                 series = _SeriesBlock(keep.size, unit)
@@ -940,18 +911,16 @@ def trace_lanes(
             idx = flag.nonzero()[0]
             lanes = zip(idx.tolist(), lane[idx].tolist(), cf[:, :, idx].transpose(2, 1, 0).tolist(),
                         *(a[idx].tolist() for a in (tau, t, ueps, Zn[0], Zn[1], Zn[3], sw, y0, scan,
-                                                     budget, last, fresh, armed)))
+                                                     budget, last, armed)))
             for (k, i, (cx, cy, cP, cQ), tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k, budget_k,
-                 last_k, fresh_k, arm) in lanes:
+                 last_k, arm) in lanes:
                 # The switch ends the step's scan; the x-monotone pieces before
                 # it, split at the zero of y, are searched in order.  (xe, ye)
                 # is the state at the scan's end.
                 tau_e, kind = tau_end, None
                 if sw_k:
-                    ts = locate_poly(cQ, 0.0, tau_end, 0.0, Qe, cQ[0])
-                    if not (fresh_k and abs(ts) < _DEAD_BAND):
-                        tau_e, kind = ts, _SWITCH
-                        xe, ye = _horner(cx, ts), _horner(cy, ts)
+                    tau_e, kind = locate_poly(cQ, 0.0, tau_end, 0.0, Qe, cQ[0]), _SWITCH
+                    xe, ye = _horner(cx, tau_e), _horner(cy, tau_e)
                 ends, xs, ys = [0.0], [cx[0]], [cy[0]]
                 # y changes sign at most once on a step; past the switch its
                 # zero is not needed.
@@ -989,7 +958,10 @@ def trace_lanes(
                         timeouts.append(k)
                     continue
                 if kind == _SWITCH:
-                    state = [xe, ye, _horner(cP, tau_e), _horner(cQ, tau_e)]
+                    # psi is set to a zero of the sign it had, so that the
+                    # next arc's first step sees no sign change, and the
+                    # mirror lane's state stays the exact negation.
+                    state = [xe, ye, _horner(cP, tau_e), 0.0 * cQ[0]]
                 else:
                     state = [_horner(c, tau_e) for c in (cx, cy, cP, cQ)]
                 t[k] = t0 + unit * tau_e
@@ -1015,13 +987,11 @@ def trace_lanes(
             np.copyto(t, t_new, where=commit)
             np.copyto(gap_t, gap, where=commit)
             np.fmax(maxres, r, out=maxres, where=commit)
-            fresh &= ~commit
             for k in timeouts:
                 witness |= finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
             if restart:
                 ueps[restart] = -ueps[restart]
                 arcs[restart] += 1
-                fresh[restart] = True
                 touched[restart] = zone_on & ~armed[restart]
             if sure:
                 only = np.zeros_like(live)
@@ -1030,8 +1000,7 @@ def trace_lanes(
     return out
 
 
-def trace_extremal(phi_T: float, s: int, p: Params, stop: StopPolicy | None = None,
-                   keep_samples: bool = False) -> ExtremalRun:
+def trace_extremal(phi_T: float, s: int, p: Params, keep_samples: bool = False) -> ExtremalRun:
     """The backward extremal from (phi_T, s): a one-lane :func:`trace_lanes` batch.
 
     ``keep_samples`` accepts only False, as runs keep no samples; the
@@ -1042,7 +1011,7 @@ def trace_extremal(phi_T: float, s: int, p: Params, stop: StopPolicy | None = No
     if keep_samples:
         raise ValueError("keep_samples=True: extremal runs keep no samples; "
                          "pass False or leave it out")
-    (run,) = trace_lanes([p.epsilon * phi_T], [s], p, stop)
+    (run,) = trace_lanes([p.epsilon * phi_T], [s], p)
     return replace(run, phi_T=phi_T)
 
 
@@ -1054,14 +1023,12 @@ class SweepPolicy:
     g = eps * phi_T over [-phi_max_scaled, phi_max_scaled] (so the raw range
     is +-phi_max_scaled/eps), on a uniform grid for each control sign +-1,
     refined by bisection around every change of (allowed_count, stop_reason)
-    until the scaled spacing drops below refine_tol.
+    until the scaled spacing drops below REFINE_TOL, with at most
+    MAX_EXTRA_RUNS refinement runs.
     """
 
     phi_max_scaled: float = 4.0
     grid_points: int = 512
-    refine_tol: float = 1e-3
-    max_extra_runs: int = 4096
-    stop: StopPolicy = field(default_factory=StopPolicy)
     # Not a field: every sweep scans both signs.  perfbench/tracing.py still
     # reads it; ROADMAP item 2's benchmark change deletes it.
     signs = (1, -1)
@@ -1069,10 +1036,9 @@ class SweepPolicy:
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        for name in ("phi_max_scaled", "refine_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        value = self.phi_max_scaled
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"phi_max_scaled must be positive and finite, got {value}")
 
 
 def phi_grid(points: int, gmax: float) -> list[float]:
@@ -1104,32 +1070,36 @@ class SweepResult:
 # Most bisection levels of one frontier interval traced in one refinement
 # batch: 2**k - 1 lanes buy k levels, of which the refinement keeps about k.
 REFINE_LOOKAHEAD = 4
+# The refinement stops where the interval around a change of (count, fate)
+# is REFINE_TOL wide in g = eps * phi_T, or after MAX_EXTRA_RUNS runs.
+REFINE_TOL = 1e-3
+MAX_EXTRA_RUNS = 4096
 
 
-def _subdivide(a: float, b: float, tol: float, depth: int | None = None) -> list[float]:
-    """Midpoints of (a, b) and of its halves, ``depth`` levels deep or down to width tol.
+def _subdivide(a: float, b: float, depth: int | None = None) -> list[float]:
+    """Midpoints of (a, b) and of its halves, ``depth`` levels deep or down to width REFINE_TOL.
 
     Without ``depth`` the levels that (a, b) still needs are split evenly
     into batches of at most REFINE_LOOKAHEAD levels, and the first batch is
     returned.
     """
-    if b - a <= tol:
+    if b - a <= REFINE_TOL:
         return []
     if depth is None:
-        levels = math.ceil(math.log2((b - a) / tol))
+        levels = math.ceil(math.log2((b - a) / REFINE_TOL))
         depth = math.ceil(levels / math.ceil(levels / REFINE_LOOKAHEAD))
     if depth == 0:
         return []
     m = 0.5 * (a + b)
-    return [m] + _subdivide(a, m, tol, depth - 1) + _subdivide(m, b, tol, depth - 1)
+    return [m] + _subdivide(a, m, depth - 1) + _subdivide(m, b, depth - 1)
 
 
-def _bisect(grid, cache, policy: SweepPolicy, found):
+def _bisect(grid, cache, found):
     """Bisection refinement around every change of (count, fate), replayed.
 
     Runs the one-run-at-a-time refinement -- always split the lowest open
     interval between neighbouring evaluated points whose (allowed_count,
-    stop_reason) differ, until it is narrower than refine_tol -- but looks
+    stop_reason) differ, until it is narrower than REFINE_TOL -- but looks
     each midpoint up in ``cache``.  An interval whose midpoint is not cached
     yet is set aside as pending.  Returns (path, pending, unresolved, hit):
     with no pending interval, ``path`` holds exactly the midpoints the
@@ -1151,9 +1121,9 @@ def _bisect(grid, cache, policy: SweepPolicy, found):
     while frontier:
         frontier.sort()
         a, b, s = frontier.pop(0)
-        if b - a <= policy.refine_tol:
+        if b - a <= REFINE_TOL:
             continue
-        if len(path) >= policy.max_extra_runs:
+        if len(path) >= MAX_EXTRA_RUNS:
             unresolved = True
             break
         m = 0.5 * (a + b)
@@ -1230,8 +1200,7 @@ def max_switchings(
         for g, s in batch:
             (twins if (-g, -s) in cache or (-g, -s) in seen else traced).append((g, s))
             seen.add((g, s))
-        runs = trace_lanes([g for g, _ in traced], [s for _, s in traced], p, policy.stop, stop_at,
-                           work)
+        runs = trace_lanes([g for g, _ in traced], [s for _, s in traced], p, stop_at, work)
         cache.update((job, run_diagnostics(r)) for job, r in zip(traced, runs) if r is not None)
         for g, s in twins:
             diag = cache.get((-g, -s))
@@ -1244,10 +1213,10 @@ def max_switchings(
     unresolved = False
     if not hit:
         while True:
-            path, pending, unresolved, hit = _bisect(table, cache, policy, found)
+            path, pending, unresolved, hit = _bisect(table, cache, found)
             if not pending:
                 break
-            evaluate([(m, s) for a, b, s in pending for m in _subdivide(a, b, policy.refine_tol)])
+            evaluate([(m, s) for a, b, s in pending for m in _subdivide(a, b)])
         table.update((k, cache[k]) for k in path)
 
     diags = [table[k] for k in sorted(table.keys(), key=lambda k: (k[1], k[0]))]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from scipy.special import ellipk
 
+from pendamp import extremal
 from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, in_zone_xy, pendulum_rhs
 from pendamp.extremal import (
     _TAU_KNOTS,
@@ -24,7 +25,6 @@ from pendamp.extremal import (
     STOP_STANDSTILL,
     STOP_TIME_BUDGET,
     ExtremalRun,
-    StopPolicy,
 )
 from pendamp.integrator import (
     ANY,
@@ -105,7 +105,6 @@ def oracle_trace_extremal(
     phi_T: float,
     s: int,
     p: Params,
-    stop: StopPolicy | None = None,
     keep_samples: bool = True,
     ctl: StepControl = TIGHT_EXTREMAL,
 ) -> OracleRun:
@@ -126,14 +125,14 @@ def oracle_trace_extremal(
     armed at its first point outside the zone and stops at its first point
     inside it after that.  With ``keep_samples`` the run also carries its
     samples (step ends and located stops), with the covector unscaled.
+    The time budget is ``extremal.TIME_BUDGET_FACTOR`` / eps, looked up at
+    the call, so that a test that patches the constant patches both tracers.
     """
     if s not in (-1, 1):
         raise ValueError(f"s must be +-1, got {s}")
-    if stop is None:
-        stop = StopPolicy()
     eps = p.epsilon
     y_stop2 = SPEED_EXIT ** 2
-    t_budget = stop.time_budget_factor / eps
+    t_budget = extremal.TIME_BUDGET_FACTOR / eps
     # Above factor*eps = 1 the two zone components merge and the standstill
     # stop is meaningless; traces there exit on speed long before it matters.
     thr = ZONE_FACTOR * eps
@@ -308,7 +307,7 @@ def oracle_trace_extremal(
 def oracle_canonical_series(state, ueps: float, order: int) -> list[list[float]]:
     """Taylor coefficients of the canonical field at one state, by plain loops.
 
-    The textbook recurrences of ``extremal._lane_series`` in time units of
+    The textbook recurrences of ``extremal._SeriesBlock`` in time units of
     1, with divisions where the kernel multiplies by reciprocals: for
     x' = y, y' = ueps - sin x, P' = cos x Q, Q' = -P, with S = sin x,
     C = cos x, k S_k = sum_j j x_j C_{k-j} and k C_k = -sum_j j x_j S_{k-j}.

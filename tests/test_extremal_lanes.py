@@ -19,12 +19,12 @@ from pendamp.extremal import (
     STOP_STANDSTILL,
     STOP_TIME_BUDGET,
     LaneWork,
-    StopPolicy,
     SweepPolicy,
     _horner,
     _horner_lanes,
-    _lane_series,
     _poly_root,
+    _root,
+    _SeriesBlock,
     _step_rule,
     _tau_bound,
     max_switchings,
@@ -72,12 +72,16 @@ def lanes(jobs, eps, **kw):
 
 
 def oracle_sweep(p, policy, stop_at=None):
-    """max_switchings as a one-run-at-a-time scan over the scalar oracle."""
+    """max_switchings as a one-run-at-a-time scan over the scalar oracle.
+
+    The refinement reads extremal.REFINE_TOL and extremal.MAX_EXTRA_RUNS at
+    the call, so that a test may patch them.
+    """
     eps = p.epsilon
     table = {}
 
     def diag(g, s):
-        return run_diagnostics(oracle_trace_extremal(g / eps, s, p, policy.stop, keep_samples=False))
+        return run_diagnostics(oracle_trace_extremal(g / eps, s, p, keep_samples=False))
 
     def found(d):
         return stop_at is not None and d.allowed_count >= stop_at
@@ -98,9 +102,9 @@ def oracle_sweep(p, policy, stop_at=None):
     while frontier:
         frontier.sort()
         a, b, s = frontier.pop(0)
-        if b - a <= policy.refine_tol:
+        if b - a <= extremal.REFINE_TOL:
             continue
-        if extra >= policy.max_extra_runs:
+        if extra >= extremal.MAX_EXTRA_RUNS:
             return table, True
         m = 0.5 * (a + b)
         d = table[(m, s)] = diag(m, s)
@@ -155,8 +159,9 @@ def test_zone_pass_shorter_than_a_step_ends_the_lane():
     x, y, phi, psi = run.end_state
     assert max(abs(y), abs(math.sin(x))) == pytest.approx(thr, abs=EVENT_TOL)
     u = 1.0  # the third arc, as the first: u = s
-    z = np.array([[x], [y], [eps * phi], [eps * psi]])
-    step = _step_rule(_lane_series(z, np.array([u * eps])))[0]
+    # One lane, doubled as trace_lanes runs it: a block holds two lanes.
+    z = np.repeat(np.array([[x], [y], [eps * phi], [eps * psi]]), 2, axis=1)
+    step = _step_rule(_SeriesBlock(2, 1.0)(z, np.repeat(u * eps, 2)))[0]
     leave = EventSpec(lambda t, s: max(abs(s[1]), abs(math.sin(s[0]))) - thr, RISING, True)
     seg = integrate(lambda t, s: (s[1], u * eps - math.sin(s[0])), (x, y), -run.duration,
                     -run.duration - 1.0, [leave], StepControl(rtol=1e-13, atol=1e-15, max_step=1e-4))
@@ -195,7 +200,7 @@ def test_first_order_coefficients_are_the_field():
     z = np.vstack([rng.uniform(-10, 10, m), rng.uniform(-3, 3, m), rng.uniform(-5, 5, m),
                    rng.uniform(-5, 5, m)])
     ueps = rng.choice([-1.0, 1.0], m) * rng.uniform(0.01, 1.0, m)
-    cf = _lane_series(z, ueps)
+    cf = _SeriesBlock(m, 1.0)(z, ueps)
     x, y, phi, psi = z
     assert (cf[0] == z).all()
     field = np.array([y, ueps - np.sin(x), np.cos(x) * psi, -phi])
@@ -207,7 +212,7 @@ def test_series_matches_the_textbook_recurrences():
     z = np.vstack([rng.uniform(-7, 7, 40), rng.uniform(-2.3, 2.3, 40), rng.uniform(-4, 4, 40),
                    rng.uniform(-1.5, 1.5, 40)])
     ueps = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.05, 1.0, 40)
-    cf = _lane_series(z, ueps)
+    cf = _SeriesBlock(40, 1.0)(z, ueps)
     series, _ = _taylor()
     for k in range(40):
         ref = np.array(oracle_canonical_series(z[:, k], ueps[k], TAYLOR_ORDER))
@@ -267,13 +272,14 @@ def test_work_record_adds_up():
     assert sum(res.stats.stops.values()) >= res.n_runs // 2  # one traced lane per mirror pair
 
 
-# Each policy with the stop reasons its runs reach at eps 0.5 and 0.2 on grid
-# 16, and the Jorba-Zou tolerance it runs at (None: TAYLOR_TOL).  A NaN
-# tolerance makes every step NaN, which is a step failure.
+# Each stop policy with the stop reasons its runs reach at eps 0.5 and 0.2 on
+# grid 16: the time budget factor and the Jorba-Zou tolerance it runs at
+# (None: TIME_BUDGET_FACTOR, TAYLOR_TOL).  A NaN tolerance makes every step
+# NaN, which is a step failure.
 STOP_POLICIES = {
-    "default": (StopPolicy(), None, {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL}),
-    "short-budget": (StopPolicy(time_budget_factor=1.0), None, {STOP_TIME_BUDGET}),
-    "non-finite-step": (StopPolicy(), math.nan, {STOP_STEP_FAILURE}),
+    "default": (None, None, {STOP_ENERGY_EXIT, STOP_OPTIMALITY, STOP_STANDSTILL}),
+    "short-budget": (1.0, None, {STOP_TIME_BUDGET}),
+    "non-finite-step": (None, math.nan, {STOP_STEP_FAILURE}),
 }
 
 
@@ -285,17 +291,19 @@ def test_stop_policies_reach_every_stop_reason():
 
 @pytest.mark.parametrize("name", STOP_POLICIES)
 def test_every_stop_policy_matches_oracle(name, monkeypatch):
-    stop, tol, reasons = STOP_POLICIES[name]
+    factor, tol, reasons = STOP_POLICIES[name]
+    if factor is not None:  # the oracle reads the patched constant too
+        monkeypatch.setattr(extremal, "TIME_BUDGET_FACTOR", factor)
     if tol is not None:
         monkeypatch.setattr(extremal, "TAYLOR_TOL", tol)
     reached = set()
     for eps in (0.5, 0.2):
         p = Params(eps)
         jobs = grid_jobs(16)
-        runs = lanes(jobs, eps, stop=stop)
+        runs = lanes(jobs, eps)
         for (g, s), run in zip(jobs, runs):
             if tol is None:
-                assert_matches_oracle(run, oracle_trace_extremal(g / eps, s, p, stop, keep_samples=False))
+                assert_matches_oracle(run, oracle_trace_extremal(g / eps, s, p, keep_samples=False))
             else:  # the first step fails: the run ends where it began
                 assert (run.switch_count, run.duration) == (0, 0.0)
                 assert run.end_state == pytest.approx((0.0, 0.0, g / eps, s / eps), rel=1e-15)
@@ -304,13 +312,15 @@ def test_every_stop_policy_matches_oracle(name, monkeypatch):
     assert reasons <= reached
 
 
-@pytest.mark.parametrize("eps,policy", [
-    (0.3, SweepPolicy(grid_points=GRID)),
-    (0.3, SweepPolicy(grid_points=GRID, max_extra_runs=5)),
-    (0.5, SweepPolicy(grid_points=32)),
-    (0.3, SweepPolicy(grid_points=47)),
-])
-def test_sweep_matches_oracle_sweep(eps, policy):
+@pytest.mark.parametrize("eps,policy,max_extra_runs", [
+    (0.3, SweepPolicy(grid_points=GRID), None),
+    (0.3, SweepPolicy(grid_points=GRID), 5),
+    (0.5, SweepPolicy(grid_points=32), None),
+    (0.3, SweepPolicy(grid_points=47), None),
+], ids=["0.3-policy0", "0.3-policy1", "0.5-policy2", "0.3-policy3"])
+def test_sweep_matches_oracle_sweep(eps, policy, max_extra_runs, monkeypatch):
+    if max_extra_runs is not None:
+        monkeypatch.setattr(extremal, "MAX_EXTRA_RUNS", max_extra_runs)
     p = Params(eps)
     ref, unresolved = oracle_sweep(p, policy)
     res = max_switchings(p, policy)
@@ -466,6 +476,20 @@ def test_newton_root_falls_back_to_bisection_and_keeps_the_one_sign_rule(monkeyp
     assert _poly_root(c, 0.0, 0.0, 1.0, -0.25, 0.75) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_brentq_root_keeps_the_one_sign_rule():
+    # The budget gap is located by _root; where rounding leaves the gap with
+    # one sign at both ends, brentq refuses the bracket and the zero is the
+    # end where |f| is least, in either order of the ends.
+    def f(s):
+        return (s - 0.5) ** 2 + 1e-3  # no zero; least at 0.5
+
+    assert _root(f, 0.0, 0.9) == 0.9
+    assert _root(f, 0.9, 0.0) == 0.9
+    assert _root(lambda s: -f(s), 0.2, 1.0) == 0.2
+    assert _root(f, 0.25, 0.75) == 0.25  # a tie: the first end
+    assert _root(lambda s: s - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
+
+
 def test_large_amplitude_lanes_exit_at_once():
     # At eps = 5 every run exits on speed within its first two arcs.
     eps = 5.0
@@ -486,9 +510,10 @@ def test_stop_at_batch_returns_witness_and_stops():
     assert len(done) < len(jobs)
 
 
-def test_single_sign_and_zero_refinement_budget():
+def test_single_sign_and_zero_refinement_budget(monkeypatch):
     # Without refinement each single sign keeps exactly its grid runs.
-    none = max_switchings(Params(0.3), SweepPolicy(grid_points=GRID, max_extra_runs=0))
+    monkeypatch.setattr(extremal, "MAX_EXTRA_RUNS", 0)
+    none = max_switchings(Params(0.3), SweepPolicy(grid_points=GRID))
     assert none.unresolved_transitions
     assert none.n_runs == 2 * GRID
     assert [d.sign for d in none.runs] == [-1] * GRID + [1] * GRID
