@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -616,7 +617,9 @@ class LaneWork:
     steps of single lanes, ``events`` the events located (switch, exit, y0,
     budget line, zone entry), ``event_residual_max`` the worst
     |g| there, ``peak_lanes`` the largest batch, and ``stops`` the runs by
-    stop reason.
+    stop reason.  A block that merges the batches of several scans
+    (:func:`_run_scans`) counts once in ``batches``, ``batch_steps`` and
+    ``peak_lanes``; its lanes count in the rest as they would alone.
     """
 
     batches: int = 0
@@ -639,11 +642,41 @@ class LaneWork:
             self.stops[reason] = self.stops.get(reason, 0) + runs
 
 
+class _Group:
+    """The values of one eps that trace_lanes uses, for the lanes of a block that share eps and stop_at.
+
+    t_limit is the time budget's end; thr, thr2 and zone_on the standstill
+    zone |y| < thr, |sin x| < thr and whether it exists (thr < 1); band_reach
+    and band_edge its bands around k pi, widened and narrowed by the screens'
+    slack, in units of pi; ce = asin(eps), where Y2 turns; max_arcs the arcs
+    that fit in the budget.  The zone holds energies up to E_bottom
+    (cos x > 0) and from E_top on (cos x < 0), and y^2 <= 2 E there.
+    """
+
+    __slots__ = ("eps", "stop_at", "t_limit", "thr", "thr2", "zone_on", "band_reach", "band_edge",
+                 "ce", "max_arcs", "E_bottom", "E_top")
+
+    def __init__(self, eps: float, stop_at: int | None):
+        self.eps, self.stop_at = eps, stop_at
+        t_budget = TIME_BUDGET_FACTOR / eps
+        self.t_limit = -t_budget
+        self.thr = thr = ZONE_FACTOR * eps
+        self.zone_on = zone_on = thr < 1.0
+        self.thr2 = thr2 = thr * thr
+        half_band = math.asin(thr) if zone_on else 0.0
+        self.band_reach = (half_band + _SCREEN_SLACK) / math.pi
+        self.band_edge = (half_band - _SCREEN_SLACK) / math.pi
+        self.ce = math.asin(eps) if eps < 1.0 else 0.0
+        self.max_arcs = int(t_budget / math.pi) + 8
+        self.E_bottom = 0.5 * thr2 + 1.0 - math.sqrt(1.0 - thr2) if zone_on else 0.0
+        self.E_top = 1.0 + math.sqrt(1.0 - thr2) if zone_on else 0.0
+
+
 def trace_lanes(
     g,
     signs,
-    p: Params,
-    stop_at: int | None = None,
+    p: Params | Sequence[Params],
+    stop_at: int | None | Sequence[int | None] = None,
     work: LaneWork | None = None,
 ) -> list[ExtremalRun | None]:
     """Trace the backward extremals (phi_T, s) = (g / eps, signs) all at once.
@@ -670,14 +703,23 @@ def trace_lanes(
     the scalar location.  A step with a non-finite series or size is a step
     failure.  Runs keep no samples.  Memory is O(lanes): no step history is
     kept, and finished lanes are compacted away once half the block has
-    finished.  ``work``, when given, has this batch's counts added to it.
+    finished.  ``work``, when given, has this block's counts added to it.
 
-    With ``stop_at`` the batch is a witness search.  It ends as soon as a
-    finished run reaches that allowed count, and once some lane has made
-    that many switchings (so that its run will reach it) only that lane
-    runs on.  The lanes dropped or still running come back as None.
+    ``p`` is one Params for every lane or a sequence of one per lane, and
+    ``stop_at`` one int or None for every lane or a sequence of one per
+    lane.  The lanes that share eps and stop_at form a group.  The values
+    that depend on eps (:class:`_Group`: the budget, the zone and its bands,
+    the turns of the speed) are computed once per group, by the same
+    arithmetic as for a block of that eps alone, so a lane's run does not
+    depend on the other groups.  A block has one time unit H: lanes at
+    eps > 1 share a block only with lanes of the same eps.
+
+    A group with ``stop_at`` is a witness search.  It ends as soon as one of
+    its finished runs reaches that allowed count, and once one of its lanes
+    has made that many switchings (so that its run will reach it) only that
+    lane of the group runs on.  The other groups step on.  The lanes dropped
+    or still running in an ended group come back as None.
     """
-    eps = p.epsilon
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -685,24 +727,34 @@ def trace_lanes(
     if g.shape != sgn.shape or not np.all(np.abs(sgn) == 1.0):
         raise ValueError("need one sign of +-1 per lane")
     n = g.size
+    ps = [p] * n if isinstance(p, Params) else list(p)
+    stops = [stop_at] * n if np.ndim(stop_at) == 0 else list(stop_at)
+    if len(ps) != n or len(stops) != n:
+        raise ValueError("need one Params and one stop_at per lane")
+    groups: dict[tuple[float, int | None], int] = {}
+    grp = np.array([groups.setdefault((q.epsilon, k), len(groups)) for q, k in zip(ps, stops)],
+                   dtype=np.intp)
+    units = {1.0 / max(1.0, eps) for eps, _ in groups}
+    if len(units) > 1:
+        raise ValueError(f"one block holds one time unit 1/max(1, eps), got {sorted(units)}")
+    unit = units.pop() if units else 1.0
     if work is None:
         work = LaneWork()
     work.batches += 1
     work.peak_lanes = max(work.peak_lanes, n)
-    phi_T = g / eps
-    unit = 1.0 / max(1.0, eps)
     xtol = _ROOT_TOL["xtol"] * unit
     exit2 = SPEED_EXIT ** 2
-    t_budget = TIME_BUDGET_FACTOR / eps
-    t_limit = -t_budget
-    thr = ZONE_FACTOR * eps
-    zone_on = thr < 1.0
-    thr2 = thr * thr
-    half_band = math.asin(thr) if zone_on else 0.0
-    band_reach = (half_band + _SCREEN_SLACK) / math.pi  # the zone's bands, widened, in units of pi
-    band_edge = (half_band - _SCREEN_SLACK) / math.pi
-    ce = math.asin(eps) if eps < 1.0 else 0.0
-    max_arcs = int(t_budget / math.pi) + 8
+    gs = [_Group(eps, k) for eps, k in groups]
+
+    def per_lane(name: str):
+        """The attribute name of each lane's group, as an array over the lanes."""
+        return np.array([getattr(gr, name) for gr in gs], dtype=float)[grp]
+
+    eps_l, t_limit, thr2_l, band_reach, band_edge, ce = (
+        per_lane(a) for a in ("eps", "t_limit", "thr2", "band_reach", "band_edge", "ce"))
+    zone_l = per_lane("zone_on") > 0.0
+    zone_any, zone_all = bool(zone_l.any()), bool(zone_l.all())
+    phi_T = g / eps_l
 
     # The block of lanes; `lane` maps its columns back to the input order.  A
     # lane that finishes leaves `live` but stays in the block, whose arrays
@@ -710,17 +762,18 @@ def trace_lanes(
     # half the block.  Then the block is compacted to them.
     lane = np.arange(n)
     Z = np.zeros((4, n))
-    Z[2] = eps * phi_T
+    Z[2] = eps_l * phi_T
     Z[3] = sgn
-    ueps = sgn * eps
+    ueps = sgn * eps_l
     t = np.zeros(n)
     arcs = np.ones(n, dtype=int)
     armed = np.zeros(n, dtype=bool)  # has been outside the standstill zone
-    touched = np.full(n, zone_on)  # the arc touches the zone: it began before arming
+    touched = zone_l.copy()  # the arc touches the zone: it began before arming
     maxres = np.zeros(n)
     gap_t = np.full(n, OPTIMALITY_SLACK)  # the budget gap at t
     live = np.ones(n, dtype=bool)
     series = None
+    ended: set[int] = set()  # the groups whose witness search ended in this step
 
     sw_t = [[] for _ in range(n)]
     sw_s = [[] for _ in range(n)]
@@ -729,9 +782,11 @@ def trace_lanes(
     arc_z = [[] for _ in range(n)]
     out: list[ExtremalRun | None] = [None] * n
 
-    def finish(k, reason, state, close_arc=True) -> bool:
-        """Store the run of block lane k, ended at t[k]; True for a stop_at witness."""
+    def finish(k, reason, state, close_arc=True) -> None:
+        """Store the run of block lane k, ended at t[k]; a stop_at witness ends its group."""
         i = lane[k]
+        gr = gs[grp[k]]
+        eps = gr.eps
         live[k] = False
         if close_arc:
             arc_z[i].append(bool(touched[k]) or reason == STOP_STANDSTILL)
@@ -750,7 +805,8 @@ def trace_lanes(
             max_hamiltonian_residual=float(maxres[k]) / eps,
             end_state=(state[0], state[1], state[2] / eps, state[3] / eps),
         )
-        return stop_at is not None and run.allowed_count >= stop_at
+        if gr.stop_at is not None and run.allowed_count >= gr.stop_at:
+            ended.add(int(grp[k]))
 
     def count(tau_e: float, g: float) -> float:
         """The event at tau_e, where the event function is g, counted in ``work``."""
@@ -768,39 +824,30 @@ def trace_lanes(
         tau_e = _poly_root(c, level, a, b, fa, fb)
         return count(tau_e, _horner(c, tau_e) - level)
 
-    def residual(state) -> float:
+    def residual(state, eps: float) -> float:
         x, y, P, Q = state
         return abs(y * P - math.sin(x) * Q + eps * abs(Q) - eps)
 
-    def gap_of(x: float, y: float, t_s: float) -> float:
+    def gap_of(x: float, y: float, t_s: float, eps: float) -> float:
         """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at the state (x, y) and time t_s."""
         return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + t_s
 
-    def gap_at(cx, cy, t0: float, s: float) -> float:
-        """The budget gap at s on a step from t0."""
-        return gap_of(_horner(cx, s), _horner(cy, s), t0 + unit * s)
-
-    # The standstill zone |y| < thr, |sin x| < thr holds energies up to
-    # E_bottom (cos x > 0) and from E_top on (cos x < 0), and y^2 <= 2 E.
-    E_bottom = 0.5 * thr2 + 1.0 - math.sqrt(1.0 - thr2) if zone_on else 0.0
-    E_top = 1.0 + math.sqrt(1.0 - thr2) if zone_on else 0.0
-
-    def may_hit(E_lo: float, E_hi: float, arm: bool) -> bool:
+    def may_hit(E_lo: float, E_hi: float, arm: bool, gr: _Group) -> bool:
         """Whether a piece whose energy runs from E_lo to E_hi may meet the speed exit, or arm or
         enter the standstill zone: else :func:`_piece_hit` finds nothing on it."""
         if 2.0 * E_hi >= exit2 - _SCREEN_SLACK:
             return True
-        if not zone_on:
+        if not gr.zone_on:
             return False
         if not arm:  # it arms where it leaves the zone, which it cannot below thr^2 / 2
-            return E_hi >= 0.5 * thr2 - _SCREEN_SLACK
-        return E_lo <= E_bottom + _SCREEN_SLACK or E_hi >= E_top - _SCREEN_SLACK
+            return E_hi >= 0.5 * gr.thr2 - _SCREEN_SLACK
+        return E_lo <= gr.E_bottom + _SCREEN_SLACK or E_hi >= gr.E_top - _SCREEN_SLACK
 
-    def piece_events(cx, cy, uk, t0, a, b, xs, ys, xe, arm, scan_k, budget_k):
+    def piece_events(cx, cy, uk, t0, a, b, xs, ys, xe, arm, scan_k, budget_k, gr):
         """The first terminal event on the x-monotone piece a -> b of a lane's step.
 
-        The lane's control is uk = u eps; (xs, ys) is its state at a, and xe
-        its x at b.  Returns (armed, (tau, kind) or None).
+        The lane's control is uk = u eps and its group gr; (xs, ys) is its
+        state at a, and xe its x at b.  Returns (armed, (tau, kind) or None).
         """
         if xe == xs:
             return arm, None
@@ -808,13 +855,13 @@ def trace_lanes(
         wa, wb, e = d * xs, d * xe, d * uk
         hits = []
         if scan_k:
-            arm, kind, w = _piece_hit(wa, ys, wb, e, thr if zone_on else None, arm, xtol)
+            arm, kind, w = _piece_hit(wa, ys, wb, e, gr.thr if gr.zone_on else None, arm, xtol)
             if kind is not None:
                 level = d * w
                 hits.append((locate_poly(cx, level, b, a, xe - level, xs - level), kind))
         if budget_k:
             def gap(s):
-                return gap_at(cx, cy, t0, s)
+                return gap_of(_horner(cx, s), _horner(cy, s), t0 + unit * s, gr.eps)
             prev, xprev = a, xs
             Ea = 0.5 * ys * ys + 1.0 - math.cos(xs)
             for w in (_gap_minima(wa, ys, wb, e, Ea, xtol) if e > 0.0 else ()):
@@ -829,9 +876,8 @@ def trace_lanes(
                     hits.append((locate(gap, b, prev), _OPTIMALITY))
         return arm, max(hits, key=lambda q: (q[0], -q[1])) if hits else None
 
-    witness = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while not witness:
+        while True:
             m = int(np.count_nonzero(live))
             if m == 0:
                 break
@@ -839,24 +885,26 @@ def trace_lanes(
                 keep = live.nonzero()[0]
                 if m == 1:
                     keep = np.repeat(keep, 2)  # a block holds two lanes; the copy is not live
-                lane, ueps, t, arcs, armed, touched, maxres, gap_t, live = (
-                    a[keep] for a in (lane, ueps, t, arcs, armed, touched, maxres, gap_t, live))
+                (lane, grp, ueps, t, arcs, armed, touched, maxres, gap_t, live, eps_l, t_limit, thr2_l,
+                 zone_l, band_reach, band_edge, ce) = (
+                    a[keep] for a in (lane, grp, ueps, t, arcs, armed, touched, maxres, gap_t, live,
+                                      eps_l, t_limit, thr2_l, zone_l, band_reach, band_edge, ce))
                 live[m:] = False
                 Z = Z[:, keep]
                 series = _SeriesBlock(keep.size, unit)
             work.batch_steps += 1
             work.lane_steps += m
 
-            # One Taylor step on every lane, clipped at the time budget.
+            # One Taylor step on every lane, clipped at its time budget.
             cf = series(Z, ueps)
             rho = _step_rule(cf)
             t_new = t - unit * rho
             last = ~(t_new > t_limit)
             tau = np.where(last, (t_limit - t) / unit, -rho)
-            t_new[last] = t_limit
+            np.copyto(t_new, t_limit, where=last)
             Zn = _horner_lanes(cf, tau)
             for k in (live & ~((rho > 0.0) & np.isfinite(Zn).all(axis=0))).nonzero()[0]:
-                witness |= finish(k, STOP_STEP_FAILURE, Z[:, k].tolist())
+                finish(k, STOP_STEP_FAILURE, Z[:, k].tolist())
 
             # Screens, which send a lane's step to the scalar location when it
             # may hold an event: the switch and y0 sign changes across the
@@ -870,7 +918,7 @@ def trace_lanes(
             y2a, y2b = ya * ya, yb * yb
             Eb = 0.5 * y2b + 1.0 - cn
             seg_b = _segment(Eb)
-            gap = _tau_bound(Eb, seg_b) / eps + OPTIMALITY_SLACK + t_new
+            gap = _tau_bound(Eb, seg_b) / eps_l + OPTIMALITY_SLACK + t_new
             d = np.where(xb >= xa, 1.0, -1.0)
             wa, wb, e = d * xa, d * xb, d * ueps
             cwa = np.cos(wa)
@@ -896,24 +944,29 @@ def trace_lanes(
             fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
             budget = (gap <= 0.0) | (wide & (gap_t - span <= _SCREEN_SLACK)) | (
                 (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
-            if zone_on:
+            if zone_any:
                 # In units of pi: the bands of the zone around k pi that the
                 # step's range meets, and the edge of the band it starts in.
                 qa, qb = wa * (1.0 / math.pi), wb * (1.0 / math.pi)
                 meets = np.ceil(qa - band_reach) <= qb + band_reach
                 leaves = qb >= np.rint(qa) + band_edge
-                scan |= np.where(armed, meets & (lo <= thr2 + _SCREEN_SLACK),
-                                 leaves | (hi >= thr2 - _SCREEN_SLACK))
+                near = np.where(armed, meets & (lo <= thr2_l + _SCREEN_SLACK),
+                                leaves | (hi >= thr2_l - _SCREEN_SLACK))
+                scan |= near if zone_all else near & zone_l
             flag = (scan | budget | sw | last) & live
             commit = live & ~flag  # the lanes whose step's end becomes their state
 
             timeouts, restart, sure = [], [], []
             idx = flag.nonzero()[0]
-            lanes = zip(idx.tolist(), lane[idx].tolist(), cf[:, :, idx].transpose(2, 1, 0).tolist(),
-                        *(a[idx].tolist() for a in (tau, t, ueps, Zn[0], Zn[1], Zn[3], sw, y0, scan,
-                                                     budget, last, armed)))
-            for (k, i, (cx, cy, cP, cQ), tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k, budget_k,
-                 last_k, arm) in lanes:
+            # The flagged lanes' values as Python numbers, freed with the
+            # loop's iterator when the loop ends.
+            for (k, i, gk, (cx, cy, cP, cQ), tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k,
+                 budget_k, last_k, arm) in zip(
+                    idx.tolist(), lane[idx].tolist(), grp[idx].tolist(),
+                    cf[:, :, idx].transpose(2, 1, 0).tolist(),
+                    *(a[idx].tolist() for a in (tau, t, ueps, Zn[0], Zn[1], Zn[3], sw, y0, scan,
+                                                 budget, last, armed))):
+                gr = gs[gk]
                 # The switch ends the step's scan; the x-monotone pieces before
                 # it, split at the zero of y, are searched in order.  (xe, ye)
                 # is the state at the scan's end.
@@ -939,14 +992,15 @@ def trace_lanes(
                     if y0_k and not budget_k:
                         # So the gap is at least its value at the least end
                         # energy and at the scan's end time.
-                        budget_k = (_tau_bound_at(min(Es)) / eps + OPTIMALITY_SLACK + t0 + unit * tau_e
-                                    <= _SCREEN_SLACK)
+                        budget_k = (_tau_bound_at(min(Es)) / gr.eps + OPTIMALITY_SLACK + t0
+                                    + unit * tau_e <= _SCREEN_SLACK)
                     for j in range(len(ends) - 1):
-                        scan_j = scan_k and may_hit(min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1]), arm)
+                        scan_j = scan_k and may_hit(min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1]), arm,
+                                                    gr)
                         if not (scan_j or budget_k):
                             continue
                         arm, hit = piece_events(cx, cy, uk, t0, ends[j], ends[j + 1], xs[j], ys[j],
-                                                xs[j + 1], arm, scan_j, budget_k)
+                                                xs[j + 1], arm, scan_j, budget_k, gr)
                         if hit is not None and (kind is None or hit[0] > tau_e):
                             tau_e, kind = hit
                             break
@@ -966,37 +1020,42 @@ def trace_lanes(
                     state = [_horner(c, tau_e) for c in (cx, cy, cP, cQ)]
                 t[k] = t0 + unit * tau_e
                 if kind != _SWITCH:
-                    witness |= finish(k, _REASON[kind], state)
+                    finish(k, _REASON[kind], state)
                     continue
-                maxres[k] = max(maxres[k], residual(state))
-                gap_t[k] = gap_of(xe, ye, float(t[k]))
+                eps = gr.eps
+                maxres[k] = max(maxres[k], residual(state, eps))
+                gap_t[k] = gap_of(xe, ye, float(t[k]), eps)
                 sw_t[i].append(float(t[k]))
                 sw_s[i].append((state[0], state[1], state[2] / eps, state[3] / eps))
-                sw_z[i].append(zone_on and in_zone_xy(state[0], state[1], thr))
+                sw_z[i].append(gr.zone_on and in_zone_xy(state[0], state[1], gr.thr))
                 arc_z[i].append(bool(touched[k]))
                 Z[:, k] = state
-                if stop_at is not None and len(sw_t[i]) >= stop_at:
+                if gr.stop_at is not None and len(sw_t[i]) >= gr.stop_at:
                     sure.append(k)
-                if arcs[k] == max_arcs:
-                    witness |= finish(k, STOP_TIME_BUDGET, state, close_arc=False)
+                if arcs[k] == gr.max_arcs:
+                    finish(k, STOP_TIME_BUDGET, state, close_arc=False)
                 else:
                     restart.append(k)
 
-            r = np.abs(yb * Zn[2] - sn * Zn[3] + eps * np.abs(Zn[3]) - eps)
+            r = np.abs(yb * Zn[2] - sn * Zn[3] + eps_l * np.abs(Zn[3]) - eps_l)
             np.copyto(Z, Zn, where=commit)
             np.copyto(t, t_new, where=commit)
             np.copyto(gap_t, gap, where=commit)
             np.fmax(maxres, r, out=maxres, where=commit)
             for k in timeouts:
-                witness |= finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
+                finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
             if restart:
                 ueps[restart] = -ueps[restart]
                 arcs[restart] += 1
-                touched[restart] = zone_on & ~armed[restart]
+                touched[restart] = zone_l[restart] & ~armed[restart]
             if sure:
+                # A lane that has made stop_at switchings runs on alone in its group.
                 only = np.zeros_like(live)
                 only[sure] = True
-                live &= only
+                live &= only | ~np.isin(grp, grp[sure])
+            if ended:
+                live &= ~np.isin(grp, list(ended))
+                ended.clear()
     return out
 
 
@@ -1153,61 +1212,35 @@ def _one_process(threads: int) -> None:
                          "pass threads=1 or leave it out")
 
 
-def max_switchings(
-    p: Params,
-    policy: SweepPolicy | None = None,
-    stop_at: int | None = None,
-    threads: int = 1,
-) -> SweepResult:
-    """Scan the backward family for the maximal switching count.
+def _scan(p: Params, policy: SweepPolicy, stop_at: int | None, work: LaneWork):
+    """The scan of :func:`max_switchings`, as a generator that :func:`_run_scans` runs.
 
-    The phi_T grid is traced as one trace_lanes batch, and each round of the
-    bisection refinement as another; ``stats`` adds up their work.  Lane
-    results do not depend on the batch, so the runs and their count equal
-    those of a scan that traces one run at a time.  ``threads`` accepts only
-    1 (see :func:`_one_process`).
-
-    The canonical system is odd: (x, y, phi, psi, u) -> -(x, y, phi, psi, u)
-    maps extremals to extremals, and the run from (-phi_T, -s) is, bit for
-    bit, the negation of the run from (phi_T, s).  Switch times, counts,
-    stop reason, duration and residual are the same for both.  So each
-    batch traces one lane per mirror pair, and the twin's diagnostics are
-    the traced lane's with the twin's own phi_T and sign.  The grid
-    (:func:`phi_grid`) is exactly antisymmetric, and midpoints of mirrored
-    intervals are exact negations, so the pairs meet in every round.
-
-    ``stop_at`` turns the sweep into an early-exit witness search: the scan
-    returns as soon as some run reaches that allowed count (the boolean
-    "max >= stop_at" is unchanged; only the amount of work differs).  The
-    grid batch stops at its first witness.  Refinement rounds run to their
-    end, since their look-ahead lanes off the bisection path must not count.
+    It yields its batches, each as (p, g, signs, stop_at), one at a time,
+    receives each batch's runs, and returns the SweepResult, whose stats
+    are ``work``.
     """
-    _one_process(threads)
-    if policy is None:
-        policy = SweepPolicy()
     eps = p.epsilon
     gmax = policy.phi_max_scaled
     jobs = [(g, s) for s in (1, -1) for g in phi_grid(policy.grid_points, gmax)]
     cache: dict[tuple[float, int], RunDiagnostics] = {}
-    work = LaneWork()
 
     def found(diag) -> bool:
         return stop_at is not None and diag.allowed_count >= stop_at
 
-    def evaluate(batch, stop_at=None) -> None:
+    def evaluate(batch, stop_at=None):
         """Add the runs of the jobs in batch to cache, tracing one lane per mirror pair."""
         traced, twins, seen = [], [], set()
         for g, s in batch:
             (twins if (-g, -s) in cache or (-g, -s) in seen else traced).append((g, s))
             seen.add((g, s))
-        runs = trace_lanes([g for g, _ in traced], [s for _, s in traced], p, stop_at, work)
+        runs = yield p, [g for g, _ in traced], [s for _, s in traced], stop_at
         cache.update((job, run_diagnostics(r)) for job, r in zip(traced, runs) if r is not None)
         for g, s in twins:
             diag = cache.get((-g, -s))
             if diag is not None:
                 cache[(g, s)] = replace(diag, phi_T=g / eps, sign=s)
 
-    evaluate(jobs, stop_at)
+    yield from evaluate(jobs, stop_at)
     table = {job: cache[job] for job in jobs if job in cache}
     hit = any(found(d) for d in table.values())
     unresolved = False
@@ -1216,7 +1249,7 @@ def max_switchings(
             path, pending, unresolved, hit = _bisect(table, cache, found)
             if not pending:
                 break
-            evaluate([(m, s) for a, b, s in pending for m in _subdivide(a, b)])
+            yield from evaluate([(m, s) for a, b, s in pending for m in _subdivide(a, b)])
         table.update((k, cache[k]) for k in path)
 
     diags = [table[k] for k in sorted(table.keys(), key=lambda k: (k[1], k[0]))]
@@ -1241,6 +1274,81 @@ def max_switchings(
     )
 
 
+def _run_scans(scans: dict, work: LaneWork):
+    """Run the scans in ``scans`` (key -> :func:`_scan`) together; yield (key, result) as each ends.
+
+    Each round traces the pending batch of every scan as one trace_lanes
+    block, or one block per time unit where scans at eps > 1 differ in it,
+    and ``work`` counts the blocks.  A scan leaves ``scans`` when its result
+    is yielded.  Between yields the caller may add scans, which join the
+    next round.  A lane's run does not depend on its block, so each result
+    is the one the scan gets alone.
+    """
+    batches = {}
+    while scans:
+        ended = []
+        for key in [k for k in scans if k not in batches]:
+            try:
+                batches[key] = next(scans[key])
+            except StopIteration as stop:
+                ended.append((key, stop.value))
+        blocks: dict[float, list] = {}
+        for key, (p, *_) in batches.items():
+            blocks.setdefault(1.0 / max(1.0, p.epsilon), []).append(key)
+        for keys in blocks.values():
+            parts = [batches.pop(key) for key in keys]
+            runs = trace_lanes([g for _, gs, _, _ in parts for g in gs],
+                               [s for _, _, ss, _ in parts for s in ss],
+                               [p for p, gs, _, _ in parts for _ in gs],
+                               [k for _, gs, _, k in parts for _ in gs], work)
+            start = 0
+            for key, (_, gs, _, _) in zip(keys, parts):
+                try:
+                    batches[key] = scans[key].send(runs[start:start + len(gs)])
+                except StopIteration as stop:
+                    ended.append((key, stop.value))
+                start += len(gs)
+        for key, result in ended:
+            del scans[key]
+            yield key, result
+
+
+def max_switchings(
+    p: Params,
+    policy: SweepPolicy | None = None,
+    stop_at: int | None = None,
+    threads: int = 1,
+) -> SweepResult:
+    """Scan the backward family for the maximal switching count.
+
+    The phi_T grid is traced as one trace_lanes batch, and each round of the
+    bisection refinement as another; ``stats`` adds up their work.  This is
+    :func:`_scan` run alone by :func:`_run_scans`.  Lane
+    results do not depend on the batch, so the runs and their count equal
+    those of a scan that traces one run at a time.  ``threads`` accepts only
+    1 (see :func:`_one_process`).
+
+    The canonical system is odd: (x, y, phi, psi, u) -> -(x, y, phi, psi, u)
+    maps extremals to extremals, and the run from (-phi_T, -s) is, bit for
+    bit, the negation of the run from (phi_T, s).  Switch times, counts,
+    stop reason, duration and residual are the same for both.  So each
+    batch traces one lane per mirror pair, and the twin's diagnostics are
+    the traced lane's with the twin's own phi_T and sign.  The grid
+    (:func:`phi_grid`) is exactly antisymmetric, and midpoints of mirrored
+    intervals are exact negations, so the pairs meet in every round.
+
+    ``stop_at`` turns the sweep into an early-exit witness search: the scan
+    returns as soon as some run reaches that allowed count (the boolean
+    "max >= stop_at" is unchanged; only the amount of work differs).  The
+    grid batch stops at its first witness.  Refinement rounds run to their
+    end, since their look-ahead lanes off the bisection path must not count.
+    """
+    _one_process(threads)
+    work = LaneWork()
+    ((_, res),) = _run_scans({p.epsilon: _scan(p, policy or SweepPolicy(), stop_at, work)}, work)
+    return res
+
+
 @dataclass(frozen=True)
 class BifurcationRow:
     n: int
@@ -1256,6 +1364,10 @@ class BracketError(Exception):
     """The integer count is not monotone across the supplied bracket."""
 
 
+class _Waiting(Exception):
+    """The bracket search needs the answer of a scan that is still running."""
+
+
 def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
                  policy: SweepPolicy) -> BifurcationRow:
     """Bracket and bisect the eps where max_switchings first reaches n + 1.
@@ -1265,52 +1377,89 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
     finds one that reaches it.  Both ends are then checked and the bracket
     bisected down to width ``tol``.  Every eps is scanned at most once, so
     the checks cost nothing for the ends the two searches already answered.
+
+    The scans run together (:func:`_run_scans`).  The search is replayed on
+    the answers in hand whenever one arrives, and each scan it then needs
+    starts at once.  An end check whose scan is running is taken to pass,
+    so the first midpoint starts with the two ends, and every later
+    midpoint as soon as the answer it follows from is in.  A row, its scans
+    and its errors are those of the search made one scan at a time: an
+    error is raised only once every answer before it is in, so the lo check
+    still fails before the hi check.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         # The bisection below stops on width tol, which such a tol never meets.
         raise ValueError(f"tol must be positive and finite, got {tol}")
     target = n + 1
     answers: dict[float, bool] = {}
+    wanted: list[float] = []  # the eps without an answer that the last replay needed
+
+    def reaches(eps: float, guess: bool | None = None) -> bool:
+        """Whether the count at eps reaches n + 1; without an answer yet, eps is wanted
+        and the search goes on with ``guess``, or waits when there is none."""
+        if eps in answers:
+            return answers[eps]
+        wanted.append(eps)
+        if guess is None:
+            raise _Waiting
+        return guess
+
+    def search(lo, hi) -> tuple[float, float]:
+        """The search on the answers in hand: the final bracket."""
+        if hi is None:
+            hi = 1.2
+            while reaches(hi):
+                hi *= 1.5
+                if hi > 64.0:
+                    raise BracketError(f"count >= {target} persists up to eps = {hi}")
+        if lo is None:
+            lo = hi
+            while True:
+                lo /= 1.25
+                if lo < 1e-4:
+                    raise BracketError(f"count never reaches {target} down to eps = {lo}")
+                if reaches(lo):
+                    break
+                hi = lo
+        if not reaches(lo, True):
+            raise BracketError(f"count below {target} at eps_lo = {lo}")
+        if reaches(hi, False):
+            raise BracketError(f"count already >= {target} at eps_hi = {hi}")
+
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # lo and hi are adjacent floats: a tol below their spacing would
+                # loop forever on cached answers.
+                raise ValueError(f"tol = {tol!r} is below the float spacing at eps_{n}: "
+                                 f"the bracket [{lo!r}, {hi!r}] cannot be halved")
+            if reaches(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
     work = LaneWork()
-
-    def reaches(eps: float) -> bool:
-        if eps not in answers:
-            res = max_switchings(Params(eps), policy, stop_at=target)
-            answers[eps] = res.max_allowed >= target
-            work.add(res.stats)
-        return answers[eps]
-
-    if hi is None:
-        hi = 1.2
-        while reaches(hi):
-            hi *= 1.5
-            if hi > 64.0:
-                raise BracketError(f"count >= {target} persists up to eps = {hi}")
-    if lo is None:
-        lo = hi
-        while True:
-            lo /= 1.25
-            if lo < 1e-4:
-                raise BracketError(f"count never reaches {target} down to eps = {lo}")
-            if reaches(lo):
-                break
-            hi = lo
-    if not reaches(lo):
-        raise BracketError(f"count below {target} at eps_lo = {lo}")
-    if reaches(hi):
-        raise BracketError(f"count already >= {target} at eps_hi = {hi}")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # lo and hi are adjacent floats: a tol below their spacing would
-            # loop forever on cached answers.
-            raise ValueError(f"tol = {tol!r} is below the float spacing at eps_{n}: "
-                             f"the bracket [{lo!r}, {hi!r}] cannot be halved")
-        if reaches(mid):
-            lo = mid
+    scans: dict = {}
+    running = _run_scans(scans, work)
+    while True:
+        wanted.clear()
+        try:
+            bracket = search(lo, hi)
+        except _Waiting:
+            pass
+        except (BracketError, ValueError):
+            if not wanted:
+                raise
         else:
-            hi = mid
+            if not wanted:
+                break
+        for eps in wanted:
+            if eps not in scans:
+                scans[eps] = _scan(Params(eps), policy, target, work)
+        eps, res = next(running)
+        answers[eps] = res.max_allowed >= target
+    lo, hi = bracket
     eps_n = 0.5 * (lo + hi)
     return BifurcationRow(n=n, epsilon_n=eps_n, product=n * eps_n, bracket_width=hi - lo,
                           scans=len(answers), stats=work)

@@ -12,6 +12,8 @@ from pendamp import extremal
 from pendamp.dynamics import Params
 from pendamp.extremal import (
     STOP_ENERGY_EXIT,
+    STOP_OPTIMALITY,
+    STOP_STANDSTILL,
     BracketError,
     ExtremalRun,
     SweepPolicy,
@@ -264,9 +266,22 @@ class TestBifurcation:
         def no_scan(*args, **kw):
             raise AssertionError("scanned before rejecting the arguments")
 
-        monkeypatch.setattr(extremal, "max_switchings", no_scan)
+        monkeypatch.setattr(extremal, "_scan", no_scan)
         with pytest.raises(ValueError, match=message):
             call()
+
+    def test_benchmark_row_pinned(self):
+        # The bracket of the bifurcation benchmark's first pass (seed 1): the
+        # row and its lanes' work are those of the search made one scan at a
+        # time, in fewer blocks (that search took 9 batches of 676 steps).
+        row = find_bifurcation(5, (0.18755633667536092, 0.19272408467709753), tol=1e-3,
+                               policy=SweepPolicy(grid_points=128))
+        assert (row.epsilon_n, row.bracket_width) == (0.19175513192677193, 0.0006459685002170867)
+        assert row.scans == 5
+        work = row.stats
+        assert (work.lane_steps, work.events) == (33516, 5947)
+        assert work.stops == {STOP_OPTIMALITY: 360, STOP_STANDSTILL: 288, STOP_ENERGY_EXIT: 200}
+        assert work.batches < 9 and work.batch_steps < 676
 
     def test_table_rows_pinned_at_grid_64(self, table_grid_64):
         rows = table_grid_64
@@ -288,18 +303,22 @@ class TestBifurcation:
             find_bifurcation(1, threads=0)
 
 
-def stub_counts(monkeypatch, count):
-    """Replace the sweep behind the bifurcation search by max_allowed = count(eps).
+def stub_counts(monkeypatch, count, rounds=lambda eps: 0):
+    """Replace the scans behind the bifurcation search by max_allowed = count(eps).
 
-    Returns the list that records each scan as (eps, stop_at), in call order.
+    A stubbed scan yields rounds(eps) empty batches before it answers, so that
+    scans started together may answer in another order.  Returns the list that
+    records each scan as (eps, stop_at), in the order the scans start.
     """
     calls = []
 
-    def fake(p, policy=None, stop_at=None):
+    def fake(p, policy, stop_at, work):
         calls.append((p.epsilon, stop_at))
-        return SimpleNamespace(max_allowed=count(p.epsilon), stats=extremal.LaneWork())
+        for _ in range(rounds(p.epsilon)):
+            yield p, [], [], stop_at
+        return SimpleNamespace(max_allowed=count(p.epsilon), stats=work)
 
-    monkeypatch.setattr(extremal, "max_switchings", fake)
+    monkeypatch.setattr(extremal, "_scan", fake)
     return calls
 
 
@@ -349,6 +368,16 @@ class TestBracketErrors:
         stub_counts(monkeypatch, count)
         with pytest.raises(BracketError, match=message):
             find_bifurcation(1, bracket=bracket)
+
+    def test_lo_check_fails_first_when_hi_answers_first(self, monkeypatch):
+        # The scans at lo, hi and the first midpoint start together, and the
+        # one at hi answers first: it reaches the count too.  The error is
+        # still the lo check's, which a one-at-a-time search makes first.
+        calls = stub_counts(monkeypatch, lambda e: 2 if e > 0.4 else 1,
+                            rounds=lambda e: 3 if e == 0.3 else 0)
+        with pytest.raises(BracketError, match="count below 2 at eps_lo = 0.3"):
+            find_bifurcation(1, bracket=(0.3, 0.5))
+        assert calls == [(0.3, 2), (0.5, 2), (0.4, 2)]
 
     def test_find_bifurcation_auto_bracket_succeeds(self, monkeypatch):
         stub_counts(monkeypatch, lambda e: 2 if e < 0.7 else 1)

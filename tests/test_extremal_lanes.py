@@ -522,3 +522,84 @@ def test_single_sign_and_zero_refinement_budget(monkeypatch):
 def test_rejects_bad_signs():
     with pytest.raises(ValueError):
         trace_lanes([0.0, 1.0], [1, 0], Params(0.3))
+
+
+def test_rejects_a_params_or_stop_at_per_lane_of_another_length():
+    with pytest.raises(ValueError, match="one Params and one stop_at per lane"):
+        trace_lanes([0.0, 1.0], [1, 1], [Params(0.3)])
+    with pytest.raises(ValueError, match="one Params and one stop_at per lane"):
+        trace_lanes([0.0, 1.0], [1, 1], Params(0.3), [3, None, 3])
+
+
+MIXED_EPS = (0.19, 0.2776, 0.45, 0.6)  # at 0.6 the zone is off: thr = 1.2 >= 1
+
+
+def test_mixed_eps_block_is_bit_identical():
+    # One block holds lanes at four eps, in shuffled order; each lane is its
+    # run in a block of its own eps, and the block does the same work.
+    jobs = [(eps, g, s) for eps in MIXED_EPS for g, s in grid_jobs(16)]
+    random.Random(3).shuffle(jobs)
+    alone, single = {}, LaneWork()
+    for eps in MIXED_EPS:
+        own = [(g, s) for e, g, s in jobs if e == eps]
+        alone.update(((eps,) + job, run) for job, run in zip(own, lanes(own, eps, work=single)))
+    work = LaneWork()
+    runs = trace_lanes([g for _, g, _ in jobs], [s for _, _, s in jobs],
+                       [Params(eps) for eps, _, _ in jobs], work=work)
+    for job, run in zip(jobs, runs):
+        assert run == alone[job], job
+    assert {run.epsilon for run in runs} == set(MIXED_EPS)
+    assert (work.lane_steps, work.events, work.stops) == (single.lane_steps, single.events,
+                                                           single.stops)
+    assert work.batches == 1 and work.batch_steps < single.batch_steps
+
+
+def test_stop_at_group_ends_while_another_runs_on(monkeypatch):
+    # A witness search for 3 at 0.3 shares the block with a full batch at 0.19,
+    # whose lanes run longer: the search narrows to its witness and ends, as
+    # in a block of its own, while the other group runs every lane to its end.
+    widths = []
+
+    class Block(extremal._SeriesBlock):
+        def __init__(self, width, unit):
+            widths.append(width)
+            super().__init__(width, unit)
+
+    jobs = grid_jobs(GRID)
+    full = lanes(jobs, 0.19)
+    monkeypatch.setattr(extremal, "_SeriesBlock", Block)
+    search = lanes(jobs, 0.3, stop_at=3)
+    assert 0 < sum(r is not None for r in search) < len(jobs)
+    n = len(jobs)
+    widths.clear()
+    runs = trace_lanes([g for g, _ in jobs] * 2, [s for _, s in jobs] * 2,
+                       [Params(0.3)] * n + [Params(0.19)] * n, [3] * n + [None] * n)
+    assert runs[:n] == search and runs[n:] == full
+    # The block starts with both groups and is compacted as their lanes end,
+    # down past the searching group's width.
+    assert widths[0] == 2 * n and widths == sorted(widths, reverse=True) and min(widths) < n
+
+
+def test_one_block_has_one_time_unit(monkeypatch):
+    # Above eps = 1 the series unit is 1/eps: scans at different eps > 1
+    # run side by side in blocks of their own.
+    with pytest.raises(ValueError, match="one time unit"):
+        trace_lanes([0.0, 1.0], [1, 1], [Params(2.0), Params(3.0)])
+    units, blocks = [], []
+
+    class Block(extremal._SeriesBlock):
+        def __init__(self, width, unit):
+            units.append(unit)
+            super().__init__(width, unit)
+
+    def spy(g, signs, p, *args, **kw):
+        blocks.append({1.0 / max(1.0, q.epsilon) for q in p})
+        return trace_lanes(g, signs, p, *args, **kw)
+
+    monkeypatch.setattr(extremal, "_SeriesBlock", Block)
+    monkeypatch.setattr(extremal, "trace_lanes", spy)
+    extremal.find_bifurcation(1, bracket=(8.0, 11.0), tol=0.5, policy=SweepPolicy(grid_points=16))
+    assert all(len(b) == 1 for b in blocks)
+    assert {1 / 8.0, 1 / 9.5, 1 / 11.0} <= {u for b in blocks for u in b} == set(units)
+    # The ends and the first midpoint start together: three blocks, one per unit.
+    assert [b.pop() for b in blocks[:3]] == [1 / 8.0, 1 / 11.0, 1 / 9.5]
