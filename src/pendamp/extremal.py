@@ -1217,7 +1217,9 @@ def _scan(p: Params, policy: SweepPolicy, stop_at: int | None, work: LaneWork):
 
     It yields its batches, each as (p, g, signs, stop_at), one at a time,
     receives each batch's runs, and returns the SweepResult, whose stats
-    are ``work``.
+    are ``work``.  When the grid batch has no witness, the scan then yields
+    the grid's max_allowed, an int: a provisional answer, which the
+    refinement rounds can only raise.
     """
     eps = p.epsilon
     gmax = policy.phi_max_scaled
@@ -1245,6 +1247,7 @@ def _scan(p: Params, policy: SweepPolicy, stop_at: int | None, work: LaneWork):
     hit = any(found(d) for d in table.values())
     unresolved = False
     if not hit:
+        yield max(d.allowed_count for d in table.values())
         while True:
             path, pending, unresolved, hit = _bisect(table, cache, found)
             if not pending:
@@ -1275,23 +1278,35 @@ def _scan(p: Params, policy: SweepPolicy, stop_at: int | None, work: LaneWork):
 
 
 def _run_scans(scans: dict, work: LaneWork):
-    """Run the scans in ``scans`` (key -> :func:`_scan`) together; yield (key, result) as each ends.
+    """Run the scans in ``scans`` (key -> :func:`_scan`) together; yield their answers.
 
     Each round traces the pending batch of every scan as one trace_lanes
     block, or one block per time unit where scans at eps > 1 differ in it,
-    and ``work`` counts the blocks.  A scan leaves ``scans`` when its result
-    is yielded.  Between yields the caller may add scans, which join the
-    next round.  A lane's run does not depend on its block, so each result
-    is the one the scan gets alone.
+    and ``work`` counts the blocks.  After each round it yields what the
+    scans answered, as (key, max_allowed, result): a provisional answer
+    (result None) when a scan's grid round is in, and the final one with
+    the SweepResult when it ends, after which the scan leaves ``scans``.
+    Between yields the caller may add scans, which join the next round, and
+    close and remove scans, which then trace no further batch and answer
+    nothing more.  A lane's run does not depend on its block, so each
+    result is the one the scan gets alone.
     """
-    batches = {}
+    batches, answered = {}, []
+
+    def advance(key, runs=None):
+        """Send ``runs`` to scan ``key`` and take its answers up to its next batch."""
+        try:
+            item = scans[key].send(runs)
+            while isinstance(item, int):
+                answered.append((key, item, None))
+                item = next(scans[key])
+            batches[key] = item
+        except StopIteration as stop:
+            answered.append((key, stop.value.max_allowed, stop.value))
+
     while scans:
-        ended = []
         for key in [k for k in scans if k not in batches]:
-            try:
-                batches[key] = next(scans[key])
-            except StopIteration as stop:
-                ended.append((key, stop.value))
+            advance(key)
         blocks: dict[float, list] = {}
         for key, (p, *_) in batches.items():
             blocks.setdefault(1.0 / max(1.0, p.epsilon), []).append(key)
@@ -1303,14 +1318,17 @@ def _run_scans(scans: dict, work: LaneWork):
                                [k for _, gs, _, k in parts for _ in gs], work)
             start = 0
             for key, (_, gs, _, _) in zip(keys, parts):
-                try:
-                    batches[key] = scans[key].send(runs[start:start + len(gs)])
-                except StopIteration as stop:
-                    ended.append((key, stop.value))
+                advance(key, runs[start:start + len(gs)])
                 start += len(gs)
-        for key, result in ended:
-            del scans[key]
-            yield key, result
+        ready, answered = answered, []
+        for key, count, result in ready:
+            if key not in scans:
+                continue  # closed by the caller
+            if result is not None:
+                del scans[key]
+            yield key, count, result
+            for closed in [k for k in batches if k not in scans]:
+                del batches[closed]
 
 
 def max_switchings(
@@ -1345,7 +1363,9 @@ def max_switchings(
     """
     _one_process(threads)
     work = LaneWork()
-    ((_, res),) = _run_scans({p.epsilon: _scan(p, policy or SweepPolicy(), stop_at, work)}, work)
+    # The last answer is the final one; max_switchings has no use for the grid's.
+    *_, (_, _, res) = _run_scans({p.epsilon: _scan(p, policy or SweepPolicy(), stop_at, work)},
+                                 work)
     return res
 
 
@@ -1355,7 +1375,7 @@ class BifurcationRow:
     epsilon_n: float
     product: float
     bracket_width: float
-    # The row's max_switchings scans and their work, added up.
+    # The scans of the search made one at a time, and the work of every block traced.
     scans: int = field(default=0, compare=False)
     stats: LaneWork = field(default_factory=LaneWork, compare=False)
 
@@ -1379,27 +1399,36 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
     the checks cost nothing for the ends the two searches already answered.
 
     The scans run together (:func:`_run_scans`).  The search is replayed on
-    the answers in hand whenever one arrives, and each scan it then needs
-    starts at once.  An end check whose scan is running is taken to pass,
-    so the first midpoint starts with the two ends, and every later
-    midpoint as soon as the answer it follows from is in.  A row, its scans
-    and its errors are those of the search made one scan at a time: an
-    error is raised only once every answer before it is in, so the lo check
-    still fails before the hi check.
+    the answers in hand whenever a scan answers, and each scan it then needs
+    starts at once.  Where a final answer is missing, the replay goes on
+    with a guess: an end check is taken to pass, and any other eps takes its
+    scan's provisional answer, the count of its grid round, once that is in.
+    So the first midpoint starts with the two ends, and every later midpoint
+    as soon as the grid round it follows from is in, while that scan's
+    refinement rounds ride along.  A scan off the replay's path, started on
+    a guess that a final answer has overturned, is closed at once.  A row,
+    its scans and its errors are those of the search made one scan at a
+    time: the replay ends, and raises its error, only when every eps on its
+    path has a final answer, so the lo check still fails before the hi check.
+    The row's ``scans`` counts the eps on that path; its ``stats`` count
+    every block traced, closed scans' lanes included.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         # The bisection below stops on width tol, which such a tol never meets.
         raise ValueError(f"tol must be positive and finite, got {tol}")
     target = n + 1
     answers: dict[float, bool] = {}
-    wanted: list[float] = []  # the eps without an answer that the last replay needed
+    guesses: dict[float, bool] = {}  # the provisional answers, from the grid rounds
+    path: list[float] = []  # the eps the last replay asked about, in order
 
     def reaches(eps: float, guess: bool | None = None) -> bool:
-        """Whether the count at eps reaches n + 1; without an answer yet, eps is wanted
-        and the search goes on with ``guess``, or waits when there is none."""
+        """Whether the count at eps reaches n + 1; without a final answer yet,
+        the search goes on with ``guess`` or the provisional answer, or waits."""
+        path.append(eps)
         if eps in answers:
             return answers[eps]
-        wanted.append(eps)
+        if guess is None:
+            guess = guesses.get(eps)
         if guess is None:
             raise _Waiting
         return guess
@@ -1443,26 +1472,28 @@ def _bifurcation(n: int, lo: float | None, hi: float | None, tol: float,
     scans: dict = {}
     running = _run_scans(scans, work)
     while True:
-        wanted.clear()
+        path.clear()
         try:
             bracket = search(lo, hi)
         except _Waiting:
             pass
         except (BracketError, ValueError):
-            if not wanted:
+            if answers.keys() >= set(path):
                 raise
         else:
-            if not wanted:
+            if answers.keys() >= set(path):
                 break
-        for eps in wanted:
-            if eps not in scans:
+        for eps in [e for e in scans if e not in path]:
+            scans.pop(eps).close()
+        for eps in path:
+            if eps not in answers and eps not in scans:
                 scans[eps] = _scan(Params(eps), policy, target, work)
-        eps, res = next(running)
-        answers[eps] = res.max_allowed >= target
+        eps, count, res = next(running)
+        (guesses if res is None else answers)[eps] = count >= target
     lo, hi = bracket
     eps_n = 0.5 * (lo + hi)
     return BifurcationRow(n=n, epsilon_n=eps_n, product=n * eps_n, bracket_width=hi - lo,
-                          scans=len(answers), stats=work)
+                          scans=len(set(path)), stats=work)
 
 
 def find_bifurcation(

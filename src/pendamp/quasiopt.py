@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .dynamics import ZONE_FACTOR, Params, PhaseState, ZoneTag, energy_xy, reduce_angle, zone_xy
 from .integrator import (
     ANY,
+    STOP_STEP_FAILURE,
     STOP_TERMINAL,
     EventSpec,
     TrajectorySegment,
@@ -46,7 +47,8 @@ MODE_COAST = "coast"
 MODE_UPPER = "upper-zone maneuver"
 MODE_CAPTURE = "terminal capture"
 
-# Why the mode machine stopped without a capture.
+# Why the mode machine stopped without a capture; an arc whose Taylor step
+# failed stops it with the integrator's STOP_STEP_FAILURE.
 STOP_BUDGET = "time budget"
 STOP_ARC_LIMIT = "arc limit"
 STOP_STALL = "stalled at rest"
@@ -230,7 +232,7 @@ def simulate_damping(
     work = [0, 0, 0, 0.0]  # arcs, steps, events, worst event residual
 
     def record(seg: TrajectorySegment, mode: str, control: float):
-        nonlocal t, state
+        nonlocal t, state, stop, failure
         if keep_samples:
             start = 1 if all_t else 0
             all_t.extend(seg.times[start:])
@@ -244,12 +246,15 @@ def simulate_damping(
         work[1] += len(seg.times) - 1
         work[2] += len(seg.events)
         work[3] = max(work[3], seg.event_residual)
+        if seg.stop_reason == STOP_STEP_FAILURE:
+            stop, failure = STOP_STEP_FAILURE, seg.detail
 
     captured = False
     stop = STOP_BUDGET
+    failure = ""  # the integrator's detail of a failed arc
     guard = 0
     max_arcs = int(8.0 * budget / math.pi) + 64
-    while t < budget:
+    while t < budget and not failure:
         guard += 1
         if guard > max_arcs:
             stop = STOP_ARC_LIMIT
@@ -269,11 +274,12 @@ def simulate_damping(
             seg = pendulum_arc(0.0, state, t, t + coast_budget, [ev_bottom_stop])
             record(seg, MODE_UPPER, 0.0)
             if seg.stop_reason != STOP_TERMINAL:
-                # Stalled coast: one budgeted push arc accelerating away from
-                # the saddle (increasing |sin x|, i.e. downhill).
-                push = -1 if math.sin(x) > 0.0 else 1
-                seg = pendulum_arc(eps * push, state, t, t + coast_budget, [ev_leave_saddle])
-                record(seg, MODE_UPPER, float(push))
+                if not failure:
+                    # Stalled coast: one budgeted push arc accelerating away
+                    # from the saddle (increasing |sin x|, i.e. downhill).
+                    push = -1 if math.sin(x) > 0.0 else 1
+                    seg = pendulum_arc(eps * push, state, t, t + coast_budget, [ev_leave_saddle])
+                    record(seg, MODE_UPPER, float(push))
                 prev_arc_dry = False
                 continue
             u = -1 if state[1] > 0.0 else 1
@@ -344,6 +350,7 @@ def simulate_damping(
             STOP_ARC_LIMIT: f"no capture after {max_arcs} arcs, at t={t:.1f} of budget {budget:.1f}",
             STOP_STALL: (f"stalled at rest at x={state[0]:.6g}, outside the zones but with"
                          f" |sin x| <= eps, at t={t:.1f} of budget {budget:.1f}"),
+            STOP_STEP_FAILURE: f"step failure: {failure}",
         }[stop]
         raise DampingNonConvergence(f"{message} at eps={eps}", result, stop)
     return result

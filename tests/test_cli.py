@@ -84,9 +84,11 @@ K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at
     (("tau", "--E", "3.0", "--tol", "inf"), "tol must be positive and finite, got inf"),
     (("constants", "--tol", "nan"), "tol must be positive and finite, got nan"),
     (("constants", "--tol", "inf"), "tol must be positive and finite, got inf"),
+    (("simulate", "--x0", "0", "--y0", "1e200", "--epsilon", "0.1"),
+     "step failure: Taylor series overflowed at t=0.0 at eps=0.1"),
 ], ids=["quadrature", "merged-zones", "E-nan", "E-inf", "budget-nan", "budget-inf", "budget-1",
         "capture-k-1", "capture-k-nan", "sweep-budget-nan", "tau-tol-nan", "tau-tol-inf",
-        "constants-tol-nan", "constants-tol-inf"])
+        "constants-tol-nan", "constants-tol-inf", "step-failure"])
 def test_computation_failure_exits_1(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()

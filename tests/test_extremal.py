@@ -283,6 +283,21 @@ class TestBifurcation:
         assert work.stops == {STOP_OPTIMALITY: 360, STOP_STANDSTILL: 288, STOP_ENERGY_EXIT: 200}
         assert work.batches < 9 and work.batch_steps < 676
 
+    def test_benchmark_schedule_pinned(self):
+        # The bracket of the bifurcation benchmark's second pass (seed 1), whose
+        # first midpoint is its one "count below n + 1" scan.  The next midpoint
+        # starts on that scan's grid answer, and the third on the second's, so
+        # the five scans take three blocks (the search took five before the
+        # grid answers were used), with the same row and lane work.
+        row = find_bifurcation(5, (0.18875165227301507, 0.19525267410032904), tol=1e-3,
+                               policy=SweepPolicy(grid_points=128))
+        assert (row.epsilon_n, row.bracket_width) == (0.19159584932246493, 0.0008126277284142558)
+        assert row.scans == 5
+        work = row.stats
+        assert (work.lane_steps, work.events) == (33755, 5974)
+        assert work.stops == {STOP_OPTIMALITY: 344, STOP_STANDSTILL: 299, STOP_ENERGY_EXIT: 206}
+        assert work.batches == 3
+
     def test_table_rows_pinned_at_grid_64(self, table_grid_64):
         rows = table_grid_64
         assert [r.epsilon_n for r in rows] == [
@@ -303,20 +318,34 @@ class TestBifurcation:
             find_bifurcation(1, threads=0)
 
 
-def stub_counts(monkeypatch, count, rounds=lambda eps: 0):
+def stub_counts(monkeypatch, count, rounds=lambda eps: 0, grid=lambda eps: None, log=None):
     """Replace the scans behind the bifurcation search by max_allowed = count(eps).
 
     A stubbed scan yields rounds(eps) empty batches before it answers, so that
-    scans started together may answer in another order.  Returns the list that
-    records each scan as (eps, stop_at), in the order the scans start.
+    scans started together may answer in another order.  After its first
+    round it gives grid(eps) as its provisional answer, unless that is None.
+    When ``log`` is a list, each scan appends (eps, event) to it for each
+    round whose runs it receives, for its answer, and for its closing before
+    it answers.  Returns the list that records each scan as (eps, stop_at),
+    in the order the scans start.
     """
     calls = []
+    log = [] if log is None else log
 
     def fake(p, policy, stop_at, work):
-        calls.append((p.epsilon, stop_at))
-        for _ in range(rounds(p.epsilon)):
-            yield p, [], [], stop_at
-        return SimpleNamespace(max_allowed=count(p.epsilon), stats=work)
+        eps = p.epsilon
+        calls.append((eps, stop_at))
+        try:
+            for i in range(rounds(eps)):
+                yield p, [], [], stop_at
+                log.append((eps, "round"))
+                if i == 0 and grid(eps) is not None:
+                    yield grid(eps)
+        except GeneratorExit:
+            log.append((eps, "closed"))
+            raise
+        log.append((eps, "answer"))
+        return SimpleNamespace(max_allowed=count(eps), stats=work)
 
     monkeypatch.setattr(extremal, "_scan", fake)
     return calls
@@ -405,6 +434,61 @@ class TestBracketErrors:
         stub_counts(monkeypatch, lambda e: 3 if e < 0.5 else 1)
         with pytest.raises(BracketError, match="count never reaches 4 down to eps"):
             bifurcation_table(3)
+
+
+def outcome(monkeypatch, bracket, count, tol=1e-3, **stub):
+    """find_bifurcation(1) on stubbed scans: the row with its scans, or the
+    error; and the scans started, as stub_counts records them."""
+    calls = stub_counts(monkeypatch, count, **stub)
+    try:
+        row = find_bifurcation(1, bracket=bracket, tol=tol)
+    except (BracketError, ValueError) as exc:
+        return (type(exc), str(exc)), calls
+    return (row, row.scans), calls
+
+
+class TestWrongGuess:
+    """Provisional answers that the scans' final answers overturn."""
+
+    def test_row_and_dropped_scans(self, monkeypatch):
+        # The midpoint 0.75 reaches the count only in its fourth round; its grid
+        # round says it does not.  So the search goes on below 0.75: 0.625
+        # answers, and 0.6875 is closed as soon as 0.75's final answer is in.
+        count = lambda e: 2 if e < 0.8 else 1
+        alone, _ = outcome(monkeypatch, (0.5, 1.0), count, tol=0.05)
+        log = []
+        calls = stub_counts(monkeypatch, count, rounds=lambda e: {0.75: 4, 0.6875: 5}.get(e, 1),
+                            grid=lambda e: 1 if e == 0.75 else None, log=log)
+        row = find_bifurcation(1, bracket=(0.5, 1.0), tol=0.05)
+        assert (row, row.scans) == alone
+        assert [eps for eps, _ in calls] == [0.5, 1.0, 0.75, 0.625, 0.6875, 0.875, 0.8125, 0.78125]
+        # The scans of the search made one at a time: 0.625 answered and
+        # 0.6875 started, but neither is on its path.
+        assert row.scans == 6
+        # 0.6875 traces no more than the rounds 0.75 had left after its grid round.
+        assert [event for eps, event in log if eps == 0.6875] == ["round", "round", "closed"]
+        assert log.index((0.6875, "closed")) > log.index((0.75, "answer"))
+
+    @pytest.mark.parametrize("bracket,count,tol", [
+        ((0.3, 0.5), lambda e: 1, 1e-3),
+        ((0.3, 0.5), lambda e: 2, 1e-3),
+        ((0.3, 0.5), lambda e: 2 if e > 0.4 else 1, 1e-3),
+        (None, lambda e: 2, 1e-3),
+        (None, lambda e: 1, 1e-3),
+        (None, lambda e: 2 if e < 0.7 else 1, 1e-4),
+        (None, lambda e: 2 if e < 0.7 else 1, 1e-20),
+        ((0.8, 1.0), staircase, 1e-3),
+    ], ids=["lo-fails", "hi-fails", "lo-fails-hi-fails", "persists", "never-reaches",
+            "auto-bracket", "float-spacing", "staircase"])
+    @pytest.mark.parametrize("rounds", [lambda e: 3, lambda e: 1 + int(e * 1e4) % 4],
+                             ids=["even", "uneven"])
+    def test_every_guess_wrong(self, monkeypatch, bracket, count, tol, rounds):
+        # Every scan's grid round gives the other answer than its last round.
+        alone, _ = outcome(monkeypatch, bracket, count, tol)
+        guessed, calls = outcome(monkeypatch, bracket, count, tol, rounds=rounds,
+                                 grid=lambda e: 3 - min(count(e), 2))
+        assert guessed == alone
+        assert len(calls) == len(set(calls))  # no scan closed and then needed again
 
 
 class TestStopPolicy:

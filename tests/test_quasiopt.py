@@ -5,7 +5,7 @@ import pytest
 
 from pendamp import quasiopt
 from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, energy, energy_xy, pendulum_rhs
-from pendamp.integrator import EVENT_TOL, StepControl, integrate, pendulum_arc
+from pendamp.integrator import EVENT_TOL, StepControl, TrajectorySegment, integrate, pendulum_arc
 from pendamp.limits import (
     RegimeExit, StandstillCapture, poincare_high, poincare_iterates, poincare_low,
 )
@@ -14,6 +14,7 @@ from pendamp.quasiopt import (
     MODE_DRY,
     STOP_BUDGET,
     STOP_STALL,
+    STOP_STEP_FAILURE,
     CapturePolicy,
     DampingNonConvergence,
     simulate_damping,
@@ -168,6 +169,32 @@ class TestSimulateDamping:
         assert res.terminal_state == PhaseState(5e-11, 5e-10)
         assert res.phase_log == []
         assert res.trajectory.stop_reason == STOP_STALL
+
+    def test_step_failure_stops_the_run(self):
+        # The first Taylor series from speed 1e200 overflows.  The run stops
+        # on that arc and says so, instead of repeating it up to the arc limit.
+        with pytest.raises(DampingNonConvergence) as exc:
+            simulate_damping(PhaseState(0.0, 1e200), Params(0.1))
+        assert exc.value.reason == STOP_STEP_FAILURE
+        assert str(exc.value) == "step failure: Taylor series overflowed at t=0.0 at eps=0.1"
+        res = exc.value.result
+        assert res.stats.arcs == 1 and res.stats.steps == 0
+        assert res.terminal_state == PhaseState(0.0, 1e200)
+        assert res.trajectory.stop_reason == STOP_STEP_FAILURE
+
+    def test_failed_upper_coast_makes_no_push(self, monkeypatch):
+        # At rest near the saddle the coast is followed by a push arc only
+        # when it stalls, not when its step fails.
+        arcs = []
+
+        def failing_arc(pull, s0, t0, t_limit, events=()):
+            arcs.append(pull)
+            return TrajectorySegment([t0], [tuple(s0)], [], STOP_STEP_FAILURE, "no step")
+
+        monkeypatch.setattr(quasiopt, "pendulum_arc", failing_arc)
+        with pytest.raises(DampingNonConvergence, match="^step failure: no step at eps=0.1$"):
+            simulate_damping(PhaseState(math.pi - 0.01, 0.0), Params(0.1))
+        assert arcs == [0.0]
 
     @pytest.mark.parametrize("policy,message", [
         (CapturePolicy(budget_factor=math.nan), "budget_factor must be positive and finite, got nan"),
