@@ -29,9 +29,12 @@ import numpy as np
 
 from .dynamics import ZONE_FACTOR, Params, in_zone_xy
 from .integrator import (
+    _ROOT_TOL,
     STOP_STEP_FAILURE,
     TAYLOR_ORDER,
     TAYLOR_TOL,
+    _horner,
+    _poly_root,
     brentq,
     integrate,  # noqa: F401  unused; perfbench/tracing.py wraps extremal.integrate
 )
@@ -359,45 +362,6 @@ def _horner_lanes(cf, tau):
     return acc
 
 
-def _horner_source(order: int) -> str:
-    """Source of ``horner(c, t)``: sum_k c[k] t^k over k <= order, written out.
-
-    The terms of :func:`_horner_lanes` in its order, so that one lane's
-    polynomial gives the block's value bit for bit.
-    """
-    expr = f"c{order}"
-    for k in range(order - 1, -1, -1):
-        expr = f"({expr}) * t + c{k}" if k < order - 1 else f"{expr} * t + c{k}"
-    names = ", ".join(f"c{k}" for k in range(order + 1))
-    return f"def horner(c, t):\n    {names}, = c\n    return {expr}\n"
-
-
-def _horner_pair_source(order: int) -> str:
-    """Source of ``horner_pair(c, t)``: the sum of :func:`_horner_source` and its t-derivative.
-
-    The sum takes _horner's steps, so it is _horner's value bit for bit.
-    """
-    lines = [f"p = c{order} * t + c{order - 1}", f"d = c{order}"]
-    for k in range(order - 2, -1, -1):
-        lines += ["d = d * t + p", f"p = p * t + c{k}"]
-    names = ", ".join(f"c{k}" for k in range(order + 1))
-    body = "".join(f"    {ln}\n" for ln in lines)
-    return f"def horner_pair(c, t):\n    {names}, = c\n{body}    return p, d\n"
-
-
-def _compile(source: str, name: str):
-    namespace = {}
-    exec(compile(source, f"<{name}, order {TAYLOR_ORDER}>", "exec"), namespace)
-    return namespace[name]
-
-
-# One component's series summed at t, and the sum with its derivative, for
-# the scalar event location.  They are compiled at import, not at the first
-# trace: they take well under a millisecond.
-_horner = _compile(_horner_source(TAYLOR_ORDER), "horner")
-_horner_pair = _compile(_horner_pair_source(TAYLOR_ORDER), "horner_pair")
-
-
 def _crossed(old, new):
     """Sign changes between the values old and new (either direction), elementwise.
 
@@ -552,7 +516,6 @@ def _gap_minima(wa: float, ya: float, wb: float, e: float, Ea: float, xtol: floa
 
 _SWITCH, _EXIT, _STANDSTILL, _OPTIMALITY = range(4)  # the terminal events; at equal times the first wins
 _REASON = {_EXIT: STOP_ENERGY_EXIT, _STANDSTILL: STOP_STANDSTILL, _OPTIMALITY: STOP_OPTIMALITY}
-_ROOT_TOL = dict(xtol=1e-14, rtol=8.9e-16)
 _SCREEN_SLACK = 1e-9  # margin of the vectorised screens over rounding
 # The first maximum and minimum of Y2 past a piece's start: their bases
 # top and pi - top, and Y2 there when they lie past the step's end.
@@ -570,43 +533,6 @@ def _root(f, a: float, b: float) -> float:
         return brentq(f, a, b, **_ROOT_TOL)
     except ValueError:  # f(a) and f(b) have one sign
         return min((a, b), key=lambda s: abs(f(s)))
-
-
-def _poly_root(c, level: float, a: float, b: float, fa: float, fb: float) -> float:
-    """The zero of the step polynomial c minus level between a and b, as :func:`_root` finds it.
-
-    fa and fb are its values at a and b, which the caller already holds.
-    Safeguarded Newton on :func:`_horner_pair`, from the secant point of the
-    ends: each value narrows the bracket, and a Newton step that leaves it,
-    or a zero derivative, takes the bracket's midpoint instead.  It stops
-    once a step is below brentq's tolerance.  With one sign at both ends the
-    zero is the end where the value is least, as in _root.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        return a if abs(fa) <= abs(fb) else b
-    neg, pos = (a, b) if fa < 0.0 else (b, a)  # the value is < 0 at neg, > 0 at pos
-    s = a - fa * (b - a) / (fb - fa)
-    xtol, rtol = _ROOT_TOL["xtol"], _ROOT_TOL["rtol"]
-    for _ in range(100):  # bisection alone meets the tolerance in about 50
-        v, dv = _horner_pair(c, s)
-        v -= level
-        if v == 0.0:
-            return s
-        if v < 0.0:
-            neg = s
-        else:
-            pos = s
-        nxt = s - v / dv if dv != 0.0 else s
-        if not (neg < nxt < pos or pos < nxt < neg):
-            nxt = 0.5 * (neg + pos)
-        if abs(nxt - s) <= 0.5 * (xtol + rtol * abs(nxt)):
-            return nxt
-        s = nxt
-    return s
 
 
 @dataclass

@@ -14,11 +14,15 @@ Two integrators, each serving its own paths:
   (the lane kernel's differential oracle ``oracle_trace_extremal`` in
   tests/oracles.py).
 
-The two integrators of this module keep one contract, and locate their
+The two integrators of this module keep one contract, and bracket their
 events by one routine, :func:`_step_events`: every sign change of an event
-function between two step ends is refined by :func:`brentq` on the step's
-own interpolant, and each located event carries its residual |g| back to
-the caller.
+function between two step ends is located on the step's own interpolant,
+and each located event carries its residual |g| back to the caller.
+:func:`integrate` locates it by :func:`brentq` on its dense output.  Every
+event of :func:`pendulum_arc` is a level of x or y (:class:`Level`, from
+which the event function is derived), located by the safeguarded Newton
+iteration :func:`_poly_root` on that component's step polynomial, the
+routine of the lane kernel's polynomial events too.
 Design constraints of :func:`integrate`:
 
 * explicit embedded pair with dense output (quartic interpolant), so event
@@ -43,7 +47,7 @@ oracle).  The Taylor coefficients are straight-line code in the same way
 Many independent trajectories amortise the interpreter overhead, which is
 why the sweeps batch their runs instead.
 
-Event times, here and in the package's other scalar root problems, come
+The DP5 event times, and the package's other scalar root problems, come
 from :func:`brentq`, a line-by-line port of scipy's C ``brentq``
 (``scipy/optimize/Zeros/brentq.c``) with scipy's argument checks and
 errors.  It returns scipy's float bit for bit (``tests/test_integrator.py``
@@ -68,10 +72,14 @@ STOP_TIME_LIMIT = "time limit"
 STOP_STEP_FAILURE = "step failure"
 
 # The residual |g| that event location reaches on the package's event
-# functions.  brentq on the step's interpolant stops within
-# 1e-14 + 8.9e-16 |t| of the zero, so |g| is about |g'| times that.  Each
+# functions.  brentq on a DP5 step's interpolant, and _poly_root on a Taylor
+# step's polynomial, stop within 1e-14 + 8.9e-16 |t| of the zero (t in the
+# step's variable for _poly_root), so |g| is about |g'| times that.  Each
 # EventRecord carries its own residual; the tests and CI hold it to this bound.
 EVENT_TOL = 1e-11
+# The tolerances of event location: brentq's on a DP5 step (and on the lane
+# kernel's budget gap), and the stop of _poly_root.
+_ROOT_TOL = dict(xtol=1e-14, rtol=8.9e-16)
 
 
 _BRENTQ_RTOL_MIN = 4.0 * sys.float_info.epsilon  # scipy.optimize.brentq's rtol floor
@@ -163,21 +171,83 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
 
 
 @dataclass(frozen=True)
+class Level:
+    """The levels of one state component: s[component] = v + k period.
+
+    v runs over ``values``, and k over the integers if ``period`` is given,
+    else k = 0.  :meth:`event_function` is the event function whose zeros
+    are these levels, with a sign change at each.
+    """
+
+    component: int
+    values: tuple[float, ...]
+    period: float | None = None
+
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("a level event needs at least one level")
+        if self.period is not None and not (0.0 < self.period < math.inf):
+            raise ValueError(f"the period of a level event must be positive and finite, "
+                             f"got {self.period}")
+
+    def event_function(self) -> Callable[[float, Sequence[float]], float]:
+        """g(t, s): the product over the values of s[c] - v, or, with a
+        period P, of sin(pi (s[c] - v) / P)."""
+        c = self.component
+        if len(self.values) > 1:
+            factors = [Level(c, (v,), self.period).event_function() for v in self.values]
+            return lambda t, s: math.prod(f(t, s) for f in factors)
+        (v,) = self.values
+        if self.period is None:
+            return lambda t, s: s[c] - v
+        w, sin = math.pi / self.period, math.sin
+        return lambda t, s: sin(w * (s[c] - v))
+
+    def crossed(self, a: float, b: float) -> float:
+        """The level that the component meets first on its way from a to b.
+
+        A level a few ulps behind a counts as ahead: there the event
+        function's rounded sign can still put a before it.  A step moves the
+        component by far less than a period, so the next level ahead is the
+        one crossed.
+        """
+        d = 1.0 if b >= a else -1.0
+        slack = 16.0 * math.ulp(abs(a) + (self.period or 1.0))
+        levels = []
+        for v in self.values:
+            if self.period is not None:  # the level of the family nearest a, or the next one ahead
+                v += round((a - v) / self.period) * self.period
+                if d * (v - a) < -slack:
+                    v += d * self.period
+            levels.append(v)
+        return min(levels, key=lambda v: (d * (v - a) < -slack, abs(v - a)))
+
+
+@dataclass(frozen=True)
 class EventSpec:
     """Scalar event function g(t, state) whose tracked zeros split the flow.
 
     ``direction`` filters crossings: 'rising' (g goes - to +), 'falling'
     (+ to -) or 'any'.  Tangential touches without a sign change are ignored.
+    An event built by :meth:`at_level` also carries its :class:`Level`, which
+    :func:`pendulum_arc` needs to locate it on the step polynomial.
     """
 
     fn: Callable[[float, Sequence[float]], float]
     direction: str = ANY
     terminal: bool = False
     label: str = ""
+    level: Level | None = None
 
     def __post_init__(self):
         if self.direction not in (RISING, FALLING, ANY):
             raise ValueError(f"unknown event direction {self.direction!r}")
+
+    @classmethod
+    def at_level(cls, level: Level, direction: str = ANY, terminal: bool = False,
+                 label: str = "") -> EventSpec:
+        """The crossings of ``level``, with the event function derived from it."""
+        return cls(level.event_function(), direction, terminal, label, level)
 
 
 @dataclass(frozen=True)
@@ -295,6 +365,18 @@ def _make_dense(t_old: float, h: float, y_old, stages):
     return dense
 
 
+def _dense_locator(t_old: float, h: float, y_old, stages):
+    """The ``locate, dense`` of one DP5 step for :func:`_step_events`:
+    events are located by :func:`brentq` on the step's quartic interpolant."""
+    dense = _make_dense(t_old, h, y_old, stages)
+
+    def locate(ev: EventSpec, t_end: float, y_end) -> float:
+        ta, tb = (t_old, t_end) if h > 0.0 else (t_end, t_old)
+        return brentq(lambda s: ev.fn(s, dense(s)), ta, tb, **_ROOT_TOL)
+
+    return locate, dense
+
+
 def _initial_step(rhs, t0, y0, f0, direction, ctl: StepControl) -> float:
     """Hairer-style starting step size heuristic."""
     n = len(y0)
@@ -372,46 +454,54 @@ def _attempt(n: int):
     return namespace["attempt"]
 
 
-def _step_events(events: Sequence[EventSpec], g_prev: list[float], t0: float, t: float,
+def _advance_events(events: Sequence[EventSpec], g_prev: list[float], t_new: float,
+                    y_new: tuple[float, ...]) -> list[float] | None:
+    """Move ``g_prev``, each event's value at a step's start, to the step's end.
+
+    Returns the values at the start when some event may cross on the step
+    (its values at the two ends are not of one strict sign), for
+    :func:`_step_events`, and None when no event can.
+    """
+    g_start = g_prev[:]
+    may_cross = False
+    for j, ev in enumerate(events):
+        g = g_prev[j] = ev.fn(t_new, y_new)
+        if not g_start[j] * g > 0.0:
+            may_cross = True
+    return g_start if may_cross else None
+
+
+def _step_events(events: Sequence[EventSpec], g_start: list[float], t0: float, t: float,
                  t_new: float, y_new: tuple[float, ...], dead_band: float,
-                 recs: list[EventRecord], make_dense) -> tuple[float, tuple[float, ...]] | None:
+                 recs: list[EventRecord], locate, dense) -> tuple[float, tuple[float, ...]] | None:
     """Bracket and locate the event crossings of one accepted step [t, t_new].
 
-    ``g_prev`` holds each event's value at ``t`` and is updated to its value
-    at ``t_new``.  Each sign change in an event's direction is refined by
-    :func:`brentq` on ``make_dense()``, the step's interpolant, built at the
-    first crossing; a zero within ``dead_band`` of the arc's start ``t0`` is
-    dropped.  A terminal crossing ends the arc inside the step, so the events
-    without a crossing over the whole step are bracketed again over the part
-    that is kept: an event can cross and cross back before ``t_new``.  The
-    crossings are recorded in time order, each with its residual |g|, up to
-    and including the first terminal one, whose time and state are returned
-    (None when no terminal event fired).
+    ``g_start`` holds each event's value at ``t`` (:func:`_advance_events`).
+    ``dense(s)`` is the state at time s on the step, and
+    ``locate(event, t_end, y_end)`` the time in [t, t_end] where the event
+    function, which changes sign there, is zero.  A zero within ``dead_band``
+    of the arc's start ``t0`` is dropped.  A terminal crossing ends the arc
+    inside the step, so the events without a crossing over the whole step are
+    bracketed again over the part that is kept: an event can cross and cross
+    back before ``t_new``.  The crossings are recorded in time order, each
+    with its residual |g|, up to and including the first terminal one, whose
+    time and state are returned (None when no terminal event fired).
     """
     forward = t_new > t
-    dense = None
     hits: list[tuple[float, int]] = []
-    pending = list(enumerate(g_prev))  # (event, its value at t)
+    pending = list(enumerate(g_start))  # (event, its value at t)
     t_end, y_end = t_new, y_new
     while True:
         missed = []
         for j, gp in pending:
-            fn = events[j].fn
-            direction = events[j].direction
-            g_end = fn(t_end, y_end)
-            if t_end == t_new:
-                g_prev[j] = g_end
+            ev = events[j]
+            direction = ev.direction
+            g_end = ev.fn(t_end, y_end)
             if gp == 0.0 or not ((direction != FALLING and gp < 0.0 <= g_end)
                                  or (direction != RISING and gp > 0.0 >= g_end)):
                 missed.append((j, gp))
                 continue
-            if dense is None:
-                dense = make_dense()
-            if g_end == 0.0:
-                t_e = t_end
-            else:
-                ta, tb = (t, t_end) if forward else (t_end, t)
-                t_e = brentq(lambda s: fn(s, dense(s)), ta, tb, xtol=1e-14, rtol=8.9e-16)
+            t_e = t_end if g_end == 0.0 else locate(ev, t_end, y_end)
             if abs(t_e - t0) >= dead_band:
                 hits.append((t_e, j))
         if not hits:
@@ -501,8 +591,11 @@ def integrate(
             continue
 
         # Accepted step.  Localize event crossings before committing samples.
-        terminal_hit = _step_events(events, g_prev, t0, t, t_new, y_new, dead_band, recs,
-                                    lambda: _make_dense(t, h, y, stages))
+        terminal_hit = None
+        g_start = _advance_events(events, g_prev, t_new, y_new)
+        if g_start is not None:
+            terminal_hit = _step_events(events, g_start, t0, t, t_new, y_new, dead_band, recs,
+                                        *_dense_locator(t, h, y, stages))
         end_t, end_y = (t_new, y_new) if terminal_hit is None else terminal_hit
         times.append(end_t)
         states.append(end_y)
@@ -530,11 +623,95 @@ def integrate(
 
 
 # The Taylor steps of the pendulum arcs and of the extremal lanes.  The
-# order and the tolerance of the step rule are model constants.  On the damping benchmark's runs, order 16
-# takes half the steps of order 12 in 30% less time; orders 18-24 take fewer
-# steps still, but more time.
+# order and the tolerance of the step rule are model constants.  On the
+# damping benchmark's runs (seed 1, passes 0-1), order 16 takes half the
+# steps of order 12 in 20-40% less time; orders 18, 20 and 24 take 21%, 32%
+# and 48% fewer steps still, in about the same time: their medians lie within
+# the run-to-run spread of order 16's (2 vCPUs, 9 interleaved runs each).
 TAYLOR_ORDER = 16
 TAYLOR_TOL = 1e-13
+
+
+def _horner_expr(names: Sequence[str], t: str) -> str:
+    """sum_k names[k] t^k by Horner's rule from the top, written out.
+
+    The terms of ``extremal._horner_lanes`` in its order, so that one lane's
+    polynomial gives the block's value bit for bit.
+    """
+    expr = f"{names[-1]} * {t} + {names[-2]}"
+    for name in names[-3::-1]:
+        expr = f"({expr}) * {t} + {name}"
+    return expr
+
+
+def _horner_source(order: int) -> str:
+    """Source of ``horner(c, t)``: sum_k c[k] t^k over k <= order, written out."""
+    names = [f"c{k}" for k in range(order + 1)]
+    return f"def horner(c, t):\n    {', '.join(names)}, = c\n    return {_horner_expr(names, 't')}\n"
+
+
+def _horner_pair_source(order: int) -> str:
+    """Source of ``horner_pair(c, t)``: the sum of :func:`_horner_source` and its t-derivative.
+
+    The sum takes _horner's steps, so it is _horner's value bit for bit.
+    """
+    lines = [f"p = c{order} * t + c{order - 1}", f"d = c{order}"]
+    for k in range(order - 2, -1, -1):
+        lines += ["d = d * t + p", f"p = p * t + c{k}"]
+    names = ", ".join(f"c{k}" for k in range(order + 1))
+    body = "".join(f"    {ln}\n" for ln in lines)
+    return f"def horner_pair(c, t):\n    {names}, = c\n{body}    return p, d\n"
+
+
+def _compile(source: str, name: str, namespace=None):
+    """The function ``name`` defined by the generated ``source``."""
+    namespace = {} if namespace is None else namespace
+    exec(compile(source, f"<{name}, order {TAYLOR_ORDER}>", "exec"), namespace)
+    return namespace[name]
+
+
+# One component's series summed at t, and the sum with its derivative, for
+# the scalar event location of both Taylor integrators.  They are compiled
+# at import, not at the first arc: they take well under a millisecond.
+_horner = _compile(_horner_source(TAYLOR_ORDER), "horner")
+_horner_pair = _compile(_horner_pair_source(TAYLOR_ORDER), "horner_pair")
+
+
+def _poly_root(c, level: float, a: float, b: float, fa: float, fb: float) -> float:
+    """The zero of the step polynomial c minus level between a and b.
+
+    fa and fb are its values at a and b, which the caller already holds.
+    Safeguarded Newton on :func:`_horner_pair`, from the secant point of the
+    ends: each value narrows the bracket, and a Newton step that leaves it,
+    or a zero derivative, takes the bracket's midpoint instead.  It stops
+    once a step is below brentq's tolerance ``_ROOT_TOL``.  With one sign at
+    both ends the zero is the end where the value is least.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        return a if abs(fa) <= abs(fb) else b
+    neg, pos = (a, b) if fa < 0.0 else (b, a)  # the value is < 0 at neg, > 0 at pos
+    s = a - fa * (b - a) / (fb - fa)
+    xtol, rtol = _ROOT_TOL["xtol"], _ROOT_TOL["rtol"]
+    for _ in range(100):  # bisection alone meets the tolerance in about 50
+        v, dv = _horner_pair(c, s)
+        v -= level
+        if v == 0.0:
+            return s
+        if v < 0.0:
+            neg = s
+        else:
+            pos = s
+        nxt = s - v / dv if dv != 0.0 else s
+        if not (neg < nxt < pos or pos < nxt < neg):
+            nxt = 0.5 * (neg + pos)
+        if abs(nxt - s) <= 0.5 * (xtol + rtol * abs(nxt)):
+            return nxt
+        s = nxt
+    return s
 
 
 def _taylor_source(order: int) -> str:
@@ -543,14 +720,18 @@ def _taylor_source(order: int) -> str:
     The generated ``series(x_0, y_0, pull)`` returns the coefficients
     ``(x_0, ..., x_N)``, ``(y_0, ..., y_N)`` of x(t + h) = sum x_k h^k (and
     likewise y) for N = ``order``, and the step ``rho`` of Jorba and Zou's
-    rule.  The coefficients come from the recurrences of the pair s = sin x,
-    c = cos x, whose derivatives s' = c x', c' = -s x' give, with x' = y,
+    rule.  The coefficients come from the arc's first integral
+    y^2/2 - cos x - pull x = const: with c = cos x, y'' = -c y and
+    c = y^2/2 - pull x - const, so that
 
-        k s_k = sum_{j=1..k} y_{j-1} c_{k-j},   k c_k = -sum_{j=1..k} y_{j-1} s_{k-j},
-        (k+1) x_{k+1} = y_k,   (k+1) y_{k+1} = -s_k  (k >= 1),   y_1 = -s_0 + pull,
+        c_k = (y^2)_k / 2 - pull x_k  (k >= 2),   c_1 = -y_0 sin x_0,
+        (k+1)(k+2) y_{k+2} = -sum_{j=0..k} c_j y_{k-j},   (k+1) x_{k+1} = y_k,
 
-    written out as straight-line code.  The first-order pair is the field
-    itself, (x_1, y_1) = (y_0, -sin x_0 + pull), bit for bit.  The step is
+    one half-convolution (y^2 is symmetric) and one full convolution per
+    order, written out as straight-line code.  c_1 is written directly: from
+    the first integral it would be y_0 y_1 - pull y_0, which cancels the
+    pull.  The first-order pair is the field itself,
+    (x_1, y_1) = (y_0, -sin x_0 + pull), bit for bit.  The step is
     rho = min over j = N-1, N of (TAYLOR_TOL / m_j)^(1/j), where m_j is the
     larger of |x_j| and |y_j|: with it the last two terms of the series are
     at most TAYLOR_TOL over the step (A. Jorba, M. Zou, Exp. Math. 14 (2005)
@@ -559,47 +740,63 @@ def _taylor_source(order: int) -> str:
     """
     n = order
 
-    def conv(b: str, k: int) -> str:  # sum_{j=1..k} y_{j-1} b_{k-j}, over k
-        terms = " + ".join(f"y_{j - 1} * {b}_{k - j}" for j in range(1, k + 1))
-        return f"({terms}) / {k}.0" if k > 1 else terms
+    def half_square(k: int) -> str:  # (y^2)_k / 2
+        terms = [f"y_{j} * y_{k - j}" for j in range((k + 1) // 2)]
+        if k % 2 == 0:
+            terms.append(f"0.5 * y_{k // 2} * y_{k // 2}")
+        return " + ".join(terms)
 
     lines = ["def series(x_0, y_0, pull):",
              "    s_0 = sin(x_0)", "    c_0 = cos(x_0)",
-             "    x_1 = y_0", "    y_1 = -s_0 + pull"]
-    for k in range(1, n):
-        lines.append(f"    s_{k} = {conv('c', k)}")
-        if k < n - 1:  # c_{N-1} would feed only s_N, which no coefficient needs
-            lines.append(f"    c_{k} = -({conv('s', k)})")
-        lines += [f"    x_{k + 1} = y_{k} / {k + 1}.0", f"    y_{k + 1} = -s_{k} / {k + 1}.0"]
+             "    x_1 = y_0", "    y_1 = -s_0 + pull", "    c_1 = -y_0 * s_0"]
+    for k in range(n - 1):
+        cy = " + ".join(f"c_{j} * y_{k - j}" for j in range(k + 1))
+        lines += [f"    y_{k + 2} = -({cy}) / {(k + 1) * (k + 2)}.0",
+                  f"    x_{k + 2} = y_{k + 1} / {k + 2}.0"]
+        if k + 2 <= n - 2:  # y_N needs c up to c_{N-2}
+            lines.append(f"    c_{k + 2} = {half_square(k + 2)} - pull * x_{k + 2}")
     lines.append("    rho = inf")
+    # m is written out: the value of max(abs(x_j), abs(y_j)), NaN included,
+    # without three builtin calls.
     for j in (n - 1, n):
-        lines += [f"    m = max(abs(x_{j}), abs(y_{j}))",
+        lines += [f"    m = x_{j} if x_{j} >= 0.0 else -x_{j}",
+                  f"    a = y_{j} if y_{j} >= 0.0 else -y_{j}",
+                  "    if a > m:", "        m = a",
                   "    if m > 0.0:",
                   f"        r = ({TAYLOR_TOL!r} / m) ** {1.0 / j!r}",
                   "        if r < rho:",
                   "            rho = r"]
-    xs = ", ".join(f"x_{k}" for k in range(n + 1))
-    ys = ", ".join(f"y_{k}" for k in range(n + 1))
+    xn = [f"x_{k}" for k in range(n + 1)]
+    yn = [f"y_{k}" for k in range(n + 1)]
+    xs, ys = ", ".join(xn), ", ".join(yn)
     lines.append(f"    return ({xs}), ({ys}), rho")
-
-    def horner(v: str) -> str:
-        expr = f"{v}_{n}"
-        for k in range(n - 1, -1, -1):
-            expr = f"({expr}) * h + {v}_{k}" if k < n - 1 else f"{expr} * h + {v}_{k}"
-        return expr
-
     lines += ["", "", "def at(xs, ys, h):", f"    {xs}, = xs", f"    {ys}, = ys",
-              f"    return ({horner('x')}, {horner('y')})"]
+              f"    return ({_horner_expr(xn, 'h')}, {_horner_expr(yn, 'h')})"]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
 def _taylor():
     """The generated ``(series, at)`` pair, compiled at the first arc."""
-    namespace = {"sin": math.sin, "cos": math.cos, "max": max, "abs": abs, "inf": math.inf}
-    exec(compile(_taylor_source(TAYLOR_ORDER), f"<pendulum taylor, order {TAYLOR_ORDER}>", "exec"),
-         namespace)
-    return namespace["series"], namespace["at"]
+    namespace = {"sin": math.sin, "cos": math.cos, "inf": math.inf}
+    series = _compile(_taylor_source(TAYLOR_ORDER), "series", namespace)
+    return series, namespace["at"]
+
+
+def _taylor_locator(at, t: float, coefs):
+    """The ``locate, dense`` of the Taylor step with series ``coefs`` from time
+    t for :func:`_step_events`: a level is located by :func:`_poly_root` on
+    the step polynomial of its component, from the values at the ends."""
+    def dense(s: float) -> tuple[float, float]:
+        return at(coefs[0], coefs[1], s - t)
+
+    def locate(ev: EventSpec, t_end: float, y_end) -> float:
+        c = ev.level.component
+        a, b = coefs[c][0], y_end[c]
+        level = ev.level.crossed(a, b)
+        return t + _poly_root(coefs[c], level, 0.0, t_end - t, a - level, b - level)
+
+    return locate, dense
 
 
 def pendulum_arc(
@@ -616,11 +813,17 @@ def pendulum_arc(
     event), event directions, post-event dead band and terminal ordering, by
     the same event routine.
     Each step is the order-``TAYLOR_ORDER`` series at the step's start, over
-    the step of Jorba and Zou's rule; events are located by :func:`brentq`
-    on that polynomial.  No step is ever rejected.
+    the step of Jorba and Zou's rule.  No step is ever rejected.  Every event
+    is a level of x or y (:meth:`EventSpec.at_level`), located by
+    :func:`_poly_root` on that component's step polynomial; an event without
+    such a level is rejected with ValueError.
     """
     if t_limit == t0:
         raise ValueError("t_limit must differ from t0")
+    for ev in events:
+        if ev.level is None or ev.level.component not in (0, 1):
+            raise ValueError(f"event {ev.label!r} is not a level of x or y: pendulum_arc locates "
+                             f"its events on the step polynomial (EventSpec.at_level)")
     x, y = (float(v) for v in s0)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite initial state {(x, y)}")
@@ -645,13 +848,15 @@ def pendulum_arc(
             stop_reason = STOP_STEP_FAILURE
             detail = f"Taylor series overflowed at t={t}"
             break
-        terminal_hit = _step_events(events, g_prev, t0, t, t_new, end, dead_band, recs,
-                                    lambda: lambda s: at(xs, ys, s - t))
-        if terminal_hit is not None:
-            times.append(terminal_hit[0])
-            states.append(terminal_hit[1])
-            stop_reason = STOP_TERMINAL
-            break
+        g_start = _advance_events(events, g_prev, t_new, end)
+        if g_start is not None:
+            terminal_hit = _step_events(events, g_start, t0, t, t_new, end, dead_band, recs,
+                                        *_taylor_locator(at, t, (xs, ys)))
+            if terminal_hit is not None:
+                times.append(terminal_hit[0])
+                states.append(terminal_hit[1])
+                stop_reason = STOP_TERMINAL
+                break
         times.append(t_new)
         states.append(end)
         if last:

@@ -35,7 +35,9 @@ from .integrator import (
     ANY,
     STOP_STEP_FAILURE,
     STOP_TERMINAL,
+    STOP_TIME_LIMIT,
     EventSpec,
+    Level,
     TrajectorySegment,
     brentq,
     integrate,  # noqa: F401  unused; perfbench/tracing.py wraps quasiopt.integrate
@@ -212,11 +214,16 @@ def simulate_damping(
     budget = policy.budget_factor / eps
     coast_budget = COAST_BASE + COAST_LOG * math.log(1.0 / eps)
 
-    ev_rest = EventSpec(lambda t, s: s[1], ANY, True, "rest")
-    ev_section = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, False, "section")
-    ev_section_stop = EventSpec(lambda t, s: math.sin(0.5 * (s[0] - math.pi)), ANY, True, "section")
-    ev_bottom_stop = EventSpec(lambda t, s: math.sin(0.5 * s[0]), ANY, True, "bottom")
-    ev_leave_saddle = EventSpec(lambda t, s: math.sin(s[0]) ** 2 - thr * thr, ANY, True, "off-saddle")
+    # Every event is a level of x or y.  The push leaves the saddle where
+    # sin^2 x = thr^2, that is x = +-asin(thr) (mod pi).
+    section = Level(0, (math.pi,), 2.0 * math.pi)
+    ev_rest = EventSpec.at_level(Level(1, (0.0,)), ANY, True, "rest")
+    ev_section = EventSpec.at_level(section, ANY, False, "section")
+    ev_section_stop = EventSpec.at_level(section, ANY, True, "section")
+    ev_bottom_stop = EventSpec.at_level(Level(0, (0.0,), 2.0 * math.pi), ANY, True, "bottom")
+    off_saddle = math.asin(thr)
+    ev_leave_saddle = EventSpec.at_level(Level(0, (off_saddle, -off_saddle), math.pi), ANY, True,
+                                         "off-saddle")
     to_rest = [ev_rest]
     to_rest_via_sections = [ev_rest, ev_section]
 
@@ -288,7 +295,8 @@ def simulate_damping(
             # dry friction through the rotation regime.
             if abs(math.sin(0.5 * (x - math.pi))) > 1e-9:
                 seg = pendulum_arc(0.0, state, t, t + coast_budget, [ev_section_stop])
-                mode = MODE_COAST if seg.stop_reason == STOP_TERMINAL else MODE_UPPER
+                # A coast that runs out of its budget creeps toward the saddle.
+                mode = MODE_UPPER if seg.stop_reason == STOP_TIME_LIMIT else MODE_COAST
                 record(seg, mode, 0.0)
                 prev_arc_dry = False
                 if seg.stop_reason != STOP_TERMINAL:
@@ -314,7 +322,7 @@ def simulate_damping(
         # capture if the arc enters the capture set first.  x moves against u.
         x_cap = _capture_entry(state[0], state[1], eps * u, thr, cap_energy)
         if x_cap is not None:
-            events = events + [EventSpec(lambda t, s: s[0] - x_cap, ANY, True, "capture")]
+            events = events + [EventSpec.at_level(Level(0, (x_cap,)), ANY, True, "capture")]
         seg = pendulum_arc(eps * u, state, t, t + budget, events)
         for ev in seg.events:
             if ev.label == "section":

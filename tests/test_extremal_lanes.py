@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pendamp import extremal
+from pendamp import extremal, integrator
 from pendamp.acceptance import EXTREMAL_EPS_LIST
 from pendamp.dynamics import ZONE_FACTOR, Params
 from pendamp.extremal import (
@@ -454,13 +454,13 @@ def test_newton_root_falls_back_to_bisection_and_keeps_the_one_sign_rule(monkeyp
     c = [0.0] * (TAYLOR_ORDER + 1)
     c[0], c[15] = -0.5, 1.0  # s^15 - 1/2 on [0, 1]: the secant point 1/2 sends Newton to 544
     seen = []
-    pair = extremal._horner_pair
+    pair = integrator._horner_pair
 
     def spy(c, s):
         seen.append(s)
         return pair(c, s)
 
-    monkeypatch.setattr(extremal, "_horner_pair", spy)
+    monkeypatch.setattr(integrator, "_horner_pair", spy)
     s = _poly_root(c, 0.0, 0.0, 1.0, -0.5, 0.5)
     assert seen[:2] == [0.5, 0.75]  # the Newton step left [0.5, 1]: bisection instead
     assert s == pytest.approx(0.5 ** (1.0 / 15.0), abs=1e-15)

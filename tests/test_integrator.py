@@ -15,9 +15,11 @@ from pendamp.integrator import (
     STOP_STEP_FAILURE,
     STOP_TERMINAL,
     STOP_TIME_LIMIT,
+    TAYLOR_ORDER,
     EVENT_TOL,
     EventRecord,
     EventSpec,
+    Level,
     StepControl,
     TrajectorySegment,
     _initial_step,
@@ -28,7 +30,7 @@ from pendamp.integrator import (
     pendulum_arc,
 )
 from pendamp.dynamics import pendulum_rhs
-from oracles import TIGHT, oracle_free_oscillation_period
+from oracles import TIGHT, oracle_canonical_series, oracle_free_oscillation_period
 
 
 def free_pendulum(t, s):
@@ -440,12 +442,16 @@ def test_step_bit_identical_to_oracle(case):
 
 # ------------------------------------------------------------ Taylor arcs
 
-def _section(t, s):
-    return math.sin(0.5 * (s[0] - math.pi))
+REST = Level(1, (0.0,))
+SECTION = Level(0, (math.pi,), 2.0 * math.pi)  # x = pi (mod 2 pi)
 
 
-def _rest(t, s):
-    return s[1]
+def _rest(direction, terminal):
+    return EventSpec.at_level(REST, direction, terminal, "rest")
+
+
+def _section():
+    return EventSpec.at_level(SECTION, ANY, False, "section")
 
 
 def test_taylor_first_order_is_the_field():
@@ -459,14 +465,87 @@ def test_taylor_first_order_is_the_field():
         assert 0.0 < rho < math.inf
 
 
+def test_series_from_the_first_integral_matches_the_sin_cos_recurrences():
+    # series builds cos x from the arc's first integral; the oracle runs the
+    # recurrences of sin x and cos x.  Dense inputs: x_0 near 0, where
+    # sin x_0 is small next to pull, and |pull| up to 0.5.
+    series, _ = _taylor()
+    rng = random.Random(11)
+    for _ in range(3000):
+        x = rng.choice([rng.uniform(-50.0, 50.0), rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-9, 1e-9),
+                        0.0])
+        y = rng.choice([rng.uniform(-4.0, 4.0), rng.uniform(-1e-6, 1e-6)])
+        pull = rng.choice([rng.uniform(-0.5, 0.5), 0.5, -0.5])
+        xs, ys, _ = series(x, y, pull)
+        ref = oracle_canonical_series((x, y, 0.0, 0.0), pull, TAYLOR_ORDER)
+        for got, row in ((xs, [r[0] for r in ref]), (ys, [r[1] for r in ref])):
+            scale = max(abs(v) for v in row)
+            assert max(abs(a - b) for a, b in zip(got, row)) <= 1e-15 * scale
+
+
+def test_crossed_level_is_the_first_one_ahead():
+    three_pi = math.pi + 2.0 * math.pi
+    assert SECTION.crossed(three_pi - 0.4, three_pi + 0.3) == three_pi
+    assert SECTION.crossed(-math.pi + 0.2, -math.pi - 0.1) == -math.pi  # backward
+    assert SECTION.crossed(1.0, 1.5) == math.pi  # the next one ahead, even past the end
+    # A level a few ulps behind the start still counts: the event function's
+    # rounded sign can put the start before it.
+    assert SECTION.crossed(math.nextafter(three_pi, 10.0), 10.0) == three_pi
+    assert SECTION.crossed(three_pi + 1e-9, 10.0) == three_pi + 2.0 * math.pi
+    a = math.asin(0.2)
+    band = Level(0, (a, -a), math.pi)  # sin^2 x = 0.04
+    assert band.crossed(0.0, 0.3) == a
+    assert band.crossed(0.0, -0.3) == -a
+    assert band.crossed(math.pi - 0.01, math.pi - 0.3) == pytest.approx(math.pi - a, abs=1e-15)
+    assert REST.crossed(0.5, -0.5) == REST.crossed(-0.5, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("s0,t0,t_limit,first", [
+    ((math.pi + 0.5, 2.2), 0.0, 8.0, 3.0 * math.pi), ((0.0, 2.5), 5.0, -5.0, -math.pi),
+], ids=["forward", "backward"])
+def test_pendulum_arc_locates_the_crossed_level_of_a_periodic_family(s0, t0, t_limit, first):
+    # A rotation crosses the section x = pi (mod 2 pi) at one level after
+    # another: forward in time across 3 pi, 5 pi, ..., and backward in time
+    # across -pi, -3 pi, ...  Each event sits on its level.
+    events = [_section()]
+    got = pendulum_arc(0.0, s0, t0, t_limit, events)
+    want = integrate(pendulum_rhs(0.0), s0, t0, t_limit, events, TIGHT)
+    assert len(got.events) == len(want.events) >= 2
+    step = 2.0 * math.pi if t_limit > t0 else -2.0 * math.pi
+    for k, (a, b) in enumerate(zip(got.events, want.events)):
+        assert a.t == pytest.approx(b.t, abs=1e-9)
+        assert a.state[0] == pytest.approx(first + k * step, abs=1e-12)
+        assert a.residual <= EVENT_TOL
+
+
+def test_pendulum_arc_rejects_an_event_without_a_level():
+    with pytest.raises(ValueError, match="^event 'y0' is not a level of x or y: pendulum_arc locates "
+                                         r"its events on the step polynomial \(EventSpec.at_level\)$"):
+        pendulum_arc(0.0, (1.0, 0.0), 0.0, 1.0, [EventSpec(lambda t, s: s[1], ANY, True, "y0")])
+    with pytest.raises(ValueError, match="^event 'z' is not a level of x or y"):
+        pendulum_arc(0.0, (1.0, 0.0), 0.0, 1.0, [EventSpec.at_level(Level(2, (0.0,)), label="z")])
+
+
+@pytest.mark.parametrize("values,period,message", [
+    ((), None, "a level event needs at least one level"),
+    ((0.0,), 0.0, "the period of a level event must be positive and finite, got 0.0"),
+    ((0.0,), math.inf, "the period of a level event must be positive and finite, got inf"),
+    ((0.0,), math.nan, "the period of a level event must be positive and finite, got nan"),
+], ids=["no-level", "period0", "period-inf", "period-nan"])
+def test_level_rejects_no_levels_and_a_bad_period(values, period, message):
+    with pytest.raises(ValueError) as exc:
+        Level(0, values, period)
+    assert str(exc.value) == message
+
+
 # id: (pull, s0, t0, t_limit, events); each runs to its time limit or a rest.
 ARC_CASES = {
-    "coast": (0.0, (1.0, 0.5), 0.0, 30.0, [EventSpec(_rest, ANY, False, "rest")]),
-    "coast-backward": (0.0, (2.0, -1.0), 5.0, -25.0, [EventSpec(_rest, FALLING, False, "rest")]),
-    "dry-to-rest": (-0.05, (-2.5, 0.0), 0.0, 50.0, [EventSpec(_rest, ANY, True, "rest")]),
+    "coast": (0.0, (1.0, 0.5), 0.0, 30.0, [_rest(ANY, False)]),
+    "coast-backward": (0.0, (2.0, -1.0), 5.0, -25.0, [_rest(FALLING, False)]),
+    "dry-to-rest": (-0.05, (-2.5, 0.0), 0.0, 50.0, [_rest(ANY, True)]),
     "rotation-with-sections": (
         -0.05, (math.pi, 2.5), 0.0, 200.0,
-        [EventSpec(_rest, ANY, True, "rest"), EventSpec(_section, ANY, False, "section")]),
+        [_rest(ANY, True), _section()]),
 }
 
 
@@ -491,7 +570,7 @@ def test_pendulum_arc_rebrackets_events_before_a_terminal_event():
     # In one Taylor step this arc crosses the section x = pi at speed 4.4e-4,
     # comes to rest just beyond it, and is back across the section by the
     # step's end.  The section is found on the part of the step before the rest.
-    events = [EventSpec(_rest, ANY, True, "rest"), EventSpec(_section, ANY, False, "section")]
+    events = [_rest(ANY, True), _section()]
     s0, pull = (3.1408305954792013, 0.00198425228459135), -0.002072739411558288
     got = pendulum_arc(pull, s0, 0.0, 50.0, events)
     want = integrate(pendulum_rhs(pull), s0, 0.0, 50.0, events, TIGHT)

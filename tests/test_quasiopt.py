@@ -5,13 +5,16 @@ import pytest
 
 from pendamp import quasiopt
 from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, energy, energy_xy, pendulum_rhs
-from pendamp.integrator import EVENT_TOL, StepControl, TrajectorySegment, integrate, pendulum_arc
+from pendamp.integrator import (EVENT_TOL, STOP_TIME_LIMIT, StepControl, TrajectorySegment, integrate,
+                                pendulum_arc)
 from pendamp.limits import (
     RegimeExit, StandstillCapture, poincare_high, poincare_iterates, poincare_low,
 )
 from pendamp.quasiopt import (
     MODE_CAPTURE,
+    MODE_COAST,
     MODE_DRY,
+    MODE_UPPER,
     STOP_BUDGET,
     STOP_STALL,
     STOP_STEP_FAILURE,
@@ -182,6 +185,25 @@ class TestSimulateDamping:
         assert res.terminal_state == PhaseState(0.0, 1e200)
         assert res.trajectory.stop_reason == STOP_STEP_FAILURE
 
+    def test_a_failed_coast_is_logged_as_a_coast(self, monkeypatch):
+        # The coast from (0, 1e200) to the section fails at its first step, at
+        # the bottom and far above the zones: a coast, not an upper-zone
+        # maneuver.
+        with pytest.raises(DampingNonConvergence) as exc:
+            simulate_damping(PhaseState(0.0, 1e200), Params(0.1))
+        assert [(e.mode, e.control, e.start, e.end) for e in exc.value.result.phase_log] == [
+            (MODE_COAST, 0.0, (0.0, 1e200), (0.0, 1e200))]
+
+        # A coast that runs out of its budget before the section is one.
+        def creeping_arc(pull, s0, t0, t_limit, events=()):
+            return TrajectorySegment([t0, t_limit], [tuple(s0)] * 2, [], STOP_TIME_LIMIT)
+
+        monkeypatch.setattr(quasiopt, "pendulum_arc", creeping_arc)
+        with pytest.raises(DampingNonConvergence) as exc:
+            simulate_damping(PhaseState(0.0, 3.0), Params(0.1))
+        assert exc.value.reason == STOP_BUDGET
+        assert {e.mode for e in exc.value.result.phase_log} == {MODE_UPPER}
+
     def test_failed_upper_coast_makes_no_push(self, monkeypatch):
         # At rest near the saddle the coast is followed by a push arc only
         # when it stalls, not when its step fails.
@@ -277,7 +299,6 @@ def test_phase_log_controls():
 def test_saddle_start_uses_push_maneuver():
     # Exactly at the unstable equilibrium the free coast never leaves, so the
     # budgeted push arc must fire and the damping still completes.
-    from pendamp.quasiopt import MODE_UPPER
     res = simulate_damping(PhaseState(math.pi, 0.0), Params(0.1), keep_samples=False)
     pushes = [e for e in res.phase_log if e.mode == MODE_UPPER and e.control != 0.0]
     assert pushes
@@ -333,6 +354,35 @@ def _recording_arcs(monkeypatch):
 
     monkeypatch.setattr(quasiopt, "pendulum_arc", recording)
     return segs
+
+
+def test_every_event_vanishes_and_changes_sign_at_each_of_its_levels(monkeypatch):
+    # The events of the mode machine are levels of x or y, and their event
+    # functions are derived from the levels: each vanishes at every level
+    # (within rounding of the level's value) and changes sign across it.
+    events = {}
+    arc = quasiopt.pendulum_arc
+
+    def recording(pull, s0, t0, t_limit, evs=()):
+        for ev in evs:
+            events.setdefault((ev.label, ev.terminal, ev.level), ev)
+        return arc(pull, s0, t0, t_limit, evs)
+
+    monkeypatch.setattr(quasiopt, "pendulum_arc", recording)
+    for start in ((math.pi, 0.0), (0.0, 3.0), (-2.5, 0.0)):  # saddle, rotation, rest
+        simulate_damping(PhaseState(*start), Params(0.1), keep_samples=False)
+    assert {label for label, _, _ in events} == {"rest", "section", "bottom", "off-saddle", "capture"}
+    for ev in events.values():
+        lv = ev.level
+        shifts = [k * lv.period for k in range(-2, 3)] if lv.period else [0.0]
+        for level in (v + shift for v in lv.values for shift in shifts):
+            def g(delta):
+                state = [0.3, 0.3]
+                state[lv.component] = level + delta
+                return ev.fn(0.0, tuple(state))
+
+            assert abs(g(0.0)) <= 1e-14, (ev.label, level)
+            assert g(-1e-7) * g(1e-7) < 0.0, (ev.label, level)
 
 
 def test_capture_is_the_located_entry_mid_arc(monkeypatch):
@@ -406,10 +456,10 @@ def test_damping_matches_tight_dp5_arcs(monkeypatch, start, eps):
     assert len(res.section_speeds) == len(ref.section_speeds)
     for (_, a), (_, b) in zip(res.section_speeds, ref.section_speeds):
         # Not met: 1e-8 on every section.  The separatrix start's last
-        # section (speed 4.4e-4) is 7.4e-8 from this reference, where
+        # section (speed 4.4e-4) is 7.7e-8 from this reference, where
         # y_end = sqrt(y^2 - 4 pi eps) amplifies errors 400-fold.  It is the
         # reference that is off there: 7.9e-8 from the exact speed, against
-        # 5.4e-9 for the Taylor run (test_section_speeds_are_the_exact_energy_drop).
+        # 1.5e-9 for the Taylor run (test_section_speeds_are_the_exact_energy_drop).
         assert a == pytest.approx(b, abs=1e-8 if abs(b) > 1e-2 else 1e-6)
 
 
