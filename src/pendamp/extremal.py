@@ -598,53 +598,311 @@ class _Group:
         self.E_top = 1.0 + math.sqrt(1.0 - thr2) if zone_on else 0.0
 
 
-def trace_lanes(
-    g,
-    signs,
-    p: Params | Sequence[Params],
-    stop_at: int | None | Sequence[int | None] = None,
-    work: LaneWork | None = None,
-) -> list[ExtremalRun | None]:
-    """Trace the backward extremals (phi_T, s) = (g / eps, signs) all at once.
+class _LaneBlock:
+    """The lanes of a trace_lanes block: every attribute is a column, one entry per lane.
 
-    The package's one extremal tracer.  Each lane keeps its own time,
-    control sign and arc count, and steps by the Taylor series of the
-    canonical field (:class:`_SeriesBlock`, order ``TAYLOR_ORDER``) over
-    Jorba and Zou's step at ``TAYLOR_TOL`` (:func:`_step_rule`), in units of
-    H = 1/max(1, eps), so that the series stays finite at any eps.  The
-    stops are events located on the step's polynomials, by Newton where the
-    event function is a polynomial (:func:`_poly_root`) and by brentq where
-    it is the budget gap:
+    Z holds the states (x, y, eps phi, eps psi) = (x, y, P, Q), (4, lanes).
+    Per lane: its index in the input and its group, its control u eps, time
+    and arc count, whether it has been outside the standstill zone
+    (``armed``) and whether its arc touches the zone (it began before
+    arming), its worst Hamiltonian residual, its budget gap at t, whether it
+    runs on (``live``), and its group's values (:class:`_Group`).  A finished
+    lane leaves ``live`` but stays in the block, whose columns and series
+    workspace keep their shape, until the live lanes fall to half of it.
+    """
 
-    * the switch psi = 0, which starts the next arc with psi set to 0, and the
-      zeros of y;
-    * the optimality budget line -t = tau(E)/eps + OPTIMALITY_SLACK;
-    * the speed exit y^2 = SPEED_EXIT^2 and the entry into the standstill
-      zone after first leaving it, both found from the arc's first integral
-      on the step's x-monotone pieces (:func:`_piece_hit`), so that a pass
-      between two step ends is not missed.
+    def __init__(self, g, sgn, grp, gs: list[_Group]):
+        n = g.size
+        self.eps, self.t_limit, self.thr2, zone, self.band_reach, self.band_edge, self.ce = (
+            np.array([getattr(gr, a) for gr in gs], dtype=float)[grp]
+            for a in ("eps", "t_limit", "thr2", "zone_on", "band_reach", "band_edge", "ce"))
+        self.zone = zone > 0.0
+        self.lane, self.grp = np.arange(n), grp
+        self.Z = np.zeros((4, n))
+        self.Z[2], self.Z[3] = self.eps * (g / self.eps), sgn
+        self.ueps = sgn * self.eps
+        self.t, self.arcs = np.zeros(n), np.ones(n, dtype=int)
+        self.armed, self.touched = np.zeros(n, dtype=bool), self.zone.copy()
+        self.maxres, self.gap_t = np.zeros(n), np.full(n, OPTIMALITY_SLACK)
+        self.live = np.ones(n, dtype=bool)
 
-    A lane's fate depends on its trajectory, not on where its steps land.
-    Vectorised screens send only the lanes whose step may hold an event to
-    the scalar location.  A step with a non-finite series or size is a step
-    failure.  Runs keep no samples.  Memory is O(lanes): no step history is
-    kept, and finished lanes are compacted away once half the block has
-    finished.  ``work``, when given, has this block's counts added to it.
+    def compact(self) -> int:
+        """Keep only the live lanes, a lone one twice (a block holds two lanes); return the width."""
+        keep = self.live.nonzero()[0]
+        m = keep.size
+        keep = np.repeat(keep, 2) if m == 1 else keep  # the copy is not live
+        for name, column in list(vars(self).items()):
+            setattr(self, name, column[..., keep])
+        self.live[m:] = False
+        return keep.size
 
-    ``p`` is one Params for every lane or a sequence of one per lane, and
-    ``stop_at`` one int or None for every lane or a sequence of one per
-    lane.  The lanes that share eps and stop_at form a group.  The values
-    that depend on eps (:class:`_Group`: the budget, the zone and its bands,
-    the turns of the speed) are computed once per group, by the same
-    arithmetic as for a block of that eps alone, so a lane's run does not
-    depend on the other groups.  A block has one time unit H: lanes at
-    eps > 1 share a block only with lanes of the same eps.
+    def step(self, series: _SeriesBlock, unit: float):
+        """One Taylor step on every lane, clipped at its time budget: the series, the step in its
+        variable, the time and state at its end, and whether it is the last and is finite."""
+        cf = series(self.Z, self.ueps)
+        rho = _step_rule(cf)
+        t_new = self.t - unit * rho
+        last = ~(t_new > self.t_limit)
+        tau = np.where(last, (self.t_limit - self.t) / unit, -rho)
+        np.copyto(t_new, self.t_limit, where=last)
+        Zn = _horner_lanes(cf, tau)
+        return cf, tau, t_new, Zn, last, (rho > 0.0) & np.isfinite(Zn).all(axis=0)
 
-    A group with ``stop_at`` is a witness search.  It ends as soon as one of
-    its finished runs reaches that allowed count, and once one of its lanes
-    has made that many switchings (so that its run will reach it) only that
-    lane of the group runs on.  The other groups step on.  The lanes dropped
-    or still running in an ended group come back as None.
+    def commit(self, mask, Zn, t_new, gap, r) -> None:
+        """Move the lanes in mask to the step's end: state Zn at t_new, budget gap and residual r."""
+        np.copyto(self.Z, Zn, where=mask)
+        np.copyto(self.t, t_new, where=mask)
+        np.copyto(self.gap_t, gap, where=mask)
+        np.fmax(self.maxres, r, out=self.maxres, where=mask)
+
+    def restart(self, ks: list[int]) -> None:
+        """Start the next arc of the lanes ks."""
+        if ks:
+            self.ueps[ks] = -self.ueps[ks]
+            self.arcs[ks] += 1
+            self.touched[ks] = self.zone[ks] & ~self.armed[ks]
+
+    def narrow(self, sure: list[int], ended: set[int]) -> None:
+        """End the witness groups in ``ended``; in a group with a ``sure`` lane, only it runs on."""
+        if sure:
+            only = np.zeros_like(self.live)
+            only[sure] = True
+            self.live &= only | ~np.isin(self.grp, self.grp[sure])
+        if ended:
+            self.live &= ~np.isin(self.grp, list(ended))
+
+
+def _screen(blk: _LaneBlock, Zn, t_new, zone_any: bool, zone_all: bool):
+    """Which lanes' steps may hold an event, and the step's end values that a commit stores.
+
+    The screens: the switch and y0 sign changes across the step; where x is
+    monotone over the step, the extremes over its x range of the first
+    integral's speed (see :func:`_piece_hit`), at the ends and at the first
+    interior maximum and minimum; and bounds on the budget gap.  zone_any
+    and zone_all tell whether any and every lane has a standstill zone.
+    Returns (sw, y0, scan, budget, gap, r), r the Hamiltonian residual.
+    """
+    Z, eps_l, gap_t = blk.Z, blk.eps, blk.gap_t
+    xa, ya, xb, yb = Z[0], Z[1], Zn[0], Zn[1]
+    y0, sw = _crossed(Z[1::2], Zn[1::2])
+    sn, cn = np.sin(xb), np.cos(xb)
+    y2a, y2b = ya * ya, yb * yb
+    Eb = 0.5 * y2b + 1.0 - cn
+    seg_b = _segment(Eb)
+    gap = _tau_bound(Eb, seg_b) / eps_l + OPTIMALITY_SLACK + t_new
+    d = np.where(xb >= xa, 1.0, -1.0)
+    wa, wb, e = d * xa, d * xb, d * blk.ueps
+    cwa = np.cos(wa)
+    lead = y2a - 2.0 * e * wa - 2.0 * cwa
+    # Y2 has its maxima at top + 2 pi k and its minima at pi - top + 2 pi k, top = asin(e).
+    base = _TURNS + _TURN_SIGNS * np.copysign(blk.ce, e)
+    w_turn = base + 2.0 * math.pi * np.ceil((wa - base) / (2.0 * math.pi))
+    s_turn = np.where(w_turn < wb, lead + 2.0 * e * w_turn + 2.0 * np.cos(w_turn), _NO_TURN)
+    hi = np.maximum(np.maximum(y2a, y2b), s_turn[0])
+    lo = np.minimum(np.minimum(y2a, y2b), s_turn[1])
+    wide = wb - wa > math.pi  # a range past one max and min of Y2
+    scan = y0 | wide | (hi >= SPEED_EXIT ** 2 - _SCREEN_SLACK)
+    # In backward time s the gap changes at the rate rho |y| - 1 while the
+    # energy rises (e > 0; rho is the table's slope), and at -rho |y| - 1
+    # while it falls.  Over a step from gap_t it stays above
+    # gap_t - (1 - rho_lo |y|_lo) (s - s_a), and above its end value gap
+    # when rho_hi |y|_hi <= 1.  A wide step without a zero of y is bounded
+    # by gap_t minus the step's length; a step with a zero of y is bounded
+    # in the scalar location, once the zero is found.
+    span = blk.t - t_new
+    rho_lo, rho_hi = _slope_range(_segment(0.5 * y2a + 1.0 - cwa), seg_b)
+    fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
+    budget = (gap <= 0.0) | (wide & (gap_t - span <= _SCREEN_SLACK)) | (
+        (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
+    if zone_any:
+        # In units of pi: the bands of the zone around k pi that the step's
+        # range meets, and the edge of the band it starts in.
+        qa, qb = wa * (1.0 / math.pi), wb * (1.0 / math.pi)
+        meets = np.ceil(qa - blk.band_reach) <= qb + blk.band_reach
+        leaves = qb >= np.rint(qa) + blk.band_edge
+        near = np.where(blk.armed, meets & (lo <= blk.thr2 + _SCREEN_SLACK),
+                        leaves | (hi >= blk.thr2 - _SCREEN_SLACK))
+        scan |= near if zone_all else near & blk.zone
+    r = np.abs(yb * Zn[2] - sn * Zn[3] + eps_l * np.abs(Zn[3]) - eps_l)
+    return sw, y0, scan, budget, gap, r
+
+
+def _located(work: LaneWork, tau: float, g: float) -> float:
+    """The event at tau, where the event function is g, counted in ``work``."""
+    work.events += 1
+    work.event_residual_max = max(work.event_residual_max, abs(g))
+    return tau
+
+
+def _residual_at(state, eps: float) -> float:
+    """The Hamiltonian residual at one state (x, y, P, Q)."""
+    x, y, P, Q = state
+    return abs(y * P - math.sin(x) * Q + eps * abs(Q) - eps)
+
+
+def _gap_at(x: float, y: float, t: float, eps: float) -> float:
+    """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at the state (x, y) and time t."""
+    return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + t
+
+
+def _locate(c, tau_end: float, t0: float, uk: float, xe: float, ye: float, Qe: float, sw: bool,
+            y0: bool, scan: bool, budget: bool, arm: bool, gr: _Group, unit: float, work: LaneWork):
+    """The first event on one lane-step that the screen flagged, on the step's polynomials.
+
+    c holds the series (x, y, P, Q) in s, at time t0 + unit s, over the step
+    from s = 0 to tau_end, where (x, y, Q) is (xe, ye, Qe); uk is u eps, arm
+    the armed flag, gr the group, and sw, y0, scan and budget the screen's flags.
+    The switch ends the scan; the x-monotone pieces before it, split at the
+    zero of y, are searched in order for the speed exit and the zone
+    (:func:`_piece_hit`) and the budget line (:func:`_gap_minima`).  Returns
+    (kind, tau, state, armed, y0): the event (kind None: none) and the state
+    there, the armed flag there or at the end, and the y-zero times before it.
+    """
+    cx, cy, cP, cQ = c
+    tau_e, kind = tau_end, None
+    if sw:
+        tau_e = _poly_root(cQ, 0.0, tau_end, 0.0, Qe, cQ[0])
+        tau_e, kind = _located(work, tau_e, _horner(cQ, tau_e) - 0.0), _SWITCH
+        xe, ye = _horner(cx, tau_e), _horner(cy, tau_e)  # where the scan ends
+    ends, xs, ys = [0.0], [cx[0]], [cy[0]]
+    # y changes sign at most once on a step; past the switch its zero is not needed.
+    if y0 and (kind is None or (ye < 0.0) != (cy[0] < 0.0)):
+        s0 = _poly_root(cy, 0.0, tau_e, 0.0, ye, cy[0])
+        ends.append(_located(work, s0, _horner(cy, s0) - 0.0))
+        xs.append(_horner(cx, s0))
+        ys.append(_horner(cy, s0))
+    ends.append(tau_e)
+    xs.append(xe)
+    ys.append(ye)
+    if scan or budget:
+        xtol = _ROOT_TOL["xtol"] * unit
+        # The energy is monotone on each piece, between its values at the piece's ends.
+        Es = [0.5 * y * y + 1.0 - math.cos(x) for x, y in zip(xs, ys)]
+        if y0 and not budget:
+            # So the gap is at least its value at the least end energy and at the scan's end time.
+            budget = (_tau_bound_at(min(Es)) / gr.eps + OPTIMALITY_SLACK + t0 + unit * tau_e
+                      <= _SCREEN_SLACK)
+        if budget:
+            def gap(s: float) -> float:
+                return _gap_at(_horner(cx, s), _horner(cy, s), t0 + unit * s, gr.eps)
+
+        for j in range(len(ends) - 1):
+            a, b, xa, ya, xb = ends[j], ends[j + 1], xs[j], ys[j], xs[j + 1]
+            scan_j = scan
+            if scan:
+                # Whether the piece may meet the speed exit, or arm or enter the zone: else
+                # _piece_hit finds nothing on it.  It arms where it leaves the zone, which it
+                # cannot below thr^2 / 2.
+                E_lo, E_hi = min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1])
+                scan_j = 2.0 * E_hi >= SPEED_EXIT ** 2 - _SCREEN_SLACK or gr.zone_on and (
+                    (E_lo <= gr.E_bottom + _SCREEN_SLACK or E_hi >= gr.E_top - _SCREEN_SLACK) if arm
+                    else E_hi >= 0.5 * gr.thr2 - _SCREEN_SLACK)
+            if not (scan_j or budget) or xb == xa:
+                continue
+            d = 1.0 if xb > xa else -1.0
+            wa, wb, e = d * xa, d * xb, d * uk
+            hits = []
+            if scan_j:
+                arm, hit, w = _piece_hit(wa, ya, wb, e, gr.thr if gr.zone_on else None, arm, xtol)
+                if hit is not None:
+                    level = d * w
+                    s = _poly_root(cx, level, b, a, xb - level, xa - level)
+                    hits.append((_located(work, s, _horner(cx, s) - level), hit))
+            if budget:
+                prev, xprev = a, xa
+                for w in (_gap_minima(wa, ya, wb, e, Es[j], xtol) if e > 0.0 else ()):
+                    level = d * w
+                    s = _poly_root(cx, level, b, prev, xb - level, xprev - level)
+                    if gap(s) <= 0.0:
+                        break
+                    prev, xprev = s, _horner(cx, s)
+                else:
+                    s = b if gap(b) <= 0.0 else None
+                if s is not None:
+                    s = _root(gap, s, prev)
+                    hits.append((_located(work, s, gap(s)), _OPTIMALITY))
+            if hits:
+                hit = max(hits, key=lambda q: (q[0], -q[1]))
+                if kind is None or hit[0] > tau_e:
+                    tau_e, kind = hit
+                    break
+    state = None
+    if kind == _SWITCH:
+        # psi is set to a zero of the sign it had, so that the next arc's
+        # first step sees no sign change, and the mirror lane's state stays
+        # the exact negation.
+        state = [xe, ye, _horner(cP, tau_e), 0.0 * cQ[0]]
+    elif kind is not None:
+        state = [_horner(ck, tau_e) for ck in c]
+    y0_times = (t0 + unit * ends[1],) if len(ends) == 3 and ends[1] > tau_e else ()
+    return kind, tau_e, state, arm, y0_times
+
+
+class _RunLog:
+    """What a lane records on its way, in input order, for :func:`_finish`."""
+
+    __slots__ = ("phi_T", "sign", "switch_times", "switch_states", "switch_in_zone", "y_zero_times",
+                 "arc_zone_touched")
+
+    def __init__(self, phi_T: float, sign: int):
+        self.phi_T, self.sign = phi_T, sign
+        self.switch_times, self.switch_states, self.switch_in_zone = [], [], []
+        self.y_zero_times, self.arc_zone_touched = [], []
+
+
+def _switch(blk: _LaneBlock, k: int, t_k: float, state, gr: _Group, log: _RunLog) -> int:
+    """Put block lane k at its switch, at time t_k in state; log it, and return the lane's switches."""
+    eps = gr.eps
+    x, y, P, Q = state
+    blk.t[k] = t_k
+    blk.maxres[k] = max(blk.maxres[k], _residual_at(state, eps))
+    blk.gap_t[k] = _gap_at(x, y, t_k, eps)
+    log.switch_times.append(t_k)
+    log.switch_states.append((x, y, P / eps, Q / eps))
+    log.switch_in_zone.append(gr.zone_on and in_zone_xy(x, y, gr.thr))
+    log.arc_zone_touched.append(bool(blk.touched[k]))
+    blk.Z[:, k] = state
+    return len(log.switch_times)
+
+
+def _finish(blk: _LaneBlock, k: int, reason: str, state, gr: _Group, log: _RunLog,
+            work: LaneWork) -> ExtremalRun:
+    """The run of block lane k, ended for ``reason`` at its time t[k] in ``state``; the lane
+    leaves ``live``, its last arc closes (unless it ended at a switch) and ``work`` counts it."""
+    eps = gr.eps
+    blk.live[k] = False
+    if len(log.arc_zone_touched) < blk.arcs[k]:
+        log.arc_zone_touched.append(bool(blk.touched[k]) or reason == STOP_STANDSTILL)
+    work.stops[reason] = work.stops.get(reason, 0) + 1
+    return ExtremalRun(
+        phi_T=log.phi_T, sign=log.sign, epsilon=eps, switch_times=tuple(log.switch_times),
+        switch_states=tuple(log.switch_states), switch_in_zone=tuple(log.switch_in_zone),
+        y_zero_times=tuple(log.y_zero_times), arc_zone_touched=tuple(log.arc_zone_touched),
+        stop_reason=reason, duration=abs(float(blk.t[k])),
+        max_hamiltonian_residual=float(blk.maxres[k]) / eps,
+        end_state=(state[0], state[1], state[2] / eps, state[3] / eps))
+
+
+def trace_lanes(g, signs, p: Params | Sequence[Params],
+                stop_at: int | None | Sequence[int | None] = None,
+                work: LaneWork | None = None) -> list[ExtremalRun | None]:
+    """Trace the backward extremals (phi_T, s) = (g / eps, signs) all at once: the package's one tracer.
+
+    Each lane of the block (:class:`_LaneBlock`) steps by the Taylor series
+    of the canonical field (:class:`_SeriesBlock`) over Jorba and Zou's
+    step (:func:`_step_rule`), in units of H = 1/max(1, eps).  Screens
+    (:func:`_screen`) send only the lane-steps that may hold an event to the
+    scalar location (:func:`_locate`) of the switch, the speed exit, the
+    standstill zone and the optimality budget line.  A non-finite step is a
+    step failure.  ``work``, when given, has this block's counts added to it.
+
+    ``p`` is one Params or one per lane, and ``stop_at`` one int or None or
+    one per lane.  The lanes that share eps and stop_at form a group
+    (:class:`_Group`); a lane's run does not depend on the other groups.  A
+    block has one time unit H.  A group with ``stop_at`` is a witness search:
+    it ends once one of its runs reaches that allowed count, and once one of
+    its lanes has made that many switchings, only that lane runs on.  The
+    lanes dropped or still running in an ended group come back as None.
     """
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
@@ -664,324 +922,64 @@ def trace_lanes(
     if len(units) > 1:
         raise ValueError(f"one block holds one time unit 1/max(1, eps), got {sorted(units)}")
     unit = units.pop() if units else 1.0
-    if work is None:
-        work = LaneWork()
+    work = LaneWork() if work is None else work
     work.batches += 1
     work.peak_lanes = max(work.peak_lanes, n)
-    xtol = _ROOT_TOL["xtol"] * unit
-    exit2 = SPEED_EXIT ** 2
     gs = [_Group(eps, k) for eps, k in groups]
-
-    def per_lane(name: str):
-        """The attribute name of each lane's group, as an array over the lanes."""
-        return np.array([getattr(gr, name) for gr in gs], dtype=float)[grp]
-
-    eps_l, t_limit, thr2_l, band_reach, band_edge, ce = (
-        per_lane(a) for a in ("eps", "t_limit", "thr2", "band_reach", "band_edge", "ce"))
-    zone_l = per_lane("zone_on") > 0.0
-    zone_any, zone_all = bool(zone_l.any()), bool(zone_l.all())
-    phi_T = g / eps_l
-
-    # The block of lanes; `lane` maps its columns back to the input order.  A
-    # lane that finishes leaves `live` but stays in the block, whose arrays
-    # and series workspace keep their shape, until the live lanes fall to
-    # half the block.  Then the block is compacted to them.
-    lane = np.arange(n)
-    Z = np.zeros((4, n))
-    Z[2] = eps_l * phi_T
-    Z[3] = sgn
-    ueps = sgn * eps_l
-    t = np.zeros(n)
-    arcs = np.ones(n, dtype=int)
-    armed = np.zeros(n, dtype=bool)  # has been outside the standstill zone
-    touched = zone_l.copy()  # the arc touches the zone: it began before arming
-    maxres = np.zeros(n)
-    gap_t = np.full(n, OPTIMALITY_SLACK)  # the budget gap at t
-    live = np.ones(n, dtype=bool)
-    series = None
-    ended: set[int] = set()  # the groups whose witness search ended in this step
-
-    sw_t = [[] for _ in range(n)]
-    sw_s = [[] for _ in range(n)]
-    sw_z = [[] for _ in range(n)]
-    y0_t = [[] for _ in range(n)]
-    arc_z = [[] for _ in range(n)]
+    blk = _LaneBlock(g, sgn, grp, gs)
+    zone_any, zone_all = bool(blk.zone.any()), bool(blk.zone.all())
+    logs = [_RunLog(phi, int(s)) for phi, s in zip((g / blk.eps).tolist(), sgn)]
     out: list[ExtremalRun | None] = [None] * n
-
-    def finish(k, reason, state, close_arc=True) -> None:
-        """Store the run of block lane k, ended at t[k]; a stop_at witness ends its group."""
-        i = lane[k]
-        gr = gs[grp[k]]
-        eps = gr.eps
-        live[k] = False
-        if close_arc:
-            arc_z[i].append(bool(touched[k]) or reason == STOP_STANDSTILL)
-        work.stops[reason] = work.stops.get(reason, 0) + 1
-        run = out[i] = ExtremalRun(
-            phi_T=float(phi_T[i]),
-            sign=int(sgn[i]),
-            epsilon=eps,
-            switch_times=tuple(sw_t[i]),
-            switch_states=tuple(sw_s[i]),
-            switch_in_zone=tuple(sw_z[i]),
-            y_zero_times=tuple(y0_t[i]),
-            arc_zone_touched=tuple(arc_z[i]),
-            stop_reason=reason,
-            duration=abs(float(t[k])),
-            max_hamiltonian_residual=float(maxres[k]) / eps,
-            end_state=(state[0], state[1], state[2] / eps, state[3] / eps),
-        )
-        if gr.stop_at is not None and run.allowed_count >= gr.stop_at:
-            ended.add(int(grp[k]))
-
-    def count(tau_e: float, g: float) -> float:
-        """The event at tau_e, where the event function is g, counted in ``work``."""
-        work.events += 1
-        work.event_residual_max = max(work.event_residual_max, abs(g))
-        return tau_e
-
-    def locate(f, a: float, b: float) -> float:
-        """The event at the zero of f between a and b."""
-        tau_e = _root(f, a, b)
-        return count(tau_e, f(tau_e))
-
-    def locate_poly(c, level: float, a: float, b: float, fa: float, fb: float) -> float:
-        """The event where the step polynomial c meets level between a and b (:func:`_poly_root`)."""
-        tau_e = _poly_root(c, level, a, b, fa, fb)
-        return count(tau_e, _horner(c, tau_e) - level)
-
-    def residual(state, eps: float) -> float:
-        x, y, P, Q = state
-        return abs(y * P - math.sin(x) * Q + eps * abs(Q) - eps)
-
-    def gap_of(x: float, y: float, t_s: float, eps: float) -> float:
-        """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at the state (x, y) and time t_s."""
-        return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + t_s
-
-    def may_hit(E_lo: float, E_hi: float, arm: bool, gr: _Group) -> bool:
-        """Whether a piece whose energy runs from E_lo to E_hi may meet the speed exit, or arm or
-        enter the standstill zone: else :func:`_piece_hit` finds nothing on it."""
-        if 2.0 * E_hi >= exit2 - _SCREEN_SLACK:
-            return True
-        if not gr.zone_on:
-            return False
-        if not arm:  # it arms where it leaves the zone, which it cannot below thr^2 / 2
-            return E_hi >= 0.5 * gr.thr2 - _SCREEN_SLACK
-        return E_lo <= gr.E_bottom + _SCREEN_SLACK or E_hi >= gr.E_top - _SCREEN_SLACK
-
-    def piece_events(cx, cy, uk, t0, a, b, xs, ys, xe, arm, scan_k, budget_k, gr):
-        """The first terminal event on the x-monotone piece a -> b of a lane's step.
-
-        The lane's control is uk = u eps and its group gr; (xs, ys) is its
-        state at a, and xe its x at b.  Returns (armed, (tau, kind) or None).
-        """
-        if xe == xs:
-            return arm, None
-        d = 1.0 if xe > xs else -1.0
-        wa, wb, e = d * xs, d * xe, d * uk
-        hits = []
-        if scan_k:
-            arm, kind, w = _piece_hit(wa, ys, wb, e, gr.thr if gr.zone_on else None, arm, xtol)
-            if kind is not None:
-                level = d * w
-                hits.append((locate_poly(cx, level, b, a, xe - level, xs - level), kind))
-        if budget_k:
-            def gap(s):
-                return gap_of(_horner(cx, s), _horner(cy, s), t0 + unit * s, gr.eps)
-            prev, xprev = a, xs
-            Ea = 0.5 * ys * ys + 1.0 - math.cos(xs)
-            for w in (_gap_minima(wa, ys, wb, e, Ea, xtol) if e > 0.0 else ()):
-                level = d * w
-                s = _poly_root(cx, level, b, prev, xe - level, xprev - level)
-                if gap(s) <= 0.0:
-                    hits.append((locate(gap, s, prev), _OPTIMALITY))
-                    break
-                prev, xprev = s, _horner(cx, s)
-            else:
-                if gap(b) <= 0.0:
-                    hits.append((locate(gap, b, prev), _OPTIMALITY))
-        return arm, max(hits, key=lambda q: (q[0], -q[1])) if hits else None
-
+    series = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            m = int(np.count_nonzero(live))
-            if m == 0:
-                break
-            if series is None or (2 * m <= lane.size and lane.size > 2):
-                keep = live.nonzero()[0]
-                if m == 1:
-                    keep = np.repeat(keep, 2)  # a block holds two lanes; the copy is not live
-                (lane, grp, ueps, t, arcs, armed, touched, maxres, gap_t, live, eps_l, t_limit, thr2_l,
-                 zone_l, band_reach, band_edge, ce) = (
-                    a[keep] for a in (lane, grp, ueps, t, arcs, armed, touched, maxres, gap_t, live,
-                                      eps_l, t_limit, thr2_l, zone_l, band_reach, band_edge, ce))
-                live[m:] = False
-                Z = Z[:, keep]
-                series = _SeriesBlock(keep.size, unit)
+        while (m := int(np.count_nonzero(blk.live))) > 0:
+            if series is None or (2 * m <= blk.lane.size and blk.lane.size > 2):
+                series = _SeriesBlock(blk.compact(), unit)
             work.batch_steps += 1
             work.lane_steps += m
-
-            # One Taylor step on every lane, clipped at its time budget.
-            cf = series(Z, ueps)
-            rho = _step_rule(cf)
-            t_new = t - unit * rho
-            last = ~(t_new > t_limit)
-            tau = np.where(last, (t_limit - t) / unit, -rho)
-            np.copyto(t_new, t_limit, where=last)
-            Zn = _horner_lanes(cf, tau)
-            for k in (live & ~((rho > 0.0) & np.isfinite(Zn).all(axis=0))).nonzero()[0]:
-                finish(k, STOP_STEP_FAILURE, Z[:, k].tolist())
-
-            # Screens, which send a lane's step to the scalar location when it
-            # may hold an event: the switch and y0 sign changes across the
-            # step; where x is monotone over the step, the extremes over its x
-            # range of the first integral's speed (see _piece_hit), at the ends
-            # and at the first interior maximum and minimum; and bounds on the
-            # budget gap.
-            xa, ya, xb, yb = Z[0], Z[1], Zn[0], Zn[1]
-            y0, sw = _crossed(Z[1::2], Zn[1::2])
-            sn, cn = np.sin(xb), np.cos(xb)
-            y2a, y2b = ya * ya, yb * yb
-            Eb = 0.5 * y2b + 1.0 - cn
-            seg_b = _segment(Eb)
-            gap = _tau_bound(Eb, seg_b) / eps_l + OPTIMALITY_SLACK + t_new
-            d = np.where(xb >= xa, 1.0, -1.0)
-            wa, wb, e = d * xa, d * xb, d * ueps
-            cwa = np.cos(wa)
-            lead = y2a - 2.0 * e * wa - 2.0 * cwa
-            # Y2 has its maxima at top + 2 pi k and its minima at pi - top + 2 pi k, top = asin(e).
-            base = _TURNS + _TURN_SIGNS * np.copysign(ce, e)
-            w_turn = base + 2.0 * math.pi * np.ceil((wa - base) / (2.0 * math.pi))
-            s_turn = np.where(w_turn < wb, lead + 2.0 * e * w_turn + 2.0 * np.cos(w_turn), _NO_TURN)
-            hi = np.maximum(np.maximum(y2a, y2b), s_turn[0])
-            lo = np.minimum(np.minimum(y2a, y2b), s_turn[1])
-            wide = wb - wa > math.pi  # a range past one max and min of Y2
-            scan = y0 | wide | (hi >= exit2 - _SCREEN_SLACK)
-            # In backward time s the gap changes at the rate rho |y| - 1 while
-            # the energy rises (e > 0; rho is the table's slope), and at
-            # -rho |y| - 1 while it falls.  Over a step from gap_t it stays
-            # above gap_t - (1 - rho_lo |y|_lo) (s - s_a), and above its end
-            # value gap when rho_hi |y|_hi <= 1.  A wide step without a zero
-            # of y is bounded by gap_t minus the step's length; a step with a
-            # zero of y is bounded in the scalar location, once the zero is
-            # found.
-            span = t - t_new
-            rho_lo, rho_hi = _slope_range(_segment(0.5 * y2a + 1.0 - cwa), seg_b)
-            fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
-            budget = (gap <= 0.0) | (wide & (gap_t - span <= _SCREEN_SLACK)) | (
-                (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
-            if zone_any:
-                # In units of pi: the bands of the zone around k pi that the
-                # step's range meets, and the edge of the band it starts in.
-                qa, qb = wa * (1.0 / math.pi), wb * (1.0 / math.pi)
-                meets = np.ceil(qa - band_reach) <= qb + band_reach
-                leaves = qb >= np.rint(qa) + band_edge
-                near = np.where(armed, meets & (lo <= thr2_l + _SCREEN_SLACK),
-                                leaves | (hi >= thr2_l - _SCREEN_SLACK))
-                scan |= near if zone_all else near & zone_l
-            flag = (scan | budget | sw | last) & live
-            commit = live & ~flag  # the lanes whose step's end becomes their state
-
+            cf, tau, t_new, Zn, last, ok = blk.step(series, unit)
+            # The lanes that stop in this step, (k, reason, state), end after the commit; timeouts last.
+            done = [(k, STOP_STEP_FAILURE, blk.Z[:, k].tolist()) for k in (blk.live & ~ok).nonzero()[0]]
+            blk.live &= ok
+            sw, y0, scan, budget, gap, r = _screen(blk, Zn, t_new, zone_any, zone_all)
+            flag = (scan | budget | sw | last) & blk.live
+            commit = blk.live & ~flag  # the lanes whose step's end becomes their state
             timeouts, restart, sure = [], [], []
             idx = flag.nonzero()[0]
-            # The flagged lanes' values as Python numbers, freed with the
-            # loop's iterator when the loop ends.
-            for (k, i, gk, (cx, cy, cP, cQ), tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k,
-                 budget_k, last_k, arm) in zip(
-                    idx.tolist(), lane[idx].tolist(), grp[idx].tolist(),
-                    cf[:, :, idx].transpose(2, 1, 0).tolist(),
-                    *(a[idx].tolist() for a in (tau, t, ueps, Zn[0], Zn[1], Zn[3], sw, y0, scan,
-                                                 budget, last, armed))):
+            # The flagged lanes' values as Python numbers, freed with the loop's iterator.
+            for (k, c, i, gk, tau_end, t0, uk, xe, ye, Pe, Qe, sw_k, y0_k, scan_k, budget_k, last_k,
+                 arm) in zip(
+                    idx.tolist(), cf[:, :, idx].transpose(2, 1, 0).tolist(),
+                    *(a[idx].tolist() for a in (blk.lane, blk.grp, tau, blk.t, blk.ueps, *Zn,
+                                                sw, y0, scan, budget, last, blk.armed))):
                 gr = gs[gk]
-                # The switch ends the step's scan; the x-monotone pieces before
-                # it, split at the zero of y, are searched in order.  (xe, ye)
-                # is the state at the scan's end.
-                tau_e, kind = tau_end, None
-                if sw_k:
-                    tau_e, kind = locate_poly(cQ, 0.0, tau_end, 0.0, Qe, cQ[0]), _SWITCH
-                    xe, ye = _horner(cx, tau_e), _horner(cy, tau_e)
-                ends, xs, ys = [0.0], [cx[0]], [cy[0]]
-                # y changes sign at most once on a step; past the switch its
-                # zero is not needed.
-                if y0_k and (kind is None or (ye < 0.0) != (cy[0] < 0.0)):
-                    s0 = locate_poly(cy, 0.0, tau_e, 0.0, ye, cy[0])
-                    ends.append(s0)
-                    xs.append(_horner(cx, s0))
-                    ys.append(_horner(cy, s0))
-                ends.append(tau_e)
-                xs.append(xe)
-                ys.append(ye)
-                if scan_k or budget_k:
-                    # The energy is monotone on each piece, between its values
-                    # at the piece's ends.
-                    Es = [0.5 * y * y + 1.0 - math.cos(x) for x, y in zip(xs, ys)]
-                    if y0_k and not budget_k:
-                        # So the gap is at least its value at the least end
-                        # energy and at the scan's end time.
-                        budget_k = (_tau_bound_at(min(Es)) / gr.eps + OPTIMALITY_SLACK + t0
-                                    + unit * tau_e <= _SCREEN_SLACK)
-                    for j in range(len(ends) - 1):
-                        scan_j = scan_k and may_hit(min(Es[j], Es[j + 1]), max(Es[j], Es[j + 1]), arm,
-                                                    gr)
-                        if not (scan_j or budget_k):
-                            continue
-                        arm, hit = piece_events(cx, cy, uk, t0, ends[j], ends[j + 1], xs[j], ys[j],
-                                                xs[j + 1], arm, scan_j, budget_k, gr)
-                        if hit is not None and (kind is None or hit[0] > tau_e):
-                            tau_e, kind = hit
-                            break
-                    armed[k] = arm
-                y0_t[i].extend(t0 + unit * v for v in ends[1:-1] if v > tau_e)
+                kind, tau_e, state, blk.armed[k], y0s = _locate(
+                    c, tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k, budget_k, arm, gr, unit, work)
+                logs[i].y_zero_times.extend(y0s)
                 if kind is None:
                     commit[k] = True
                     if last_k:
-                        timeouts.append(k)
-                    continue
-                if kind == _SWITCH:
-                    # psi is set to a zero of the sign it had, so that the
-                    # next arc's first step sees no sign change, and the
-                    # mirror lane's state stays the exact negation.
-                    state = [xe, ye, _horner(cP, tau_e), 0.0 * cQ[0]]
+                        timeouts.append((k, STOP_TIME_BUDGET, [xe, ye, Pe, Qe]))
+                elif kind != _SWITCH:
+                    blk.t[k] = t0 + unit * tau_e
+                    done.append((k, _REASON[kind], state))
                 else:
-                    state = [_horner(c, tau_e) for c in (cx, cy, cP, cQ)]
-                t[k] = t0 + unit * tau_e
-                if kind != _SWITCH:
-                    finish(k, _REASON[kind], state)
-                    continue
-                eps = gr.eps
-                maxres[k] = max(maxres[k], residual(state, eps))
-                gap_t[k] = gap_of(xe, ye, float(t[k]), eps)
-                sw_t[i].append(float(t[k]))
-                sw_s[i].append((state[0], state[1], state[2] / eps, state[3] / eps))
-                sw_z[i].append(gr.zone_on and in_zone_xy(state[0], state[1], gr.thr))
-                arc_z[i].append(bool(touched[k]))
-                Z[:, k] = state
-                if gr.stop_at is not None and len(sw_t[i]) >= gr.stop_at:
-                    sure.append(k)
-                if arcs[k] == gr.max_arcs:
-                    finish(k, STOP_TIME_BUDGET, state, close_arc=False)
-                else:
-                    restart.append(k)
-
-            r = np.abs(yb * Zn[2] - sn * Zn[3] + eps_l * np.abs(Zn[3]) - eps_l)
-            np.copyto(Z, Zn, where=commit)
-            np.copyto(t, t_new, where=commit)
-            np.copyto(gap_t, gap, where=commit)
-            np.fmax(maxres, r, out=maxres, where=commit)
-            for k in timeouts:
-                finish(k, STOP_TIME_BUDGET, Z[:, k].tolist())
-            if restart:
-                ueps[restart] = -ueps[restart]
-                arcs[restart] += 1
-                touched[restart] = zone_l[restart] & ~armed[restart]
-            if sure:
-                # A lane that has made stop_at switchings runs on alone in its group.
-                only = np.zeros_like(live)
-                only[sure] = True
-                live &= only | ~np.isin(grp, grp[sure])
-            if ended:
-                live &= ~np.isin(grp, list(ended))
-                ended.clear()
+                    switches = _switch(blk, k, t0 + unit * tau_e, state, gr, logs[i])
+                    if gr.stop_at is not None and switches >= gr.stop_at:
+                        sure.append(k)
+                    if blk.arcs[k] == gr.max_arcs:
+                        done.append((k, STOP_TIME_BUDGET, state))
+                    else:
+                        restart.append(k)
+            blk.commit(commit, Zn, t_new, gap, r)
+            ended = set()  # the groups whose witness search ends in this step
+            for k, reason, state in done + timeouts:
+                i, gr = blk.lane[k], gs[blk.grp[k]]
+                run = out[i] = _finish(blk, k, reason, state, gr, logs[i], work)
+                if gr.stop_at is not None and run.allowed_count >= gr.stop_at:
+                    ended.add(blk.grp[k])
+            blk.restart(restart)
+            blk.narrow(sure, ended)
     return out
 
 

@@ -6,6 +6,8 @@ Two integrators, each serving its own paths:
   (``quasiopt.simulate_damping``: coasts, saddle pushes, dry-friction arcs)
   on the one field it needs, x' = y, y' = -sin x + pull, by Taylor series of
   order ``TAYLOR_ORDER`` with Jorba and Zou's step rule at ``TAYLOR_TOL``.
+  The arc's first integral y^2/2 - cos x - pull x checks each step: a step
+  that changes it by more than ``DRIFT_TOL`` (relative) is halved.
   The lane kernel ``extremal.trace_lanes`` takes the same steps on the
   canonical system of the backward extremals, many lanes at once.
 * :func:`integrate`, adaptive Dormand-Prince 5(4), takes any field.  It is
@@ -630,6 +632,12 @@ def integrate(
 # the run-to-run spread of order 16's (2 vCPUs, 9 interleaved runs each).
 TAYLOR_ORDER = 16
 TAYLOR_TOL = 1e-13
+# A pendulum arc's step is rejected, and halved, where its change in the
+# arc's first integral h = y^2/2 - cos x - pull x exceeds
+# DRIFT_TOL (1 + y^2/2 + |pull x|) at the step's end.  Jorba and Zou's rule
+# reads two orders of the series; where both vanish, as from rest at
+# cos x = 0, its step is far too long, and the drift shows it.
+DRIFT_TOL = 1e-12
 
 
 def _horner_expr(names: Sequence[str], t: str) -> str:
@@ -717,12 +725,13 @@ def _poly_root(c, level: float, a: float, b: float, fa: float, fb: float) -> flo
 def _taylor_source(order: int) -> str:
     """Source of the Taylor series of x' = y, y' = -sin x + pull at one point.
 
-    The generated ``series(x_0, y_0, pull)`` returns the coefficients
-    ``(x_0, ..., x_N)``, ``(y_0, ..., y_N)`` of x(t + h) = sum x_k h^k (and
-    likewise y) for N = ``order``, and the step ``rho`` of Jorba and Zou's
-    rule.  The coefficients come from the arc's first integral
-    y^2/2 - cos x - pull x = const: with c = cos x, y'' = -c y and
-    c = y^2/2 - pull x - const, so that
+    The generated ``series(x_0, y_0, pull, c_0)`` takes c_0 = cos x_0, which
+    :func:`pendulum_arc` holds from its first-integral check, and returns the
+    coefficients ``(x_0, ..., x_N)``, ``(y_0, ..., y_N)`` of
+    x(t + h) = sum x_k h^k (and likewise y) for N = ``order``, and the step
+    ``rho`` of Jorba and Zou's rule.  The coefficients come from the arc's
+    first integral y^2/2 - cos x - pull x = const: with c = cos x,
+    y'' = -c y and c = y^2/2 - pull x - const, so that
 
         c_k = (y^2)_k / 2 - pull x_k  (k >= 2),   c_1 = -y_0 sin x_0,
         (k+1)(k+2) y_{k+2} = -sum_{j=0..k} c_j y_{k-j},   (k+1) x_{k+1} = y_k,
@@ -746,8 +755,8 @@ def _taylor_source(order: int) -> str:
             terms.append(f"0.5 * y_{k // 2} * y_{k // 2}")
         return " + ".join(terms)
 
-    lines = ["def series(x_0, y_0, pull):",
-             "    s_0 = sin(x_0)", "    c_0 = cos(x_0)",
+    lines = ["def series(x_0, y_0, pull, c_0):",
+             "    s_0 = sin(x_0)",
              "    x_1 = y_0", "    y_1 = -s_0 + pull", "    c_1 = -y_0 * s_0"]
     for k in range(n - 1):
         cy = " + ".join(f"c_{j} * y_{k - j}" for j in range(k + 1))
@@ -778,7 +787,7 @@ def _taylor_source(order: int) -> str:
 @functools.cache
 def _taylor():
     """The generated ``(series, at)`` pair, compiled at the first arc."""
-    namespace = {"sin": math.sin, "cos": math.cos, "inf": math.inf}
+    namespace = {"sin": math.sin, "inf": math.inf}
     series = _compile(_taylor_source(TAYLOR_ORDER), "series", namespace)
     return series, namespace["at"]
 
@@ -813,7 +822,12 @@ def pendulum_arc(
     event), event directions, post-event dead band and terminal ordering, by
     the same event routine.
     Each step is the order-``TAYLOR_ORDER`` series at the step's start, over
-    the step of Jorba and Zou's rule.  No step is ever rejected.  Every event
+    the step of Jorba and Zou's rule.  A step whose change in the first
+    integral y^2/2 - cos x - pull x exceeds ``DRIFT_TOL`` (relative to
+    1 + y^2/2 + |pull x| at its end) is halved, and the series summed again,
+    until it does not.  The integral and cos x at a step's end are carried to
+    the next step, whose series takes that cosine, so the check costs no
+    cosine of its own.  Every event
     is a level of x or y (:meth:`EventSpec.at_level`), located by
     :func:`_poly_root` on that component's step polynomial; an event without
     such a level is rejected with ValueError.
@@ -837,17 +851,26 @@ def pendulum_arc(
     recs: list[EventRecord] = []
     g_prev = [ev.fn(t, (x, y)) for ev in events]
     stop_reason = STOP_TIME_LIMIT
-    detail = ""
+    cos_x = math.cos(x)
+    integral = 0.5 * y * y - cos_x - pull * x
     while True:
-        xs, ys, rho = series(x, y, pull)
-        last = direction * (t + direction * rho - t_limit) >= 0.0
-        h = t_limit - t if last else direction * rho
-        t_new = t_limit if last else t + h
-        end = at(xs, ys, h)
-        if not (rho > 0.0 and math.isfinite(end[0] + end[1])):
-            stop_reason = STOP_STEP_FAILURE
-            detail = f"Taylor series overflowed at t={t}"
-            break
+        xs, ys, rho = series(x, y, pull, cos_x)
+        while True:
+            last = direction * (t + direction * rho - t_limit) >= 0.0
+            h = t_limit - t if last else direction * rho
+            t_new = t_limit if last else t + h
+            end = at(xs, ys, h)
+            xe, ye = end
+            if not (rho > 0.0 and math.isfinite(xe + ye)):
+                return TrajectorySegment(times, states, recs, STOP_STEP_FAILURE,
+                                         f"Taylor series overflowed at t={t}")
+            cos_xe = math.cos(xe)
+            end_integral = 0.5 * ye * ye - cos_xe - pull * xe
+            drift = abs(end_integral - integral)
+            # The bound is at least DRIFT_TOL, so most steps pass on the first test.
+            if drift <= DRIFT_TOL or not drift > DRIFT_TOL * (1.0 + 0.5 * ye * ye + abs(pull * xe)):
+                break
+            rho *= 0.5
         g_start = _advance_events(events, g_prev, t_new, end)
         if g_start is not None:
             terminal_hit = _step_events(events, g_start, t0, t, t_new, end, dead_band, recs,
@@ -863,4 +886,5 @@ def pendulum_arc(
             break
         t = t_new
         x, y = end
-    return TrajectorySegment(times, states, recs, stop_reason, detail)
+        cos_x, integral = cos_xe, end_integral
+    return TrajectorySegment(times, states, recs, stop_reason, "")

@@ -270,6 +270,20 @@ class TestBifurcation:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("eps,counts,work,stops", [
+        (0.1, (10, 312), (3, 444, 12989, 2107), (94, 33, 64)),
+        (0.3, (4, 352), (3, 163, 7268, 1324), (33, 151, 56)),
+    ])
+    def test_sweep_work_pinned(self, eps, counts, work, stops):
+        # A full grid-128 scan: its lanes' steps, events and fates are set by
+        # the kernel's step rule, screens and event location, so a kernel
+        # change that alters any of them shows here.
+        res = max_switchings(Params(eps), SweepPolicy(grid_points=128))
+        w = res.stats
+        assert (res.max_allowed, res.n_runs) == counts
+        assert (w.batches, w.batch_steps, w.lane_steps, w.events) == work
+        assert w.stops == dict(zip((STOP_OPTIMALITY, STOP_STANDSTILL, STOP_ENERGY_EXIT), stops))
+
     def test_benchmark_row_pinned(self):
         # The bracket of the bifurcation benchmark's first pass (seed 1): the
         # row and its lanes' work are those of the search made one scan at a

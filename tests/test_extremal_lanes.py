@@ -218,7 +218,7 @@ def test_series_matches_the_textbook_recurrences():
         ref = np.array(oracle_canonical_series(z[:, k], ueps[k], TAYLOR_ORDER))
         assert cf[:, :, k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
         # The x, y rows are the damping arcs' series of x' = y, y' = -sin x + pull.
-        xs, ys, _ = series(z[0, k], z[1, k], ueps[k])
+        xs, ys, _ = series(z[0, k], z[1, k], ueps[k], math.cos(z[0, k]))
         assert cf[:, 0, k] == pytest.approx(xs, rel=1e-12, abs=1e-15)
         assert cf[:, 1, k] == pytest.approx(ys, rel=1e-12, abs=1e-15)
 

@@ -16,6 +16,7 @@ from pendamp.integrator import (
     STOP_TERMINAL,
     STOP_TIME_LIMIT,
     TAYLOR_ORDER,
+    TAYLOR_TOL,
     EVENT_TOL,
     EventRecord,
     EventSpec,
@@ -459,7 +460,7 @@ def test_taylor_first_order_is_the_field():
     rng = random.Random(5)
     for _ in range(2000):
         x, y, pull = rng.uniform(-50.0, 50.0), rng.uniform(-4.0, 4.0), rng.uniform(-0.5, 0.5)
-        xs, ys, rho = series(x, y, pull)
+        xs, ys, rho = series(x, y, pull, math.cos(x))
         assert (xs[0], ys[0]) == (x, y)
         assert (xs[1], ys[1]) == pendulum_rhs(pull)(0.0, (x, y))
         assert 0.0 < rho < math.inf
@@ -476,7 +477,7 @@ def test_series_from_the_first_integral_matches_the_sin_cos_recurrences():
                         0.0])
         y = rng.choice([rng.uniform(-4.0, 4.0), rng.uniform(-1e-6, 1e-6)])
         pull = rng.choice([rng.uniform(-0.5, 0.5), 0.5, -0.5])
-        xs, ys, _ = series(x, y, pull)
+        xs, ys, _ = series(x, y, pull, math.cos(x))
         ref = oracle_canonical_series((x, y, 0.0, 0.0), pull, TAYLOR_ORDER)
         for got, row in ((xs, [r[0] for r in ref]), (ys, [r[1] for r in ref])):
             scale = max(abs(v) for v in row)
@@ -581,13 +582,14 @@ def test_pendulum_arc_rebrackets_events_before_a_terminal_event():
 
 
 def test_pendulum_arc_steps_and_limits():
-    # Every step is the one of Jorba and Zou's rule at its start, but the
-    # last, which is cut to end on the time limit.
+    # No step of this arc drifts off the first integral, so every step is the
+    # one of Jorba and Zou's rule at its start, but the last, which is cut to
+    # end on the time limit.
     pull = 0.1
     seg = pendulum_arc(pull, (0.5, 0.0), 0.0, 10.0)
     assert seg.stop_reason == STOP_TIME_LIMIT and seg.t_end == 10.0
     series, _ = _taylor()
-    rhos = [series(x, y, pull)[2] for x, y in seg.states[:-1]]
+    rhos = [series(x, y, pull, math.cos(x))[2] for x, y in seg.states[:-1]]
     steps = [b - a for a, b in zip(seg.times, seg.times[1:])]
     assert len(steps) > 5
     assert steps[:-1] == pytest.approx(rhos[:-1], rel=1e-12)
@@ -606,6 +608,28 @@ def test_pendulum_arc_overflow_is_a_step_failure(speed):
     assert seg.stop_reason == STOP_STEP_FAILURE
     assert seg.detail == "Taylor series overflowed at t=0.0"
     assert seg.times == [0.0]
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-12, 1e-7, 1e-4])
+def test_pendulum_arc_halves_a_step_that_drifts_off_the_first_integral(d):
+    # From rest at x = pi/2 - d the orders 15 and 16 that Jorba and Zou's
+    # rule reads almost vanish, and its step is too long (at d = 0 it
+    # lands at x = 42.9).  The first integral's drift rejects that step,
+    # and each halving sums the same series again.  The step taken is the
+    # rule's step halved, and its end lies at the TAYLOR_TOL scale from the
+    # same span crossed in 2,000 substeps.
+    pull, x0 = 0.1, math.pi / 2 - d
+    series, at = _taylor()
+    rho = series(x0, 0.0, pull, math.cos(x0))[2]
+    seg = pendulum_arc(pull, (x0, 0.0), 0.0, 50.0)
+    step = seg.times[1] - seg.times[0]
+    halvings = math.log2(rho / step)
+    assert halvings >= 1.0 and halvings == int(halvings)
+    x, y = x0, 0.0
+    for _ in range(2000):
+        xs, ys, _ = series(x, y, pull, math.cos(x))
+        x, y = at(xs, ys, step / 2000)
+    assert seg.states[1] == pytest.approx((x, y), rel=0.0, abs=10.0 * TAYLOR_TOL)
 
 
 def test_pendulum_arc_at_rest_point_takes_one_step():

@@ -322,6 +322,26 @@ def test_scaled_time_near_separatrix_start():
     assert abs(tab.rows[-1].eps_T - target) / target <= 0.10
 
 
+# Rests at and near the quarter turns x = +-pi/2, where cos x = 0: from
+# there the two orders that the Taylor step rule reads almost vanish, and
+# only the first-integral check of pendulum_arc keeps the first step short.
+QUARTER = math.pi / 2
+QUARTER_STARTS = ([QUARTER, -QUARTER, math.nextafter(QUARTER, 0.0), math.nextafter(QUARTER, 4.0)]
+                  + [QUARTER + s * d for d in (1e-12, 1e-7, 1e-4) for s in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("eps,T", [(0.2, 7.91615), (0.1, 19.15150), (0.05, 42.03807)])
+def test_rest_at_a_quarter_turn_is_captured(eps, T):
+    times = [simulate_damping(PhaseState(x0, 0.0), Params(eps), keep_samples=False).damping_time
+             for x0 in QUARTER_STARTS]
+    T0 = times[0]
+    assert T0 == pytest.approx(T, abs=1e-5)
+    assert times[1] == pytest.approx(T0, abs=1e-9)  # the mirror start
+    # T is continuous in x0: it moves by less than 20 |x0 - pi/2| there.
+    for x0, t in zip(QUARTER_STARTS[2:], times[2:]):
+        assert abs(t - T0) <= 20.0 * abs(x0 - QUARTER) + 1e-9
+
+
 def test_capture_energy_below_threshold():
     # The terminal state of a captured run sits inside the lower zone with
     # energy at most k_cap * eps^2.
