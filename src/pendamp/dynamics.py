@@ -65,8 +65,10 @@ def pendulum_rhs(pull: float):
     """The plant's field f(t, s) = (y, -sin x + pull) under a constant torque
     pull = eps*u, as a right-hand side for ``integrate``.
 
-    The one definition of the pendulum field: :func:`vector_field` and every
-    arc of the damping simulation evaluate it.
+    The one definition of the pendulum field: :func:`vector_field` and the
+    tests' DP5 oracle of the damping arcs evaluate it.  The damping arcs
+    themselves run on ``integrator.pendulum_arc``, whose Taylor recurrence
+    writes the field out.
     """
     sin = math.sin
 

@@ -108,14 +108,13 @@ _TAU_VALUES = np.array((
     4.895980923551947, 4.97700335954739, 5.057643665239851,
     5.1378956617899085, 5.21775561818078,
 ))
-_TAU_WIDTH, _TAU_RISE = np.diff(_TAU_KNOTS), np.diff(_TAU_VALUES)
 
 
-# The vectorised screens look energies up by segment: segment i holds
+# The bound looks energies up by segment: segment i holds
 # knots[i] <= E < knots[i + 1], and one more segment past the last knot,
 # where the bound is flat, holds E >= knots[-1].  On segment i the bound is
 # the line _SEG_BASE[i] + _SEG_SLOPE[i] E.
-_SEG_SLOPE = np.append(_TAU_RISE / _TAU_WIDTH, 0.0)
+_SEG_SLOPE = np.append(np.diff(_TAU_VALUES) / np.diff(_TAU_KNOTS), 0.0)
 _SEG_BASE = _TAU_VALUES - _TAU_KNOTS * _SEG_SLOPE
 _SEGMENTS = _SEG_SLOPE.size
 
@@ -153,6 +152,12 @@ def _tau_bound(E, i=None):
     if i is None:
         i = _segment(E)
     return _SEG_BASE.take(i) + _SEG_SLOPE.take(i) * np.maximum(E, 0.0)
+
+
+def _tau_bound_at(E: float) -> float:
+    """:func:`_tau_bound` at one energy, bit for bit: the same segment, line and clamp."""
+    i = bisect.bisect_right(_TAU_KNOTS, E, 1) - 1  # _segment(E), searched in the knots past the first
+    return _SEG_BASE.item(i) + _SEG_SLOPE.item(i) * max(E, 0.0)
 
 
 @dataclass
@@ -371,21 +376,6 @@ def _crossed(old, new):
     return a * (a - np.sign(new)) > 0.0
 
 
-_KNOTS_INNER = _TAU_KNOTS[1:-1].tolist()
-_TAU_LISTS = tuple(a.tolist() for a in (_TAU_KNOTS, _TAU_VALUES, _TAU_WIDTH, _TAU_RISE))
-
-
-def _tau_bound_at(E: float) -> float:
-    """:func:`_tau_bound` at one energy, with its arithmetic."""
-    knots, values, width, rise = _TAU_LISTS
-    if E <= 0.0:
-        return 0.0
-    if E >= knots[-1]:
-        return values[-1]
-    i = bisect.bisect_right(_KNOTS_INNER, E)
-    return values[i] + (E - knots[i]) / width[i] * rise[i]
-
-
 # The x-monotone pieces of an arc.  Between two zeros of y the lane's x is
 # monotone, and w = d x grows along the backward trace (d = sign of the
 # piece's x motion).  The arc's first integral y^2/2 - u eps x - cos x gives
@@ -487,9 +477,8 @@ def _gap_minima(wa: float, ya: float, wb: float, e: float, Ea: float, xtol: floa
     gap falls all along the piece and has no inner minimum.)
     """
     speed2 = _speed2(wa, ya, e)
-    knots, _, width, rise = _TAU_LISTS
     Eb = Ea + e * (wb - wa)
-    inner = knots[bisect.bisect_right(knots, Ea):bisect.bisect_left(knots, Eb)]
+    inner = _TAU_KNOTS[(Ea < _TAU_KNOTS) & (_TAU_KNOTS < Eb)].tolist()
     cuts = sorted(_cuts(wa, wb, e)[:-1] + [wa + (K - Ea) / e for K in inner if wa + (K - Ea) / e < wb])
     cuts.append(wb)
     minima = []
@@ -498,8 +487,7 @@ def _gap_minima(wa: float, ya: float, wb: float, e: float, Ea: float, xtol: floa
     for hi in cuts:
         shi = speed2(hi)
         E = Ea + e * (0.5 * (lo + hi) - wa)
-        i = bisect.bisect_right(knots, E) - 1
-        rho = rise[i] / width[i] if 0 <= i < len(width) else 0.0
+        rho = _SEG_SLOPE.item(bisect.bisect_right(_TAU_KNOTS, E, 1) - 1)  # E >= 0 here
         level = 1.0 / (rho * rho) if rho > 0.0 else math.inf
         up = slo >= level
         if rising is False and up:
@@ -740,9 +728,9 @@ def _residual_at(state, eps: float) -> float:
     return abs(y * P - math.sin(x) * Q + eps * abs(Q) - eps)
 
 
-def _gap_at(x: float, y: float, t: float, eps: float) -> float:
-    """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at the state (x, y) and time t."""
-    return _tau_bound_at(0.5 * y * y + 1.0 - math.cos(x)) / eps + OPTIMALITY_SLACK + t
+def _gap_at(E: float, t: float, eps: float) -> float:
+    """The budget gap tau(E)/eps + OPTIMALITY_SLACK + t at the energy E and time t."""
+    return _tau_bound_at(E) / eps + OPTIMALITY_SLACK + t
 
 
 def _locate(c, tau_end: float, t0: float, uk: float, xe: float, ye: float, Qe: float, sw: bool,
@@ -780,11 +768,11 @@ def _locate(c, tau_end: float, t0: float, uk: float, xe: float, ye: float, Qe: f
         Es = [0.5 * y * y + 1.0 - math.cos(x) for x, y in zip(xs, ys)]
         if y0 and not budget:
             # So the gap is at least its value at the least end energy and at the scan's end time.
-            budget = (_tau_bound_at(min(Es)) / gr.eps + OPTIMALITY_SLACK + t0 + unit * tau_e
-                      <= _SCREEN_SLACK)
+            budget = _gap_at(min(Es), t0 + unit * tau_e, gr.eps) <= _SCREEN_SLACK
         if budget:
             def gap(s: float) -> float:
-                return _gap_at(_horner(cx, s), _horner(cy, s), t0 + unit * s, gr.eps)
+                x, y = _horner(cx, s), _horner(cy, s)
+                return _gap_at(0.5 * y * y + 1.0 - math.cos(x), t0 + unit * s, gr.eps)
 
         for j in range(len(ends) - 1):
             a, b, xa, ya, xb = ends[j], ends[j + 1], xs[j], ys[j], xs[j + 1]
@@ -856,7 +844,7 @@ def _switch(blk: _LaneBlock, k: int, t_k: float, state, gr: _Group, log: _RunLog
     x, y, P, Q = state
     blk.t[k] = t_k
     blk.maxres[k] = max(blk.maxres[k], _residual_at(state, eps))
-    blk.gap_t[k] = _gap_at(x, y, t_k, eps)
+    blk.gap_t[k] = _gap_at(0.5 * y * y + 1.0 - math.cos(x), t_k, eps)
     log.switch_times.append(t_k)
     log.switch_states.append((x, y, P / eps, Q / eps))
     log.switch_in_zone.append(gr.zone_on and in_zone_xy(x, y, gr.thr))

@@ -149,9 +149,11 @@ def _abs_cos_antiderivative(t: float) -> float:
 def lin_support(xi: tuple[float, float], T: float) -> float:
     """Support function of the horizon-T reachable set from the origin:
     H_T(xi) = integral_0^T |xi_1 sin t + xi_2 cos t| dt, in closed form."""
-    if T < 0.0:
-        raise ValueError("horizon must be nonnegative")
     xi1, xi2 = xi
+    if not (math.isfinite(xi1) and math.isfinite(xi2)):
+        raise ValueError(f"xi must be finite, got ({xi1}, {xi2})")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"horizon T must be nonnegative and finite, got {T}")
     norm = math.hypot(xi1, xi2)
     if norm == 0.0:
         return 0.0

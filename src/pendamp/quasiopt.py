@@ -176,12 +176,6 @@ def _capture_entry(x: float, y: float, pull: float, thr: float, cap_energy: floa
         center += 2.0 * math.pi
 
 
-def _rest_control(x: float, eps: float) -> int:
-    """Control for the arc leaving a rest point (x, 0): oppose the upcoming
-    velocity, whose sign is that of the free acceleration -sin(x)."""
-    return 1 if math.sin(x) > 0.0 else -1
-
-
 def simulate_damping(
     p0: PhaseState,
     p: Params,
@@ -192,10 +186,12 @@ def simulate_damping(
 
     Each pass of the loop picks the next arc from the current state.  Coasts
     and the push away from the saddle are written out in their modes; every
-    dry-friction arc, whatever mode leads to it, runs under u = +-1 to the
-    next rest point, or to the capture, in the one block at the end of the
-    loop.  ``stats`` counts the arcs, their Taylor steps, the events located
-    on them and the worst residual |g| at those events.
+    dry-friction arc, whatever mode leads to it, runs in the one block at the
+    end of the loop, under the one control rule u = -sign(y), to the next
+    rest point or to the capture.  Without a capture the run stops at the
+    time budget, or once it has logged int(8 budget / pi) + 64 arcs, checked
+    between passes.  ``stats`` counts the arcs, their Taylor steps, the
+    events located on them and the worst residual |g| at those events.
     """
     if policy is None:
         policy = CapturePolicy()
@@ -205,13 +201,17 @@ def simulate_damping(
                          f"zones |sin x|, |y| < {ZONE_FACTOR} eps are not disjoint")
     if not (math.isfinite(policy.budget_factor) and policy.budget_factor > 0.0):
         raise ValueError(f"budget_factor must be positive and finite, got {policy.budget_factor}")
+    budget = policy.budget_factor / eps
+    if not math.isfinite(8.0 * budget):
+        raise ValueError(f"budget budget_factor / eps = {budget:g} at eps={eps} is too large: "
+                         f"the arc limit 8 budget / pi overflows")
+    max_arcs = int(8.0 * budget / math.pi) + 64
     k_min = 1.0 / (1.0 + math.sqrt(1.0 - eps * eps))
     if not (math.isfinite(policy.k_cap) and policy.k_cap >= k_min):
         raise ValueError(f"k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = {k_min:.6g}"
                          f" at eps={eps}, got {policy.k_cap}")
     thr = ZONE_FACTOR * eps
     cap_energy = policy.k_cap * eps * eps
-    budget = policy.budget_factor / eps
     coast_budget = COAST_BASE + COAST_LOG * math.log(1.0 / eps)
 
     # Every event is a level of x or y.  The push leaves the saddle where
@@ -234,12 +234,11 @@ def simulate_damping(
     all_s: list[tuple[float, ...]] = []
     sections: list[tuple[float, float]] = []
     rests: list[tuple[float, float]] = []
-    switch_count = 0
-    prev_arc_dry = False
-    work = [0, 0, 0, 0.0]  # arcs, steps, events, worst event residual
+    switch_count = steps = events_located = 0
+    residual_max = 0.0
 
     def record(seg: TrajectorySegment, mode: str, control: float):
-        nonlocal t, state, stop, failure
+        nonlocal t, state, stop, failure, steps, events_located, residual_max
         if keep_samples:
             start = 1 if all_t else 0
             all_t.extend(seg.times[start:])
@@ -249,21 +248,17 @@ def simulate_damping(
                                  (seg.states[-1][0], seg.states[-1][1])))
         t = seg.times[-1]
         state = seg.states[-1]
-        work[0] += 1
-        work[1] += len(seg.times) - 1
-        work[2] += len(seg.events)
-        work[3] = max(work[3], seg.event_residual)
+        steps += len(seg.times) - 1
+        events_located += len(seg.events)
+        residual_max = max(residual_max, seg.event_residual)
         if seg.stop_reason == STOP_STEP_FAILURE:
             stop, failure = STOP_STEP_FAILURE, seg.detail
 
     captured = False
     stop = STOP_BUDGET
     failure = ""  # the integrator's detail of a failed arc
-    guard = 0
-    max_arcs = int(8.0 * budget / math.pi) + 64
     while t < budget and not failure:
-        guard += 1
-        if guard > max_arcs:
+        if len(log) >= max_arcs:
             stop = STOP_ARC_LIMIT
             break
         x, yv = state
@@ -275,6 +270,7 @@ def simulate_damping(
             break
 
         events = to_rest
+        at_rest = False
         if tag is ZoneTag.UPPER and abs(yv) < 1e-9:
             # Rest near the saddle: wait for the fall through the bottom,
             # then dry friction from the bottom crossing down to the next rest.
@@ -287,9 +283,7 @@ def simulate_damping(
                     push = -1 if math.sin(x) > 0.0 else 1
                     seg = pendulum_arc(eps * push, state, t, t + coast_budget, [ev_leave_saddle])
                     record(seg, MODE_UPPER, float(push))
-                prev_arc_dry = False
                 continue
-            u = -1 if state[1] > 0.0 else 1
         elif en > 2.0 and abs(yv) > thr:
             # High energy: coast to the section unless already on it, then
             # dry friction through the rotation regime.
@@ -298,10 +292,8 @@ def simulate_damping(
                 # A coast that runs out of its budget creeps toward the saddle.
                 mode = MODE_UPPER if seg.stop_reason == STOP_TIME_LIMIT else MODE_COAST
                 record(seg, mode, 0.0)
-                prev_arc_dry = False
                 if seg.stop_reason != STOP_TERMINAL:
                     continue  # stalled rotation: re-enter mode selection
-            u = -1 if state[1] > 0.0 else 1
             events = to_rest_via_sections
         elif abs(yv) < 1e-9:
             # Low energy, at rest outside the zones.
@@ -311,16 +303,18 @@ def simulate_damping(
                 # |y| < 1e-9 is wider than the zone.
                 stop = STOP_STALL
                 break
-            if prev_arc_dry:
+            if log and log[-1].mode == MODE_DRY:
                 switch_count += 1
             rests.append((t, abs(reduce_angle(x))))
-            u = _rest_control(x, eps)
-        else:
-            u = -1 if yv > 0.0 else 1
+            at_rest = True
 
         # The dry-friction arc under u to the next rest point, or to the
-        # capture if the arc enters the capture set first.  x moves against u.
-        x_cap = _capture_entry(state[0], state[1], eps * u, thr, cap_energy)
+        # capture if the arc enters the capture set first.  u = -sign(y)
+        # opposes the velocity; from a rest, the velocity to come, whose sign
+        # is that of the free acceleration -sin x.  x moves against u.
+        x, yv = state
+        u = -1 if (-math.sin(x) if at_rest else yv) > 0.0 else 1
+        x_cap = _capture_entry(x, yv, eps * u, thr, cap_energy)
         if x_cap is not None:
             events = events + [EventSpec.at_level(Level(0, (x_cap,)), ANY, True, "capture")]
         seg = pendulum_arc(eps * u, state, t, t + budget, events)
@@ -331,8 +325,8 @@ def simulate_damping(
         if seg.events and seg.events[-1].label == "capture":
             captured = True
             break
-        prev_arc_dry = True
 
+    stats = DampingStats(len(log), steps, events_located, residual_max)
     terminal = PhaseState(state[0], state[1])
     trajectory = None
     if keep_samples:
@@ -350,12 +344,12 @@ def simulate_damping(
         trajectory=trajectory,
         section_speeds=sections,
         rest_amplitudes=rests,
-        stats=DampingStats(*work),
+        stats=stats,
     )
     if not captured:
         message = {
             STOP_BUDGET: f"no capture within budget {budget:.1f}",
-            STOP_ARC_LIMIT: f"no capture after {max_arcs} arcs, at t={t:.1f} of budget {budget:.1f}",
+            STOP_ARC_LIMIT: f"no capture after {stats.arcs} arcs, at t={t:.1f} of budget {budget:.1f}",
             STOP_STALL: (f"stalled at rest at x={state[0]:.6g}, outside the zones but with"
                          f" |sin x| <= eps, at t={t:.1f} of budget {budget:.1f}"),
             STOP_STEP_FAILURE: f"step failure: {failure}",

@@ -64,6 +64,8 @@ def test_tau_rejects_nonpositive_energy(capsys):
 
 SIMULATE = ("simulate", "--x0", "-2.5", "--y0", "0", "--epsilon", "0.1")
 K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at eps=0.1"
+BUDGET_OVERFLOW = ("budget budget_factor / eps = inf at eps=0.1 is too large: "
+                   "the arc limit 8 budget / pi overflows")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -86,9 +88,16 @@ K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at
     (("constants", "--tol", "inf"), "tol must be positive and finite, got inf"),
     (("simulate", "--x0", "0", "--y0", "1e200", "--epsilon", "0.1"),
      "step failure: Taylor series overflowed at t=0.0 at eps=0.1"),
+    (SIMULATE + ("--budget", "1e308"), BUDGET_OVERFLOW),
+    (("sweep", "--x0", "-2.5", "--y0", "0", "--eps-list", "0.1,0.05", "--budget", "1e308"),
+     BUDGET_OVERFLOW),
+    (("linear", "--support", "1", "1", "inf"), "horizon T must be nonnegative and finite, got inf"),
+    (("linear", "--support", "0", "0", "inf"), "horizon T must be nonnegative and finite, got inf"),
+    (("linear", "--support", "nan", "1", "3"), "xi must be finite, got (nan, 1.0)"),
 ], ids=["quadrature", "merged-zones", "E-nan", "E-inf", "budget-nan", "budget-inf", "budget-1",
         "capture-k-1", "capture-k-nan", "sweep-budget-nan", "tau-tol-nan", "tau-tol-inf",
-        "constants-tol-nan", "constants-tol-inf", "step-failure"])
+        "constants-tol-nan", "constants-tol-inf", "step-failure", "budget-overflow",
+        "sweep-budget-overflow", "support-T-inf", "support-zero-xi-T-inf", "support-xi-nan"])
 def test_computation_failure_exits_1(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -27,6 +27,7 @@ from pendamp.extremal import (
     _SeriesBlock,
     _step_rule,
     _tau_bound,
+    _tau_bound_at,
     max_switchings,
     phi_grid,
     run_diagnostics,
@@ -192,6 +193,20 @@ def test_cuts_and_exits_are_located(eps):
         reasons.add(run.stop_reason)
     assert {STOP_OPTIMALITY, STOP_STANDSTILL} <= reasons
     assert 0.0 < work.event_residual_max <= EVENT_TOL
+
+
+def test_scalar_tau_bound_is_the_vector_bound_bit_for_bit():
+    # The scalar location and the vector screen read one table: on each
+    # energy, as on its neighbouring floats, they give the same float.
+    knots = extremal._TAU_KNOTS
+    energies = np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [0.0, -0.0, -1e-300, -1e-12, -0.5, -3.0, 6.5, 1e3, 1e300],
+        np.linspace(-0.5, knots[-1] + 0.5, 20001),
+    ])
+    scalar = [_tau_bound_at(E) for E in energies.tolist()]
+    vector = _tau_bound(energies).tolist()
+    assert [a.hex() for a in scalar] == [b.hex() for b in vector]
 
 
 def test_first_order_coefficients_are_the_field():

@@ -151,6 +151,18 @@ class TestSupportFunction:
         with pytest.raises(ValueError):
             lin_support((1.0, 0.0), -1.0)
 
+    @pytest.mark.parametrize("xi,T,message", [
+        ((1.0, 1.0), math.inf, "horizon T must be nonnegative and finite, got inf"),
+        ((0.0, 0.0), math.inf, "horizon T must be nonnegative and finite, got inf"),
+        ((1.0, 1.0), math.nan, "horizon T must be nonnegative and finite, got nan"),
+        ((math.nan, 1.0), 3.0, "xi must be finite, got (nan, 1.0)"),
+        ((1.0, -math.inf), 3.0, "xi must be finite, got (1.0, -inf)"),
+    ], ids=["T-inf", "zero-xi-T-inf", "T-nan", "xi-nan", "xi-inf"])
+    def test_rejects_non_finite_inputs(self, xi, T, message):
+        with pytest.raises(ValueError) as exc:
+            lin_support(xi, T)
+        assert str(exc.value) == message
+
 
 class TestPhi0:
     def test_paper_value(self):

@@ -15,6 +15,7 @@ from pendamp.quasiopt import (
     MODE_COAST,
     MODE_DRY,
     MODE_UPPER,
+    STOP_ARC_LIMIT,
     STOP_BUDGET,
     STOP_STALL,
     STOP_STEP_FAILURE,
@@ -27,6 +28,7 @@ from oracles import oracle_pendulum_arc
 
 
 K_CAP_BOUND = "k_cap must be finite and >= 1/(1 + sqrt(1 - eps^2)) = 0.501256 at eps=0.1"
+ARC_LIMIT_OVERFLOW = "is too large: the arc limit 8 budget / pi overflows"
 
 
 def no_integration(*args, **kw):
@@ -204,6 +206,26 @@ class TestSimulateDamping:
         assert exc.value.reason == STOP_BUDGET
         assert {e.mode for e in exc.value.result.phase_log} == {MODE_UPPER}
 
+    @pytest.mark.parametrize("start,arcs", [((-2.5, 0.0), 89), ((math.pi - 0.01, 0.0), 90)],
+                             ids=["dry-arcs", "coast-and-push"])
+    def test_arc_limit_counts_arcs(self, monkeypatch, start, arcs):
+        # Arcs that end at once, short of every event, never reach the budget.
+        # At budget 10 the limit is int(8 * 10 / pi) + 64 = 89 arcs.  From
+        # rest outside the zones each pass runs one dry arc.  From rest near
+        # the saddle each pass runs a coast and a push, so the limit, checked
+        # between passes, stops the run at 90.
+        def creeping_arc(pull, s0, t0, t_limit, events=()):
+            return TrajectorySegment([t0, t0 + 1e-9], [tuple(s0)] * 2, [], STOP_TIME_LIMIT)
+
+        monkeypatch.setattr(quasiopt, "pendulum_arc", creeping_arc)
+        with pytest.raises(DampingNonConvergence) as exc:
+            simulate_damping(PhaseState(*start), Params(0.1), CapturePolicy(budget_factor=1.0))
+        assert exc.value.reason == STOP_ARC_LIMIT
+        res = exc.value.result
+        assert res.stats.arcs == len(res.phase_log) == arcs
+        assert str(exc.value) == (f"no capture after {res.stats.arcs} arcs, at t=0.0 of budget 10.0"
+                                  " at eps=0.1")
+
     def test_failed_upper_coast_makes_no_push(self, monkeypatch):
         # At rest near the saddle the coast is followed by a push arc only
         # when it stalls, not when its step fails.
@@ -223,11 +245,16 @@ class TestSimulateDamping:
         (CapturePolicy(budget_factor=math.inf), "budget_factor must be positive and finite, got inf"),
         (CapturePolicy(budget_factor=-1.0), "budget_factor must be positive and finite, got -1.0"),
         (CapturePolicy(budget_factor=0.0), "budget_factor must be positive and finite, got 0.0"),
+        (CapturePolicy(budget_factor=1e308), f"budget budget_factor / eps = inf at eps=0.1 "
+                                             f"{ARC_LIMIT_OVERFLOW}"),
+        (CapturePolicy(budget_factor=1e307), f"budget budget_factor / eps = 1e+308 at eps=0.1 "
+                                             f"{ARC_LIMIT_OVERFLOW}"),
         (CapturePolicy(k_cap=-1.0), f"{K_CAP_BOUND}, got -1.0"),
         (CapturePolicy(k_cap=math.nan), f"{K_CAP_BOUND}, got nan"),
         (CapturePolicy(k_cap=math.inf), f"{K_CAP_BOUND}, got inf"),
         (CapturePolicy(k_cap=0.5), f"{K_CAP_BOUND}, got 0.5"),
-    ], ids=["budget-nan", "budget-inf", "budget-1", "budget0", "k-1", "k-nan", "k-inf", "k0.5"])
+    ], ids=["budget-nan", "budget-inf", "budget-1", "budget0", "budget-overflow", "arc-limit-overflow",
+            "k-1", "k-nan", "k-inf", "k0.5"])
     def test_capture_policy_is_checked_before_any_integration(self, monkeypatch, policy,
                                                                 message):
         monkeypatch.setattr(quasiopt, "pendulum_arc", no_integration)
