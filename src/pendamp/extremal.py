@@ -20,7 +20,6 @@ control sign are scale invariant.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
@@ -264,13 +263,6 @@ def run_diagnostics(run: ExtremalRun) -> RunDiagnostics:
 # depend on the batch it rides in.
 
 
-@functools.lru_cache(maxsize=8)
-def _series_factors(unit: float):
-    """H / k for k = 0..TAYLOR_ORDER (0 at k = 0), and each as the column (H/k, -H/k)."""
-    factors = [unit / k if k else 0.0 for k in range(TAYLOR_ORDER + 1)]
-    return factors, [np.array([[f], [-f]]) for f in factors]
-
-
 class _SeriesBlock:
     """The Taylor series of the canonical field on a block of a fixed number of lanes.
 
@@ -280,23 +272,26 @@ class _SeriesBlock:
     lane, and returns it: the (TAYLOR_ORDER + 1, 4, lanes) coefficients.
 
     Z holds (x, y, eps phi, eps psi) = (x, y, P, Q) per lane.  The series is
-    in the step variable tau = (t - t0) / H, for the time unit H = ``unit``.
-    With the pair S = sin x, C = cos x, whose derivatives are S' = C x',
-    C' = -S x', and x' = y,
+    in the step variable tau = (t - t0) / H, for the time unit H = ``unit``,
+    one value for all lanes or one per lane.  With the pair S = sin x,
+    C = cos x, whose derivatives are S' = C x', C' = -S x', and x' = y,
 
         k S_k = H sum_{j=1..k} y_{j-1} C_{k-j},   k C_k = -H sum_{j=1..k} y_{j-1} S_{k-j},
         (k+1) x_{k+1} = H y_k,   (k+1) y_{k+1} = H (ueps [k = 0] - S_k),
         (k+1) P_{k+1} = H sum_{j=0..k} C_j Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
 
-    At H = 1 the first-order coefficients are the field itself, bit for
-    bit.  A block holds at least two lanes: numpy sums a one-lane block
-    along its one remaining axis pairwise, not row by row, so one lane is
-    traced doubled.
+    The factors H/k are built per lane, so a lane's coefficients do not
+    depend on the units of the others.  At H = 1 the first-order
+    coefficients are the field itself, bit for bit.  A block holds at least
+    two lanes: numpy sums a one-lane block along its one remaining axis
+    pairwise, not row by row, so one lane is traced doubled.
     """
 
-    def __init__(self, lanes: int, unit: float):
+    def __init__(self, lanes: int, unit):
         n = TAYLOR_ORDER
-        factors, signed = _series_factors(unit)
+        unit = np.broadcast_to(np.asarray(unit, dtype=float), (lanes,))
+        factors = {k: unit / k for k in range(1, n + 1)}  # H/k per lane
+        signed = {k: np.stack((f, -f)) for k, f in factors.items()}  # the rows (H/k, -H/k)
         self.cf = cf = np.empty((n + 1, 4, lanes))
         sc = np.empty((n, 2, lanes))  # (S_k, C_k)
         # Order k sums y_{j-1} (S, C)_{k-j} over j = 1..k and, for P_k,
@@ -304,7 +299,7 @@ class _SeriesBlock:
         terms = np.empty((n, 3, lanes))
         sums = np.empty((3, lanes))
         ys, Qs = cf[:, 1, None], cf[:, 3]
-        self.first = (sc[0, 0], sc[0, 1], factors[1])
+        self.first = (sc[0, 0], sc[0, 1], factors[1], -factors[1])
         self.orders = [
             (ys[:k], sc[k - 1::-1], terms[:k, :2], sc[:k, 1], Qs[k - 1::-1], terms[:k, 2], terms[:k],
              sums, sums[1::-1], signed[k], sc[k], sums[2], factors[k], cf[k, 2], cf[k, 1:3],
@@ -315,7 +310,7 @@ class _SeriesBlock:
 
     def __call__(self, Z, ueps):
         cf = self.cf
-        S, C, f = self.first
+        S, C, f, mf = self.first
         add, mul = np.add.reduce, np.multiply
         cf[0] = Z
         x, y, P, Q = Z
@@ -324,7 +319,7 @@ class _SeriesBlock:
         mul(y, f, out=cf[1, 0])
         np.subtract(ueps, S, out=cf[1, 1])
         cf[1, 1] *= f
-        mul(P, -f, out=cf[1, 3])
+        mul(P, mf, out=cf[1, 3])
         for (ys, sc_rev, yt, Cs, Qs_rev, Pt, terms, sums, sums_rev, sg, sc_k, Psum, f, P_k, yP, sg1,
              xQ, S_k, mf, y1) in self.orders:
             # out as the third argument: the keyword costs more than these small products.
@@ -544,21 +539,11 @@ class LaneWork:
     peak_lanes: int = 0
     stops: dict[str, int] = field(default_factory=dict)
 
-    def add(self, other: LaneWork) -> None:
-        """Add the work of ``other`` to this record."""
-        self.batches += other.batches
-        self.batch_steps += other.batch_steps
-        self.lane_steps += other.lane_steps
-        self.events += other.events
-        self.event_residual_max = max(self.event_residual_max, other.event_residual_max)
-        self.peak_lanes = max(self.peak_lanes, other.peak_lanes)
-        for reason, runs in other.stops.items():
-            self.stops[reason] = self.stops.get(reason, 0) + runs
-
 
 class _Group:
     """The values of one eps that trace_lanes uses, for the lanes of a block that share eps and stop_at.
 
+    unit is the Taylor time unit H = 1/max(1, eps) of its lanes' series;
     t_limit is the time budget's end; thr, thr2 and zone_on the standstill
     zone |y| < thr, |sin x| < thr and whether it exists (thr < 1); band_reach
     and band_edge its bands around k pi, widened and narrowed by the screens'
@@ -567,11 +552,12 @@ class _Group:
     (cos x > 0) and from E_top on (cos x < 0), and y^2 <= 2 E there.
     """
 
-    __slots__ = ("eps", "stop_at", "t_limit", "thr", "thr2", "zone_on", "band_reach", "band_edge",
-                 "ce", "max_arcs", "E_bottom", "E_top")
+    __slots__ = ("eps", "stop_at", "unit", "t_limit", "thr", "thr2", "zone_on", "band_reach",
+                 "band_edge", "ce", "max_arcs", "E_bottom", "E_top")
 
     def __init__(self, eps: float, stop_at: int | None):
         self.eps, self.stop_at = eps, stop_at
+        self.unit = 1.0 / max(1.0, eps)
         t_budget = TIME_BUDGET_FACTOR / eps
         self.t_limit = -t_budget
         self.thr = thr = ZONE_FACTOR * eps
@@ -601,9 +587,9 @@ class _LaneBlock:
 
     def __init__(self, g, sgn, grp, gs: list[_Group]):
         n = g.size
-        self.eps, self.t_limit, self.thr2, zone, self.band_reach, self.band_edge, self.ce = (
+        self.eps, self.unit, self.t_limit, self.thr2, zone, self.band_reach, self.band_edge, self.ce = (
             np.array([getattr(gr, a) for gr in gs], dtype=float)[grp]
-            for a in ("eps", "t_limit", "thr2", "zone_on", "band_reach", "band_edge", "ce"))
+            for a in ("eps", "unit", "t_limit", "thr2", "zone_on", "band_reach", "band_edge", "ce"))
         self.zone = zone > 0.0
         self.lane, self.grp = np.arange(n), grp
         self.Z = np.zeros((4, n))
@@ -624,14 +610,14 @@ class _LaneBlock:
         self.live[m:] = False
         return keep.size
 
-    def step(self, series: _SeriesBlock, unit: float):
+    def step(self, series: _SeriesBlock):
         """One Taylor step on every lane, clipped at its time budget: the series, the step in its
         variable, the time and state at its end, and whether it is the last and is finite."""
         cf = series(self.Z, self.ueps)
         rho = _step_rule(cf)
-        t_new = self.t - unit * rho
+        t_new = self.t - self.unit * rho
         last = ~(t_new > self.t_limit)
-        tau = np.where(last, (self.t_limit - self.t) / unit, -rho)
+        tau = np.where(last, (self.t_limit - self.t) / self.unit, -rho)
         np.copyto(t_new, self.t_limit, where=last)
         Zn = _horner_lanes(cf, tau)
         return cf, tau, t_new, Zn, last, (rho > 0.0) & np.isfinite(Zn).all(axis=0)
@@ -734,12 +720,13 @@ def _gap_at(E: float, t: float, eps: float) -> float:
 
 
 def _locate(c, tau_end: float, t0: float, uk: float, xe: float, ye: float, Qe: float, sw: bool,
-            y0: bool, scan: bool, budget: bool, arm: bool, gr: _Group, unit: float, work: LaneWork):
+            y0: bool, scan: bool, budget: bool, arm: bool, gr: _Group, work: LaneWork):
     """The first event on one lane-step that the screen flagged, on the step's polynomials.
 
-    c holds the series (x, y, P, Q) in s, at time t0 + unit s, over the step
-    from s = 0 to tau_end, where (x, y, Q) is (xe, ye, Qe); uk is u eps, arm
-    the armed flag, gr the group, and sw, y0, scan and budget the screen's flags.
+    c holds the series (x, y, P, Q) in s, at time t0 + H s for the group's
+    unit H, over the step from s = 0 to tau_end, where (x, y, Q) is
+    (xe, ye, Qe); uk is u eps, arm the armed flag, gr the group, and sw, y0,
+    scan and budget the screen's flags.
     The switch ends the scan; the x-monotone pieces before it, split at the
     zero of y, are searched in order for the speed exit and the zone
     (:func:`_piece_hit`) and the budget line (:func:`_gap_minima`).  Returns
@@ -763,16 +750,16 @@ def _locate(c, tau_end: float, t0: float, uk: float, xe: float, ye: float, Qe: f
     xs.append(xe)
     ys.append(ye)
     if scan or budget:
-        xtol = _ROOT_TOL["xtol"] * unit
+        xtol = _ROOT_TOL["xtol"] * gr.unit
         # The energy is monotone on each piece, between its values at the piece's ends.
         Es = [0.5 * y * y + 1.0 - math.cos(x) for x, y in zip(xs, ys)]
         if y0 and not budget:
             # So the gap is at least its value at the least end energy and at the scan's end time.
-            budget = _gap_at(min(Es), t0 + unit * tau_e, gr.eps) <= _SCREEN_SLACK
+            budget = _gap_at(min(Es), t0 + gr.unit * tau_e, gr.eps) <= _SCREEN_SLACK
         if budget:
             def gap(s: float) -> float:
                 x, y = _horner(cx, s), _horner(cy, s)
-                return _gap_at(0.5 * y * y + 1.0 - math.cos(x), t0 + unit * s, gr.eps)
+                return _gap_at(0.5 * y * y + 1.0 - math.cos(x), t0 + gr.unit * s, gr.eps)
 
         for j in range(len(ends) - 1):
             a, b, xa, ya, xb = ends[j], ends[j + 1], xs[j], ys[j], xs[j + 1]
@@ -822,7 +809,7 @@ def _locate(c, tau_end: float, t0: float, uk: float, xe: float, ye: float, Qe: f
         state = [xe, ye, _horner(cP, tau_e), 0.0 * cQ[0]]
     elif kind is not None:
         state = [_horner(ck, tau_e) for ck in c]
-    y0_times = (t0 + unit * ends[1],) if len(ends) == 3 and ends[1] > tau_e else ()
+    y0_times = (t0 + gr.unit * ends[1],) if len(ends) == 3 and ends[1] > tau_e else ()
     return kind, tau_e, state, arm, y0_times
 
 
@@ -878,7 +865,7 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
 
     Each lane of the block (:class:`_LaneBlock`) steps by the Taylor series
     of the canonical field (:class:`_SeriesBlock`) over Jorba and Zou's
-    step (:func:`_step_rule`), in units of H = 1/max(1, eps).  Screens
+    step (:func:`_step_rule`), in its group's time unit H.  Screens
     (:func:`_screen`) send only the lane-steps that may hold an event to the
     scalar location (:func:`_locate`) of the switch, the speed exit, the
     standstill zone and the optimality budget line.  A non-finite step is a
@@ -886,11 +873,12 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
 
     ``p`` is one Params or one per lane, and ``stop_at`` one int or None or
     one per lane.  The lanes that share eps and stop_at form a group
-    (:class:`_Group`); a lane's run does not depend on the other groups.  A
-    block has one time unit H.  A group with ``stop_at`` is a witness search:
-    it ends once one of its runs reaches that allowed count, and once one of
-    its lanes has made that many switchings, only that lane runs on.  The
-    lanes dropped or still running in an ended group come back as None.
+    (:class:`_Group`); a lane's run does not depend on the other groups, so
+    lanes of any eps share a block.  A group with ``stop_at`` is a witness
+    search: it ends once one of its runs reaches that allowed count, and
+    once one of its lanes has made that many switchings, only that lane runs
+    on.  The lanes dropped or still running in an ended group come back as
+    None.
     """
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
@@ -906,10 +894,6 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
     groups: dict[tuple[float, int | None], int] = {}
     grp = np.array([groups.setdefault((q.epsilon, k), len(groups)) for q, k in zip(ps, stops)],
                    dtype=np.intp)
-    units = {1.0 / max(1.0, eps) for eps, _ in groups}
-    if len(units) > 1:
-        raise ValueError(f"one block holds one time unit 1/max(1, eps), got {sorted(units)}")
-    unit = units.pop() if units else 1.0
     work = LaneWork() if work is None else work
     work.batches += 1
     work.peak_lanes = max(work.peak_lanes, n)
@@ -922,10 +906,11 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while (m := int(np.count_nonzero(blk.live))) > 0:
             if series is None or (2 * m <= blk.lane.size and blk.lane.size > 2):
-                series = _SeriesBlock(blk.compact(), unit)
+                width = blk.compact()
+                series = _SeriesBlock(width, blk.unit)
             work.batch_steps += 1
             work.lane_steps += m
-            cf, tau, t_new, Zn, last, ok = blk.step(series, unit)
+            cf, tau, t_new, Zn, last, ok = blk.step(series)
             # The lanes that stop in this step, (k, reason, state), end after the commit; timeouts last.
             done = [(k, STOP_STEP_FAILURE, blk.Z[:, k].tolist()) for k in (blk.live & ~ok).nonzero()[0]]
             blk.live &= ok
@@ -942,17 +927,17 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
                                                 sw, y0, scan, budget, last, blk.armed))):
                 gr = gs[gk]
                 kind, tau_e, state, blk.armed[k], y0s = _locate(
-                    c, tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k, budget_k, arm, gr, unit, work)
+                    c, tau_end, t0, uk, xe, ye, Qe, sw_k, y0_k, scan_k, budget_k, arm, gr, work)
                 logs[i].y_zero_times.extend(y0s)
                 if kind is None:
                     commit[k] = True
                     if last_k:
                         timeouts.append((k, STOP_TIME_BUDGET, [xe, ye, Pe, Qe]))
                 elif kind != _SWITCH:
-                    blk.t[k] = t0 + unit * tau_e
+                    blk.t[k] = t0 + gr.unit * tau_e
                     done.append((k, _REASON[kind], state))
                 else:
-                    switches = _switch(blk, k, t0 + unit * tau_e, state, gr, logs[i])
+                    switches = _switch(blk, k, t0 + gr.unit * tau_e, state, gr, logs[i])
                     if gr.stop_at is not None and switches >= gr.stop_at:
                         sure.append(k)
                     if blk.arcs[k] == gr.max_arcs:
@@ -1192,15 +1177,14 @@ def _scan(p: Params, policy: SweepPolicy, stop_at: int | None, work: LaneWork):
 def _run_scans(scans: dict, work: LaneWork):
     """Run the scans in ``scans`` (key -> :func:`_scan`) together; yield their answers.
 
-    Each round traces the pending batch of every scan as one trace_lanes
-    block, or one block per time unit where scans at eps > 1 differ in it,
-    and ``work`` counts the blocks.  After each round it yields what the
-    scans answered, as (key, max_allowed, result): a provisional answer
-    (result None) when a scan's grid round is in, and the final one with
-    the SweepResult when it ends, after which the scan leaves ``scans``.
-    Between yields the caller may add scans, which join the next round, and
-    close and remove scans, which then trace no further batch and answer
-    nothing more.  A lane's run does not depend on its block, so each
+    Each round traces the pending batches of all scans, at any eps, as one
+    trace_lanes block, and ``work`` counts the blocks.  After each round it
+    yields what the scans answered, as (key, max_allowed, result): a
+    provisional answer (result None) when a scan's grid round is in, and the
+    final one with the SweepResult when it ends, after which the scan leaves
+    ``scans``.  Between yields the caller may add scans, which join the next
+    round, and close and remove scans, which then trace no further batch and
+    answer nothing more.  A lane's run does not depend on its block, so each
     result is the one the scan gets alone.
     """
     batches, answered = {}, []
@@ -1219,19 +1203,15 @@ def _run_scans(scans: dict, work: LaneWork):
     while scans:
         for key in [k for k in scans if k not in batches]:
             advance(key)
-        blocks: dict[float, list] = {}
-        for key, (p, *_) in batches.items():
-            blocks.setdefault(1.0 / max(1.0, p.epsilon), []).append(key)
-        for keys in blocks.values():
-            parts = [batches.pop(key) for key in keys]
-            runs = trace_lanes([g for _, gs, _, _ in parts for g in gs],
-                               [s for _, _, ss, _ in parts for s in ss],
-                               [p for p, gs, _, _ in parts for _ in gs],
-                               [k for _, gs, _, k in parts for _ in gs], work)
-            start = 0
-            for key, (_, gs, _, _) in zip(keys, parts):
-                advance(key, runs[start:start + len(gs)])
-                start += len(gs)
+        parts, batches = batches, {}
+        runs = trace_lanes([g for _, gs, _, _ in parts.values() for g in gs],
+                           [s for _, _, ss, _ in parts.values() for s in ss],
+                           [p for p, gs, _, _ in parts.values() for _ in gs],
+                           [k for _, gs, _, k in parts.values() for _ in gs], work)
+        start = 0
+        for key, (_, gs, _, _) in parts.items():
+            advance(key, runs[start:start + len(gs)])
+            start += len(gs)
         ready, answered = answered, []
         for key, count, result in ready:
             if key not in scans:

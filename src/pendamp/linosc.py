@@ -75,16 +75,25 @@ class LinDampingResult:
         return len(self.switch_points)
 
 
+# The filters of _first_curve_hit admit |x* - c| up to 1 + 1e-12 and y^2 down
+# to -1e-15, which moves the reach |r - 1| <= |c - cx| <= r + 1 by less than
+# 1e-7; the slack covers that and the rounding of x*.
+_REACH_SLACK = 1e-6
+
+
 def _first_curve_hit(u: int, cx: float, r: float, th0: float) -> tuple[float, float, float] | None:
     """First clockwise intersection of the arc about (u,0) with the curve.
 
     Returns (delta_angle, x, y) or None.  Candidate pieces are unit circles
-    about the odd integers within reach; the piece sign filter keeps y <= 0
-    for x > 0 pieces and y >= 0 for mirrored ones.
+    about the odd integers c that the arc's circle can meet: those with
+    |r - 1| <= |c - cx| <= r + 1 (widened by _REACH_SLACK), and so, as
+    |cx| = 1, |r - 1| - 1 <= |c| <= r + 2.  The piece sign filter keeps
+    y <= 0 for x > 0 pieces and y >= 0 for mirrored ones.
     """
     best = None
+    c_min = 2 * math.floor((abs(r - 1.0) - _REACH_SLACK - 2.0) / 2.0) + 1  # odd, at most |r - 1| - 1
     c_max = int(math.ceil(abs(cx) + r + 1.0))
-    for c_abs in range(1, c_max + 1, 2):
+    for c_abs in range(max(1, c_min), c_max + 1, 2):
         for c in (float(c_abs), -float(c_abs)):
             d = c - cx
             if d == 0.0:
@@ -117,6 +126,11 @@ def lin_simulate(p0: LinState, max_arcs: int = 10_000) -> LinDampingResult:
     switches: list[tuple[float, float]] = []
     if x == 0.0 and y == 0.0:
         return LinDampingResult(0.0, [])
+    # An arc turns the state about (+-1, 0), so it ends at most 2 closer to the origin.
+    dist = math.hypot(x, y)
+    if dist > 2 * max_arcs:
+        raise RuntimeError(f"start ({x}, {y}) is {dist} from the origin, farther than "
+                           f"2 * max_arcs = {2 * max_arcs}: an arc comes at most 2 closer")
     u = lin_feedback(p0)
     for _ in range(max_arcs):
         cx = float(u)

@@ -94,10 +94,14 @@ BUDGET_OVERFLOW = ("budget budget_factor / eps = inf at eps=0.1 is too large: "
     (("linear", "--support", "1", "1", "inf"), "horizon T must be nonnegative and finite, got inf"),
     (("linear", "--support", "0", "0", "inf"), "horizon T must be nonnegative and finite, got inf"),
     (("linear", "--support", "nan", "1", "3"), "xi must be finite, got (nan, 1.0)"),
+    (("linear", "--x0", "1e300", "--y0", "0"),
+     "start (1e+300, 0.0) is 1e+300 from the origin, farther than 2 * max_arcs = 20000: "
+     "an arc comes at most 2 closer"),
 ], ids=["quadrature", "merged-zones", "E-nan", "E-inf", "budget-nan", "budget-inf", "budget-1",
         "capture-k-1", "capture-k-nan", "sweep-budget-nan", "tau-tol-nan", "tau-tol-inf",
         "constants-tol-nan", "constants-tol-inf", "step-failure", "budget-overflow",
-        "sweep-budget-overflow", "support-T-inf", "support-zero-xi-T-inf", "support-xi-nan"])
+        "sweep-budget-overflow", "support-T-inf", "support-zero-xi-T-inf", "support-xi-nan",
+        "linear-far-start"])
 def test_computation_failure_exits_1(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()

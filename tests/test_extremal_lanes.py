@@ -222,6 +222,22 @@ def test_first_order_coefficients_are_the_field():
     assert (cf[1] == field).all()
 
 
+def test_series_unit_is_per_lane():
+    # A block of lanes with one unit each gives, bit for bit, each lane's
+    # coefficients in a block of its own unit.
+    rng = np.random.default_rng(6)
+    units = np.array([1.0, 0.5, 1 / 3, 1 / 9.5, 1 / 11.0, 1.0])
+    m = units.size
+    z = np.vstack([rng.uniform(-7, 7, m), rng.uniform(-2.3, 2.3, m), rng.uniform(-4, 4, m),
+                   rng.uniform(-1.5, 1.5, m)])
+    ueps = rng.choice([-1.0, 1.0], m) / units
+    cf = _SeriesBlock(m, units)(z, ueps).copy()
+    for k, unit in enumerate(units.tolist()):
+        alone = _SeriesBlock(m, unit)(z, ueps)
+        assert [v.hex() for v in cf[:, :, k].ravel().tolist()] == \
+            [v.hex() for v in alone[:, :, k].ravel().tolist()]
+
+
 def test_series_matches_the_textbook_recurrences():
     rng = np.random.default_rng(4)
     z = np.vstack([rng.uniform(-7, 7, 40), rng.uniform(-2.3, 2.3, 40), rng.uniform(-4, 4, 40),
@@ -546,12 +562,15 @@ def test_rejects_a_params_or_stop_at_per_lane_of_another_length():
         trace_lanes([0.0, 1.0], [1, 1], Params(0.3), [3, None, 3])
 
 
-MIXED_EPS = (0.19, 0.2776, 0.45, 0.6)  # at 0.6 the zone is off: thr = 1.2 >= 1
+# At 0.6 the zone is off: thr = 1.2 >= 1.  Above eps = 1 each eps has its
+# own series time unit 1/eps.
+MIXED_EPS = (0.19, 0.2776, 0.45, 0.6, 1.0, 2.0, 3.0, 9.5, 11.0)
 
 
 def test_mixed_eps_block_is_bit_identical():
-    # One block holds lanes at four eps, in shuffled order; each lane is its
-    # run in a block of its own eps, and the block does the same work.
+    # One block holds lanes at nine eps and five time units, in shuffled
+    # order; each lane is its run in a block of its own eps, and the block
+    # does the same work.
     jobs = [(eps, g, s) for eps in MIXED_EPS for g, s in grid_jobs(16)]
     random.Random(3).shuffle(jobs)
     alone, single = {}, LaneWork()
@@ -595,26 +614,17 @@ def test_stop_at_group_ends_while_another_runs_on(monkeypatch):
     assert widths[0] == 2 * n and widths == sorted(widths, reverse=True) and min(widths) < n
 
 
-def test_one_block_has_one_time_unit(monkeypatch):
-    # Above eps = 1 the series unit is 1/eps: scans at different eps > 1
-    # run side by side in blocks of their own.
-    with pytest.raises(ValueError, match="one time unit"):
-        trace_lanes([0.0, 1.0], [1, 1], [Params(2.0), Params(3.0)])
-    units, blocks = [], []
-
-    class Block(extremal._SeriesBlock):
-        def __init__(self, width, unit):
-            units.append(unit)
-            super().__init__(width, unit)
+def test_scans_at_any_eps_share_a_block(monkeypatch):
+    # Above eps = 1 the series unit is 1/eps, a value of each lane: the two
+    # ends of the bracket and its first midpoint start in one block.
+    blocks = []
 
     def spy(g, signs, p, *args, **kw):
-        blocks.append({1.0 / max(1.0, q.epsilon) for q in p})
+        blocks.append(list(dict.fromkeys(q.epsilon for q in p)))
         return trace_lanes(g, signs, p, *args, **kw)
 
-    monkeypatch.setattr(extremal, "_SeriesBlock", Block)
     monkeypatch.setattr(extremal, "trace_lanes", spy)
-    extremal.find_bifurcation(1, bracket=(8.0, 11.0), tol=0.5, policy=SweepPolicy(grid_points=16))
-    assert all(len(b) == 1 for b in blocks)
-    assert {1 / 8.0, 1 / 9.5, 1 / 11.0} <= {u for b in blocks for u in b} == set(units)
-    # The ends and the first midpoint start together: three blocks, one per unit.
-    assert [b.pop() for b in blocks[:3]] == [1 / 8.0, 1 / 11.0, 1 / 9.5]
+    row = extremal.find_bifurcation(1, bracket=(8.0, 11.0), tol=0.5,
+                                    policy=SweepPolicy(grid_points=16))
+    assert blocks[0] == [8.0, 11.0, 9.5]
+    assert row.stats.batches == len(blocks)

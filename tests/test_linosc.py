@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from pendamp import linosc
 from pendamp.linosc import (
+    TWO_PI,
     LinState,
     curve_height,
     lin_feedback,
@@ -104,8 +108,59 @@ class TestSimulate:
         assert res.damping_time == 0.0
 
     def test_arc_budget_exhausted(self):
-        with pytest.raises(RuntimeError, match="arc budget exhausted after 1 arcs"):
-            lin_simulate(LinState(0.0, 20.0), max_arcs=1)
+        # The start is 2 * max_arcs from the origin, in reach, but its run
+        # takes 11 arcs: the loop runs out.
+        with pytest.raises(RuntimeError, match="arc budget exhausted after 10 arcs"):
+            lin_simulate(LinState(0.0, 20.0), max_arcs=10)
+
+    def test_far_start_rejected_before_any_arc(self, monkeypatch):
+        def no_arc(*args):
+            raise AssertionError("an arc ran")
+
+        monkeypatch.setattr(linosc, "_first_curve_hit", no_arc)
+        with pytest.raises(RuntimeError, match=r"start \(1e\+300, 0.0\) is 1e\+300 from the origin, "
+                           r"farther than 2 \* max_arcs = 20000: an arc comes at most 2 closer"):
+            lin_simulate(LinState(1e300, 0.0))
+        with pytest.raises(RuntimeError, match=r"is 20.0001 from the origin, farther than "
+                           r"2 \* max_arcs = 20:"):
+            lin_simulate(LinState(0.0, -20.0001), max_arcs=10)
+
+    def test_far_start_finishes(self):
+        # At the edge of the default budget: 10,000 arcs, each a half turn.
+        begin = time.perf_counter()
+        res = lin_simulate(LinState(2e4, 0.0))
+        assert res.switch_count == 9999
+        assert res.damping_time == pytest.approx(1e4 * math.pi, rel=1e-12)
+        assert time.perf_counter() - begin < 10.0
+
+    def test_curve_hit_tries_only_the_centres_in_reach(self, monkeypatch):
+        # The runs equal, bit for bit, those that try every odd centre up to
+        # |cx| + r + 1 on each arc.
+        rng = random.Random(4)
+        starts = [LinState(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(150)]
+        starts += [LinState(x, curve_height(x)) for x in (-7.5, -2.0, 0.5, 3.0, 9.25)]
+        fast = [lin_simulate(p0) for p0 in starts]
+        monkeypatch.setattr(linosc, "_first_curve_hit", every_centre_hit)
+        assert [lin_simulate(p0) for p0 in starts] == fast
+
+
+def every_centre_hit(u, cx, r, th0):
+    """linosc._first_curve_hit with every odd centre up to |cx| + r + 1 as a candidate."""
+    best = None
+    for c_abs in range(1, int(math.ceil(abs(cx) + r + 1.0)) + 1, 2):
+        for c in (float(c_abs), -float(c_abs)):
+            d = c - cx
+            if d == 0.0:
+                continue
+            x_star = (r * r - 1.0 + c * c - cx * cx) / (2.0 * d)
+            y2 = r * r - (x_star - cx) ** 2
+            y_star = math.sqrt(max(0.0, y2)) * (-1.0 if c > 0.0 else 1.0)
+            if y2 < -1e-15 or abs(x_star - c) > 1.0 + 1e-12:
+                continue
+            delta = (th0 - math.atan2(y_star, x_star - cx)) % TWO_PI
+            if delta >= 1e-10 and (best is None or delta < best[0]):
+                best = (delta, x_star, y_star)
+    return best
 
 
 class TestSupportFunction:
