@@ -1,13 +1,18 @@
 """Command-line front end: reproducible reports for every experiment.
 
 Every subcommand embeds its fully resolved configuration in the report, so
-any emitted number can be regenerated from the file alone.  Exit codes:
-0 success, 1 computation failure, 2 usage error.
+any emitted number can be regenerated from the file alone.  The key=value
+lines of a ``--config`` file act as the subcommand's flags, placed ahead of
+the command line's own, and argparse parses the lot once.  Each ``cmd_*``
+returns its report, a JSON dict or a CSV header and rows, and :func:`main`
+writes it to ``--out`` or stdout; ``verify`` writes its lines there as each
+criterion ends.  Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -15,63 +20,70 @@ import sys
 
 from . import acceptance, limits, linosc
 from .dynamics import Params, PhaseState, energy_xy
-from .extremal import (
-    BracketError,
-    SweepPolicy,
-    bifurcation_table,
-    max_switchings,
-)
+from .extremal import BracketError, SweepPolicy, bifurcation_table, max_switchings
 from .quasiopt import CapturePolicy, DampingNonConvergence, simulate_damping, sweep_scaling
 
 FAILURE = 1  # computation failure; argparse itself exits 2 on usage errors
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _open_out(path):
+    """path opened for writing, or stdout."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _write_rows_csv(path, header, rows) -> None:
-    """Write a header line and the rows; floats as repr, None as an empty field."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write(report, path) -> None:
+    """Write a JSON dict, or a CSV (header, rows) with floats as their repr and
+    None as an empty field, to path or stdout."""
+    with _open_out(path) as fh:
+        if isinstance(report, dict):
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        else:
+            header, rows = report
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
 
 
-def _config_defaults(subparser, path) -> None:
-    """Make the key=value lines of a --config file the subcommand's defaults.
+def _config_flags(subparser, argv) -> list[str]:
+    """The key=value lines of the --config file named in argv, as flags of subparser.
 
-    argparse converts a string default with its option's ``type`` when the
-    option is not given, so a flag on the command line still wins and a bad
-    value is a usage error.
+    Placed ahead of the command line's own flags they act as if typed there:
+    an explicit flag still wins (argparse keeps an option's last value), a
+    required or multi-value option (values separated by spaces) can come
+    from the file, and a value that its option's type rejects is a usage
+    error.  A flag that takes no value is set by 1, true or yes.
     """
+    finder = argparse.ArgumentParser(prog=subparser.prog, add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return []
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         subparser.error(f"cannot read config file: {exc}")
-    options = {a.dest: a for a in subparser._actions if a.option_strings}
-    defaults = {}
+    options = {a.dest: a for a in subparser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags = []
     for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
+        key, eq, val = (part.strip() for part in ln.partition("="))
+        if key.startswith("#") or not (key or eq):
             continue
-        if "=" not in ln:
-            subparser.error(f"malformed config line {ln!r} (expected key=value)")
-        key, _, val = ln.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key not in options or key in ("help", "config"):
+        if not eq:
+            subparser.error(f"malformed config line {key!r} (expected key=value)")
+        key = key.replace("-", "_")
+        if key not in options:
             subparser.error(f"config key {key!r} does not match any option")
-        if isinstance(options[key].default, bool):  # store_true flags
-            val = val.lower() in ("1", "true", "yes")
-        defaults[key] = val
-    subparser.set_defaults(**defaults)
+        action = options[key]
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # store_true flags
+            flags += [flag] if val.lower() in ("1", "true", "yes") else []
+        elif action.nargs is None:
+            flags.append(f"{flag}={val}")
+        else:
+            flags += [flag, *val.split()]
+    return flags
 
 
 def _eps_list(text: str) -> list[float]:
@@ -81,21 +93,19 @@ def _eps_list(text: str) -> list[float]:
     return vals
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> dict:
     d = limits.constant_D(args.tol)
-    tm2 = limits.tau_minus(2.0, max(args.tol, 1e-10))
-    payload = {
+    tm2 = limits.tau_minus(2.0, args.tol)
+    return {
         "D": d.value,
         "D_error_estimate": d.error_estimate,
         "tau_minus_2": tm2.value,
         "Phi0": linosc.phi0_constant(),
         "config": {"tol": args.tol},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_tau(args) -> int:
+def cmd_tau(args) -> dict:
     e = args.E
     q = limits.tau(e, args.tol)
     payload = {"E": e, "tau": q.value, "error_estimate": q.error_estimate,
@@ -103,20 +113,20 @@ def cmd_tau(args) -> int:
     if e >= 2.0:
         payload["tau_plus"] = limits.tau_plus(e, args.tol).value
         payload["tau_minus_2"] = limits.tau_minus(2.0, args.tol).value
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     p = Params(args.epsilon)
     policy = CapturePolicy(k_cap=args.capture_k, budget_factor=args.budget)
     res = simulate_damping(PhaseState(args.x0, args.y0), p, policy,
                            keep_samples=args.trajectory_out is not None)
     if args.trajectory_out:
-        _write_rows_csv(args.trajectory_out, ["t", "x", "y", "phi", "psi", "u", "E"],
-                        [[t, x, y, "", "", res.control_at(t), energy_xy(x, y)]
-                         for t, (x, y) in zip(res.trajectory.times, res.trajectory.states)])
-    payload = {
+        _write((["t", "x", "y", "phi", "psi", "u", "E"],
+                [[t, x, y, "", "", res.control_at(t), energy_xy(x, y)]
+                 for t, (x, y) in zip(res.trajectory.times, res.trajectory.states)]),
+               args.trajectory_out)
+    return {
         "epsilon": args.epsilon,
         "x0": args.x0,
         "y0": args.y0,
@@ -132,19 +142,16 @@ def cmd_simulate(args) -> int:
         "stats": dataclasses.asdict(res.stats),
         "config": {"capture_k": args.capture_k, "budget": args.budget},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     tab = sweep_scaling(PhaseState(args.x0, args.y0), args.eps_list,
                         CapturePolicy(k_cap=args.capture_k, budget_factor=args.budget))
     if args.format == "csv":
-        _write_rows_csv(args.out, ["epsilon", "T", "N", "epsT", "epsN"],
-                        [[r.epsilon, r.damping_time, r.switch_count, r.eps_T, r.eps_N]
-                         for r in tab.rows])
-        return 0
-    payload = {
+        return (["epsilon", "T", "N", "epsT", "epsN"],
+                [[r.epsilon, r.damping_time, r.switch_count, r.eps_T, r.eps_N]
+                 for r in tab.rows])
+    return {
         "x0": args.x0,
         "y0": args.y0,
         "rows": [
@@ -157,14 +164,12 @@ def cmd_sweep(args) -> int:
         "config": {"eps_list": args.eps_list, "capture_k": args.capture_k,
                    "budget": args.budget},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_extremals(args) -> int:
+def cmd_extremals(args) -> dict:
     policy = SweepPolicy(grid_points=args.grid, phi_max_scaled=args.phi_max)
     res = max_switchings(Params(args.epsilon), policy)
-    payload = {
+    return {
         "epsilon": args.epsilon,
         "max_switchings": res.max_allowed,
         "max_raw_switchings": res.max_raw,
@@ -184,18 +189,15 @@ def cmd_extremals(args) -> int:
         "stats": dataclasses.asdict(res.stats),
         "config": {"grid": args.grid, "phi_max": args.phi_max},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_bifurcations(args) -> int:
+def cmd_bifurcations(args):
     policy = SweepPolicy(grid_points=args.grid)
     rows = bifurcation_table(args.n_max, tol=args.tol, policy=policy)
     if args.format == "csv":
-        _write_rows_csv(args.out, ["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"],
-                        [[r.n, r.epsilon_n, r.product, r.bracket_width] for r in rows])
-        return 0
-    payload = {
+        return (["n", "epsilon_n", "n_times_epsilon_n", "bracket_width"],
+                [[r.n, r.epsilon_n, r.product, r.bracket_width] for r in rows])
+    return {
         "rows": [
             {"n": r.n, "epsilon_n": r.epsilon_n, "n_times_epsilon_n": r.product,
              "bracket_width": r.bracket_width}
@@ -205,18 +207,14 @@ def cmd_bifurcations(args) -> int:
         "stats": [{"n": r.n, "scans": r.scans, **dataclasses.asdict(r.stats)} for r in rows],
         "config": {"n_max": args.n_max, "tol": args.tol, "grid": args.grid},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_euler(args) -> int:
+def cmd_euler(args):
     rows = limits.euler_convergence(args.x0, args.eps_list)
     if args.format == "csv":
-        _write_rows_csv(args.out, ["epsilon", "n_iterates", "sup_error", "ratio"],
-                        [[r.epsilon, r.n_iterates, r.sup_error, r.ratio_vs_previous]
-                         for r in rows])
-        return 0
-    payload = {
+        return (["epsilon", "n_iterates", "sup_error", "ratio"],
+                [[r.epsilon, r.n_iterates, r.sup_error, r.ratio_vs_previous] for r in rows])
+    return {
         "x0": args.x0,
         "rows": [
             {"epsilon": r.epsilon, "n_iterates": r.n_iterates, "sup_error": r.sup_error,
@@ -225,38 +223,36 @@ def cmd_euler(args) -> int:
         ],
         "config": {"eps_list": args.eps_list},
     }
-    _emit(payload, args)
-    return 0
 
 
-def cmd_linear(args) -> int:
+def cmd_linear(args) -> dict:
     if args.support is not None:
         xi1, xi2, horizon = args.support
-        payload = {
+        return {
             "support": linosc.lin_support((xi1, xi2), horizon),
             "xi": [xi1, xi2],
             "T": horizon,
             "Phi0": linosc.phi0_constant(),
         }
-        _emit(payload, args)
-        return 0
-    res = linosc.lin_simulate(linosc.LinState(args.x0, args.y0))
-    payload = {
-        "x0": args.x0,
-        "y0": args.y0,
+    x0, y0 = (0.0 if v is None else v for v in (args.x0, args.y0))
+    res = linosc.lin_simulate(linosc.LinState(x0, y0))
+    return {
+        "x0": x0,
+        "y0": y0,
         "T": res.damping_time,
         "switches": res.switch_count,
         "switch_points": [list(pt) for pt in res.switch_points],
     }
-    _emit(payload, args)
-    return 0
 
 
 def cmd_verify(args) -> int:
-    results = acceptance.run_all(fast=args.fast, report=print)
-    n_fail = sum(0 if r.passed else 1 for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} criteria passed"
-          + (" (fast subset)" if args.fast else ""))
+    """Write one line per criterion as it ends, then the tally; returns the exit code."""
+    with _open_out(args.out) as fh:
+        results = acceptance.run_all(fast=args.fast,
+                                     report=lambda line: print(line, file=fh, flush=True))
+        n_fail = sum(0 if r.passed else 1 for r in results)
+        print(f"{len(results) - n_fail}/{len(results)} criteria passed"
+              + (" (fast subset)" if args.fast else ""), file=fh)
     return 0 if n_fail == 0 else 1
 
 
@@ -267,32 +263,28 @@ def build_parser() -> argparse.ArgumentParser:
         "dry-friction damping, extremal switching counts, bifurcation values, "
         "and the linear-oscillator baseline.",
     )
-    parser._command_parsers = {}
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        parser._command_parsers[name] = sp
-        return sp
+    parser._command_parsers = sub.choices
 
     def common(sp, fmt=False):
         sp.add_argument("--out", help="write the report to this path instead of stdout")
-        sp.add_argument("--config", help="key=value file overriding option defaults")
+        sp.add_argument("--config", help="key=value lines read as flags ahead of the "
+                        "command line's")
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = add_command("constants", help="print D, tau_minus(2), Phi0")
+    sp = sub.add_parser("constants", help="print D, tau_minus(2), Phi0")
     sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
     sp.set_defaults(fn=cmd_constants)
 
-    sp = add_command("tau", help="piecewise damping-time limit tau(E)")
+    sp = sub.add_parser("tau", help="piecewise damping-time limit tau(E)")
     sp.add_argument("--E", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
     sp.set_defaults(fn=cmd_tau)
 
-    sp = add_command("simulate", help="closed-loop dry-friction damping run")
+    sp = sub.add_parser("simulate", help="closed-loop dry-friction damping run")
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
     sp.add_argument("--epsilon", type=float, required=True)
@@ -304,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = add_command("sweep", help="scaling table eps -> (T, N, epsT, epsN)")
+    sp = sub.add_parser("sweep", help="scaling table eps -> (T, N, epsT, epsN)")
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
     sp.add_argument("--eps-list", dest="eps_list", type=_eps_list,
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, fmt=True)
     sp.set_defaults(fn=cmd_sweep)
 
-    sp = add_command("extremals", help="max switching count over the backward family")
+    sp = sub.add_parser("extremals", help="max switching count over the backward family")
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--grid", type=int, default=512, help="phi_T grid points per sign")
     sp.add_argument("--phi-max", type=float, default=4.0, dest="phi_max",
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_extremals)
 
-    sp = add_command("bifurcations", help="table of bifurcation values eps_n")
+    sp = sub.add_parser("bifurcations", help="table of bifurcation values eps_n")
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
     sp.add_argument("--tol", type=float, default=1e-3, help="bisection bracket width")
     sp.add_argument("--grid", type=int, default=acceptance.BIFURCATION_GRID,
@@ -331,24 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, fmt=True)
     sp.set_defaults(fn=cmd_bifurcations)
 
-    sp = add_command("euler", help="broken-line convergence table")
+    sp = sub.add_parser("euler", help="broken-line convergence table")
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--eps-list", dest="eps_list", type=_eps_list,
                     default=[0.02, 0.01, 0.005, 0.0025])
     common(sp, fmt=True)
     sp.set_defaults(fn=cmd_euler)
 
-    sp = add_command("linear", help="linear-oscillator baseline")
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--y0", type=float, default=0.0)
+    sp = sub.add_parser("linear", help="linear-oscillator baseline")
+    sp.add_argument("--x0", type=float, help="start (default 0)")
+    sp.add_argument("--y0", type=float, help="start (default 0)")
     sp.add_argument("--support", nargs=3, type=float, metavar=("XI1", "XI2", "T"),
-                    help="evaluate the reachable-set support function instead")
+                    help="evaluate the reachable-set support function instead (no --x0, --y0)")
     common(sp)
     sp.set_defaults(fn=cmd_linear)
 
-    sp = add_command("verify", help="run the acceptance battery")
+    sp = sub.add_parser("verify", help="run the acceptance battery")
     sp.add_argument("--fast", action="store_true",
-                    help="skip the multi-minute criteria (7-10)")
+                    help="skip the slow criteria (7-10)")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
@@ -357,19 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = parser._command_parsers
+    if argv and argv[0] in commands:
+        argv[1:1] = _config_flags(commands[argv[0]], argv[1:])
     args = parser.parse_args(argv)
-    subparser = parser._command_parsers[args.command]
-    if args.config:
-        _config_defaults(subparser, args.config)
-        args = parser.parse_args(argv)
+    subparser = commands[args.command]
     if getattr(args, "format", None) == "csv" and not args.out:
         subparser.error("csv output needs --out")
+    if getattr(args, "support", None) is not None and (args.x0, args.y0) != (None, None):
+        subparser.error("--support takes no --x0 or --y0: it evaluates no run from a start")
     try:
-        return args.fn(args)
+        report = args.fn(args)
     except (ValueError, BracketError, DampingNonConvergence,
             limits.QuadratureError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
+    if isinstance(report, int):  # verify's exit code: its lines are written
+        return report
+    _write(report, args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -678,9 +678,10 @@ def _compile(source: str, name: str, namespace=None):
     return namespace[name]
 
 
-# One component's series summed at t, and the sum with its derivative, for
-# the scalar event location of both Taylor integrators.  They are compiled
-# at import, not at the first arc: they take well under a millisecond.
+# One component's series summed at t, for the damping arcs' steps, and the
+# sum with its derivative, for the scalar event location of both Taylor
+# integrators.  They are compiled at import, not at the first arc: they take
+# well under a millisecond.
 _horner = _compile(_horner_source(TAYLOR_ORDER), "horner")
 _horner_pair = _compile(_horner_pair_source(TAYLOR_ORDER), "horner_pair")
 
@@ -745,7 +746,7 @@ def _taylor_source(order: int) -> str:
     larger of |x_j| and |y_j|: with it the last two terms of the series are
     at most TAYLOR_TOL over the step (A. Jorba, M. Zou, Exp. Math. 14 (2005)
     99-117).  A zero m_j bounds nothing and is skipped.
-    The generated ``at(xs, ys, h)`` sums both series at h by Horner's rule.
+    Each component's series is summed by :func:`_horner`.
     """
     n = order
 
@@ -775,29 +776,24 @@ def _taylor_source(order: int) -> str:
                   f"        r = ({TAYLOR_TOL!r} / m) ** {1.0 / j!r}",
                   "        if r < rho:",
                   "            rho = r"]
-    xn = [f"x_{k}" for k in range(n + 1)]
-    yn = [f"y_{k}" for k in range(n + 1)]
-    xs, ys = ", ".join(xn), ", ".join(yn)
+    xs = ", ".join(f"x_{k}" for k in range(n + 1))
+    ys = ", ".join(f"y_{k}" for k in range(n + 1))
     lines.append(f"    return ({xs}), ({ys}), rho")
-    lines += ["", "", "def at(xs, ys, h):", f"    {xs}, = xs", f"    {ys}, = ys",
-              f"    return ({_horner_expr(xn, 'h')}, {_horner_expr(yn, 'h')})"]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
 def _taylor():
-    """The generated ``(series, at)`` pair, compiled at the first arc."""
-    namespace = {"sin": math.sin, "inf": math.inf}
-    series = _compile(_taylor_source(TAYLOR_ORDER), "series", namespace)
-    return series, namespace["at"]
+    """The generated ``series``, compiled at the first arc."""
+    return _compile(_taylor_source(TAYLOR_ORDER), "series", {"sin": math.sin, "inf": math.inf})
 
 
-def _taylor_locator(at, t: float, coefs):
+def _taylor_locator(t: float, coefs):
     """The ``locate, dense`` of the Taylor step with series ``coefs`` from time
     t for :func:`_step_events`: a level is located by :func:`_poly_root` on
     the step polynomial of its component, from the values at the ends."""
     def dense(s: float) -> tuple[float, float]:
-        return at(coefs[0], coefs[1], s - t)
+        return _horner(coefs[0], s - t), _horner(coefs[1], s - t)
 
     def locate(ev: EventSpec, t_end: float, y_end) -> float:
         c = ev.level.component
@@ -841,7 +837,7 @@ def pendulum_arc(
     x, y = (float(v) for v in s0)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite initial state {(x, y)}")
-    series, at = _taylor()
+    series = _taylor()
     direction = 1.0 if t_limit > t0 else -1.0
     t = float(t0)
     dead_band = StepControl.min_step
@@ -859,7 +855,7 @@ def pendulum_arc(
             last = direction * (t + direction * rho - t_limit) >= 0.0
             h = t_limit - t if last else direction * rho
             t_new = t_limit if last else t + h
-            end = at(xs, ys, h)
+            end = _horner(xs, h), _horner(ys, h)
             xe, ye = end
             if not (rho > 0.0 and math.isfinite(xe + ye)):
                 return TrajectorySegment(times, states, recs, STOP_STEP_FAILURE,
@@ -874,7 +870,7 @@ def pendulum_arc(
         g_start = _advance_events(events, g_prev, t_new, end)
         if g_start is not None:
             terminal_hit = _step_events(events, g_start, t0, t, t_new, end, dead_band, recs,
-                                        *_taylor_locator(at, t, (xs, ys)))
+                                        *_taylor_locator(t, (xs, ys)))
             if terminal_hit is not None:
                 times.append(terminal_hit[0])
                 states.append(terminal_hit[1])

@@ -464,6 +464,11 @@ def limit_ode_solve(zone: str, init: float, profile) -> LimitPath:
     return LimitPath(zone, tuple(pieces), t)
 
 
+# The broken-line orbits of euler_convergence stop here; one that reaches the
+# cap before capture is an error rather than a row over part of the orbit.
+EULER_MAX_ITERATES = 1_000_000
+
+
 @dataclass(frozen=True)
 class EulerErrorRow:
     epsilon: float
@@ -478,7 +483,8 @@ def euler_convergence(x0: float, eps_list) -> list[EulerErrorRow]:
     For each eps the map orbit X_n (one iterate per time eps) is compared with
     the closed-form solution X(t) of (sin X / 2X) X' = -1 at t = n eps over
     the common lifetime of both; rows carry the error ratio against the
-    previous eps in the list.
+    previous eps in the list.  An orbit that reaches ``EULER_MAX_ITERATES``
+    iterates before capture raises RuntimeError.
     """
     if not 0.0 < x0 < math.pi:
         raise ValueError(f"amplitude {x0} outside (0, pi)")
@@ -486,7 +492,10 @@ def euler_convergence(x0: float, eps_list) -> list[EulerErrorRow]:
     g0 = swing_progress(x0)
     prev = None
     for eps in eps_list:
-        xs = list(_orbit(poincare_low, x0, Params(eps), StandstillCapture, 1_000_000))
+        xs = list(_orbit(poincare_low, x0, Params(eps), StandstillCapture, EULER_MAX_ITERATES))
+        if len(xs) > EULER_MAX_ITERATES:
+            raise RuntimeError(f"the broken-line orbit from {x0!r} at eps={eps!r} reached "
+                               f"the cap of {EULER_MAX_ITERATES} iterates before capture")
         sup = 0.0
         for n_it, xn in enumerate(xs):
             t = n_it * eps

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from pendamp import acceptance
+from pendamp import acceptance, limits, linosc
 from pendamp.cli import main
 from pendamp.dynamics import Params, PhaseState
 from pendamp.integrator import EVENT_TOL
@@ -335,6 +336,71 @@ def test_config_sets_a_flag(capsys, monkeypatch, tmp_path, text, fast):
     assert main(["verify", "--config", str(cfg)]) == 0
     assert main(["verify", "--fast", "--config", str(cfg)]) == 0
     assert seen == [fast, True]
+
+
+def test_config_supplies_a_required_option(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max=1\ngrid=16\ntol=0.5\n")
+    code, out = run_cli(capsys, "bifurcations", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "bifurcations", "--n-max", "1", "--grid", "16", "--tol", "0.5")[1]
+
+
+def test_config_supplies_a_multi_value_option(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("support=0 1 3.14159\n")
+    code, out = run_cli(capsys, "linear", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "linear", "--support", "0", "1", "3.14159")[1]
+    assert json.loads(out)["T"] == 3.14159
+
+
+@pytest.mark.parametrize("argv", [
+    ("linear", "--x0", "2", "--y0", "0", "--support", "0", "1", "3"),
+    ("linear", "--support", "0", "1", "3", "--y0", "0"),
+])
+def test_linear_support_takes_no_start(capsys, monkeypatch, argv):
+    def no_work(*a):
+        raise AssertionError("ran before the usage check")
+    monkeypatch.setattr(linosc, "lin_simulate", no_work)
+    monkeypatch.setattr(linosc, "lin_support", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--support takes no --x0 or --y0" in capsys.readouterr().err
+
+
+def test_constants_tol_reaches_tau_minus_2(capsys):
+    code, out = run_cli(capsys, "constants", "--tol", "1e-12")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["tol"] == 1e-12
+    assert payload["tau_minus_2"] == limits.tau_minus(2.0, 1e-12).value
+
+
+def test_euler_orbit_cut_by_the_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 10)
+    code = main(["euler", "--x0", "3", "--eps-list", "0.02"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: the broken-line orbit from 3.0 at eps=0.02 reached the cap "
+                            "of 10 iterates before capture\n")
+
+
+def test_verify_out_streams_the_lines_to_the_file(capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "verify.txt"
+    seen = []
+
+    def run_all(fast, report):
+        report("PASS  criterion  1 (one): ok [0.0s]")
+        seen.append(out_path.read_text())  # written as the criterion ends
+        return [SimpleNamespace(passed=True)]
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    code, out = run_cli(capsys, "verify", "--fast", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert seen == ["PASS  criterion  1 (one): ok [0.0s]\n"]
+    assert out_path.read_text() == seen[0] + "1/1 criteria passed (fast subset)\n"
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):

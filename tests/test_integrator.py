@@ -23,6 +23,7 @@ from pendamp.integrator import (
     Level,
     StepControl,
     TrajectorySegment,
+    _horner,
     _initial_step,
     _make_dense,
     _taylor,
@@ -456,7 +457,7 @@ def _section():
 
 
 def test_taylor_first_order_is_the_field():
-    series, _ = _taylor()
+    series = _taylor()
     rng = random.Random(5)
     for _ in range(2000):
         x, y, pull = rng.uniform(-50.0, 50.0), rng.uniform(-4.0, 4.0), rng.uniform(-0.5, 0.5)
@@ -470,7 +471,7 @@ def test_series_from_the_first_integral_matches_the_sin_cos_recurrences():
     # series builds cos x from the arc's first integral; the oracle runs the
     # recurrences of sin x and cos x.  Dense inputs: x_0 near 0, where
     # sin x_0 is small next to pull, and |pull| up to 0.5.
-    series, _ = _taylor()
+    series = _taylor()
     rng = random.Random(11)
     for _ in range(3000):
         x = rng.choice([rng.uniform(-50.0, 50.0), rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-9, 1e-9),
@@ -588,7 +589,7 @@ def test_pendulum_arc_steps_and_limits():
     pull = 0.1
     seg = pendulum_arc(pull, (0.5, 0.0), 0.0, 10.0)
     assert seg.stop_reason == STOP_TIME_LIMIT and seg.t_end == 10.0
-    series, _ = _taylor()
+    series = _taylor()
     rhos = [series(x, y, pull, math.cos(x))[2] for x, y in seg.states[:-1]]
     steps = [b - a for a, b in zip(seg.times, seg.times[1:])]
     assert len(steps) > 5
@@ -619,7 +620,7 @@ def test_pendulum_arc_halves_a_step_that_drifts_off_the_first_integral(d):
     # rule's step halved, and its end lies at the TAYLOR_TOL scale from the
     # same span crossed in 2,000 substeps.
     pull, x0 = 0.1, math.pi / 2 - d
-    series, at = _taylor()
+    series = _taylor()
     rho = series(x0, 0.0, pull, math.cos(x0))[2]
     seg = pendulum_arc(pull, (x0, 0.0), 0.0, 50.0)
     step = seg.times[1] - seg.times[0]
@@ -628,7 +629,7 @@ def test_pendulum_arc_halves_a_step_that_drifts_off_the_first_integral(d):
     x, y = x0, 0.0
     for _ in range(2000):
         xs, ys, _ = series(x, y, pull, math.cos(x))
-        x, y = at(xs, ys, step / 2000)
+        x, y = _horner(xs, step / 2000), _horner(ys, step / 2000)
     assert seg.states[1] == pytest.approx((x, y), rel=0.0, abs=10.0 * TAYLOR_TOL)
 
 

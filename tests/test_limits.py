@@ -324,6 +324,15 @@ class TestEulerConvergence:
         with pytest.raises(ValueError, match=r"low-zone start 3\.14 sticks at rest at eps=0\.01"):
             euler_convergence(3.14, [0.01, 0.005])
 
+    def test_orbit_cut_by_the_cap_is_an_error(self, monkeypatch):
+        # From 3.0 at eps 0.02 the orbit is captured after 46 images.
+        monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 47)
+        assert euler_convergence(3.0, [0.02])[0].n_iterates == 47
+        monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 46)
+        with pytest.raises(RuntimeError, match=r"orbit from 3\.0 at eps=0\.02 reached the cap "
+                                               r"of 46 iterates before capture"):
+            euler_convergence(3.0, [0.02])
+
 
 class TestRiemannSumBound:
     def test_log_riemann_bound_on_high_iterates(self):
