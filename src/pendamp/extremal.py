@@ -202,7 +202,8 @@ class ExtremalRun:
 
 @dataclass(frozen=True)
 class RunDiagnostics:
-    """Per-run summary kept by sweeps (full trajectories are discarded)."""
+    """What a sweep keeps of each run: its counts and stop, which the refinement compares,
+    and the Sturm checks that criteria 7-9 and the ``extremals`` report read."""
 
     phi_T: float
     sign: int
@@ -636,24 +637,15 @@ class _LaneBlock:
             self.arcs[ks] += 1
             self.touched[ks] = self.zone[ks] & ~self.armed[ks]
 
-    def narrow(self, sure: list[int], ended: set[int]) -> None:
-        """End the witness groups in ``ended``; in a group with a ``sure`` lane, only it runs on."""
-        if sure:
-            only = np.zeros_like(self.live)
-            only[sure] = True
-            self.live &= only | ~np.isin(self.grp, self.grp[sure])
-        if ended:
-            self.live &= ~np.isin(self.grp, list(ended))
 
-
-def _screen(blk: _LaneBlock, Zn, t_new, zone_any: bool, zone_all: bool):
+def _screen(blk: _LaneBlock, Zn, t_new):
     """Which lanes' steps may hold an event, and the step's end values that a commit stores.
 
     The screens: the switch and y0 sign changes across the step; where x is
     monotone over the step, the extremes over its x range of the first
     integral's speed (see :func:`_piece_hit`), at the ends and at the first
-    interior maximum and minimum; and bounds on the budget gap.  zone_any
-    and zone_all tell whether any and every lane has a standstill zone.
+    interior maximum and minimum, against the speed exit and, on the lanes
+    with a standstill zone, the zone's bands; and bounds on the budget gap.
     Returns (sw, y0, scan, budget, gap, r), r the Hamiltonian residual.
     """
     Z, eps_l, gap_t = blk.Z, blk.eps, blk.gap_t
@@ -688,15 +680,14 @@ def _screen(blk: _LaneBlock, Zn, t_new, zone_any: bool, zone_all: bool):
     fall = np.maximum(0.0, 1.0 - rho_lo * np.sqrt(np.maximum(lo, 0.0)))
     budget = (gap <= 0.0) | (wide & (gap_t - span <= _SCREEN_SLACK)) | (
         (e > 0.0) & (rho_hi * np.sqrt(hi) > 1.0) & (gap_t - fall * span <= _SCREEN_SLACK))
-    if zone_any:
-        # In units of pi: the bands of the zone around k pi that the step's
-        # range meets, and the edge of the band it starts in.
-        qa, qb = wa * (1.0 / math.pi), wb * (1.0 / math.pi)
-        meets = np.ceil(qa - blk.band_reach) <= qb + blk.band_reach
-        leaves = qb >= np.rint(qa) + blk.band_edge
-        near = np.where(blk.armed, meets & (lo <= blk.thr2 + _SCREEN_SLACK),
-                        leaves | (hi >= blk.thr2 - _SCREEN_SLACK))
-        scan |= near if zone_all else near & blk.zone
+    # In units of pi: the bands of the zone around k pi that the step's
+    # range meets, and the edge of the band it starts in.
+    qa, qb = wa * (1.0 / math.pi), wb * (1.0 / math.pi)
+    meets = np.ceil(qa - blk.band_reach) <= qb + blk.band_reach
+    leaves = qb >= np.rint(qa) + blk.band_edge
+    near = np.where(blk.armed, meets & (lo <= blk.thr2 + _SCREEN_SLACK),
+                    leaves | (hi >= blk.thr2 - _SCREEN_SLACK))
+    scan |= near & blk.zone
     r = np.abs(yb * Zn[2] - sn * Zn[3] + eps_l * np.abs(Zn[3]) - eps_l)
     return sw, y0, scan, budget, gap, r
 
@@ -825,8 +816,8 @@ class _RunLog:
         self.y_zero_times, self.arc_zone_touched = [], []
 
 
-def _switch(blk: _LaneBlock, k: int, t_k: float, state, gr: _Group, log: _RunLog) -> int:
-    """Put block lane k at its switch, at time t_k in state; log it, and return the lane's switches."""
+def _switch(blk: _LaneBlock, k: int, t_k: float, state, gr: _Group, log: _RunLog) -> None:
+    """Put block lane k at its switch, at time t_k in state, and log it."""
     eps = gr.eps
     x, y, P, Q = state
     blk.t[k] = t_k
@@ -837,7 +828,6 @@ def _switch(blk: _LaneBlock, k: int, t_k: float, state, gr: _Group, log: _RunLog
     log.switch_in_zone.append(gr.zone_on and in_zone_xy(x, y, gr.thr))
     log.arc_zone_touched.append(bool(blk.touched[k]))
     blk.Z[:, k] = state
-    return len(log.switch_times)
 
 
 def _finish(blk: _LaneBlock, k: int, reason: str, state, gr: _Group, log: _RunLog,
@@ -875,10 +865,9 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
     one per lane.  The lanes that share eps and stop_at form a group
     (:class:`_Group`); a lane's run does not depend on the other groups, so
     lanes of any eps share a block.  A group with ``stop_at`` is a witness
-    search: it ends once one of its runs reaches that allowed count, and
-    once one of its lanes has made that many switchings, only that lane runs
-    on.  The lanes dropped or still running in an ended group come back as
-    None.
+    search, with one end rule: it ends at the step where one of its runs
+    ends with an allowed count of at least ``stop_at``.  The lanes still
+    running in an ended group come back as None.
     """
     g = np.asarray(g, dtype=float)
     sgn = np.asarray(signs, dtype=float)
@@ -899,7 +888,6 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
     work.peak_lanes = max(work.peak_lanes, n)
     gs = [_Group(eps, k) for eps, k in groups]
     blk = _LaneBlock(g, sgn, grp, gs)
-    zone_any, zone_all = bool(blk.zone.any()), bool(blk.zone.all())
     logs = [_RunLog(phi, int(s)) for phi, s in zip((g / blk.eps).tolist(), sgn)]
     out: list[ExtremalRun | None] = [None] * n
     series = None
@@ -911,13 +899,13 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
             work.batch_steps += 1
             work.lane_steps += m
             cf, tau, t_new, Zn, last, ok = blk.step(series)
-            # The lanes that stop in this step, (k, reason, state), end after the commit; timeouts last.
+            # The lanes that stop in this step, (k, reason, state), end after the commit.
             done = [(k, STOP_STEP_FAILURE, blk.Z[:, k].tolist()) for k in (blk.live & ~ok).nonzero()[0]]
             blk.live &= ok
-            sw, y0, scan, budget, gap, r = _screen(blk, Zn, t_new, zone_any, zone_all)
+            sw, y0, scan, budget, gap, r = _screen(blk, Zn, t_new)
             flag = (scan | budget | sw | last) & blk.live
             commit = blk.live & ~flag  # the lanes whose step's end becomes their state
-            timeouts, restart, sure = [], [], []
+            restart = []
             idx = flag.nonzero()[0]
             # The flagged lanes' values as Python numbers, freed with the loop's iterator.
             for (k, c, i, gk, tau_end, t0, uk, xe, ye, Pe, Qe, sw_k, y0_k, scan_k, budget_k, last_k,
@@ -932,27 +920,26 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
                 if kind is None:
                     commit[k] = True
                     if last_k:
-                        timeouts.append((k, STOP_TIME_BUDGET, [xe, ye, Pe, Qe]))
+                        done.append((k, STOP_TIME_BUDGET, [xe, ye, Pe, Qe]))
                 elif kind != _SWITCH:
                     blk.t[k] = t0 + gr.unit * tau_e
                     done.append((k, _REASON[kind], state))
                 else:
-                    switches = _switch(blk, k, t0 + gr.unit * tau_e, state, gr, logs[i])
-                    if gr.stop_at is not None and switches >= gr.stop_at:
-                        sure.append(k)
+                    _switch(blk, k, t0 + gr.unit * tau_e, state, gr, logs[i])
                     if blk.arcs[k] == gr.max_arcs:
                         done.append((k, STOP_TIME_BUDGET, state))
                     else:
                         restart.append(k)
             blk.commit(commit, Zn, t_new, gap, r)
             ended = set()  # the groups whose witness search ends in this step
-            for k, reason, state in done + timeouts:
+            for k, reason, state in done:
                 i, gr = blk.lane[k], gs[blk.grp[k]]
                 run = out[i] = _finish(blk, k, reason, state, gr, logs[i], work)
                 if gr.stop_at is not None and run.allowed_count >= gr.stop_at:
                     ended.add(blk.grp[k])
             blk.restart(restart)
-            blk.narrow(sure, ended)
+            if ended:
+                blk.live &= ~np.isin(blk.grp, list(ended))
     return out
 
 

@@ -269,7 +269,7 @@ def poincare_low(x: float, p: Params) -> float:
     if g(0.0) <= 0.0:
         raise StandstillCapture(f"amplitude {x} captured at eps={eps}")
     # g is strictly decreasing on (0, x): the bracketed root is unique.
-    return brentq(g, 0.0, x, xtol=1e-12, rtol=8.9e-16)
+    return brentq(g, 0.0, x, xtol=1e-15, rtol=8.9e-16)
 
 
 @dataclass(frozen=True)
@@ -484,15 +484,26 @@ def euler_convergence(x0: float, eps_list) -> list[EulerErrorRow]:
     the closed-form solution X(t) of (sin X / 2X) X' = -1 at t = n eps over
     the common lifetime of both; rows carry the error ratio against the
     previous eps in the list.  An orbit that reaches ``EULER_MAX_ITERATES``
-    iterates before capture raises RuntimeError.
+    iterates before capture raises RuntimeError, before any map step when its
+    length estimate swing_progress(x0) / eps already exceeds the cap by more
+    than 5%.
     """
     if not 0.0 < x0 < math.pi:
         raise ValueError(f"amplitude {x0} outside (0, pi)")
     rows: list[EulerErrorRow] = []
     g0 = swing_progress(x0)
+    ps = [Params(eps) for eps in eps_list]
+    for q in ps:
+        # The orbit lives about this many iterates, to within 5%.
+        estimate = g0 / q.epsilon
+        if estimate > 1.05 * EULER_MAX_ITERATES:
+            raise RuntimeError(f"the broken-line orbit from {x0!r} at eps={q.epsilon!r} lives about "
+                               f"{estimate:.6g} iterates, more than 5% over the cap of "
+                               f"{EULER_MAX_ITERATES} iterates")
     prev = None
-    for eps in eps_list:
-        xs = list(_orbit(poincare_low, x0, Params(eps), StandstillCapture, EULER_MAX_ITERATES))
+    for q in ps:
+        eps = q.epsilon
+        xs = list(_orbit(poincare_low, x0, q, StandstillCapture, EULER_MAX_ITERATES))
         if len(xs) > EULER_MAX_ITERATES:
             raise RuntimeError(f"the broken-line orbit from {x0!r} at eps={eps!r} reached "
                                f"the cap of {EULER_MAX_ITERATES} iterates before capture")

@@ -379,12 +379,25 @@ def test_constants_tol_reaches_tau_minus_2(capsys):
 
 
 def test_euler_orbit_cut_by_the_cap_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 10)
+    # The orbit's estimate, 46.2 iterates, is within 5% of the cap: it runs and is cut.
+    monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 46)
     code = main(["euler", "--x0", "3", "--eps-list", "0.02"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == ("error: the broken-line orbit from 3.0 at eps=0.02 reached the cap "
-                            "of 10 iterates before capture\n")
+                            "of 46 iterates before capture\n")
+
+
+def test_euler_orbit_longer_than_the_cap_exits_1_before_any_step(capsys, monkeypatch):
+    def no_step(x, p):
+        raise AssertionError("the map ran")
+
+    monkeypatch.setattr(limits, "poincare_low", no_step)
+    code = main(["euler", "--x0", "3", "--eps-list", "1e-3,5e-7"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: the broken-line orbit from 3.0 at eps=5e-07 lives about "
+                            "1.84865e+06 iterates, more than 5% over the cap of 1000000 iterates\n")
 
 
 def test_verify_out_streams_the_lines_to_the_file(capsys, monkeypatch, tmp_path):

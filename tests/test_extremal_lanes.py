@@ -1,5 +1,6 @@
 """Tests of the Taylor lane kernel trace_lanes, differential against the DP5 oracle."""
 
+import functools
 import math
 import random
 import time
@@ -426,7 +427,8 @@ def test_lane_is_bit_identical_in_any_batch(monkeypatch):
         assert run == by_job[job]
     assert widths[0] == len(mixed) and min(widths) < len(mixed) // 2
 
-    # A stop_at batch narrows to its witness, which runs on alone.
+    # A stop_at batch ends once a witness run ends; the block has been
+    # compacted on the way, as its other lanes ended.
     eps = 0.3
     widths.clear()
     witness = lanes(jobs, eps, stop_at=4)
@@ -541,6 +543,31 @@ def test_stop_at_batch_returns_witness_and_stops():
     assert len(done) < len(jobs)
 
 
+@functools.lru_cache(maxsize=None)
+def solo_runs(eps):
+    """Each lane of grid_jobs(GRID) at eps traced alone: (run, batch steps)."""
+    out = []
+    for job in grid_jobs(GRID):
+        work = LaneWork()
+        (run,) = lanes([job], eps, work=work)
+        out.append((run, work.batch_steps))
+    return out
+
+
+@pytest.mark.parametrize("eps, stop_at", [(0.3, 3), (0.3, 4), (0.19, 5)])
+def test_witness_search_ends_by_one_rule(eps, stop_at):
+    # A witness search ends at the step where one of its runs ends with
+    # stop_at or more allowed switchings, and no lane is dropped before: lane
+    # j comes back exactly when its run alone takes no more steps than the
+    # search's block, and then as that run.
+    work = LaneWork()
+    runs = lanes(grid_jobs(GRID), eps, stop_at=stop_at, work=work)
+    assert any(r is not None and r.allowed_count >= stop_at for r in runs)
+    for j, (run, (solo, steps)) in enumerate(zip(runs, solo_runs(eps))):
+        assert (run is not None) == (steps <= work.batch_steps), j
+        assert run in (None, solo), j
+
+
 def test_single_sign_and_zero_refinement_budget(monkeypatch):
     # Without refinement each single sign keeps exactly its grid runs.
     monkeypatch.setattr(extremal, "MAX_EXTRA_RUNS", 0)
@@ -590,8 +617,9 @@ def test_mixed_eps_block_is_bit_identical():
 
 def test_stop_at_group_ends_while_another_runs_on(monkeypatch):
     # A witness search for 3 at 0.3 shares the block with a full batch at 0.19,
-    # whose lanes run longer: the search narrows to its witness and ends, as
-    # in a block of its own, while the other group runs every lane to its end.
+    # whose lanes run longer: the search ends at the step where a witness run
+    # ends, as in a block of its own, while the other group runs every lane
+    # to its end.
     widths = []
 
     class Block(extremal._SeriesBlock):

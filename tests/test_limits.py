@@ -193,6 +193,18 @@ class TestPoincareMaps:
         xp = poincare_low(x, Params(eps))
         assert abs(math.cos(xp) - math.cos(x) - eps * (x + xp)) <= 1e-11
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_low_map_root_to_a_few_ulps(self, eps):
+        # The root errors of the map add up over the ~0.92/eps iterates of an
+        # orbit, so each root must be as good as the double allows: within 4
+        # ulps of itself after Newton polishing on cos(x') - cos(x) = eps (x + x').
+        for x in np.linspace(1.0, 3.0, 41):
+            x = float(x)
+            xp = ref = poincare_low(x, Params(eps))
+            for _ in range(3):
+                ref -= (math.cos(ref) - math.cos(x) - eps * (x + ref)) / (-math.sin(ref) - eps)
+            assert abs(xp - ref) <= 4 * math.ulp(ref), x
+
     def test_iterate_count_vs_quadrature(self):
         eps, x0 = 1e-3, 3.0
         count = euler_convergence(x0, [eps])[0].n_iterates - 1
@@ -331,6 +343,21 @@ class TestEulerConvergence:
         monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 46)
         with pytest.raises(RuntimeError, match=r"orbit from 3\.0 at eps=0\.02 reached the cap "
                                                r"of 46 iterates before capture"):
+            euler_convergence(3.0, [0.02])
+
+    def test_orbit_longer_than_the_cap_is_rejected_before_any_step(self, monkeypatch):
+        # From 3.0 at eps 0.02 the estimate swing_progress(3.0) / 0.02 is 46.2
+        # iterates: past 1.05 times a cap of 44, within it at 45.
+        def no_step(x, p):
+            raise AssertionError("the map ran")
+
+        monkeypatch.setattr(limits, "poincare_low", no_step)
+        monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 44)
+        with pytest.raises(RuntimeError, match=r"orbit from 3\.0 at eps=0\.02 lives about 46\.2163 "
+                                               r"iterates, more than 5% over the cap of 44 iterates"):
+            euler_convergence(3.0, [0.1, 0.02])
+        monkeypatch.setattr(limits, "EULER_MAX_ITERATES", 45)
+        with pytest.raises(AssertionError, match="the map ran"):
             euler_convergence(3.0, [0.02])
 
 
