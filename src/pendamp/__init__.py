@@ -14,7 +14,7 @@ Modules by topic:
 * :mod:`pendamp.cli` - command-line front end and report generation.
 """
 
-from .dynamics import Params, PhaseState, ZoneTag, energy, standstill_zone, vector_field
+from .dynamics import Params, PhaseState
 from .extremal import find_bifurcation, max_switchings, trace_extremal
 from .limits import constant_D, tau, tau_minus, tau_plus
 from .quasiopt import simulate_damping, sweep_scaling
@@ -22,19 +22,15 @@ from .quasiopt import simulate_damping, sweep_scaling
 __all__ = [
     "Params",
     "PhaseState",
-    "ZoneTag",
     "constant_D",
-    "energy",
     "find_bifurcation",
     "max_switchings",
     "simulate_damping",
-    "standstill_zone",
     "sweep_scaling",
     "tau",
     "tau_minus",
     "tau_plus",
     "trace_extremal",
-    "vector_field",
 ]
 
 __version__ = "0.1.0"

@@ -51,7 +51,8 @@ def _config_flags(subparser, argv) -> list[str]:
     an explicit flag still wins (argparse keeps an option's last value), a
     required or multi-value option (values separated by spaces) can come
     from the file, and a value that its option's type rejects is a usage
-    error.  A flag that takes no value is set by 1, true or yes.
+    error.  A flag that takes no value is set by 1, true or yes and left
+    unset by 0, false or no, in any case; any other value is a usage error.
     """
     finder = argparse.ArgumentParser(prog=subparser.prog, add_help=False)
     finder.add_argument("--config")
@@ -78,7 +79,10 @@ def _config_flags(subparser, argv) -> list[str]:
         action = options[key]
         flag = action.option_strings[0]
         if action.nargs == 0:  # store_true flags
-            flags += [flag] if val.lower() in ("1", "true", "yes") else []
+            on = val.lower() in ("1", "true", "yes")
+            if not on and val.lower() not in ("0", "false", "no"):
+                subparser.error(f"config key {key!r} takes 1/true/yes or 0/false/no, got {val!r}")
+            flags += [flag] if on else []
         elif action.nargs is None:
             flags.append(f"{flag}={val}")
         else:

@@ -9,7 +9,6 @@ explicitly via :func:`reduce_angle` where a caller needs it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,14 +17,6 @@ from dataclasses import dataclass
 # backward extremals stop on re-entering it, and the damping simulation
 # captures and resolves stalls inside it.
 ZONE_FACTOR = 2.0
-
-
-class ZoneTag(enum.Enum):
-    """Which connected component of the standstill zone contains a state."""
-
-    NONE = "none"
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 @dataclass(frozen=True)
@@ -65,10 +56,9 @@ def pendulum_rhs(pull: float):
     """The plant's field f(t, s) = (y, -sin x + pull) under a constant torque
     pull = eps*u, as a right-hand side for ``integrate``.
 
-    The one definition of the pendulum field: :func:`vector_field` and the
-    tests' DP5 oracle of the damping arcs evaluate it.  The damping arcs
-    themselves run on ``integrator.pendulum_arc``, whose Taylor recurrence
-    writes the field out.
+    The one definition of the pendulum field: the tests' DP5 oracle of the
+    damping arcs evaluates it.  The damping arcs themselves run on
+    ``integrator.pendulum_arc``, whose Taylor recurrence writes the field out.
     """
     sin = math.sin
 
@@ -78,43 +68,16 @@ def pendulum_rhs(pull: float):
     return f
 
 
-def vector_field(s: PhaseState, u: float, p: Params) -> tuple[float, float]:
-    """Right-hand side (x', y') = (y, -sin x + eps*u) for a control value |u| <= 1."""
-    if abs(u) > 1.0:
-        raise ValueError(f"control out of range: |{u}| > 1")
-    return pendulum_rhs(p.epsilon * u)(0.0, (s.x, s.y))
-
-
-def energy(s: PhaseState) -> float:
-    """Pendulum energy y^2/2 + (1 - cos x); zero at the lower equilibrium."""
-    return energy_xy(s.x, s.y)
-
-
 def energy_xy(x: float, y: float) -> float:
-    """Energy from raw coordinates (hot path helper)."""
+    """Pendulum energy y^2/2 + (1 - cos x); zero at the lower equilibrium."""
     return 0.5 * y * y + (1.0 - math.cos(x))
 
 
-def standstill_zone(s: PhaseState, p: Params) -> ZoneTag:
-    """Classify a state against the standstill zone |sin x|, |y| < ZONE_FACTOR*eps.
-
-    The zone has two components for ZONE_FACTOR*eps < 1; the sign of cos x
-    picks the one around the lower (cos x > 0) or upper (cos x < 0)
-    equilibrium.
-    """
-    thr = ZONE_FACTOR * p.epsilon
-    if thr >= 1.0:
-        raise ValueError(f"ZONE_FACTOR*epsilon = {thr} >= 1: zone components not disjoint")
-    return zone_xy(s.x, s.y, thr)
-
-
 def in_zone_xy(x: float, y: float, thr: float) -> bool:
-    """Raw standstill-zone membership test for hot loops (thr = factor*eps < 1)."""
+    """Standstill-zone membership |y| < thr and |sin x| < thr (thr = ZONE_FACTOR*eps).
+
+    For thr < 1 the zone has two components; the sign of cos x picks the one
+    around the lower (cos x > 0) or the upper (cos x < 0) equilibrium.
+    """
     return abs(y) < thr and abs(math.sin(x)) < thr
 
-
-def zone_xy(x: float, y: float, thr: float) -> ZoneTag:
-    """Standstill-zone classification from raw coordinates (thr = factor*eps < 1)."""
-    if in_zone_xy(x, y, thr):
-        return ZoneTag.LOWER if math.cos(x) > 0.0 else ZoneTag.UPPER
-    return ZoneTag.NONE

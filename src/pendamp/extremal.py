@@ -153,9 +153,17 @@ def _tau_bound(E, i=None):
     return _SEG_BASE.take(i) + _SEG_SLOPE.take(i) * np.maximum(E, 0.0)
 
 
+_KNOT_LIST = _TAU_KNOTS.tolist()  # the knots as floats: bisect compares them faster
+
+
+def _segment_at(E: float) -> int:
+    """:func:`_segment` at one energy: the same search, in the knots past the first."""
+    return bisect.bisect_right(_KNOT_LIST, E, 1) - 1
+
+
 def _tau_bound_at(E: float) -> float:
     """:func:`_tau_bound` at one energy, bit for bit: the same segment, line and clamp."""
-    i = bisect.bisect_right(_TAU_KNOTS, E, 1) - 1  # _segment(E), searched in the knots past the first
+    i = _segment_at(E)
     return _SEG_BASE.item(i) + _SEG_SLOPE.item(i) * max(E, 0.0)
 
 
@@ -483,7 +491,7 @@ def _gap_minima(wa: float, ya: float, wb: float, e: float, Ea: float, xtol: floa
     for hi in cuts:
         shi = speed2(hi)
         E = Ea + e * (0.5 * (lo + hi) - wa)
-        rho = _SEG_SLOPE.item(bisect.bisect_right(_TAU_KNOTS, E, 1) - 1)  # E >= 0 here
+        rho = _SEG_SLOPE.item(_segment_at(E))
         level = 1.0 / (rho * rho) if rho > 0.0 else math.inf
         up = slo >= level
         if rising is False and up:

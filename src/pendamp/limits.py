@@ -40,6 +40,13 @@ from .integrator import brentq
 
 TWO_PI = 2.0 * math.pi
 
+# QUADPACK's subinterval limit for every quadrature of the module.
+QUAD_LIMIT = 400
+# poincare_iterates takes at most this many map steps, and times each one by
+# a quadrature to this tolerance.
+POINCARE_MAX_STEPS = 100_000
+POINCARE_TOL = 1e-10
+
 
 class QuadratureError(Exception):
     """Requested quadrature tolerance could not be certified."""
@@ -75,13 +82,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def _quad(f, a, b, tol, points=None, limit=200) -> QuadratureResult:
+def _quad(f, a, b, tol, points=None) -> QuadratureResult:
     _check_tol(tol)
     # Request an order tighter than certified: QUADPACK's estimate for
     # endpoint-singular integrands hovers just above the requested accuracy.
     req = max(tol / 100.0, 1e-13)
-    val, err, info = quad(f, a, b, epsabs=req, epsrel=req, limit=limit,
+    val, err, info = quad(f, a, b, epsabs=req, epsrel=req, limit=QUAD_LIMIT,
                           points=points, full_output=True)[:3]
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise QuadratureError(f"estimate {val} with error estimate {err} is not finite")
     if err > max(tol, 10.0 * abs(val) * 1e-15):
         raise QuadratureError(f"error estimate {err:.3e} above tolerance {tol:.3e}")
     return QuadratureResult(val, err, info["neval"])
@@ -157,13 +166,15 @@ def tau_minus(E: float, tol: float = 1e-9) -> QuadratureResult:
             return 0.0
         return (math.sin(x) / x) * float(ellipk(math.sin(0.5 * x) ** 2))
 
-    return _quad(f, 0.0, phi, tol, limit=400)
+    return _quad(f, 0.0, phi, tol)
 
 
 def full_turn_time(E: float) -> float:
     """Time of one full rotation at energy E > 2:
     (1/sqrt 2) integral_0^{2pi} (E - 1 - cos phi)^(-1/2) dphi
     = 2 sqrt(2) K(2/E) / sqrt(E)."""
+    if not math.isfinite(E):
+        raise ValueError(f"energy must be finite, got {E}")
     if E <= 2.0:
         raise ValueError(f"energy {E} not in the rotation regime (> 2)")
     from scipy.special import ellipk
@@ -195,7 +206,7 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
     def f(e):  # full_turn_time(e) / 2 pi on e in (2, E]
         return _turn_time(e, ellipk) / (2.0 * math.pi)
 
-    return _quad(f, 2.0, E, tol, limit=400)
+    return _quad(f, 2.0, E, tol)
 
 
 def tau(E: float, tol: float = 1e-9) -> QuadratureResult:
@@ -219,6 +230,8 @@ def period_integral(h: float, tol: float = 1e-9) -> QuadratureResult:
     singularities at the genuine zeros of cos s + 1 + h; for h > 0 only the
     near-singular point s = pi needs a panel break.
     """
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
     if h == 0.0:
         raise ValueError("h = 0 diverges")
     if abs(h) > 1.0:
@@ -235,7 +248,7 @@ def period_integral(h: float, tol: float = 1e-9) -> QuadratureResult:
     else:
         s0 = math.acos(-1.0 - h)
         pts = [s0, math.pi, TWO_PI - s0]
-    return _quad(f, 0.0, TWO_PI, tol, points=pts, limit=400)
+    return _quad(f, 0.0, TWO_PI, tol, points=pts)
 
 
 def poincare_high(y: float, p: Params) -> float:
@@ -318,7 +331,7 @@ def _low_step_time(x: float, x_next: float, eps: float, tol: float) -> float:
         dd = (_cos_divided_difference(s, x_next) - _cos_divided_difference(-x, s)) / width
         return 1.0 / math.sqrt(-2.0 * dd)
 
-    return _quad(f, -0.5 * math.pi, 0.5 * math.pi, tol, limit=400).value
+    return _quad(f, -0.5 * math.pi, 0.5 * math.pi, tol).value
 
 
 def _high_step_time(y: float, eps: float, tol: float) -> float:
@@ -330,7 +343,7 @@ def _high_step_time(y: float, eps: float, tol: float) -> float:
         v = y * y + 2.0 * (1.0 + math.cos(s)) + 2.0 * eps * (math.pi - s)
         return v ** -0.5
 
-    return _quad(f, math.pi, 3.0 * math.pi, tol, limit=400).value
+    return _quad(f, math.pi, 3.0 * math.pi, tol).value
 
 
 def _orbit(step, start: float, p: Params, stop: type[Exception], max_steps: int):
@@ -349,14 +362,17 @@ def _orbit(step, start: float, p: Params, stop: type[Exception], max_steps: int)
         yield v
 
 
-def poincare_iterates(zone: str, start: float, p: Params,
-                      max_steps: int = 100_000, tol: float = 1e-10) -> PoincareIterates:
+def poincare_iterates(zone: str, start: float, p: Params) -> PoincareIterates:
     """Iterate a dry-friction Poincare map until it leaves its regime.
 
     Low zone: amplitudes from ``start`` down to standstill capture.
     High zone: positive section speeds down to the last full turn.
+    The orbit ends after at most ``POINCARE_MAX_STEPS`` steps, each timed to
+    ``POINCARE_TOL``.
     """
-    _check_tol(tol)
+    _check_tol(POINCARE_TOL)
+    if not math.isfinite(start):
+        raise ValueError(f"start must be finite, got {start}")
     eps = p.epsilon
     if zone == "low":
         step, stop = poincare_low, StandstillCapture
@@ -368,10 +384,10 @@ def poincare_iterates(zone: str, start: float, p: Params,
         raise ValueError(f"unknown zone {zone!r}")
     values: list[float] = []
     times: list[float] = []
-    for v in _orbit(step, float(start), p, stop, max_steps):
+    for v in _orbit(step, float(start), p, stop, POINCARE_MAX_STEPS):
         if values:
-            times.append(_low_step_time(values[-1], v, eps, tol) if zone == "low"
-                         else _high_step_time(values[-1], eps, tol))
+            times.append(_low_step_time(values[-1], v, eps, POINCARE_TOL) if zone == "low"
+                         else _high_step_time(values[-1], eps, POINCARE_TOL))
         values.append(v)
     return PoincareIterates(zone, tuple(values), tuple(times))
 
@@ -422,30 +438,37 @@ def limit_ode_solve(zone: str, init: float, profile) -> LimitPath:
 
     ``profile`` is a nonempty iterable of (control, duration) pairs; a
     duration of None means "run until the state reaches 0" and needs a
-    negative control.  The path ends early once the state reaches 0.
+    negative control.  Every piece is checked before the first is solved.
+    The path ends early once the state reaches 0.
     Low zone: (sin X / 2X) dX/dt = U with X in (0, pi].
     High zone: Y dY/dt = 2 pi U with Y > 0.
     """
     if zone not in ("low", "high"):
         raise ValueError(f"unknown zone {zone!r}")
+    if not math.isfinite(init):
+        raise ValueError(f"initial state must be finite, got {init}")
     if zone == "low" and not 0.0 < init <= math.pi:
         raise ValueError(f"low-zone amplitude {init} outside (0, pi]")
     if zone == "high" and init <= 0.0:
         raise ValueError(f"high-zone speed {init} must be positive")
+    profile = [(float(u), dur) for u, dur in profile]
+    if not profile:
+        raise ValueError("empty control profile")
+    for u, dur in profile:
+        if not abs(u) <= 1.0:
+            raise ValueError(f"control {u} outside [-1, 1]")
+        if dur is None:
+            if u >= 0.0:
+                raise ValueError("an open-ended piece needs a negative control")
+        elif not (math.isfinite(dur) and dur >= 0.0):
+            raise ValueError(f"piece duration must be nonnegative and finite, got {dur}")
 
     pieces: list[PathPiece] = []
     t = 0.0
     v = float(init)
     for u, dur in profile:
-        u = float(u)
-        if abs(u) > 1.0:
-            raise ValueError(f"control magnitude {abs(u)} exceeds 1")
         if dur is None:
-            if u >= 0.0:
-                raise ValueError("an open-ended piece needs a negative control")
             dur = (swing_progress(v) / -u) if zone == "low" else (v * v / (4.0 * math.pi * -u))
-        if dur < 0.0:
-            raise ValueError("piece duration must be nonnegative")
         if zone == "low":
             g_end = swing_progress(v) + u * dur
             if g_end < -1e-12 or g_end > swing_progress(math.pi) + 1e-12:
@@ -459,8 +482,6 @@ def limit_ode_solve(zone: str, init: float, profile) -> LimitPath:
         v = v_end
         if v <= 0.0:
             break
-    if not pieces:
-        raise ValueError("empty control profile")
     return LimitPath(zone, tuple(pieces), t)
 
 

@@ -75,6 +75,9 @@ class LinDampingResult:
         return len(self.switch_points)
 
 
+# lin_simulate's budget of arcs; a start it cannot reach within it is an error.
+LIN_MAX_ARCS = 10_000
+
 # The filters of _first_curve_hit admit |x* - c| up to 1 + 1e-12 and y^2 down
 # to -1e-15, which moves the reach |r - 1| <= |c - cx| <= r + 1 by less than
 # 1e-7; the slack covers that and the rounding of x*.
@@ -115,11 +118,12 @@ def _first_curve_hit(u: int, cx: float, r: float, th0: float) -> tuple[float, fl
     return best
 
 
-def lin_simulate(p0: LinState, max_arcs: int = 10_000) -> LinDampingResult:
+def lin_simulate(p0: LinState) -> LinDampingResult:
     """Closed-loop bang-bang damping by exact arc chaining.
 
     Each constant-control piece is a clockwise rotation about (u, 0); the
-    chain ends by sliding along the terminal semicircle into the origin.
+    chain ends by sliding along the terminal semicircle into the origin
+    within ``LIN_MAX_ARCS`` arcs.
     """
     x, y = float(p0.x), float(p0.y)
     t = 0.0
@@ -128,11 +132,11 @@ def lin_simulate(p0: LinState, max_arcs: int = 10_000) -> LinDampingResult:
         return LinDampingResult(0.0, [])
     # An arc turns the state about (+-1, 0), so it ends at most 2 closer to the origin.
     dist = math.hypot(x, y)
-    if dist > 2 * max_arcs:
+    if dist > 2 * LIN_MAX_ARCS:
         raise RuntimeError(f"start ({x}, {y}) is {dist} from the origin, farther than "
-                           f"2 * max_arcs = {2 * max_arcs}: an arc comes at most 2 closer")
+                           f"2 * max_arcs = {2 * LIN_MAX_ARCS}: an arc comes at most 2 closer")
     u = lin_feedback(p0)
-    for _ in range(max_arcs):
+    for _ in range(LIN_MAX_ARCS):
         cx = float(u)
         r = math.hypot(x - cx, y)
         th0 = math.atan2(y, x - cx)
@@ -151,7 +155,7 @@ def lin_simulate(p0: LinState, max_arcs: int = 10_000) -> LinDampingResult:
         # Controls strictly alternate at switchings; re-sampling the feedback
         # here would sit on the knife edge of the curve comparison.
         u = -u
-    raise RuntimeError(f"arc budget exhausted after {max_arcs} arcs")
+    raise RuntimeError(f"arc budget exhausted after {LIN_MAX_ARCS} arcs")
 
 
 def _abs_cos_antiderivative(t: float) -> float:
@@ -175,13 +179,9 @@ def lin_support(xi: tuple[float, float], T: float) -> float:
     return norm * (_abs_cos_antiderivative(T - alpha) - _abs_cos_antiderivative(-alpha))
 
 
-def support_deviation(T: float) -> float:
-    """phi0(T) = integral_0^T |cos t| dt - 2T/pi, the pi-periodic remainder."""
-    return _abs_cos_antiderivative(T) - 2.0 * T / math.pi
-
-
 def phi0_constant() -> float:
     """Sharp remainder bound of the support-function growth law:
-    sqrt(1 - 4/pi^2) - (2/pi) arccos(2/pi), the maximum of support_deviation,
-    attained where cos T = 2/pi."""
+    sqrt(1 - 4/pi^2) - (2/pi) arccos(2/pi), the maximum over T of the
+    pi-periodic remainder lin_support((0, 1), T) - 2T/pi, attained where
+    cos T = 2/pi."""
     return math.sqrt(1.0 - 4.0 / math.pi ** 2) - (2.0 / math.pi) * math.acos(2.0 / math.pi)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import ZONE_FACTOR, Params, PhaseState, ZoneTag, energy_xy, reduce_angle, zone_xy
+from .dynamics import ZONE_FACTOR, Params, PhaseState, energy_xy, in_zone_xy, reduce_angle
 from .integrator import (
     ANY,
     STOP_STEP_FAILURE,
@@ -263,15 +263,16 @@ def simulate_damping(
             break
         x, yv = state
         en = energy_xy(x, yv)
-        tag = zone_xy(x, yv, thr)
+        zone = in_zone_xy(x, yv, thr)
+        lower = zone and math.cos(x) > 0.0  # in the zone's component around the bottom
 
-        if tag is ZoneTag.LOWER and en <= cap_energy:
+        if lower and en <= cap_energy:
             captured = True
             break
 
         events = to_rest
         at_rest = False
-        if tag is ZoneTag.UPPER and abs(yv) < 1e-9:
+        if zone and not lower and abs(yv) < 1e-9:
             # Rest near the saddle: wait for the fall through the bottom,
             # then dry friction from the bottom crossing down to the next rest.
             seg = pendulum_arc(0.0, state, t, t + coast_budget, [ev_bottom_stop])

@@ -7,7 +7,6 @@ other.  None of them is reachable from the package.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -16,15 +15,16 @@ from scipy.special import ellipk
 from pendamp import extremal
 from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, in_zone_xy, pendulum_rhs
 from pendamp.extremal import (
+    _SEG_SLOPE,
     _TAU_KNOTS,
-    _TAU_VALUES,
-    OPTIMALITY_SLACK,
     SPEED_EXIT,
     STOP_ENERGY_EXIT,
     STOP_OPTIMALITY,
     STOP_STANDSTILL,
     STOP_TIME_BUDGET,
     ExtremalRun,
+    _gap_at,
+    _segment_at,
 )
 from pendamp.integrator import (
     ANY,
@@ -49,29 +49,6 @@ from pendamp.limits import (
 
 # ------------------------------------------------------------ extremals
 
-_KNOTS, _VALUES = _TAU_KNOTS.tolist(), _TAU_VALUES.tolist()
-
-
-def _tau_bound(E: float) -> float:
-    """Piecewise-linear interpolation of the tau(E) table, by bisection.
-
-    Above the table range the bound is clamped (the speed exit fires long
-    before that matters).
-    """
-    if E <= 0.0:
-        return 0.0
-    if E >= _KNOTS[-1]:
-        return _VALUES[-1]
-    lo, hi = 0, len(_KNOTS) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _KNOTS[mid] <= E:
-            lo = mid
-        else:
-            hi = mid
-    w = (E - _KNOTS[lo]) / (_KNOTS[hi] - _KNOTS[lo])
-    return _VALUES[lo] + w * (_VALUES[hi] - _VALUES[lo])
-
 
 @dataclass
 class OracleRun(ExtremalRun):
@@ -85,20 +62,11 @@ class OracleRun(ExtremalRun):
 TIGHT_EXTREMAL = StepControl(rtol=1e-12, atol=1e-14)
 
 
-def _tau_slope(E: float) -> float:
-    """The slope of the tau(E) table on the segment that holds E (0 past it)."""
-    if E <= 0.0 or E >= _KNOTS[-1]:
-        return 0.0
-    i = bisect.bisect_right(_KNOTS, E) - 1
-    return (_VALUES[i + 1] - _VALUES[i]) / (_KNOTS[i + 1] - _KNOTS[i])
-
-
 def _knot_phase(E: float) -> float:
     """sin(pi phi(E)), where phi runs through the integers at the table's knots."""
-    if E <= 0.0:
-        return 0.0
-    i = min(bisect.bisect_right(_KNOTS, E) - 1, len(_KNOTS) - 2)
-    return math.sin(math.pi * (i + (E - _KNOTS[i]) / (_KNOTS[i + 1] - _KNOTS[i])))
+    i = min(_segment_at(E), len(_TAU_KNOTS) - 2)
+    lo, hi = _TAU_KNOTS.item(i), _TAU_KNOTS.item(i + 1)
+    return math.sin(math.pi * (i + (E - lo) / (hi - lo)))
 
 
 def oracle_trace_extremal(
@@ -116,7 +84,10 @@ def oracle_trace_extremal(
     budget gap tau(E)/eps + OPTIMALITY_SLACK + t between step ends.  Along
     the arc ``integrate`` also locates, as non-terminal events, the zeros of
     y, of y' = u eps - sin x, of sin 2x, of sin(pi phi(E)) (the table's
-    knots) and of 1 + u rho(E) y, the sign of the gap's slope.  Between two
+    knots) and of 1 + u rho(E) y, the sign of the gap's slope.  The gap,
+    the slope rho and the knots are the kernel's own (``extremal._gap_at``
+    and the table's segments), which test_extremal_lanes.py checks against
+    the written-out tau(E) values.  Between two
     such points |y|, |sin x| and E are monotone, rho is constant, and so the
     gap is monotone too.  So the end values of each piece tell whether the
     speed exit, the budget line, the zone (|y| < thr and |sin x| < thr) and
@@ -145,7 +116,7 @@ def oracle_trace_extremal(
         return st[1] * st[1] - y_stop2
 
     def budget_gap(t, st):
-        return _tau_bound(energy(st)) / eps + OPTIMALITY_SLACK + t
+        return _gap_at(energy(st), t, eps)
 
     def y_gap(t, st):
         return abs(st[1]) - thr
@@ -169,7 +140,8 @@ def oracle_trace_extremal(
             EventSpec(lambda t, st: ueps - math.sin(st[0]), ANY, False, "cut"),
             EventSpec(lambda t, st: math.sin(2.0 * st[0]), ANY, False, "cut"),
             EventSpec(lambda t, st: _knot_phase(energy(st)), ANY, False, "cut"),
-            EventSpec(lambda t, st: 1.0 + u * _tau_slope(energy(st)) * st[1], ANY, False, "cut"),
+            EventSpec(lambda t, st: 1.0 + u * _SEG_SLOPE.item(_segment_at(energy(st))) * st[1],
+                      ANY, False, "cut"),
         ]
         seg = integrate(rhs, state, t0, -t_budget, events, ctl)
 
@@ -403,7 +375,7 @@ def oracle_low_step_time(x: float, x_next: float, eps: float, tol: float) -> flo
             return 0.0
         return v ** -0.5
 
-    return _quad(f, -x, x_next, tol, limit=400).value
+    return _quad(f, -x, x_next, tol).value
 
 
 def oracle_per_oscillation_time(zone: str, v: float) -> float:
@@ -444,7 +416,7 @@ def oracle_cost_functional(path: LimitPath, tol: float = 1e-9) -> QuadratureResu
         else:
             def f(yv):
                 return oracle_per_oscillation_time("high", yv) * yv / (2.0 * math.pi)
-        q = _quad(f, lo, hi, tol, limit=400)
+        q = _quad(f, lo, hi, tol)
         total += q.value / abs(pc.u)
         err += q.error_estimate
         neval += q.evaluations

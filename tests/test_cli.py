@@ -327,15 +327,50 @@ def test_config_bad_value_is_a_usage_error(capsys, tmp_path):
     assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text,fast", [("fast=true", True), ("fast=no", False)])
+@pytest.mark.parametrize("text,fast", [("fast=true", True), ("fast=no", False), ("fast=YES", True),
+                                       ("fast=False", False), ("fast=on", None)])
 def test_config_sets_a_flag(capsys, monkeypatch, tmp_path, text, fast):
+    # 1/true/yes set the flag and 0/false/no leave it unset, in any case; any
+    # other value is a usage error that names the key and the value.
     seen = []
     monkeypatch.setattr(acceptance, "run_all", lambda fast, report: seen.append(fast) or [])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text + "\n")
+    if fast is None:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fast", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config key 'fast' takes 1/true/yes or 0/false/no, got 'on'" in capsys.readouterr().err
+        assert seen == []
+        return
     assert main(["verify", "--config", str(cfg)]) == 0
     assert main(["verify", "--fast", "--config", str(cfg)]) == 0
     assert seen == [fast, True]
+
+
+def test_config_skips_comment_and_blank_lines(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# constants at a looser tol\n\n   \n  # indented comment\ntol=1e-6\n")
+    code, out = run_cli(capsys, "constants", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == 1e-6
+
+
+def test_config_line_without_equals_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol 1e-6\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "malformed config line 'tol 1e-6' (expected key=value)" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_a_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", str(tmp_path / "missing.cfg")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file:" in err and "missing.cfg" in err
 
 
 def test_config_supplies_a_required_option(capsys, tmp_path):

@@ -210,6 +210,20 @@ def test_scalar_tau_bound_is_the_vector_bound_bit_for_bit():
     assert [a.hex() for a in scalar] == [b.hex() for b in vector]
 
 
+def test_segment_lines_meet_the_tau_values_at_both_knots():
+    # The kernel's bound, which the DP5 oracle also reads, against the
+    # written-out table: segment i's line takes the table's value at knot i
+    # and at knot i + 1, and past the last knot it is flat at the last value.
+    knots, values = extremal._TAU_KNOTS, extremal._TAU_VALUES
+    seg = np.arange(knots.size - 1)
+    for at in (seg, seg + 1):
+        lines = _tau_bound(knots[at], seg).tolist()
+        for i, line, want in zip(seg.tolist(), lines, values[at].tolist()):
+            assert abs(line - want) <= 4 * math.ulp(want), (i, line, want)
+    last = knots.size - 1
+    assert _tau_bound(np.array([knots[-1], 2.0 * knots[-1]]), last).tolist() == [values[-1]] * 2
+
+
 def test_first_order_coefficients_are_the_field():
     rng = np.random.default_rng(11)
     m = 2000

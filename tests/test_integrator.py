@@ -31,7 +31,7 @@ from pendamp.integrator import (
     integrate,
     pendulum_arc,
 )
-from pendamp.dynamics import pendulum_rhs
+from pendamp.dynamics import energy_xy, pendulum_rhs
 from oracles import TIGHT, oracle_canonical_series, oracle_free_oscillation_period
 
 
@@ -39,14 +39,10 @@ def free_pendulum(t, s):
     return (s[1], -math.sin(s[0]))
 
 
-def energy(s):
-    return 0.5 * s[1] * s[1] + 1.0 - math.cos(s[0])
-
-
 def test_energy_conservation_free_pendulum():
     seg = integrate(free_pendulum, (1.0, 0.0), 0.0, 20.0)
-    e0 = energy((1.0, 0.0))
-    drift = max(abs(energy(s) - e0) for s in seg.states)
+    e0 = energy_xy(1.0, 0.0)
+    drift = max(abs(energy_xy(*s) - e0) for s in seg.states)
     assert drift <= 1e-9
     assert seg.stop_reason == STOP_TIME_LIMIT
 
@@ -136,6 +132,15 @@ def test_step_failure_reported():
     assert seg.stop_reason == STOP_STEP_FAILURE
     assert seg.detail != ""
     assert seg.times[-1] < 1.01  # the pole sits at t = 1
+
+
+def test_step_budget_ends_the_run():
+    # The run stops after max_steps accepted steps, short of t_limit, with the
+    # samples it has so far.
+    seg = integrate(free_pendulum, (1.0, 0.0), 0.0, 50.0, ctl=StepControl(max_steps=3))
+    assert seg.stop_reason == STOP_STEP_FAILURE
+    assert len(seg.times) == 4 and seg.t_end < 50.0
+    assert seg.detail == f"step budget 3 exhausted at t={seg.t_end}"
 
 
 def test_rejects_degenerate_time_span():

@@ -406,11 +406,13 @@ class TestPoincareIterates:
         assert all(a > b for a, b in zip(it.values, it.values[1:]))
         assert it.values == tuple(low_orbit(2.8, Params(eps)))
 
-    def test_orbit_truncated_at_max_steps(self):
+    def test_orbit_truncated_at_max_steps(self, monkeypatch):
         from pendamp.limits import poincare_iterates
         for zone, start in (("low", 2.8), ("high", 3.0)):
             full = poincare_iterates(zone, start, Params(0.05))
-            cut = poincare_iterates(zone, start, Params(0.05), max_steps=2)
+            with monkeypatch.context() as m:
+                m.setattr(limits, "POINCARE_MAX_STEPS", 2)
+                cut = poincare_iterates(zone, start, Params(0.05))
             assert len(full.values) > 3
             assert cut.values == full.values[:3]
             assert cut.times == full.times[:2]
@@ -432,7 +434,7 @@ class TestPoincareIterates:
         (2.5, 0.005),
         (math.acos(-1.0 + 1e-3), 0.002),   # near-separatrix start, E0 = 2 - 1e-3
     ], ids=["x2.5-eps0.005", "separatrix-eps0.002"])
-    def test_low_step_times_in_small_eps_regime(self, x0, eps):
+    def test_low_step_times_in_small_eps_regime(self, monkeypatch, x0, eps):
         # The regime of the damping benchmark: hundreds of half-swings, each
         # timed against the closed-loop integrator's rest-to-rest times.
         from pendamp.limits import poincare_iterates
@@ -448,7 +450,8 @@ class TestPoincareIterates:
         for quad_t, sim_t in zip(it.times, sim_times):
             assert quad_t == pytest.approx(sim_t, rel=1e-4)
         # discretisation check: a 100x tighter quadrature tolerance moves no step time
-        fine = poincare_iterates("low", x0, Params(eps), tol=1e-12)
+        monkeypatch.setattr(limits, "POINCARE_TOL", 1e-12)
+        fine = poincare_iterates("low", x0, Params(eps))
         assert fine.values == it.values
         for t10, t12 in zip(it.times, fine.times):
             assert t10 == pytest.approx(t12, rel=1e-9)
@@ -524,9 +527,10 @@ def test_quadrature_tol_must_be_positive_and_finite(monkeypatch, tol):
         raise AssertionError("integrated before rejecting tol")
 
     monkeypatch.setattr(limits, "quad", no_quad)
+    monkeypatch.setattr(limits, "POINCARE_TOL", tol)
     message = f"tol must be positive and finite, got {tol}"
     for call in (lambda: tau(1.0, tol), lambda: tau(3.0, tol), lambda: period_integral(0.1, tol),
-                 lambda: poincare_iterates("high", 3.0, Params(0.1), tol=tol)):
+                 lambda: poincare_iterates("high", 3.0, Params(0.1))):
         with pytest.raises(ValueError, match=message):
             call()
     if not tol < 1e-12:  # constant_D's 1e-12 floor rejects 0 and -1e-9 first
@@ -534,10 +538,20 @@ def test_quadrature_tol_must_be_positive_and_finite(monkeypatch, tol):
             constant_D(tol)
 
 
+def _orbit_at_tol(zone, start):
+    """poincare_iterates(zone, start, Params(0.1)) with POINCARE_TOL set to tol."""
+    def call(tol):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(limits, "POINCARE_TOL", tol)
+            return poincare_iterates(zone, start, Params(0.1))
+
+    return call
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
 @pytest.mark.parametrize("call", [
-    lambda tol: poincare_iterates("high", 0.5, Params(0.1), tol=tol),
-    lambda tol: poincare_iterates("low", 0.05, Params(0.1), tol=tol),
+    _orbit_at_tol("high", 0.5),
+    _orbit_at_tol("low", 0.05),
     lambda tol: tau_plus(2.0, tol),
 ], ids=["high-no-full-turn", "low-below-capture", "tau-plus-at-separatrix"])
 def test_tol_checked_before_an_orbit_without_quadrature(monkeypatch, call, tol):
@@ -550,6 +564,38 @@ def test_tol_checked_before_an_orbit_without_quadrature(monkeypatch, call, tol):
     with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
         call(tol)
     assert call(1e-10) is not None  # the same call with a good tol runs no quadrature
+
+
+def test_quadrature_never_certifies_a_non_finite_estimate():
+    # NaN compares false with the tolerance, so only an explicit check keeps
+    # a NaN value or error estimate from passing as certified.
+    with pytest.raises(QuadratureError, match="estimate nan with error estimate nan is not finite"):
+        limits._quad(lambda x: math.nan, 0.0, 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: poincare_iterates("high", math.nan, Params(0.1)), "start must be finite, got nan"),
+    (lambda: poincare_iterates("high", math.inf, Params(0.1)), "start must be finite, got inf"),
+    (lambda: limit_ode_solve("high", math.inf, [(-1.0, None)]), "initial state must be finite, got inf"),
+    (lambda: limit_ode_solve("high", math.nan, [(-1.0, None)]), "initial state must be finite, got nan"),
+    (lambda: limit_ode_solve("low", 1.0, [(-1.0, 0.1), (-1.0, math.nan)]),
+     "piece duration must be nonnegative and finite, got nan"),
+    (lambda: limit_ode_solve("low", 1.0, [(-1.0, math.inf)]),
+     "piece duration must be nonnegative and finite, got inf"),
+    (lambda: limit_ode_solve("low", 1.0, [(math.nan, 0.1)]), r"control nan outside \[-1, 1\]"),
+    (lambda: full_turn_time(math.nan), "energy must be finite, got nan"),
+    (lambda: full_turn_time(math.inf), "energy must be finite, got inf"),
+    (lambda: period_integral(math.nan), "h must be finite, got nan"),
+], ids=["iterates-nan", "iterates-inf", "limit-ode-inf", "limit-ode-nan", "duration-nan",
+        "duration-inf", "control-nan", "turn-nan", "turn-inf", "period-nan"])
+def test_rejects_non_finite_inputs_before_any_work(monkeypatch, call, message):
+    def no_work(*args, **kw):
+        raise AssertionError("worked on a non-finite input")
+
+    for name in ("quad", "poincare_high", "swing_progress", "_advance"):
+        monkeypatch.setattr(limits, name, no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_unreachable_tolerance_raises_quadrature_error():

@@ -17,7 +17,6 @@ from pendamp.linosc import (
     lin_simulate,
     lin_support,
     phi0_constant,
-    support_deviation,
 )
 
 PHI0_PAPER = 0.2105
@@ -107,11 +106,12 @@ class TestSimulate:
         res = lin_simulate(LinState(0.0, 0.0))
         assert res.damping_time == 0.0
 
-    def test_arc_budget_exhausted(self):
+    def test_arc_budget_exhausted(self, monkeypatch):
         # The start is 2 * max_arcs from the origin, in reach, but its run
         # takes 11 arcs: the loop runs out.
+        monkeypatch.setattr(linosc, "LIN_MAX_ARCS", 10)
         with pytest.raises(RuntimeError, match="arc budget exhausted after 10 arcs"):
-            lin_simulate(LinState(0.0, 20.0), max_arcs=10)
+            lin_simulate(LinState(0.0, 20.0))
 
     def test_far_start_rejected_before_any_arc(self, monkeypatch):
         def no_arc(*args):
@@ -121,9 +121,10 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match=r"start \(1e\+300, 0.0\) is 1e\+300 from the origin, "
                            r"farther than 2 \* max_arcs = 20000: an arc comes at most 2 closer"):
             lin_simulate(LinState(1e300, 0.0))
+        monkeypatch.setattr(linosc, "LIN_MAX_ARCS", 10)
         with pytest.raises(RuntimeError, match=r"is 20.0001 from the origin, farther than "
                            r"2 \* max_arcs = 20:"):
-            lin_simulate(LinState(0.0, -20.0001), max_arcs=10)
+            lin_simulate(LinState(0.0, -20.0001))
 
     def test_far_start_finishes(self):
         # At the edge of the default budget: 10,000 arcs, each a half turn.
@@ -189,7 +190,9 @@ class TestSupportFunction:
 
     def test_deviation_is_pi_periodic(self):
         for t in (0.2, 1.0, 2.8):
-            assert support_deviation(t + math.pi) == pytest.approx(support_deviation(t), abs=1e-12)
+            # lin_support((0, 1), T) - 2T/pi is the remainder phi0(T) of the growth law.
+            after = lin_support((0.0, 1.0), t + math.pi) - 2.0 * (t + math.pi) / math.pi
+            assert after == pytest.approx(lin_support((0.0, 1.0), t) - 2.0 * t / math.pi, abs=1e-12)
 
     def test_max_deviation_equals_two_phi0(self):
         best = 0.0
@@ -224,12 +227,14 @@ class TestPhi0:
         assert abs(phi0_constant() - PHI0_PAPER) <= 5e-5
 
     def test_is_the_maximum_of_the_deviation(self):
-        res = minimize_scalar(lambda t: -support_deviation(t), bounds=(0.0, 0.5 * math.pi),
+        # lin_support((0, 1), T) - 2T/pi is the remainder phi0(T) of the growth law.
+        res = minimize_scalar(lambda t: 2.0 * t / math.pi - lin_support((0.0, 1.0), t),
+                              bounds=(0.0, 0.5 * math.pi),
                               method="bounded", options={"xatol": 1e-12})
         t_star = res.x
         assert t_star == pytest.approx(math.acos(2.0 / math.pi), abs=1e-6)
         assert -res.fun == pytest.approx(phi0_constant(), abs=1e-12)
 
     def test_zero_at_period_ends(self):
-        assert support_deviation(0.0) == 0.0
-        assert support_deviation(math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert lin_support((0.0, 1.0), 0.0) == 0.0
+        assert lin_support((0.0, 1.0), math.pi) - 2.0 == pytest.approx(0.0, abs=1e-12)

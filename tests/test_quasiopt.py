@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pendamp import quasiopt
-from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, energy, energy_xy, pendulum_rhs
+from pendamp.dynamics import ZONE_FACTOR, Params, PhaseState, energy_xy, pendulum_rhs
 from pendamp.integrator import (EVENT_TOL, STOP_TIME_LIMIT, StepControl, TrajectorySegment, integrate,
                                 pendulum_arc)
 from pendamp.limits import (
@@ -78,14 +78,14 @@ class TestSimulateDamping:
         for eps, p0 in ((0.2, PhaseState(-3.0, 0.0)), (0.1, PhaseState(-2.0, 0.0)),
                         (0.1, PhaseState(math.pi, 1.0))):
             res = simulate_damping(p0, Params(eps), keep_samples=False)
-            assert res.damping_time >= math.sqrt(2.0 * energy(p0)) / eps
+            assert res.damping_time >= math.sqrt(2.0 * energy_xy(p0.x, p0.y)) / eps
 
     def test_energy_monotone_on_dry_arcs(self):
         res = simulate_damping(PhaseState(-3.0, 0.0), Params(0.1), keep_samples=False)
         for entry in res.phase_log:
             if entry.mode == MODE_DRY:
-                e0 = energy(PhaseState(*entry.start))
-                e1 = energy(PhaseState(*entry.end))
+                e0 = energy_xy(*entry.start)
+                e1 = energy_xy(*entry.end)
                 assert e1 <= e0 + 1e-9
 
     def test_rest_point_energy_drop_relation(self):
@@ -266,7 +266,7 @@ class TestSimulateDamping:
         # A rest at sin x = eps has energy eps^2 / (1 + sqrt(1 - eps^2)).
         eps = 0.1
         k_min = 1.0 / (1.0 + math.sqrt(1.0 - eps * eps))
-        assert energy(PhaseState(math.asin(eps), 0.0)) == pytest.approx(k_min * eps * eps, rel=1e-12)
+        assert energy_xy(math.asin(eps), 0.0) == pytest.approx(k_min * eps * eps, rel=1e-12)
         monkeypatch.setattr(quasiopt, "pendulum_arc", no_integration)
         with pytest.raises(AssertionError, match="an arc was integrated"):
             simulate_damping(PhaseState(-2.5, 0.0), Params(eps), CapturePolicy(k_cap=k_min))
@@ -374,7 +374,7 @@ def test_capture_energy_below_threshold():
     # energy at most k_cap * eps^2.
     for eps in (0.2, 0.1, 0.05):
         res = simulate_damping(PhaseState(-2.5, 0.0), Params(eps), keep_samples=False)
-        assert energy(res.terminal_state) <= 4.0 * eps * eps + 1e-12
+        assert energy_xy(res.terminal_state.x, res.terminal_state.y) <= 4.0 * eps * eps + 1e-12
 
 
 # ------------------------------------------------- Taylor arcs and capture
