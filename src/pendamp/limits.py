@@ -12,8 +12,8 @@ Contents:
 
 Inner pendulum-time integrals are evaluated after the classical substitution
 sin(phi/2) = sin(x/2) sin(theta), which removes the inverse-square-root
-endpoint singularity exactly; the resulting complete elliptic integral is
-evaluated with scipy.special.ellipk.
+endpoint singularity exactly; the resulting complete elliptic integral K is
+evaluated by the arithmetic-geometric mean.
 
 The half-swing times of the low-zone map integrate ds/|y| between two rest
 points, where y^2 = 2 (cos s - cos x - eps (s + x)) has a simple zero at each
@@ -22,17 +22,25 @@ end.  Both zeros are factored out exactly: the tilted potential difference is
 and the substitution s = c + r sin(theta) cancels the product against ds, so
 the quadrature sees a smooth integrand on [-pi/2, pi/2].
 
-scipy is loaded on first use: importing scipy.integrate or scipy.special
-costs about half a second, and the package's traces, sweeps, damping runs and
-linear baseline need neither.  The module attribute ``quad`` forwards to
-scipy.integrate.quad, imported at its first call, and ``ellipk`` and ``sici``
-are imported inside the functions that use them, outside the integrands.
-Scalar roots come from the package's ``integrator.brentq``.
+The quadratures, K and Si are the package's own, so no path of the module
+imports scipy.  :func:`quad` is an adaptive 21-point Gauss-Kronrod quadrature
+with QUADPACK's rule and error estimate (dqk21; Piessens et al., QUADPACK,
+Springer 1983) that bisects the panel with the largest estimate.  It has no
+extrapolation, so no integrand it is given keeps an endpoint singularity:
+besides the half-swing times above, tau_minus runs in t with
+x = Phi (1 - t^3) and tau_plus in t with e = 2 + (E - 2) t^6, which turn
+their log ends into t^5 log t, and period_integral(h < 0) runs in u with
+s = s0 -+ u^2 at the zeros s0 of its inverse square root.  K(m) is
+pi / (2 AGM(1, sqrt(1 - m))) (Abramowitz & Stegun 17.6) and Si is its power
+series on [0, pi].  Scalar roots come from the package's
+``integrator.brentq``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .dynamics import Params
@@ -40,7 +48,8 @@ from .integrator import brentq
 
 TWO_PI = 2.0 * math.pi
 
-# QUADPACK's subinterval limit for every quadrature of the module.
+# The panel limit of every quadrature of the module: quad bisects until the
+# estimate meets the tolerance or this many panels exist.
 QUAD_LIMIT = 400
 # poincare_iterates takes at most this many map steps, and times each one by
 # a quadrature to this tolerance.
@@ -67,11 +76,106 @@ class QuadratureResult:
     evaluations: int
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported at the first call."""
-    from scipy.integrate import quad as scipy_quad
+# QUADPACK's dqk21: the Kronrod nodes on [-1, 1] from the outermost in (the
+# 2nd, 4th, ..., 10th are the 10-point Gauss nodes; the centre is 0), the
+# Kronrod weights of those nodes and then of the centre, and the Gauss weights.
+_GK21_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_GK21_KRONROD = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208643740060, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK21_GAUSS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
 
-    return scipy_quad(*args, **kwargs)
+
+def _gk21_source() -> str:
+    """Source of ``gk21(f, a, b)``: QUADPACK's dqk21 on [a, b], written out.
+
+    Returns the Kronrod value and dqk21's error estimate: |Kronrod - Gauss|
+    scaled by (200 |K - G| / resasc)^1.5 against the mean deviation resasc,
+    and never below 50 eps times the integral of |f|.  The 21 values and the
+    sums are straight-line code, with the nodes and weights as literals.
+    """
+    n = len(_GK21_NODES)
+    lines = ["c = 0.5 * (a + b)", "h = 0.5 * (b - a)", "f0 = f(c)"]
+    for j, x in enumerate(_GK21_NODES, 1):
+        lines += [f"d = h * {x!r}", f"l{j} = f(c - d)", f"r{j} = f(c + d)"]
+    w0 = _GK21_KRONROD[n]
+
+    def weighted(term0, term) -> str:
+        return " + ".join([f"{w0!r} * {term0}"]
+                          + [f"{w!r} * ({term(j)})" for j, w in enumerate(_GK21_KRONROD[:n], 1)])
+
+    lines += [
+        "k = " + weighted("f0", lambda j: f"l{j} + r{j}"),
+        "g = " + " + ".join(f"{w!r} * (l{2 * i} + r{2 * i})" for i, w in enumerate(_GK21_GAUSS, 1)),
+        "m = 0.5 * k",
+        "ah = abs(h)",
+        "asc = (" + weighted("abs(f0 - m)", lambda j: f"abs(l{j} - m) + abs(r{j} - m)") + ") * ah",
+        "sab = (" + weighted("abs(f0)", lambda j: f"abs(l{j}) + abs(r{j})") + ") * ah",
+        "err = abs((k - g) * h)",
+        "if asc != 0.0 and err != 0.0:",
+        "    err = asc * min(1.0, (200.0 * err / asc) ** 1.5)",
+        f"if sab > {sys.float_info.min / (50.0 * sys.float_info.epsilon)!r}:",
+        f"    err = max({50.0 * sys.float_info.epsilon!r} * sab, err)",
+        "return k * h, err",
+    ]
+    return "def gk21(f, a, b):\n" + "".join(f"    {ln}\n" for ln in lines)
+
+
+_gk21_namespace: dict = {}
+exec(compile(_gk21_source(), "<gk21>", "exec"), _gk21_namespace)
+_gk21 = _gk21_namespace["gk21"]
+
+
+def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, full_output=False):
+    """Adaptive 21-point Gauss-Kronrod quadrature of f over [a, b].
+
+    scipy.integrate.quad's call and return shape: the panels are [a, b], or
+    the pieces between the sorted ``points``, each summed by :func:`_gk21`;
+    while the summed error estimate exceeds max(epsabs, epsrel |value|) and
+    fewer than ``limit`` panels exist, the panel with the largest estimate is
+    bisected.  Returns (value, error estimate), and with ``full_output`` also
+    {"neval": integrand evaluations}.  A value of f that is not finite makes
+    the estimate NaN (or inf, which turns NaN at the next bisection), and a
+    NaN estimate ends the quadrature: no comparison with it holds.
+    """
+    ends = [a, *sorted(points), b] if points else [a, b]
+    panels = []   # heap of (-error, lo, hi, value): the worst panel first
+    area = errsum = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        v, e = _gk21(f, lo, hi)
+        area += v
+        errsum += e
+        panels.append((-e, lo, hi, v))
+    heapq.heapify(panels)
+    neval = 21 * len(panels)
+    while errsum > max(epsabs, epsrel * abs(area)) and len(panels) < limit:
+        neg_e, lo, hi, v = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk21(f, lo, mid)
+        v2, e2 = _gk21(f, mid, hi)
+        neval += 42
+        # QUADPACK's running sums, updated rather than summed again
+        area += v1 + v2 - v
+        errsum += e1 + e2 + neg_e
+        heapq.heappush(panels, (-e1, lo, mid, v1))
+        heapq.heappush(panels, (-e2, mid, hi, v2))
+    value = sum(p[3] for p in panels)  # QUADPACK's result: the panels summed afresh
+    return (value, errsum, {"neval": neval}) if full_output else (value, errsum)
 
 
 def _check_tol(tol: float) -> None:
@@ -84,16 +188,22 @@ def _check_tol(tol: float) -> None:
 
 def _quad(f, a, b, tol, points=None) -> QuadratureResult:
     _check_tol(tol)
-    # Request an order tighter than certified: QUADPACK's estimate for
-    # endpoint-singular integrands hovers just above the requested accuracy.
+    # Request an order tighter than certified, so that an estimate that
+    # creeps down by bisection is certified on the step that crosses tol/100.
     req = max(tol / 100.0, 1e-13)
     val, err, info = quad(f, a, b, epsabs=req, epsrel=req, limit=QUAD_LIMIT,
                           points=points, full_output=True)[:3]
+    neval = info["neval"]
+    if tol < err <= req * abs(val):
+        # Above |val| = 100 the relative request can stop above tol: ask for tol itself.
+        val, err, info = quad(f, a, b, epsabs=tol, epsrel=0.0, limit=QUAD_LIMIT,
+                              points=points, full_output=True)[:3]
+        neval += info["neval"]
     if not (math.isfinite(val) and math.isfinite(err)):
         raise QuadratureError(f"estimate {val} with error estimate {err} is not finite")
     if err > max(tol, 10.0 * abs(val) * 1e-15):
         raise QuadratureError(f"error estimate {err:.3e} above tolerance {tol:.3e}")
-    return QuadratureResult(val, err, info["neval"])
+    return QuadratureResult(val, err, neval)
 
 
 def switching_integrand(x: float) -> float:
@@ -111,17 +221,33 @@ def constant_D(tol: float = 1e-10) -> QuadratureResult:
     return _quad(switching_integrand, 0.0, math.pi, tol)
 
 
+# Si(x) = sum_n c_n x^(2n+1) with c_n = (-1)^n / ((2n+1) (2n+1)!).  On
+# [0, pi] the 15 terms n <= 14 leave a remainder below 1e-18.
+_SI_COEFFS = tuple((-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(15))
+
+
+def _si(x: float) -> float:
+    """The sine integral Si(x) on [0, pi] by its power series, Horner in x^2."""
+    t = x * x
+    s = 0.0
+    for c in reversed(_SI_COEFFS):
+        s = s * t + c
+    return s * x
+
+
 def swing_progress(x: float) -> float:
-    """G(x) = integral_0^x sin(s)/(2s) ds = Si(x)/2.
+    """G(x) = integral_0^x sin(s)/(2s) ds = Si(x)/2, for x in [0, pi].
 
     The natural time variable of the low-zone averaged system: under control
     U = -1 the amplitude X(t) satisfies G(X(t)) = G(X(0)) - t.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"amplitude must be finite, got {x}")
     if x < 0.0:
         raise ValueError(f"amplitude {x} must be nonnegative")
-    from scipy.special import sici
-
-    return 0.5 * float(sici(x)[0])
+    if x > math.pi:
+        raise ValueError(f"amplitude {x} above pi")
+    return 0.5 * _si(x)
 
 
 def _invert_progress(g: float) -> float:
@@ -131,10 +257,7 @@ def _invert_progress(g: float) -> float:
     g_max = swing_progress(math.pi)
     if g >= g_max:
         return math.pi
-    from scipy.special import sici
-
-    # swing_progress(x) - g, with sici imported once per root, not per call
-    return brentq(lambda x: 0.5 * float(sici(x)[0]) - g, 0.0, math.pi, xtol=1e-14, rtol=8.9e-16)
+    return brentq(lambda x: 0.5 * _si(x) - g, 0.0, math.pi, xtol=1e-14, rtol=8.9e-16)
 
 
 def amplitude_from_energy(E: float) -> float:
@@ -142,6 +265,22 @@ def amplitude_from_energy(E: float) -> float:
     if not 0.0 <= E <= 2.0:
         raise ValueError(f"energy {E} outside the oscillation range [0, 2]")
     return math.acos(1.0 - E)
+
+
+def _agm_k(kc: float) -> float:
+    """K(m) from the complementary modulus kc = sqrt(1 - m) > 0:
+    pi / (2 AGM(1, kc)), by the arithmetic-geometric mean (A&S 17.6)."""
+    a, b = 1.0, kc
+    while abs(a - b) > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def ellipk(m: float) -> float:
+    """Complete elliptic integral of the first kind K(m) for m <= 1 (inf at 1)."""
+    if m == 1.0:
+        return math.inf
+    return _agm_k(math.sqrt(1.0 - m))
 
 
 def tau_minus(E: float, tol: float = 1e-9) -> QuadratureResult:
@@ -153,20 +292,26 @@ def tau_minus(E: float, tol: float = 1e-9) -> QuadratureResult:
     with 1 - cos(Phi) = E.  At E = 2 the inner integral diverges
     logarithmically at x = pi while sin(x)/x vanishes linearly, so the
     integrand extends continuously by 0 and the integral stays proper.
+    The quadrature runs in t on [0, 1] with x = Phi (1 - t^3): the
+    (pi - x) log(pi - x) end at E = 2 becomes t^5 log t, and K takes its
+    complementary modulus cos(x/2) = sin((pi - x)/2), which keeps its
+    precision as x -> pi.  Below E = 5.6e-17, 1 - E rounds to 1 and Phi to
+    0, and the integral is the empty one, 0.
     """
     if not 0.0 < E <= 2.0:
         raise ValueError(f"energy {E} outside (0, 2]")
     phi = amplitude_from_energy(E)
-    from scipy.special import ellipk
+    if phi == 0.0:
+        return QuadratureResult(0.0, 0.0, 0)
+    psi = math.acos(E - 1.0)  # pi - Phi
 
-    def f(x):
-        if x <= 0.0:
-            return 0.5 * math.pi
-        if x >= math.pi:
-            return 0.0
-        return (math.sin(x) / x) * float(ellipk(math.sin(0.5 * x) ** 2))
+    def f(t):
+        t2 = t * t
+        t3 = t2 * t
+        x = phi * (1.0 - t3)
+        return 3.0 * phi * t2 * (math.sin(x) / x) * _agm_k(math.sin(0.5 * (psi + phi * t3)))
 
-    return _quad(f, 0.0, phi, tol)
+    return _quad(f, 0.0, 1.0, tol)
 
 
 def full_turn_time(E: float) -> float:
@@ -177,13 +322,7 @@ def full_turn_time(E: float) -> float:
         raise ValueError(f"energy must be finite, got {E}")
     if E <= 2.0:
         raise ValueError(f"energy {E} not in the rotation regime (> 2)")
-    from scipy.special import ellipk
-
-    return _turn_time(E, ellipk)
-
-
-def _turn_time(E: float, ellipk) -> float:
-    return 2.0 * math.sqrt(2.0) * float(ellipk(2.0 / E)) / math.sqrt(E)
+    return 2.0 * math.sqrt(2.0) * ellipk(2.0 / E) / math.sqrt(E)
 
 
 def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
@@ -192,7 +331,9 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
     tau_plus(E) = 1/(2 sqrt(2) pi) * integral_2^E de *
                   integral_0^{2pi} (e - 1 - cos phi)^(-1/2) dphi.
     The inner integral equals 4 K(2/e)/sqrt(e), log-divergent as e -> 2+ and
-    integrable in the outer variable.
+    integrable in the outer variable.  The quadrature runs in t on [0, 1]
+    with e = 2 + (E - 2) t^6, which turns the log end into t^5 log t; K
+    takes its complementary modulus sqrt(1 - 2/e) = t^3 sqrt((E - 2)/e).
     """
     _check_tol(tol)
     if not math.isfinite(E):
@@ -201,12 +342,15 @@ def tau_plus(E: float, tol: float = 1e-9) -> QuadratureResult:
         raise ValueError(f"energy {E} below the separatrix")
     if E == 2.0:
         return QuadratureResult(0.0, 0.0, 0)
-    from scipy.special import ellipk
+    d = E - 2.0
+    c = 6.0 * d * math.sqrt(2.0) / math.pi
 
-    def f(e):  # full_turn_time(e) / 2 pi on e in (2, E]
-        return _turn_time(e, ellipk) / (2.0 * math.pi)
+    def f(t):  # full_turn_time(e) / 2 pi, times de/dt
+        t3 = t * t * t
+        e = 2.0 + d * t3 * t3
+        return c * t3 * t * t * _agm_k(t3 * math.sqrt(d / e)) / math.sqrt(e)
 
-    return _quad(f, 2.0, E, tol)
+    return _quad(f, 0.0, 1.0, tol)
 
 
 def tau(E: float, tol: float = 1e-9) -> QuadratureResult:
@@ -226,9 +370,10 @@ def period_integral(h: float, tol: float = 1e-9) -> QuadratureResult:
     """integral_0^{2pi} |cos s + 1 + h|^(-1/2) ds, the near-separatrix period
     bound; grows like O(log 1/|h|) as h -> 0.
 
-    For h < 0 the integrand has two integrable inverse-square-root
-    singularities at the genuine zeros of cos s + 1 + h; for h > 0 only the
-    near-singular point s = pi needs a panel break.
+    For h > 0 only the near-singular point s = pi needs a panel break.  For
+    h < 0 the integrand has two integrable inverse-square-root singularities
+    at the zeros s0 and 2 pi - s0 of cos s + 1 + h; the integrand is even
+    about pi, and s = s0 -+ u^2 on either side of s0 makes it smooth in u.
     """
     if not math.isfinite(h):
         raise ValueError(f"h must be finite, got {h}")
@@ -237,23 +382,31 @@ def period_integral(h: float, tol: float = 1e-9) -> QuadratureResult:
     if abs(h) > 1.0:
         raise ValueError(f"|h| = {abs(h)} outside (0, 1]")
 
-    def f(s):
-        v = abs(math.cos(s) + 1.0 + h)
-        if v == 0.0:
-            return 0.0
-        return v ** -0.5
-
     if h > 0.0:
-        pts = [math.pi]
-    else:
-        s0 = math.acos(-1.0 - h)
-        pts = [s0, math.pi, TWO_PI - s0]
-    return _quad(f, 0.0, TWO_PI, tol, points=pts)
+        def f(s):
+            return (math.cos(s) + 1.0 + h) ** -0.5
+
+        return _quad(f, 0.0, TWO_PI, tol, points=[math.pi])
+    # Twice the integral over [0, pi], in u with s = s0 + u |u| about the zero
+    # s0: cos s - cos s0 = -2 sin((s + s0)/2) sin(u |u| / 2), and the factor
+    # u^2 of sin(u^2 / 2) cancels against ds = 2 |u| du.
+    s0 = math.acos(-1.0 - h)
+    if s0 == math.pi:
+        raise QuadratureError(f"h = {h} rounds the zeros of cos s + 1 + h to pi")
+
+    def g(u):
+        z = 0.5 * u * u
+        return 2.0 / math.sqrt(math.sin(s0 + 0.5 * u * abs(u)) * (math.sin(z) / z))
+
+    q = _quad(g, -math.sqrt(s0), math.sqrt(math.pi - s0), 0.5 * tol, points=[0.0])
+    return QuadratureResult(2.0 * q.value, 2.0 * q.error_estimate, q.evaluations)
 
 
 def poincare_high(y: float, p: Params) -> float:
     """Exact crossing-speed map of the dry-friction flow on the section
     x = pi (mod 2pi):  y'^2/2 = y^2/2 - 2 pi eps, sign preserved."""
+    if not math.isfinite(y):
+        raise ValueError(f"section speed must be finite, got {y}")
     if y * y <= 4.0 * math.pi * p.epsilon:
         raise RegimeExit(f"speed {y} cannot complete another turn at eps={p.epsilon}")
     return math.copysign(math.sqrt(y * y - 4.0 * math.pi * p.epsilon), y)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.integrate import quad as scipy_quad
 from scipy.special import ellipk
 
 from pendamp import extremal
@@ -39,7 +40,9 @@ from pendamp.integrator import (
     integrate,
 )
 from pendamp.limits import (
+    QUAD_LIMIT,
     LimitPath,
+    QuadratureError,
     QuadratureResult,
     _quad,
     amplitude_from_energy,
@@ -364,8 +367,10 @@ def oracle_low_step_time(x: float, x_next: float, eps: float, tol: float) -> flo
     y^2 = 2 (cos s - cos x - eps (s + x)) straight across the
     inverse-square-root zeros at both rest points.
 
-    Raises QuadratureError on many steps of small-eps or near-separatrix
-    orbits; where it certifies, it is an independent route to
+    The quadrature is scipy's QUADPACK (dqagse), whose epsilon extrapolation
+    takes the endpoint singularities, under the certificate of
+    ``limits._quad``.  Raises QuadratureError on many steps of small-eps or
+    near-separatrix orbits; where it certifies, it is an independent route to
     ``limits._low_step_time``.
     """
 
@@ -375,7 +380,12 @@ def oracle_low_step_time(x: float, x_next: float, eps: float, tol: float) -> flo
             return 0.0
         return v ** -0.5
 
-    return _quad(f, -x, x_next, tol).value
+    req = max(tol / 100.0, 1e-13)
+    val, err = scipy_quad(f, -x, x_next, epsabs=req, epsrel=req, limit=QUAD_LIMIT,
+                          full_output=True)[:2]
+    if not err <= max(tol, 10.0 * abs(val) * 1e-15):
+        raise QuadratureError(f"error estimate {err:.3e} above tolerance {tol:.3e}")
+    return val
 
 
 def oracle_per_oscillation_time(zone: str, v: float) -> float:

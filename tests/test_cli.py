@@ -495,28 +495,40 @@ def test_extremals_deterministic(capsys):
     assert out1 == out2
 
 
-# The package's trace, sweep, damping and linear paths load no scipy: its
-# import takes about half a second, most of every CLI command's start-up.
-# The quadratures still load it on first use.
+# No path of the package loads scipy: not the traces, sweeps, damping runs
+# and linear baseline, and not the quadratures, K and Si of pendamp.limits.
+# Importing scipy's quad and special functions took 0.3-0.4 s and 52 MB.
 NO_SCIPY_PROBE = """
-import sys
+import json, sys
 import pendamp, pendamp.cli
 from pendamp import Params, PhaseState, max_switchings, simulate_damping, trace_extremal
 from pendamp.extremal import SweepPolicy
+from pendamp.limits import (full_turn_time, period_integral, poincare_iterates, swing_progress,
+                            tau)
 from pendamp.linosc import LinState, lin_simulate
 trace_extremal(1.0, 1, Params(0.25))
 max_switchings(Params(0.5), SweepPolicy(grid_points=16))
 simulate_damping(PhaseState(-2.5, 0.0), Params(0.1))
 lin_simulate(LinState(2.0, 0.0))
+values = [tau(1.0).value, tau(3.0).value, pendamp.constant_D().value, period_integral(1e-4).value,
+          period_integral(-0.5).value, poincare_iterates("low", 2.8, Params(0.1)).times[0],
+          poincare_iterates("high", 3.0, Params(0.1)).times[0], full_turn_time(3.0),
+          swing_progress(2.0)]
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-print(repr(pendamp.tau(1.0).value))
+print(json.dumps(values))
 """
 
 
-def test_trace_sweep_damping_and_linear_paths_load_no_scipy():
+def test_trace_sweep_damping_linear_and_quadrature_paths_load_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout.splitlines()
     assert out[0] == "[]"
-    assert float(out[1]) == tau(1.0).value
+    # the probe computed what this process computes
+    assert json.loads(out[1]) == [
+        tau(1.0).value, tau(3.0).value, limits.constant_D().value,
+        limits.period_integral(1e-4).value, limits.period_integral(-0.5).value,
+        limits.poincare_iterates("low", 2.8, Params(0.1)).times[0],
+        limits.poincare_iterates("high", 3.0, Params(0.1)).times[0],
+        limits.full_turn_time(3.0), limits.swing_progress(2.0)]

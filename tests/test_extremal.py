@@ -533,8 +533,10 @@ def test_sweep_wide_hamiltonian_residual():
 
 
 def test_tau_values_are_tau_at_the_knots():
-    # The table is written out as literals; QUADPACK's last bits may differ
-    # between scipy versions, so the check is relative, not bitwise.
+    # The table is written out as literals, computed when limits.tau still
+    # ran scipy's quad on the untransformed integrands.  tau now integrates
+    # in the substituted variables of tau_minus and tau_plus, which moves the
+    # last bits (up to 1.2e-14 relative), so the check is relative, not bitwise.
     knots, values = extremal._TAU_KNOTS, extremal._TAU_VALUES
     assert len(knots) == len(values) == 65
     assert knots[0] == values[0] == 0.0

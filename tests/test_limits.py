@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipk as scipy_ellipk
 from scipy.special import sici
 
 from pendamp.dynamics import Params
@@ -13,6 +14,7 @@ from pendamp.limits import (
     StandstillCapture,
     amplitude_from_energy,
     constant_D,
+    ellipk,
     euler_convergence,
     full_turn_time,
     limit_ode_solve,
@@ -93,6 +95,11 @@ class TestTauMinus:
         coef, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
         assert tau_minus(2.0, 1e-10).value == pytest.approx(coef[0], abs=1e-4)
 
+    def test_energy_below_float_resolution_is_the_empty_integral(self):
+        # 1 - E rounds to 1 below E = 5.6e-17, so Phi = 0.
+        assert tau_minus(5e-17) == limits.QuadratureResult(0.0, 0.0, 0)
+        assert tau_minus(1.2e-16).value > 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             tau_minus(0.0)
@@ -159,6 +166,15 @@ class TestPeriodIntegral:
     def test_negative_h_has_integrable_zeros(self):
         v = period_integral(-0.5, 1e-9).value
         assert math.isfinite(v) and v > 0.0
+
+    def test_negative_h_certifies_close_to_the_separatrix(self):
+        # The substitution s = s0 -+ u^2 leaves a smooth integrand for every
+        # h < 0 whose zeros the floats resolve; closer to 0 they round to pi.
+        ratios = [period_integral(h, 1e-9).value / math.log(1.0 / -h)
+                  for h in (-1e-2, -1e-4, -1e-8, -1e-15)]
+        assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+        with pytest.raises(QuadratureError, match="rounds the zeros of cos s \\+ 1 \\+ h to pi"):
+            period_integral(-1e-17)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -598,6 +614,20 @@ def test_rejects_non_finite_inputs_before_any_work(monkeypatch, call, message):
         call()
 
 
+def test_values_above_100_are_certified_to_the_absolute_tol(monkeypatch):
+    # tau_plus(1e6) is about 1413: the relative request tol/100 stops the
+    # first quadrature with an estimate near 3e-9, above tol = 1e-9, so
+    # _quad asks again for tol itself; both quadratures count.
+    calls = recorded_quadratures(monkeypatch, lambda: tau_plus(1e6, 1e-9))
+    assert [kw["epsrel"] for _, _, _, kw in calls] == [1e-9 / 100.0, 0.0]
+    q = tau_plus(1e6, 1e-9)
+    assert q.error_estimate <= 1e-9
+    assert q.evaluations == sum(limits.quad(f, a, b, **kw)[2]["neval"] for f, a, b, kw in calls)
+    ref = quad(lambda e: full_turn_time(e) / (2.0 * math.pi), 2.0, 1e6, epsabs=1e-11, epsrel=1e-11,
+               limit=400)[0]
+    assert q.value == pytest.approx(ref, abs=1e-9)
+
+
 def test_unreachable_tolerance_raises_quadrature_error():
     # QUADPACK's error estimate for tau_minus(1) stays near 2.5e-14.
     with pytest.raises(QuadratureError, match="above tolerance 1.000e-16"):
@@ -618,3 +648,133 @@ def test_full_speed_profile_minimizes_cost():
     mixed = oracle_cost_functional(limit_ode_solve("low", x0, [(0.0, 0.5), (-1.0, None)])).value
     assert fast < slow
     assert fast < mixed
+
+
+# ------------------------------------------------------- scipy as the oracle
+
+# One call per integrand of the module, and per regime of it: each records
+# the quadratures it makes.
+INTEGRAND_CALLS = {
+    "constant_D": lambda: constant_D(1e-10),
+    "tau_minus-small": lambda: tau_minus(1e-4, 1e-12),
+    "tau_minus-1": lambda: tau_minus(1.0),
+    "tau_minus-near-2": lambda: tau_minus(1.999),
+    "tau_minus-2": lambda: tau_minus(2.0),
+    "tau_plus-near-2": lambda: tau_plus(2.0 + 1e-8),
+    "tau_plus-3": lambda: tau_plus(3.0),
+    "tau_plus-6.5": lambda: tau_plus(6.5),
+    "period-h-1": lambda: period_integral(1.0),
+    "period-h-1e-8": lambda: period_integral(1e-8),
+    "period-h-minus-1": lambda: period_integral(-1.0),
+    "period-h-minus-1e-4": lambda: period_integral(-1e-4),
+    "low-step-times": lambda: poincare_iterates("low", 2.8, Params(0.1)),
+    "low-step-times-separatrix": lambda: poincare_iterates("low", math.acos(-1.0 + 1e-3), Params(0.01)),
+    "high-step-times": lambda: poincare_iterates("high", 3.0, Params(0.05)),
+}
+
+
+def recorded_quadratures(monkeypatch, call):
+    """The (f, a, b, keywords) of every quadrature that ``call`` makes."""
+    seen = []
+    own = limits.quad
+
+    def recorder(f, a, b, **kw):
+        seen.append((f, a, b, kw))
+        return own(f, a, b, **kw)
+
+    monkeypatch.setattr(limits, "quad", recorder)
+    call()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("name", list(INTEGRAND_CALLS))
+def test_quad_matches_scipy_on_the_package_integrands(monkeypatch, name):
+    # Every integrand the module hands to quad is smooth, so QUADPACK's
+    # extrapolation never changes scipy's path: both bisect the same panels,
+    # and the values agree within the error estimate.
+    seen = recorded_quadratures(monkeypatch, INTEGRAND_CALLS[name])
+    assert seen
+    for f, a, b, kw in seen:
+        val, err, info = limits.quad(f, a, b, **kw)
+        ref, ref_err, ref_info = quad(f, a, b, **kw)[:3]
+        assert info["neval"] == ref_info["neval"], (a, b)
+        assert abs(val - ref) <= err, (a, b, val, ref, err)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: math.sin(20.0 * x), 0.0, 1.0),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+    (math.sqrt, 0.0, 1.0),
+    (lambda x: abs(x - 0.3), 0.0, 1.0),
+    (math.cos, 0.0, 1.0),          # the estimate is the 50 eps roundoff floor
+    (math.sin, 0.0, -2.0),         # a reversed interval
+], ids=["oscillating", "runge", "sqrt", "kink", "floor", "reversed"])
+def test_gk21_panel_is_quadpacks_dqk21(f, a, b):
+    # scipy's quad with limit=1 returns one dqk21 panel: its value and its
+    # error estimate, which the scaled |Kronrod - Gauss| difference sets.
+    ref, ref_err, info = quad(f, a, b, limit=1, full_output=True)[:3]
+    val, err = limits._gk21(f, a, b)
+    assert info["neval"] == 21
+    assert val == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert err == pytest.approx(ref_err, rel=1e-11, abs=0.0)
+
+
+def test_quad_points_split_the_first_panels():
+    # Breakpoints make the first panels; the kink of |x - 0.3| at a point costs
+    # one panel per side and no bisection.
+    def f(x):
+        return abs(x - 0.3)
+
+    val, err, info = limits.quad(f, 0.0, 1.0, points=[0.3], full_output=True)
+    assert info["neval"] == 42
+    assert val == pytest.approx(0.29, abs=1e-15)
+    assert quad(f, 0.0, 1.0, points=[0.3], full_output=True)[2]["neval"] == 42
+    assert limits.quad(f, 0.0, 1.0, full_output=True)[2]["neval"] > 42
+
+
+def test_quad_ends_at_a_non_finite_panel():
+    # A NaN value ends the quadrature at once, and _quad refuses it.
+    val, err, info = limits.quad(lambda x: math.nan, 0.0, 1.0, full_output=True)
+    assert math.isnan(val) and math.isnan(err) and info["neval"] == 21
+    with pytest.raises(QuadratureError, match="not finite"):
+        limits._quad(lambda x: math.nan if x > 0.9 else 1.0, 0.0, 1.0, 1e-9)
+
+
+def test_quad_stops_at_the_panel_limit(monkeypatch):
+    # period_integral(1e-8) bisects to 29 panels; at a limit of 5 the
+    # estimate cannot reach the tolerance, and the error says so.
+    _, _, info = limits.quad(lambda s: (math.cos(s) + 1.0 + 1e-8) ** -0.5, 0.0, 2.0 * math.pi,
+                             epsabs=1e-11, epsrel=1e-11, limit=5, points=[math.pi],
+                             full_output=True)
+    assert info["neval"] == 2 * 21 + 3 * 42
+    monkeypatch.setattr(limits, "QUAD_LIMIT", 5)
+    with pytest.raises(QuadratureError, match="above tolerance 1.000e-09"):
+        period_integral(1e-8)
+
+
+def test_ellipk_matches_scipy():
+    ms = [float(m) for m in np.linspace(0.0, 1.0, 1001)[:-1]]
+    ms += [1.0 - 10.0 ** -k for k in range(1, 17)] + [-1.0, -10.0]
+    for m in ms:
+        assert ellipk(m) == pytest.approx(float(scipy_ellipk(m)), rel=1e-15, abs=0.0), m
+    assert ellipk(1.0) == math.inf
+
+
+def test_sine_integral_matches_scipy():
+    xs = [float(x) for x in np.linspace(0.0, math.pi, 1001)] + [1e-300, 1e-8]
+    for x in xs:
+        assert 2.0 * swing_progress(x) == pytest.approx(float(sici(x)[0]), rel=1e-15, abs=0.0), x
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: poincare_high(math.nan, Params(0.1)), "section speed must be finite, got nan"),
+    (lambda: poincare_high(math.inf, Params(0.1)), "section speed must be finite, got inf"),
+    (lambda: poincare_high(-math.inf, Params(0.1)), "section speed must be finite, got -inf"),
+    (lambda: swing_progress(math.nan), "amplitude must be finite, got nan"),
+    (lambda: swing_progress(math.inf), "amplitude must be finite, got inf"),
+    (lambda: swing_progress(3.5), "amplitude 3.5 above pi"),
+], ids=["high-nan", "high-inf", "high-minus-inf", "progress-nan", "progress-inf", "progress-above-pi"])
+def test_section_map_and_progress_reject_non_finite_values(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
