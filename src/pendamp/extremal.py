@@ -267,19 +267,32 @@ def run_diagnostics(run: ExtremalRun) -> RunDiagnostics:
 #
 # trace_lanes traces many backward extremals at once, one lane per terminal
 # covector.  A step is the Taylor series of the canonical field at each
-# lane's state, built for all lanes at once on an (order + 1, 4, lanes)
-# block.  Every operation is elementwise per lane, and every sum runs over
+# lane's state, built for all lanes at once in one workspace (order, row,
+# lane).  Every operation is elementwise per lane, and every sum runs over
 # the leading axis, which numpy adds row by row, so a lane's result does not
 # depend on the batch it rides in.
+
+# The rows of the series workspace: the pair S = sin x, C = cos x and the
+# state, ordered so that each step of the recurrences reads and writes
+# neighbouring rows.  The state rows _STATE run (P, y, Q, x); _XYPQ lists
+# them in the lanes' order (x, y, P, Q).  The state rows' values taken at
+# _STATE_TO_XYPQ are in the lanes' order, and a state (x, y, P, Q) taken at
+# the inverse permutation _XYPQ_TO_STATE is in the order of the rows.
+_C, _S, _P, _Y, _Q, _X = range(6)
+_STATE = slice(_P, _X + 1)
+_XYPQ = np.array([_X, _Y, _P, _Q])
+_STATE_TO_XYPQ = _XYPQ - _P
+_XYPQ_TO_STATE = np.argsort(_STATE_TO_XYPQ)
 
 
 class _SeriesBlock:
     """The Taylor series of the canonical field on a block of a fixed number of lanes.
 
-    The block of coefficients, its scratch arrays and the views that each
-    order of the recurrences reads and writes are made once; a call fills
-    the block for the (4, lanes) states Z and the controls ueps = u eps per
-    lane, and returns it: the (TAYLOR_ORDER + 1, 4, lanes) coefficients.
+    The workspace W[order, row, lane], its scratch arrays and the views that
+    each order of the recurrences reads and writes are made once; a call
+    fills W for the (4, lanes) states Z and the controls ueps = u eps per
+    lane, and returns it: the coefficients of orders 0..TAYLOR_ORDER in the
+    rows C, S, P, y, Q, x (``_C`` .. ``_X``).
 
     Z holds (x, y, eps phi, eps psi) = (x, y, P, Q) per lane.  The series is
     in the step variable tau = (t - t0) / H, for the time unit H = ``unit``,
@@ -288,7 +301,14 @@ class _SeriesBlock:
 
         k S_k = H sum_{j=1..k} y_{j-1} C_{k-j},   k C_k = -H sum_{j=1..k} y_{j-1} S_{k-j},
         (k+1) x_{k+1} = H y_k,   (k+1) y_{k+1} = H (ueps [k = 0] - S_k),
-        (k+1) P_{k+1} = H sum_{j=0..k} C_j Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
+        k P_k = H sum_{j=1..k} C_{j-1} Q_{k-j},   (k+1) Q_{k+1} = -H P_k.
+
+    Order k >= 1 takes four numpy calls: the products of (y, C)_{j-1} with
+    the 2 x 2 block ((S, C), (Q, y))_{k-j} for j = 1..k (the product C y is
+    not used), their sums over j, the write of (C, S, P)_k as those sums
+    times (-H/k, H/k, H/k), and the write of (y, Q, x)_{k+1} as
+    (S, P, y)_k times (-H/(k+1), -H/(k+1), H/(k+1)).  Order 0 is the state
+    and sin, cos of x; order TAYLOR_ORDER writes no next order.
 
     The factors H/k are built per lane, so a lane's coefficients do not
     depend on the units of the others.  At H = 1 the first-order
@@ -300,54 +320,54 @@ class _SeriesBlock:
     def __init__(self, lanes: int, unit):
         n = TAYLOR_ORDER
         unit = np.broadcast_to(np.asarray(unit, dtype=float), (lanes,))
-        factors = {k: unit / k for k in range(1, n + 1)}  # H/k per lane
-        signed = {k: np.stack((f, -f)) for k, f in factors.items()}  # the rows (H/k, -H/k)
-        self.cf = cf = np.empty((n + 1, 4, lanes))
-        sc = np.empty((n, 2, lanes))  # (S_k, C_k)
-        # Order k sums y_{j-1} (S, C)_{k-j} over j = 1..k and, for P_k,
-        # C_j Q_{k-1-j} over j = 0..k-1: k rows each, so one reduce sums all three.
-        terms = np.empty((n, 3, lanes))
-        sums = np.empty((3, lanes))
-        ys, Qs = cf[:, 1, None], cf[:, 3]
-        self.first = (sc[0, 0], sc[0, 1], factors[1], -factors[1])
-        self.orders = [
-            (ys[:k], sc[k - 1::-1], terms[:k, :2], sc[:k, 1], Qs[k - 1::-1], terms[:k, 2], terms[:k],
-             sums, sums[1::-1], signed[k], sc[k], sums[2], factors[k], cf[k, 2], cf[k, 1:3],
-             signed[k + 1], cf[k + 1, ::3], sc[k, 0], -factors[k + 1], cf[k + 1, 1])
-            for k in range(1, n)
-        ]
-        self.last = (sc[:, 1], Qs[n - 1::-1], terms[:, 2], cf[n, 2], factors[n])
+        self.W = W = np.empty((n + 1, 6, lanes))
+        H_k = unit / np.arange(1, n + 1)[:, None]  # H/k per lane, k = 1..n
+        # fac[k, row] is the factor that writes that row of order k from its sums (C, S, P)
+        # or from order k - 1 (y, Q, x).
+        fac = np.empty((n + 1, 6, lanes))
+        fac[1:] = H_k[:, None] * np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])[:, None]
+        terms = np.empty((n, 2, 2, lanes))
+        sums = np.empty((2, 2, lanes))
+        pairs = W.reshape(n + 1, 2, 3, lanes)  # row 3 a + b at [a, b]
+        yC = pairs[:, ::-1, :1]  # (y, C), (k, 2, 1, lanes)
+        block = pairs[:, :, 1::-1]  # ((S, C), (Q, y))
+        CSP_sums = sums.reshape(4, lanes)[:3]  # the sums of y S, y C and C Q
+        self.first = (W[0, _STATE], W[0, _X], W[0, _S], W[0, _C], W[0, _S:_Q], fac[1, _Y:], W[1, _Y:],
+                      fac[1, _X], W[1, _Y])
+        self.orders = [(yC[:k], block[k - 1::-1], terms[:k], fac[k, :_Y], W[k, :_Y], W[k, _S:_Q],
+                        fac[k + 1, _Y:], W[k + 1, _Y:])
+                       for k in range(1, n)]
+        self.last = (yC[:n], block[n - 1::-1], terms, fac[n, :_Y], W[n, :_Y])
+        self.sums, self.CSP_sums = sums, CSP_sums
 
     def __call__(self, Z, ueps):
-        cf = self.cf
-        S, C, f, mf = self.first
+        state, x, S, C, SPy, f1, yQx1, H, y1 = self.first
         add, mul = np.add.reduce, np.multiply
-        cf[0] = Z
-        x, y, P, Q = Z
+        sums, CSP_sums = self.sums, self.CSP_sums
+        np.take(Z, _XYPQ_TO_STATE, axis=0, out=state, mode="clip")  # "clip" is not buffered
         np.sin(x, out=S)
         np.cos(x, out=C)
-        mul(y, f, out=cf[1, 0])
-        np.subtract(ueps, S, out=cf[1, 1])
-        cf[1, 1] *= f
-        mul(P, mf, out=cf[1, 3])
-        for (ys, sc_rev, yt, Cs, Qs_rev, Pt, terms, sums, sums_rev, sg, sc_k, Psum, f, P_k, yP, sg1,
-             xQ, S_k, mf, y1) in self.orders:
-            # out as the third argument: the keyword costs more than these small products.
-            mul(ys, sc_rev, yt)
-            mul(Cs, Qs_rev, Pt)
+        mul(SPy, f1, yQx1)  # y_1 is rewritten below, with the control
+        np.subtract(ueps, S, out=y1)
+        y1 *= H
+        # out as the third argument: the keyword costs more than these small products.
+        for yC, block, terms, f, CSP, SPy, f1, yQx1 in self.orders:
+            mul(yC, block, terms)
             add(terms, axis=0, out=sums)
-            mul(sums_rev, sg, sc_k)
-            mul(Psum, f, P_k)
-            mul(yP, sg1, xQ)  # x from y, Q from P
-            mul(S_k, mf, y1)
-        Cs, Qs_rev, Pt, P_n, f = self.last
-        add(mul(Cs, Qs_rev, out=Pt), axis=0, out=P_n)
-        P_n *= f
-        return cf
+            mul(CSP_sums, f, CSP)
+            mul(SPy, f1, yQx1)
+        yC, block, terms, f, CSP = self.last
+        mul(yC, block, terms)
+        add(terms, axis=0, out=sums)
+        mul(CSP_sums, f, CSP)
+        return self.W
 
 
-def _step_rule(cf):
-    """Jorba and Zou's step per lane, in the series variable.
+_RULE_POWERS = np.array([[1.0 / (TAYLOR_ORDER - 1)], [1.0 / TAYLOR_ORDER]])
+
+
+def _step_rule(W):
+    """Jorba and Zou's step per lane, in the series variable, from the workspace W.
 
     rho = min over j = N-1, N of (TAYLOR_TOL / m_j)^(1/j), as in
     ``integrator.pendulum_arc``; m_j is the largest of |x_j|, |y_j| and the
@@ -355,18 +375,18 @@ def _step_rule(cf):
     is linear and homogeneous, so only its relative error matters.  A zero
     m_j bounds nothing; NaN coefficients give a NaN step.
     """
-    n = cf.shape[0] - 1
-    scale = np.maximum(1.0, np.abs(cf[0, 2:]).max(axis=0))
-    a = np.abs(cf[n - 1:])
-    a[:, 2:] /= scale
+    scale = np.maximum(1.0, np.abs(W[0, _P:_Q + 1:2]).max(axis=0))
+    a = np.abs(W[-2:, _STATE])
+    a[:, ::2] /= scale  # the rows P and Q
     with np.errstate(divide="ignore", over="ignore"):
-        return np.float_power(TAYLOR_TOL / a.max(axis=1), [[1.0 / (n - 1)], [1.0 / n]]).min(axis=0)
+        return np.float_power(TAYLOR_TOL / a.max(axis=1), _RULE_POWERS).min(axis=0)
 
 
 def _horner_lanes(cf, tau):
-    """The series cf summed at tau per lane, by Horner's rule from the top."""
-    acc = cf[-1].copy()
-    for c in cf[-2::-1]:
+    """The series cf (order, row, lane) summed at tau per lane, by Horner's rule from the top."""
+    acc = cf[-1] * tau
+    acc += cf[-2]
+    for c in cf[-3::-1]:
         acc *= tau
         acc += c
     return acc
@@ -621,16 +641,17 @@ class _LaneBlock:
         return keep.size
 
     def step(self, series: _SeriesBlock):
-        """One Taylor step on every lane, clipped at its time budget: the series, the step in its
-        variable, the time and state at its end, and whether it is the last and is finite."""
-        cf = series(self.Z, self.ueps)
-        rho = _step_rule(cf)
+        """One Taylor step on every lane, clipped at its time budget: the series workspace, the
+        step in its variable, the time and state at its end, and whether it is the last and is
+        finite."""
+        W = series(self.Z, self.ueps)
+        rho = _step_rule(W)
         t_new = self.t - self.unit * rho
         last = ~(t_new > self.t_limit)
         tau = np.where(last, (self.t_limit - self.t) / self.unit, -rho)
         np.copyto(t_new, self.t_limit, where=last)
-        Zn = _horner_lanes(cf, tau)
-        return cf, tau, t_new, Zn, last, (rho > 0.0) & np.isfinite(Zn).all(axis=0)
+        Zn = _horner_lanes(W[:, _STATE], tau)[_STATE_TO_XYPQ]
+        return W, tau, t_new, Zn, last, (rho > 0.0) & np.isfinite(Zn).all(axis=0)
 
     def commit(self, mask, Zn, t_new, gap, r) -> None:
         """Move the lanes in mask to the step's end: state Zn at t_new, budget gap and residual r."""
@@ -907,7 +928,7 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
                 series = _SeriesBlock(width, blk.unit)
             work.batch_steps += 1
             work.lane_steps += m
-            cf, tau, t_new, Zn, last, ok = blk.step(series)
+            W, tau, t_new, Zn, last, ok = blk.step(series)
             # The lanes that stop in this step, (k, reason, state), end after the commit.
             done = [(k, STOP_STEP_FAILURE, blk.Z[:, k].tolist()) for k in (blk.live & ~ok).nonzero()[0]]
             blk.live &= ok
@@ -919,7 +940,7 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
             # The flagged lanes' values as Python numbers, freed with the loop's iterator.
             for (k, c, i, gk, tau_end, t0, uk, xe, ye, Pe, Qe, sw_k, y0_k, scan_k, budget_k, last_k,
                  arm) in zip(
-                    idx.tolist(), cf[:, :, idx].transpose(2, 1, 0).tolist(),
+                    idx.tolist(), W[:, _XYPQ[:, None], idx].transpose(2, 1, 0).tolist(),
                     *(a[idx].tolist() for a in (blk.lane, blk.grp, tau, blk.t, blk.ueps, *Zn,
                                                 sw, y0, scan, budget, last, blk.armed))):
                 gr = gs[gk]

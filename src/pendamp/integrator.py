@@ -482,7 +482,9 @@ def _step_events(events: Sequence[EventSpec], g_start: list[float], t0: float, t
     ``dense(s)`` is the state at time s on the step, and
     ``locate(event, t_end, y_end)`` the time in [t, t_end] where the event
     function, which changes sign there, is zero.  A zero within ``dead_band``
-    of the arc's start ``t0`` is dropped.  A terminal crossing ends the arc
+    of the arc's start ``t0`` is dropped; on a step that starts inside the
+    band, a crossing that the state one band past t0 has already made is
+    dropped without locating it.  A terminal crossing ends the arc
     inside the step, so the events without a crossing over the whole step are
     bracketed again over the part that is kept: an event can cross and cross
     back before ``t_new``.  The crossings are recorded in time order, each
@@ -493,6 +495,9 @@ def _step_events(events: Sequence[EventSpec], g_start: list[float], t0: float, t
     hits: list[tuple[float, int]] = []
     pending = list(enumerate(g_start))  # (event, its value at t)
     t_end, y_end = t_new, y_new
+    t_band = t0 + dead_band if forward else t0 - dead_band  # the end of the dead band
+    y_band = dense(t_band) if abs(t - t0) < dead_band and (t_band - t) * (t_new - t_band) > 0.0 \
+        else None
     while True:
         missed = []
         for j, gp in pending:
@@ -503,6 +508,9 @@ def _step_events(events: Sequence[EventSpec], g_start: list[float], t0: float, t
                                  or (direction != RISING and gp > 0.0 >= g_end)):
                 missed.append((j, gp))
                 continue
+            if y_band is not None and (t_band - t) * (t_end - t_band) > 0.0 \
+                    and gp * ev.fn(t_band, y_band) < 0.0:
+                continue  # it crosses inside the dead band: the event the arc starts on
             t_e = t_end if g_end == 0.0 else locate(ev, t_end, y_end)
             if abs(t_e - t0) >= dead_band:
                 hits.append((t_e, j))

@@ -51,6 +51,9 @@ TWO_PI = 2.0 * math.pi
 # The panel limit of every quadrature of the module: quad bisects until the
 # estimate meets the tolerance or this many panels exist.
 QUAD_LIMIT = 400
+# QUADPACK's roundoff floor: no panel's error estimate falls below ROUNDOFF
+# times its integral of |f|.
+ROUNDOFF = 50.0 * sys.float_info.epsilon
 # poincare_iterates takes at most this many map steps, and times each one by
 # a quadrature to this tolerance.
 POINCARE_MAX_STEPS = 100_000
@@ -104,9 +107,10 @@ _GK21_GAUSS = (
 def _gk21_source() -> str:
     """Source of ``gk21(f, a, b)``: QUADPACK's dqk21 on [a, b], written out.
 
-    Returns the Kronrod value and dqk21's error estimate: |Kronrod - Gauss|
-    scaled by (200 |K - G| / resasc)^1.5 against the mean deviation resasc,
-    and never below 50 eps times the integral of |f|.  The 21 values and the
+    Returns the Kronrod value, dqk21's error estimate and the Kronrod
+    integral of |f|: the estimate is |Kronrod - Gauss| scaled by
+    (200 |K - G| / resasc)^1.5 against the mean deviation resasc, and never
+    below ``ROUNDOFF`` times the integral of |f|.  The 21 values and the
     sums are straight-line code, with the nodes and weights as literals.
     """
     n = len(_GK21_NODES)
@@ -129,9 +133,9 @@ def _gk21_source() -> str:
         "err = abs((k - g) * h)",
         "if asc != 0.0 and err != 0.0:",
         "    err = asc * min(1.0, (200.0 * err / asc) ** 1.5)",
-        f"if sab > {sys.float_info.min / (50.0 * sys.float_info.epsilon)!r}:",
-        f"    err = max({50.0 * sys.float_info.epsilon!r} * sab, err)",
-        "return k * h, err",
+        f"if sab > {sys.float_info.min / ROUNDOFF!r}:",
+        f"    err = max({ROUNDOFF!r} * sab, err)",
+        "return k * h, err, sab",
     ]
     return "def gk21(f, a, b):\n" + "".join(f"    {ln}\n" for ln in lines)
 
@@ -149,33 +153,37 @@ def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, full_ou
     while the summed error estimate exceeds max(epsabs, epsrel |value|) and
     fewer than ``limit`` panels exist, the panel with the largest estimate is
     bisected.  Returns (value, error estimate), and with ``full_output`` also
-    {"neval": integrand evaluations}.  A value of f that is not finite makes
+    {"neval": integrand evaluations, "abs_integral": the panels' integral of
+    |f|}, which sets the estimate's roundoff floor (``ROUNDOFF`` times it;
+    scipy's quad has no such key).  A value of f that is not finite makes
     the estimate NaN (or inf, which turns NaN at the next bisection), and a
     NaN estimate ends the quadrature: no comparison with it holds.
     """
     ends = [a, *sorted(points), b] if points else [a, b]
-    panels = []   # heap of (-error, lo, hi, value): the worst panel first
+    panels = []   # heap of (-error, lo, hi, value, integral of |f|): the worst panel first
     area = errsum = 0.0
     for lo, hi in zip(ends, ends[1:]):
-        v, e = _gk21(f, lo, hi)
+        v, e, ab = _gk21(f, lo, hi)
         area += v
         errsum += e
-        panels.append((-e, lo, hi, v))
+        panels.append((-e, lo, hi, v, ab))
     heapq.heapify(panels)
     neval = 21 * len(panels)
     while errsum > max(epsabs, epsrel * abs(area)) and len(panels) < limit:
-        neg_e, lo, hi, v = heapq.heappop(panels)
+        neg_e, lo, hi, v, _ = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk21(f, lo, mid)
-        v2, e2 = _gk21(f, mid, hi)
+        v1, e1, ab1 = _gk21(f, lo, mid)
+        v2, e2, ab2 = _gk21(f, mid, hi)
         neval += 42
         # QUADPACK's running sums, updated rather than summed again
         area += v1 + v2 - v
         errsum += e1 + e2 + neg_e
-        heapq.heappush(panels, (-e1, lo, mid, v1))
-        heapq.heappush(panels, (-e2, mid, hi, v2))
+        heapq.heappush(panels, (-e1, lo, mid, v1, ab1))
+        heapq.heappush(panels, (-e2, mid, hi, v2, ab2))
     value = sum(p[3] for p in panels)  # QUADPACK's result: the panels summed afresh
-    return (value, errsum, {"neval": neval}) if full_output else (value, errsum)
+    if not full_output:
+        return value, errsum
+    return value, errsum, {"neval": neval, "abs_integral": sum(p[4] for p in panels)}
 
 
 def _check_tol(tol: float) -> None:
@@ -187,6 +195,14 @@ def _check_tol(tol: float) -> None:
 
 
 def _quad(f, a, b, tol, points=None) -> QuadratureResult:
+    """The integral of f over [a, b], certified to tol or to the rule's roundoff floor.
+
+    No estimate of :func:`quad` falls below its floor, ``ROUNDOFF`` times the
+    integral of |f|; an estimate within twice the floor is certified at the
+    floor, and no quadrature asks for less.  A tol below eps times the
+    integral of |f|, finer than the rounding of the sum itself, is met by no
+    floor.
+    """
     _check_tol(tol)
     # Request an order tighter than certified, so that an estimate that
     # creeps down by bisection is certified on the step that crosses tol/100.
@@ -194,15 +210,19 @@ def _quad(f, a, b, tol, points=None) -> QuadratureResult:
     val, err, info = quad(f, a, b, epsabs=req, epsrel=req, limit=QUAD_LIMIT,
                           points=points, full_output=True)[:3]
     neval = info["neval"]
-    if tol < err <= req * abs(val):
-        # Above |val| = 100 the relative request can stop above tol: ask for tol itself.
-        val, err, info = quad(f, a, b, epsabs=tol, epsrel=0.0, limit=QUAD_LIMIT,
+    resolved = tol >= sys.float_info.epsilon * info["abs_integral"]
+    bound = max(tol, 2.0 * ROUNDOFF * info["abs_integral"]) if resolved else tol
+    if resolved and bound < err <= req * abs(val):
+        # Above |val| = 100 the relative request can stop above tol: ask for the bound itself.
+        val, err, info = quad(f, a, b, epsabs=bound, epsrel=0.0, limit=QUAD_LIMIT,
                               points=points, full_output=True)[:3]
         neval += info["neval"]
     if not (math.isfinite(val) and math.isfinite(err)):
         raise QuadratureError(f"estimate {val} with error estimate {err} is not finite")
-    if err > max(tol, 10.0 * abs(val) * 1e-15):
-        raise QuadratureError(f"error estimate {err:.3e} above tolerance {tol:.3e}")
+    if err > bound:
+        why = "" if resolved else (f"the rounding of the sum, eps times the integral of |f|, is "
+                                   f"{sys.float_info.epsilon * info['abs_integral']:.3e}: ")
+        raise QuadratureError(f"{why}error estimate {err:.3e} above tolerance {tol:.3e}")
     return QuadratureResult(val, err, neval)
 
 
@@ -278,6 +298,8 @@ def _agm_k(kc: float) -> float:
 
 def ellipk(m: float) -> float:
     """Complete elliptic integral of the first kind K(m) for m <= 1 (inf at 1)."""
+    if not m <= 1.0:
+        raise ValueError(f"modulus m must be at most 1, got {m}")
     if m == 1.0:
         return math.inf
     return _agm_k(math.sqrt(1.0 - m))

@@ -7,9 +7,12 @@ other.  None of them is reachable from the package.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad as scipy_quad
 from scipy.special import ellipk
 
@@ -298,6 +301,37 @@ def oracle_canonical_series(state, ueps: float, order: int) -> list[list[float]]
         y.append(((ueps if k == 0 else 0.0) - S[k]) / (k + 1))
         P.append(sum(C[j] * Q[k - j] for j in range(k + 1)) / (k + 1))
         Q.append(-P[k] / (k + 1))
+    return [list(c) for c in zip(x, y, P, Q)]
+
+
+def oracle_lane_series(state, ueps: float, unit: float, order: int) -> list[list[float]]:
+    """One lane of ``extremal._SeriesBlock``, by scalar loops in the kernel's order.
+
+    sin and cos of x_0 come from numpy, as in the kernel; every other value
+    is the kernel's product or sum, in the same order: the sums over j run
+    left to right from 0.0, as numpy's reduce over the leading axis does (a
+    sum of -0.0 terms is +0.0), and the factors are H/k = unit / k and their
+    negations.  Returns [x_k, y_k, P_k, Q_k] for k = 0..order, to compare bit
+    for bit.
+    """
+    x, y, P, Q = ([float(v)] for v in state)
+    S, C = [float(np.sin(np.array([x[0]]))[0])], [float(np.cos(np.array([x[0]]))[0])]
+    f = [None] + [unit / k for k in range(1, order + 1)]
+
+    def convolution(a, b, k):  # sum_{j=0..k-1} a_j b_{k-1-j}, left to right
+        return functools.reduce(operator.add, [a[j] * b[k - 1 - j] for j in range(k)], 0.0)
+
+    x.append(y[0] * f[1])
+    y.append((ueps - S[0]) * f[1])
+    Q.append(P[0] * -f[1])
+    for k in range(1, order + 1):
+        C.append(convolution(y, S, k) * -f[k])
+        S.append(convolution(y, C, k) * f[k])
+        P.append(convolution(C, Q, k) * f[k])
+        if k < order:
+            x.append(y[k] * f[k + 1])
+            y.append(S[k] * -f[k + 1])
+            Q.append(P[k] * -f[k + 1])
     return [list(c) for c in zip(x, y, P, Q)]
 
 

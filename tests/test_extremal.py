@@ -17,6 +17,7 @@ from pendamp.extremal import (
     BracketError,
     ExtremalRun,
     SweepPolicy,
+    _XYPQ,
     _SeriesBlock,
     bifurcation_table,
     find_bifurcation,
@@ -40,7 +41,7 @@ def canonical_rhs(x, y, phi, psi, u, eps):
     first-order Taylor coefficients of the lane kernel's series, on a block
     of the lane doubled, as trace_lanes runs one lane."""
     z = np.repeat(np.array([[x], [y], [phi], [psi]]), 2, axis=1)
-    return tuple(_SeriesBlock(2, 1.0)(z, np.repeat(u * eps, 2))[1, :, 0])
+    return tuple(_SeriesBlock(2, 1.0)(z, np.repeat(u * eps, 2))[1, _XYPQ, 0])
 
 
 class TestCanonicalField:

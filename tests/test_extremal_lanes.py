@@ -25,6 +25,7 @@ from pendamp.extremal import (
     _horner_lanes,
     _poly_root,
     _root,
+    _XYPQ,
     _SeriesBlock,
     _step_rule,
     _tau_bound,
@@ -36,7 +37,7 @@ from pendamp.extremal import (
 )
 from pendamp.integrator import (EVENT_TOL, RISING, STOP_STEP_FAILURE, TAYLOR_ORDER, EventSpec,
                                 StepControl, _taylor, brentq, integrate)
-from oracles import oracle_canonical_series, oracle_trace_extremal
+from oracles import oracle_canonical_series, oracle_lane_series, oracle_trace_extremal
 
 GRID = 48
 
@@ -230,7 +231,7 @@ def test_first_order_coefficients_are_the_field():
     z = np.vstack([rng.uniform(-10, 10, m), rng.uniform(-3, 3, m), rng.uniform(-5, 5, m),
                    rng.uniform(-5, 5, m)])
     ueps = rng.choice([-1.0, 1.0], m) * rng.uniform(0.01, 1.0, m)
-    cf = _SeriesBlock(m, 1.0)(z, ueps)
+    cf = _SeriesBlock(m, 1.0)(z, ueps)[:, _XYPQ]
     x, y, phi, psi = z
     assert (cf[0] == z).all()
     field = np.array([y, ueps - np.sin(x), np.cos(x) * psi, -phi])
@@ -246,9 +247,9 @@ def test_series_unit_is_per_lane():
     z = np.vstack([rng.uniform(-7, 7, m), rng.uniform(-2.3, 2.3, m), rng.uniform(-4, 4, m),
                    rng.uniform(-1.5, 1.5, m)])
     ueps = rng.choice([-1.0, 1.0], m) / units
-    cf = _SeriesBlock(m, units)(z, ueps).copy()
+    cf = _SeriesBlock(m, units)(z, ueps)[:, _XYPQ]
     for k, unit in enumerate(units.tolist()):
-        alone = _SeriesBlock(m, unit)(z, ueps)
+        alone = _SeriesBlock(m, unit)(z, ueps)[:, _XYPQ]
         assert [v.hex() for v in cf[:, :, k].ravel().tolist()] == \
             [v.hex() for v in alone[:, :, k].ravel().tolist()]
 
@@ -258,7 +259,7 @@ def test_series_matches_the_textbook_recurrences():
     z = np.vstack([rng.uniform(-7, 7, 40), rng.uniform(-2.3, 2.3, 40), rng.uniform(-4, 4, 40),
                    rng.uniform(-1.5, 1.5, 40)])
     ueps = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.05, 1.0, 40)
-    cf = _SeriesBlock(40, 1.0)(z, ueps)
+    cf = _SeriesBlock(40, 1.0)(z, ueps)[:, _XYPQ]
     series = _taylor()
     for k in range(40):
         ref = np.array(oracle_canonical_series(z[:, k], ueps[k], TAYLOR_ORDER))
@@ -267,6 +268,23 @@ def test_series_matches_the_textbook_recurrences():
         xs, ys, _ = series(z[0, k], z[1, k], ueps[k], math.cos(z[0, k]))
         assert cf[:, 0, k] == pytest.approx(xs, rel=1e-12, abs=1e-15)
         assert cf[:, 1, k] == pytest.approx(ys, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [2, 5, 64, 384])
+def test_series_is_the_scalar_recurrences_bit_for_bit(m):
+    # Each lane of a block of mixed units is, bit for bit, the scalar
+    # recurrences in the kernel's order with that lane's factors H/k.
+    rng = np.random.default_rng(m)
+    units = rng.choice([1.0, 0.5, 1 / 3, 1 / 9.5, 1 / 11.0, 1e-3], m)
+    z = np.vstack([rng.uniform(-9, 9, m), rng.uniform(-3, 3, m), rng.uniform(-5, 5, m),
+                   rng.uniform(-2, 2, m)])
+    z[:, ::7] = 0.0
+    ueps = rng.choice([-1.0, 1.0], m) * rng.uniform(0.01, 1.0, m) / units
+    cf = _SeriesBlock(m, units)(z, ueps)[:, _XYPQ]
+    for k in range(m):
+        ref = oracle_lane_series(z[:, k].tolist(), float(ueps[k]), float(units[k]), TAYLOR_ORDER)
+        assert [v.hex() for v in cf[:, :, k].ravel().tolist()] == \
+            [v.hex() for row in ref for v in row], k
 
 
 def test_horner_is_the_lane_block_sum():

@@ -587,6 +587,33 @@ def test_pendulum_arc_rebrackets_events_before_a_terminal_event():
         assert a.t == pytest.approx(b.t, abs=1e-9)
 
 
+@pytest.mark.parametrize("arc,solver", [
+    (lambda s0, events: pendulum_arc(-0.1, s0, 0.0, 50.0, events), "_poly_root"),
+    (lambda s0, events: integrate(pendulum_rhs(-0.1), s0, 0.0, 50.0, events), "brentq"),
+], ids=["taylor", "dp5"])
+def test_arc_drops_the_event_it_starts_on_without_locating_it(monkeypatch, arc, solver):
+    # The arc starts 1e-16 short of the rest y = 0 and crosses it at
+    # t ~ 2e-16, inside the dead band: the first step's state one band past
+    # the start has crossed already, so no root is solved for there.  The
+    # next rest, half a swing on, is located as before.
+    from pendamp import integrator
+
+    s0 = (-2.5, -1e-16)
+    want = arc(s0, [_rest(ANY, True)])
+    solved = []
+    own = getattr(integrator, solver)
+
+    def counted(*args, **kw):
+        solved.append(own(*args, **kw))
+        return solved[-1]
+
+    monkeypatch.setattr(integrator, solver, counted)
+    got = arc(s0, [_rest(ANY, True)])
+    assert got == want
+    assert [r.label for r in got.events] == ["rest"] and got.events[0].t > 4.0
+    assert len(solved) == 1
+
+
 def test_pendulum_arc_steps_and_limits():
     # No step of this arc drifts off the first integral, so every step is the
     # one of Jorba and Zou's rule at its start, but the last, which is cut to

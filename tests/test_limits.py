@@ -628,9 +628,27 @@ def test_values_above_100_are_certified_to_the_absolute_tol(monkeypatch):
     assert q.value == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("E", [5000.0, 1e5])
+def test_tol_below_the_roundoff_floor_is_certified_at_the_floor(monkeypatch, E):
+    # tau_plus(E) is 99 and 446 here, so GK21's roundoff floor, 50 eps times
+    # the integral, is above tol = 1e-12: the first quadrature's estimate,
+    # within twice the floor, is certified, and none asks for less.
+    calls = recorded_quadratures(monkeypatch, lambda: tau_plus(E, 1e-12))
+    assert len(calls) == 1
+    q = tau_plus(E, 1e-12)
+    assert 1e-12 < q.error_estimate <= 2.0 * limits.ROUNDOFF * q.value * (1.0 + 1e-12)
+    ref = quad(lambda e: full_turn_time(e) / (2.0 * math.pi), 2.0, E, epsabs=1e-12, epsrel=1e-13,
+               limit=400)[0]
+    assert q.value == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert tau(E, 1e-12).value == q.value + tau_minus(2.0, 1e-12).value
+
+
 def test_unreachable_tolerance_raises_quadrature_error():
-    # QUADPACK's error estimate for tau_minus(1) stays near 2.5e-14.
-    with pytest.raises(QuadratureError, match="above tolerance 1.000e-16"):
+    # QUADPACK's error estimate for tau_minus(1) stays near 2.5e-14, and a tol
+    # of 1e-16 is below the rounding of the sum, eps tau_minus(1) = 5.0e-16.
+    with pytest.raises(QuadratureError, match="^the rounding of the sum, eps times the integral of "
+                                              r"\|f\|, is 5.019e-16: error estimate 2.5\d\de-14 "
+                                              "above tolerance 1.000e-16$"):
         tau(1.0, 1e-16)
 
 
@@ -714,7 +732,7 @@ def test_gk21_panel_is_quadpacks_dqk21(f, a, b):
     # scipy's quad with limit=1 returns one dqk21 panel: its value and its
     # error estimate, which the scaled |Kronrod - Gauss| difference sets.
     ref, ref_err, info = quad(f, a, b, limit=1, full_output=True)[:3]
-    val, err = limits._gk21(f, a, b)
+    val, err, _ = limits._gk21(f, a, b)
     assert info["neval"] == 21
     assert val == pytest.approx(ref, rel=1e-15, abs=0.0)
     assert err == pytest.approx(ref_err, rel=1e-11, abs=0.0)
@@ -759,6 +777,12 @@ def test_ellipk_matches_scipy():
     for m in ms:
         assert ellipk(m) == pytest.approx(float(scipy_ellipk(m)), rel=1e-15, abs=0.0), m
     assert ellipk(1.0) == math.inf
+
+
+@pytest.mark.parametrize("m", [1.5, math.nan], ids=["above-1", "nan"])
+def test_ellipk_rejects_a_modulus_outside_its_range(m):
+    with pytest.raises(ValueError, match=f"^modulus m must be at most 1, got {m}$"):
+        ellipk(m)
 
 
 def test_sine_integral_matches_scipy():
