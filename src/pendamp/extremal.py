@@ -282,7 +282,8 @@ _C, _S, _P, _Y, _Q, _X = range(6)
 _STATE = slice(_P, _X + 1)
 _XYPQ = np.array([_X, _Y, _P, _Q])
 _STATE_TO_XYPQ = _XYPQ - _P
-_XYPQ_TO_STATE = np.argsort(_STATE_TO_XYPQ)
+_XYPQ_TO_STATE = np.empty(4, dtype=np.intp)
+_XYPQ_TO_STATE[_STATE_TO_XYPQ] = np.arange(4)  # not np.argsort, whose first call maps 0.4 MB
 
 
 class _SeriesBlock:
