@@ -213,6 +213,8 @@ class Level:
         component by far less than a period, so the next level ahead is the
         one crossed.
         """
+        if self.period is None and len(self.values) == 1:
+            return self.values[0]
         d = 1.0 if b >= a else -1.0
         slack = 16.0 * math.ulp(abs(a) + (self.period or 1.0))
         levels = []
@@ -466,10 +468,12 @@ def _advance_events(events: Sequence[EventSpec], g_prev: list[float], t_new: flo
     """
     g_start = g_prev[:]
     may_cross = False
-    for j, ev in enumerate(events):
+    j = 0  # counted by hand: enumerate's tuples cost more than the count
+    for ev in events:
         g = g_prev[j] = ev.fn(t_new, y_new)
         if not g_start[j] * g > 0.0:
             may_cross = True
+        j += 1
     return g_start if may_cross else None
 
 
@@ -524,7 +528,8 @@ def _step_events(events: Sequence[EventSpec], g_start: list[float], t0: float, t
         t_end, y_end = t_term, dense(t_term)
     for t_e, j in hits:
         ev = events[j]
-        state_e = dense(t_e)
+        # Once the step is cut at a terminal event, y_end is dense(t_end).
+        state_e = y_end if t_e == t_end != t_new else dense(t_e)
         recs.append(EventRecord(t_e, state_e, ev.label, abs(ev.fn(t_e, state_e))))
         if ev.terminal:
             return t_e, state_e

@@ -19,11 +19,15 @@ The half-swing times of the low-zone map integrate ds/|y| between two rest
 points, where y^2 = 2 (cos s - cos x - eps (s + x)) has a simple zero at each
 end.  Both zeros are factored out exactly: the tilted potential difference is
 -(s + x)(x_next - s) times the second divided difference cos[-x, s, x_next],
-and the substitution s = c + r sin(theta) cancels the product against ds, so
-the quadrature sees a smooth integrand on [-pi/2, pi/2].
+and the substitution s = c + r sin(theta) cancels the product against ds,
+leaving an analytic, 2 pi-periodic integrand in theta.  The trapezoid rule
+converges geometrically on it, and its nodes, read in s, are the
+Chebyshev-Lobatto points of the square-root weight of the two rest points;
+the levels are nested, so each doubling evaluates only the new nodes.
 
 The quadratures, K and Si are the package's own, so no path of the module
-imports scipy.  :func:`quad` is an adaptive 21-point Gauss-Kronrod quadrature
+imports scipy.  Every quadrature but the half-swing times above runs through
+:func:`quad`, an adaptive 21-point Gauss-Kronrod quadrature
 with QUADPACK's rule and error estimate (dqk21; Piessens et al., QUADPACK,
 Springer 1983) that bisects the panel with the largest estimate.  It has no
 extrapolation, so no integrand it is given keeps an endpoint singularity:
@@ -466,25 +470,22 @@ class PoincareIterates:
 
     ``values`` holds rest amplitudes x_n (low zone, section y = 0) or section
     speeds y_n (high zone, section x = pi mod 2pi).  ``times`` has one entry
-    per map step, computed by quadrature of the tilted-potential motion.
+    per map step, computed by quadrature of the tilted-potential motion, and
+    ``evaluations`` counts the integrand evaluations of all those quadratures.
     """
 
     zone: str
     values: tuple[float, ...]
     times: tuple[float, ...]
+    evaluations: int
 
 
-def _cos_divided_difference(a: float, b: float) -> float:
-    """First divided difference cos[a, b] = (cos b - cos a) / (b - a), written
-    as -sin((a + b)/2) sin(d)/d with d = (b - a)/2 so that it does not cancel
-    as b -> a; equals -sin(a) at a = b."""
-    d = 0.5 * (b - a)
-    if d == 0.0:
-        return -math.sin(a)
-    return -math.sin(0.5 * (a + b)) * math.sin(d) / d
+# The node cap of the half-swing trapezoid rule of _low_step_time: a step time
+# whose estimate has not met its request when the next level would pass it raises.
+TRAPEZOID_MAX_NODES = 2 ** 14 + 1
 
 
-def _low_step_time(x: float, x_next: float, eps: float, tol: float) -> float:
+def _low_step_time(x: float, x_next: float, eps: float, tol: float) -> QuadratureResult:
     """Duration of one half-swing from rest at -x to rest at x_next under
     u = -sign(y): the integral of ds/|y| over [-x, x_next] with
     y^2 = 2 F(s), F(s) = cos s - cos x - eps (s + x).
@@ -493,23 +494,70 @@ def _low_step_time(x: float, x_next: float, eps: float, tol: float) -> float:
     difference, so F(s) = -(s + x)(x_next - s) cos[-x, s, x_next].  With
     s = c + r sin(theta), c = (x_next - x)/2, r = (x + x_next)/2, the factor
     (s + x)(x_next - s) is r^2 cos^2(theta) and cancels against
-    ds = r cos(theta) dtheta, leaving the smooth integral of
-    dtheta / sqrt(-2 cos[-x, s, x_next]) over [-pi/2, pi/2].  Where
-    -cos[...] is not positive the swing cannot start, and the integrand raises.
+    ds = r cos(theta) dtheta, leaving the integral of
+    g(theta) = 1 / sqrt(-2 cos[-x, s, x_next]) over [-pi/2, pi/2].  Each first
+    divided difference cos[a, b] is -sin((a + b)/2) sin(d)/d with
+    d = (b - a)/2, which does not cancel as b -> a.  Where -cos[...] is not
+    positive the swing cannot start, and the integrand raises.
+
+    g is analytic, 2 pi-periodic and even about pi/2, and the integral is half
+    its integral over a period, where the trapezoid rule converges
+    geometrically (Trefethen & Weideman, SIAM Review 56 (2014) 385-458).  The
+    rule with N nodes theta_i = -pi/2 + 2 pi i/N needs only i = 0..N/2, the
+    ends once and the rest twice: T_N = (pi/N) (g_0 + g_N/2 + 2 sum g_i).  In
+    s these nodes are the Chebyshev-Lobatto points c - r cos(2 pi i/N) of the
+    weight 1/sqrt((s + x)(x_next - s)) of the two rest points.  The levels
+    N = 4, 8, 16, ... are nested, so each doubling evaluates only its N/2 new
+    odd nodes; the rule stops once |T_2N - T_N| is at most tol/100 (but not
+    below 1e-13, nor above tol) or the roundoff floor 2 ROUNDOFF T_2N, and
+    returns T_2N with that difference as its error estimate.  It certifies
+    as :func:`_quad` does: a tol below eps T, finer than the rounding of the
+    sum, or an estimate above max(tol, floor) when the next level would pass
+    ``TRAPEZOID_MAX_NODES``, raises QuadratureError.
     """
+    _check_tol(tol)
     width = x + x_next
     c = 0.5 * (x_next - x)
     r = 0.5 * width
+    sin = math.sin
 
-    def f(theta):
-        s = c + r * math.sin(theta)
-        dd = (_cos_divided_difference(s, x_next) - _cos_divided_difference(-x, s)) / width
-        return 1.0 / math.sqrt(-2.0 * dd)
+    def g(s):
+        d = 0.5 * (x_next - s)
+        a = sin(0.5 * (s + x_next)) * sin(d) / d if d != 0.0 else sin(s)       # -cos[s, x_next]
+        d = 0.5 * (s + x)
+        b = sin(0.5 * (s - x)) * sin(d) / d if d != 0.0 else sin(s)            # -cos[-x, s]
+        return math.sqrt(r / (a - b))
 
-    return _quad(f, -0.5 * math.pi, 0.5 * math.pi, tol).value
+    req = min(max(tol / 100.0, 1e-13), tol)
+    ends = g(c - r) + g(c + r)
+    inner = g(c)
+    half = 2          # N/2: the level's nodes are i = 0..half
+    nodes = 3
+    value = 0.25 * math.pi * (ends + 2.0 * inner)
+    while True:
+        # The new nodes i = 1, 3, ..., 2 half - 1 of level 2N pair up about
+        # the centre: s = c -+ r cos(pi i / (2 half)) for odd i < half.
+        step = 0.5 * math.pi / half
+        for i in range(1, half, 2):
+            d = r * math.cos(step * i)
+            inner += g(c - d) + g(c + d)
+        nodes += half
+        half *= 2
+        estimate = 0.5 * math.pi / half * (ends + 2.0 * inner)
+        err = abs(estimate - value)
+        value = estimate
+        floor = 2.0 * ROUNDOFF * value
+        if err <= req or err <= floor or nodes + half > TRAPEZOID_MAX_NODES:
+            break
+    if not (tol >= sys.float_info.epsilon * value and err <= max(tol, floor)):
+        raise QuadratureError(f"half-swing from rest at -{x!r} to {x_next!r} at eps={eps!r}: "
+                              f"trapezoid estimate {value!r} with error estimate {err:.3e} at "
+                              f"{nodes} nodes, tolerance {tol:.3e}; the rounding of the sum, "
+                              f"eps times the estimate, is {sys.float_info.epsilon * value:.3e}")
+    return QuadratureResult(value, err, nodes)
 
 
-def _high_step_time(y: float, eps: float, tol: float) -> float:
+def _high_step_time(y: float, eps: float, tol: float) -> QuadratureResult:
     """Duration of one full turn from the section x = pi at speed y > 0 under
     u = -1: integral of ds/|y(s)| with
     y(s)^2 = y^2 + 2 (1 + cos s) + 2 eps (pi - s)."""
@@ -518,7 +566,7 @@ def _high_step_time(y: float, eps: float, tol: float) -> float:
         v = y * y + 2.0 * (1.0 + math.cos(s)) + 2.0 * eps * (math.pi - s)
         return v ** -0.5
 
-    return _quad(f, math.pi, 3.0 * math.pi, tol).value
+    return _quad(f, math.pi, 3.0 * math.pi, tol)
 
 
 def _orbit(step, start: float, p: Params, stop: type[Exception], max_steps: int):
@@ -559,12 +607,15 @@ def poincare_iterates(zone: str, start: float, p: Params) -> PoincareIterates:
         raise ValueError(f"unknown zone {zone!r}")
     values: list[float] = []
     times: list[float] = []
+    evaluations = 0
     for v in _orbit(step, float(start), p, stop, POINCARE_MAX_STEPS):
         if values:
-            times.append(_low_step_time(values[-1], v, eps, POINCARE_TOL) if zone == "low"
-                         else _high_step_time(values[-1], eps, POINCARE_TOL))
+            q = (_low_step_time(values[-1], v, eps, POINCARE_TOL) if zone == "low"
+                 else _high_step_time(values[-1], eps, POINCARE_TOL))
+            times.append(q.value)
+            evaluations += q.evaluations
         values.append(v)
-    return PoincareIterates(zone, tuple(values), tuple(times))
+    return PoincareIterates(zone, tuple(values), tuple(times), evaluations)
 
 
 @dataclass(frozen=True)

@@ -614,6 +614,34 @@ def test_arc_drops_the_event_it_starts_on_without_locating_it(monkeypatch, arc, 
     assert len(solved) == 1
 
 
+@pytest.mark.parametrize("arc,factory", [
+    (lambda events: pendulum_arc(-0.05, (-2.5, 0.0), 0.0, 50.0, events), "_taylor_locator"),
+    (lambda events: integrate(pendulum_rhs(-0.05), (-2.5, 0.0), 0.0, 50.0, events), "_dense_locator"),
+], ids=["taylor", "dp5"])
+def test_terminal_event_state_is_the_step_interpolant_at_its_time(monkeypatch, arc, factory):
+    # The section x = pi never crosses on this swing, so the step of the rest
+    # is bracketed again up to the rest, at the state dense(t_rest); the
+    # record and the arc's end carry that state, bit for bit.
+    from pendamp import integrator
+
+    own = getattr(integrator, factory)
+    made = []
+
+    def recording(*args):
+        made.append(own(*args))
+        return made[-1]
+
+    monkeypatch.setattr(integrator, factory, recording)
+    seg = arc([_rest(ANY, True), _section()])
+    assert seg.stop_reason == STOP_TERMINAL
+    (rec,) = seg.events
+    _, dense = made[-1]
+    want = dense(rec.t)
+    assert rec.label == "rest"
+    assert [v.hex() for v in rec.state] == [v.hex() for v in want]
+    assert seg.end_state == rec.state and seg.t_end == rec.t
+
+
 def test_pendulum_arc_steps_and_limits():
     # No step of this arc drifts off the first integral, so every step is the
     # one of Jorba and Zou's rule at its start, but the last, which is cut to

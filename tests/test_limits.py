@@ -482,7 +482,7 @@ class TestPoincareIterates:
             xs = low_orbit(x0, Params(eps))
             compared = 0
             for x, x_next in zip(xs, xs[1:]):
-                new = limits._low_step_time(x, x_next, eps, 1e-10)
+                new = limits._low_step_time(x, x_next, eps, 1e-10).value
                 try:
                     ref = oracle_low_step_time(x, x_next, eps, 1e-10)
                 except QuadratureError:
@@ -685,8 +685,6 @@ INTEGRAND_CALLS = {
     "period-h-1e-8": lambda: period_integral(1e-8),
     "period-h-minus-1": lambda: period_integral(-1.0),
     "period-h-minus-1e-4": lambda: period_integral(-1e-4),
-    "low-step-times": lambda: poincare_iterates("low", 2.8, Params(0.1)),
-    "low-step-times-separatrix": lambda: poincare_iterates("low", math.acos(-1.0 + 1e-3), Params(0.01)),
     "high-step-times": lambda: poincare_iterates("high", 3.0, Params(0.05)),
 }
 
@@ -718,6 +716,83 @@ def test_quad_matches_scipy_on_the_package_integrands(monkeypatch, name):
         ref, ref_err, ref_info = quad(f, a, b, **kw)[:3]
         assert info["neval"] == ref_info["neval"], (a, b)
         assert abs(val - ref) <= err, (a, b, val, ref, err)
+
+
+def half_swing_integrand(x, x_next):
+    """The theta integrand of _low_step_time, 1 / sqrt(-2 cos[-x, s, x_next])
+    with s = c + r sin(theta), each first divided difference of cos written
+    as -sin((a + b)/2) sin(d)/d, d = (b - a)/2."""
+    c, r = 0.5 * (x_next - x), 0.5 * (x + x_next)
+
+    def first(a, b):
+        d = 0.5 * (b - a)
+        return -math.sin(a) if d == 0.0 else -math.sin(0.5 * (a + b)) * math.sin(d) / d
+
+    def f(theta):
+        s = c + r * math.sin(theta)
+        return 1.0 / math.sqrt(-2.0 * (first(s, x_next) - first(-x, s)) / (x + x_next))
+
+    return f
+
+
+@pytest.mark.parametrize("start,eps", [
+    (2.8, 0.1),
+    (math.acos(-1.0 + 1e-3), 0.01),   # E0 = 2 - 1e-3, next to the separatrix
+    (1e-3, 1e-5),                     # a tiny amplitude, about 50 swings to capture
+], ids=["x2.8-eps0.1", "separatrix-eps0.01", "tiny-eps1e-5"])
+def test_half_swing_trapezoid_matches_scipy(start, eps):
+    # Every step time of the orbit lies within the error estimate of scipy's
+    # quad of the same integrand over [-pi/2, pi/2], and so does the rule's
+    # own estimate of it.
+    it = poincare_iterates("low", start, Params(eps))
+    assert len(it.times) >= 9
+    for x, x_next, t in zip(it.values, it.values[1:], it.times):
+        ref, ref_err = quad(half_swing_integrand(x, x_next), -0.5 * math.pi, 0.5 * math.pi,
+                            epsabs=1e-13, epsrel=1e-13, limit=limits.QUAD_LIMIT)
+        assert abs(t - ref) <= ref_err, (x, x_next, t, ref, ref_err)
+        q = limits._low_step_time(x, x_next, eps, limits.POINCARE_TOL)
+        assert q.value == t and q.error_estimate <= 1e-12
+
+
+def test_half_swing_tol_at_the_roundoff_floor_or_below_the_rounding():
+    # A tol under 2 ROUNDOFF T but above eps T is certified at that floor; one
+    # below eps T, finer than the rounding of the sum, is met by no floor.
+    x, x_next = 2.8, poincare_low(2.8, Params(0.1))
+    q = limits._low_step_time(x, x_next, 0.1, 1e-14)
+    assert 1e-14 < 2.0 * limits.ROUNDOFF * q.value
+    assert q.error_estimate <= 2.0 * limits.ROUNDOFF * q.value
+    assert q.value == pytest.approx(limits._low_step_time(x, x_next, 0.1, 1e-10).value, rel=1e-15)
+    with pytest.raises(QuadratureError, match=rf"^half-swing from rest at -2\.8 to {x_next!r} at "
+                                              r"eps=0\.1: trapezoid estimate 5\.\d+ with error "
+                                              r"estimate .* at \d+ nodes, tolerance 1\.000e-16; "
+                                              r"the rounding of the sum, eps times the estimate, is 1\.\d+e-15$"):
+        limits._low_step_time(x, x_next, 0.1, 1e-16)
+
+
+def test_half_swing_raises_past_the_node_cap(monkeypatch):
+    # The near-separatrix step needs 33 nodes; under a cap of 17 its last
+    # estimate, at 17 nodes, is still above the tolerance.
+    x = math.acos(-1.0 + 1e-3)
+    x_next = poincare_low(x, Params(0.01))
+    assert limits._low_step_time(x, x_next, 0.01, 1e-10).evaluations > 17
+    monkeypatch.setattr(limits, "TRAPEZOID_MAX_NODES", 17)
+    with pytest.raises(QuadratureError, match=rf"^half-swing from rest at -{x!r} to {x_next!r} at "
+                                              r"eps=0\.01: trapezoid estimate .* at 17 nodes, "
+                                              r"tolerance 1\.000e-10; "):
+        poincare_iterates("low", x, Params(0.01))
+
+
+@pytest.mark.parametrize("zone,start,step_time", [
+    ("low", 2.8, lambda it, k, eps: limits._low_step_time(it.values[k], it.values[k + 1], eps,
+                                                          limits.POINCARE_TOL)),
+    ("high", 3.0, lambda it, k, eps: limits._high_step_time(it.values[k], eps, limits.POINCARE_TOL)),
+], ids=["low", "high"])
+def test_poincare_iterates_counts_the_evaluations_of_its_step_times(zone, start, step_time):
+    eps = 0.05
+    it = poincare_iterates(zone, start, Params(eps))
+    steps = [step_time(it, k, eps) for k in range(len(it.times))]
+    assert it.times == tuple(q.value for q in steps)
+    assert it.evaluations == sum(q.evaluations for q in steps) > 0
 
 
 @pytest.mark.parametrize("f,a,b", [
