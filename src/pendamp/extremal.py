@@ -309,7 +309,10 @@ class _SeriesBlock:
     not used), their sums over j, the write of (C, S, P)_k as those sums
     times (-H/k, H/k, H/k), and the write of (y, Q, x)_{k+1} as
     (S, P, y)_k times (-H/(k+1), -H/(k+1), H/(k+1)).  Order 0 is the state
-    and sin, cos of x; order TAYLOR_ORDER writes no next order.
+    and sin, cos of x.  The last order N = TAYLOR_ORDER writes only P_N, in
+    three calls: the products C_{j-1} Q_{N-j}, their sum over j and its
+    factor H/N, the same products and sum as a full order.  No next order,
+    step rule or sum reads C_N and S_N, which are left unwritten.
 
     The factors H/k are built per lane, so a lane's coefficients do not
     depend on the units of the others.  At H = 1 the first-order
@@ -338,7 +341,8 @@ class _SeriesBlock:
         self.orders = [(yC[:k], block[k - 1::-1], terms[:k], fac[k, :_Y], W[k, :_Y], W[k, _S:_Q],
                         fac[k + 1, _Y:], W[k + 1, _Y:])
                        for k in range(1, n)]
-        self.last = (yC[:n], block[n - 1::-1], terms, fac[n, :_Y], W[n, :_Y])
+        # Order n writes only P_n, in the slots of the products C Q and their sum.
+        self.last = (W[:n, _C], W[n - 1::-1, _Q], terms[:, 1, 0], sums[1, 0], fac[n, _P], W[n, _P])
         self.sums, self.CSP_sums = sums, CSP_sums
 
     def __call__(self, Z, ueps):
@@ -357,10 +361,10 @@ class _SeriesBlock:
             add(terms, axis=0, out=sums)
             mul(CSP_sums, f, CSP)
             mul(SPy, f1, yQx1)
-        yC, block, terms, f, CSP = self.last
-        mul(yC, block, terms)
-        add(terms, axis=0, out=sums)
-        mul(CSP_sums, f, CSP)
+        C, Q, terms, P_sum, f, P = self.last
+        mul(C, Q, terms)
+        add(terms, axis=0, out=P_sum)
+        mul(P_sum, f, P)
         return self.W
 
 
@@ -554,17 +558,21 @@ class LaneWork:
     """The work of trace_lanes batches, added up over every batch it is passed to.
 
     ``batch_steps`` counts Taylor steps of whole batches, ``lane_steps`` the
-    steps of single lanes, ``events`` the events located (switch, exit, y0,
-    budget line, zone entry), ``event_residual_max`` the worst
-    |g| there, ``peak_lanes`` the largest batch, and ``stops`` the runs by
-    stop reason.  A block that merges the batches of several scans
-    (:func:`_run_scans`) counts once in ``batches``, ``batch_steps`` and
-    ``peak_lanes``; its lanes count in the rest as they would alone.
+    steps of single lanes, ``lane_slots`` the lane columns that each batch
+    step computes (its finished lanes not yet compacted away included),
+    ``events`` the events located (switch, exit, y0, budget line, zone
+    entry), ``event_residual_max`` the worst |g| there, ``peak_lanes`` the
+    largest batch, and ``stops`` the runs by stop reason.  A block that
+    merges the batches of several scans (:func:`_run_scans`) counts once in
+    ``batches``, ``batch_steps``, ``lane_slots`` and ``peak_lanes``; its
+    lanes count in the rest as they would alone.  ``lane_steps / lane_slots``
+    is the block's utilization.
     """
 
     batches: int = 0
     batch_steps: int = 0
     lane_steps: int = 0
+    lane_slots: int = 0
     events: int = 0
     event_residual_max: float = 0.0
     peak_lanes: int = 0
@@ -613,7 +621,7 @@ class _LaneBlock:
     arming), its worst Hamiltonian residual, its budget gap at t, whether it
     runs on (``live``), and its group's values (:class:`_Group`).  A finished
     lane leaves ``live`` but stays in the block, whose columns and series
-    workspace keep their shape, until the live lanes fall to half of it.
+    workspace keep their shape, until a quarter of the block has finished.
     """
 
     def __init__(self, g, sgn, grp, gs: list[_Group]):
@@ -924,11 +932,15 @@ def trace_lanes(g, signs, p: Params | Sequence[Params],
     series = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while (m := int(np.count_nonzero(blk.live))) > 0:
-            if series is None or (2 * m <= blk.lane.size and blk.lane.size > 2):
-                width = blk.compact()
-                series = _SeriesBlock(width, blk.unit)
+            # Compact once a quarter of the block has finished.  A compaction (a new series
+            # workspace and the column gathers, about 110 us at 16-256 lanes) costs what some
+            # 150 finished lane-steps do (about 0.75 us per lane per step): compacting at each
+            # finished lane pays it too often, and waiting for half lets dead lanes ride long.
+            if series is None or (4 * m <= 3 * blk.lane.size and blk.lane.size > 2):
+                series = _SeriesBlock(blk.compact(), blk.unit)
             work.batch_steps += 1
             work.lane_steps += m
+            work.lane_slots += blk.lane.size
             W, tau, t_new, Zn, last, ok = blk.step(series)
             # The lanes that stop in this step, (k, reason, state), end after the commit.
             done = [(k, STOP_STEP_FAILURE, blk.Z[:, k].tolist()) for k in (blk.live & ~ok).nonzero()[0]]

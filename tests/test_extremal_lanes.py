@@ -25,6 +25,7 @@ from pendamp.extremal import (
     _horner_lanes,
     _poly_root,
     _root,
+    _P,
     _XYPQ,
     _SeriesBlock,
     _step_rule,
@@ -468,6 +469,51 @@ def test_lane_is_bit_identical_in_any_batch(monkeypatch):
     for job, run in zip(jobs, witness):
         if run is not None:
             assert lanes([job], eps) == [run]
+
+
+def test_block_computes_only_the_lane_slots_its_compaction_rule_allows(monkeypatch):
+    # Many short lanes and a few long ones share a block.  It is compacted
+    # once a quarter of it has finished, so no batch step computes more than
+    # ceil(4/3 live) + 1 lane columns, and each run is the one traced alone.
+    eps = 0.2
+    alone = {job: lanes([job], eps)[0] for job in grid_jobs(24)}
+    by_length = sorted(alone, key=lambda job: alone[job].duration)
+    mixed = by_length[:40] + by_length[-4:]
+    random.Random(9).shuffle(mixed)
+    steps = []  # (lane columns, live lanes) per batch step
+
+    class Block(extremal._LaneBlock):
+        def step(self, series):
+            steps.append((self.lane.size, int(np.count_nonzero(self.live))))
+            return super().step(series)
+
+    monkeypatch.setattr(extremal, "_LaneBlock", Block)
+    work = LaneWork()
+    for job, run in zip(mixed, lanes(mixed, eps, work=work)):
+        assert run == alone[job], job
+    assert work.batch_steps == len(steps) and work.lane_steps == sum(m for _, m in steps)
+    assert work.lane_slots == sum(w for w, _ in steps) < 2 * work.lane_steps
+    assert [(w, m) for w, m in steps if w > math.ceil(4 * m / 3) + 1] == []
+
+
+def test_nothing_reads_the_last_orders_C_and_S_rows(monkeypatch):
+    # The last order writes only P_N: its rows C and S, NaN from the
+    # workspace's making on, stay NaN, and a grid trace through such
+    # workspaces is the plain trace bit for bit.
+    eps = 0.2
+    jobs = grid_jobs(GRID)
+    plain = lanes(jobs, eps)
+    made = []
+
+    class Series(extremal._SeriesBlock):
+        def __init__(self, lanes, unit):
+            super().__init__(lanes, unit)
+            self.W[TAYLOR_ORDER, [extremal._C, extremal._S]] = np.nan
+            made.append(self.W)
+
+    monkeypatch.setattr(extremal, "_SeriesBlock", Series)
+    assert repr(lanes(jobs, eps)) == repr(plain)
+    assert len(made) > 1 and all(np.isnan(W[TAYLOR_ORDER, :_P]).all() for W in made)
 
 
 def test_budget_screen_holds_on_steps_with_a_zero_of_y(monkeypatch):
